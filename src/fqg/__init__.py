@@ -24,7 +24,6 @@ from .actions import (
     verify_strong_right_invariance,
 )
 from .builders import (
-    dual_concrete,
     function_algebra,
     group_algebra,
     load_algebra,
@@ -56,6 +55,7 @@ from .errors import (
     NotAnAutomorphism,
     NotInDualSubspace,
     NotPositive,
+    NumericalFailure,
     ParseError,
     SchemaVersionMismatch,
     StructuralError,

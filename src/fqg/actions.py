@@ -24,7 +24,6 @@ algebra generated by the slices of beta is commutative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -39,9 +38,14 @@ from .groups import CayleyTable
 from .haar import Functional, GnsData
 from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra, is_hopf_star_automorphism
 from .duality import fourier_matrix
-from .multiplicative import MultiplicativeUnitary, dual_coproduct
+from .multiplicative import (
+    MultiplicativeUnitary,
+    coproduct_as_two_leg_operator,
+    dual_coproduct,
+    slice_products_and_adjoints,
+)
 from .report import ReportBuilder, VerificationReport
-from .tensors import TensorOperator, embed_legs, expand_in_leg, frob, numerical_rank
+from .tensors import TensorOperator, embed_legs, expand_in_leg, frob, kron_sum, numerical_rank
 
 FULL_MODE_LIMIT = 10 ** 6
 AUTO_FULL_THRESHOLD = 10 ** 3
@@ -380,17 +384,15 @@ class IntertwinerData:
     v_last_leg: np.ndarray
     v_expansion_residual: float
 
-    def beta_of(self, coords) -> np.ndarray:
-        """Operator of beta(element) on C^K (x) H."""
-        action = self.action
-        n, m = action.algebra.dim, action.order
-        out = np.zeros((m * n, m * n), dtype=complex)
-        for k in range(m):
-            img = action.theta_of_inverse(k) @ np.asarray(coords)
-            out[k * n:(k + 1) * n, k * n:(k + 1) * n] = np.einsum(
-                "i,ikl->kl", img, self.gns.left_regular
-            )
-        return out
+
+def beta_operator(action: FiniteGroupAction, gns: GnsData, coords) -> np.ndarray:
+    """Operator of beta(element) on C^K (x) H: one block per group element."""
+    n, m = action.algebra.dim, action.order
+    out = np.zeros((m * n, m * n), dtype=complex)
+    for k in range(m):
+        img = action.theta_of_inverse(k) @ np.asarray(coords)
+        out[k * n:(k + 1) * n, k * n:(k + 1) * n] = np.einsum("i,ikl->kl", img, gns.left_regular)
+    return out
 
 
 def beta_matrix(action: FiniteGroupAction) -> np.ndarray:
@@ -430,54 +432,42 @@ def build_intertwiner_data(
     f_inv = np.linalg.inv(f)
     gamma_hat = np.stack([f @ action.theta[k] @ f_inv for k in range(m)])
 
-    v_mat = np.zeros((n * m * n, n * m * n), dtype=complex)
-    for j in range(n):
-        blocks = np.zeros((m * n, m * n), dtype=complex)
-        for k in range(m):
-            img = action.theta_of_inverse(k) @ a.basis_element(j)
-            blocks[k * n:(k + 1) * n, k * n:(k + 1) * n] = np.einsum(
-                "i,ikl->kl", img, gns.left_regular
-            )
-        v_mat += np.kron(wop.slice_basis[j], blocks)
+    betas = [beta_operator(action, gns, a.basis_element(j)) for j in range(n)]
+    v_mat = kron_sum(wop.slice_basis, betas)
     v = TensorOperator((n, m, n), v_mat)
-    v_last, v_res = expand_in_leg(v_mat, (n * m, n), 2, list(gns.left_regular))
+    v_last, v_res = expand_in_leg(v_mat, (n * m, n), gns.left_regular)
     return IntertwinerData(action, gns, beta_matrix(action), gamma_hat, v, v_last, v_res)
 
 
 def gamma_operator(data: IntertwinerData, wop: MultiplicativeUnitary, coeffs) -> np.ndarray:
     """gamma applied to the dual-subspace element with coordinates ``coeffs``,
     as an operator on H (x) C^K."""
-    action = data.action
-    n, m = action.algebra.dim, action.order
-    out = np.zeros((n * m, n * m), dtype=complex)
-    for k in range(m):
-        image = np.einsum("j,jpq->pq", data.gamma_hat[k] @ np.asarray(coeffs), wop.slice_basis)
-        e_kk = np.zeros((m, m), dtype=complex)
-        e_kk[k, k] = 1.0
-        out += np.kron(image, e_kk)
-    return out
+    m = data.action.order
+    images = np.einsum("kj,jpq->kpq", data.gamma_hat @ np.asarray(coeffs), wop.slice_basis)
+    diagonal_units = np.eye(m)[:, :, None] * np.eye(m)[:, None, :]  # [k] = delta_k delta_k^T
+    return kron_sum(images, diagonal_units)
 
 
 def verify_beta(
     data: IntertwinerData, wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
     """beta is a unital *-homomorphism and agrees with its antipode-sandwich form."""
-    action = data.action
+    action, gns = data.action, data.gns
     a = action.algebra
     n = a.dim
     rb = ReportBuilder()
 
-    rb.add("beta_unital", frob(data.beta_of(a.unit) - np.eye(action.order * n)), tol)
+    rb.add("beta_unital", frob(beta_operator(action, gns, a.unit) - np.eye(action.order * n)), tol)
 
     worst_mult = 0.0
     worst_star = 0.0
-    beta_ops = [data.beta_of(a.basis_element(i)) for i in range(n)]
+    beta_ops = [beta_operator(action, gns, a.basis_element(i)) for i in range(n)]
     for i in range(n):
         star_coords = a.apply_star(a.basis_element(i))
-        lhs_star = data.beta_of(star_coords)
+        lhs_star = beta_operator(action, gns, star_coords)
         worst_star = max(worst_star, frob(lhs_star - beta_ops[i].conj().T))
         for j in range(n):
-            lhs = data.beta_of(a.multiply(a.basis_element(i), a.basis_element(j)))
+            lhs = beta_operator(action, gns, a.multiply(a.basis_element(i), a.basis_element(j)))
             worst_mult = max(worst_mult, frob(lhs - beta_ops[i] @ beta_ops[j]))
     rb.add("beta_multiplicative", worst_mult, tol)
     rb.add("beta_star_homomorphism", worst_star, tol)
@@ -507,18 +497,17 @@ def verify_gamma(
         tol,
     )
 
-    dual = build_dual_subspace_products(wop)
+    product_coords, star_coords, _ = slice_products_and_adjoints(wop)
     worst_mult = 0.0
     worst_star = 0.0
     for i in range(n):
         gi = gamma_operator(data, wop, np.eye(n)[i])
-        star_coeffs = dual["star_coords"][i]
         worst_star = max(
-            worst_star, frob(gamma_operator(data, wop, star_coeffs) - gi.conj().T)
+            worst_star, frob(gamma_operator(data, wop, star_coords[i]) - gi.conj().T)
         )
         for j in range(n):
             gj = gamma_operator(data, wop, np.eye(n)[j])
-            prod_coeffs = dual["product_coords"][i, j]
+            prod_coeffs = product_coords[i, j]
             worst_mult = max(
                 worst_mult, frob(gamma_operator(data, wop, prod_coeffs) - gi @ gj)
             )
@@ -538,21 +527,6 @@ def verify_gamma(
     return rb.build()
 
 
-def build_dual_subspace_products(wop: MultiplicativeUnitary) -> dict:
-    """Expansion coordinates of products and adjoints of the slice basis."""
-    n = wop.dim
-    basis = list(wop.slice_basis)
-    stacked = np.stack([b.reshape(-1) for b in basis], axis=1)
-    pinv = np.linalg.pinv(stacked)
-    product_coords = np.empty((n, n, n), dtype=complex)
-    star_coords = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        star_coords[i] = pinv @ basis[i].conj().T.reshape(-1)
-        for j in range(n):
-            product_coords[i, j] = pinv @ (basis[i] @ basis[j]).reshape(-1)
-    return {"product_coords": product_coords, "star_coords": star_coords}
-
-
 def verify_action_intertwiner(
     data: IntertwinerData, wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
@@ -568,11 +542,8 @@ def verify_action_intertwiner(
     n, m = a.dim, action.order
     rb = ReportBuilder()
 
-    rhs = np.zeros_like(data.v.entries)
-    for j in range(n):
-        rhs += np.kron(
-            gamma_operator(data, wop, np.eye(n)[j]), gns.left_regular[j]
-        )
+    gammas = [gamma_operator(data, wop, np.eye(n)[j]) for j in range(n)]
+    rhs = kron_sum(gammas, gns.left_regular)
     rb.add("intertwiner_exchange", frob(data.v.entries - rhs), tol)
 
     pair = _pair_values(a, gns.haar)
@@ -633,26 +604,20 @@ def verify_slice_commutativity(
 
         # dual-coproduct expansion: (dual-coproduct (x) id (x) id) V = V134 V234
         ambient4a = (n, n, m, n)
-        lhs = np.zeros((prod(ambient4a), prod(ambient4a)), dtype=complex)
-        for j in range(n):
-            lhs += np.kron(
-                dual_coproduct(wop, wop.slice_basis[j]),
-                data.beta_of(a.basis_element(j)),
-            )
+        lhs = kron_sum(
+            [dual_coproduct(wop, x) for x in wop.slice_basis],
+            [beta_operator(action, gns, a.basis_element(j)) for j in range(n)],
+        )
         v134 = embed_legs(data.v, [1, 3, 4], ambient4a).entries
         v234a = embed_legs(data.v, [2, 3, 4], ambient4a).entries
         rb.add("dual_coproduct_expansion_of_v", frob(lhs - v134 @ v234a), tol)
 
         # coproduct expansion: (id (x) id (x) coproduct) V = V123 V124
         ambient4b = (n, m, n, n)
-        lhs2 = np.zeros((prod(ambient4b), prod(ambient4b)), dtype=complex)
-        lr = gns.left_regular
-        for j in range(n):
-            c = a.coproduct_coeffs(a.basis_element(j))
-            two_leg = np.einsum("pq,pac,qbd->abcd", c, lr, lr, optimize=True).reshape(
-                n * n, n * n
-            )
-            lhs2 += np.kron(data.v_last_leg[j], two_leg)
+        lhs2 = kron_sum(
+            data.v_last_leg,
+            [coproduct_as_two_leg_operator(wop, a.basis_element(j)) for j in range(n)],
+        )
         v123 = embed_legs(data.v, [1, 2, 3], ambient4b).entries
         v124 = embed_legs(data.v, [1, 2, 4], ambient4b).entries
         rb.add("coproduct_expansion_of_v", frob(lhs2 - v123 @ v124), tol)

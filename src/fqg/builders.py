@@ -24,6 +24,7 @@ preset-or-path, "group": preset-or-inline-table, "automorphisms":
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -93,11 +94,6 @@ def function_algebra(cayley: CayleyTable, name: str = "") -> FiniteHopfStarAlgeb
         source_group=cayley,
         source_kind="function",
     )
-
-
-def dual_concrete(a: FiniteHopfStarAlgebra) -> FiniteHopfStarAlgebra:
-    """The dual Hopf *-algebra as a standalone algebra (see duality.build_dual)."""
-    return build_dual(a)
 
 
 _PRESET_BUILDERS = {
@@ -180,19 +176,30 @@ def _dense_from_sparse(entries, shape, field: str) -> np.ndarray:
                 f"field {field!r} entry {pos} must have {n_index} indices plus re, im"
             )
         idx = entry[:n_index]
-        re, im = entry[n_index], entry[n_index + 1]
         if not all(isinstance(i, int) for i in idx):
             raise ParseError(f"field {field!r} entry {pos} has non-integer indices")
-        if not all(isinstance(v, (int, float)) for v in (re, im)):
-            raise ParseError(f"field {field!r} entry {pos} has non-numeric values")
+        value = _finite_complex(entry[n_index:], f"field {field!r} entry {pos}")
         if any(i < 0 or i >= s for i, s in zip(idx, shape)):
             raise ParseError(f"field {field!r} entry {pos} index out of range for shape {shape}")
         key = tuple(idx)
         if key in seen:
             raise ParseError(f"field {field!r} has duplicate entry for index {key}")
         seen.add(key)
-        array[key] = complex(float(re), float(im))
+        array[key] = value
     return array
+
+
+def _finite_complex(pair, where: str) -> complex:
+    """The complex number [re, im]; non-numeric or non-finite parts raise ParseError."""
+    if not all(isinstance(v, (int, float)) for v in pair):
+        raise ParseError(f"{where} has non-numeric values")
+    try:
+        finite = all(math.isfinite(v) for v in pair)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ParseError(f"{where} has a non-finite value")
+    return complex(float(pair[0]), float(pair[1]))
 
 
 _ALGEBRA_KEYS = {
@@ -288,11 +295,10 @@ def parse_explicit_automorphisms(entries, order: int, dim: int) -> np.ndarray:
             if not isinstance(row, list) or len(row) != dim:
                 raise ParseError(f"automorphism {k} row {r} must have {dim} entries")
             for c, value in enumerate(row):
+                where = f"automorphism {k} entry ({r}, {c})"
                 if not isinstance(value, list) or len(value) != 2:
-                    raise ParseError(
-                        f"automorphism {k} entry ({r}, {c}) must be an [re, im] pair"
-                    )
-                theta[k, r, c] = complex(float(value[0]), float(value[1]))
+                    raise ParseError(f"{where} must be an [re, im] pair")
+                theta[k, r, c] = _finite_complex(value, where)
     return theta
 
 

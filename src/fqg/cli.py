@@ -10,7 +10,8 @@ Commands:
 - fqg dual <preset|file> -o <path>
 
 Exit codes: 0 all reported checks pass, 1 at least one check failed,
-2 structural error (bad file, unknown preset, bad flags).
+2 structural error (bad file, non-finite number, unknown preset, bad flags,
+or a linear-algebra routine that fails on the input).
 
 Reports are deterministic: the same input and configuration produce
 byte-identical output (there are no timestamps; the provenance block hashes
@@ -22,13 +23,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import builders
 from .actions import resolve_automorphisms
-from .errors import ParseError, StructuralError
+from .duality import build_dual
+from .errors import NumericalFailure, ParseError, StructuralError
 from .report import VerificationReport
 from .suite import action_suite, full_suite
 
@@ -149,7 +152,7 @@ def _cmd_preset(args) -> int:
 
 def _cmd_dual(args) -> int:
     algebra = builders.resolve_algebra(args.input)
-    builders.save_algebra(builders.dual_concrete(algebra), args.output)
+    builders.save_algebra(build_dual(algebra), args.output)
     print(f"wrote dual of {args.input} to {args.output}")
     return EXIT_OK
 
@@ -200,17 +203,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol", 1.0) <= 0:
-        print("error: tolerance must be positive", file=sys.stderr)
+    tol = getattr(args, "tol", 1.0)
+    if not (math.isfinite(tol) and tol > 0):
+        print("error: tolerance must be positive and finite", file=sys.stderr)
         return EXIT_STRUCTURAL
     try:
         return args.func(args)
-    except StructuralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
+    except np.linalg.LinAlgError as exc:
+        error = NumericalFailure(f"linear algebra failed on this input: {exc}")
+    except (StructuralError, OSError) as exc:
+        error = exc
+    print(f"error: {error}", file=sys.stderr)
+    return EXIT_STRUCTURAL
 
 
 if __name__ == "__main__":

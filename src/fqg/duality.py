@@ -1,11 +1,13 @@
 """The dual Hopf *-algebra, the slice isomorphism onto the dual subspace,
 and the Fourier transform a -> haar( . a).
 
-The dual algebra lives on the dual basis of the primal basis, so all of its
-structure tensors are index transposes of the primal ones: convolution is
-the transpose of the coproduct, the dual coproduct is the transpose of the
-product, the unit is the counit, and so on.  Taking the dual twice therefore
-reproduces the primal structure tensors exactly.
+The dual algebra lives on the dual basis of the primal basis, so five of
+its structure tensors are index transposes of the primal ones: convolution
+is the transpose of the coproduct, the dual coproduct is the transpose of
+the product, the unit is the counit, and so on.  Taking the dual twice
+therefore reproduces those five exactly.  The involution is the matrix
+product (antipode @ conj(star)).T, so the double dual's involution agrees
+with the primal one only up to rounding in a general basis.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .haar import Functional
 from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra
 from .multiplicative import MultiplicativeUnitary, dual_coproduct
 from .report import ReportBuilder, VerificationReport
-from .tensors import frob, numerical_rank, slice_leg, FunctionalOnOperators
+from .tensors import frob, slice_leg, FunctionalOnOperators
 
 
 def build_dual(a: FiniteHopfStarAlgebra) -> FiniteHopfStarAlgebra:
@@ -76,7 +78,7 @@ def verify_G_isomorphism(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -
     counit_image = G_map(wop, Functional(a.counit))
     rb.add("unit_of_dual_goes_to_identity", frob(counit_image - np.eye(n)), tol)
 
-    rank = numerical_rank(list(wop.slice_basis), tol)
+    rank = wop.dual_span.rank(tol)
     rb.add_count("injective_on_dual_basis", rank, n)
 
     worst_mult = 0.0

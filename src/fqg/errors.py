@@ -42,6 +42,10 @@ class ModeUnavailable(StructuralError):
     """Requested verification mode exceeds its size bound."""
 
 
+class NumericalFailure(StructuralError):
+    """A linear-algebra routine failed on the input (for example, no SVD convergence)."""
+
+
 class NoInvariantFunctional(VerificationError):
     """The bi-invariance system has no normalized solution."""
 

@@ -36,7 +36,9 @@ class CayleyTable:
 
 def cayley_from_table(table, labels=None, name: str = "group") -> CayleyTable:
     """Validate a multiplication table and wrap it; raises InvalidGroupTable."""
-    table = np.asarray(table, dtype=int)
+    table = np.asarray(table)
+    if table.dtype.kind not in "iu":
+        raise InvalidGroupTable(f"table entries must be integers, got dtype {table.dtype}")
     if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] == 0:
         raise InvalidGroupTable(f"table must be square and nonempty, got shape {table.shape}")
     m = table.shape[0]
@@ -111,7 +113,3 @@ def group_preset(name: str) -> CayleyTable:
             f"unknown group preset {name!r}; known: {sorted(_GROUP_PRESETS)}"
         ) from None
     return builder()
-
-
-def group_preset_names() -> tuple[str, ...]:
-    return tuple(sorted(_GROUP_PRESETS))

@@ -125,10 +125,6 @@ class GnsData:
     to_onb: np.ndarray
     left_regular: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.gram.shape[0]
-
     def smallest_gram_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.gram)[0])
 

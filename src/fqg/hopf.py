@@ -88,16 +88,9 @@ class FiniteHopfStarAlgebra:
     def apply_star(self, a) -> np.ndarray:
         return self.star.T @ np.conj(np.asarray(a))
 
-    def apply_counit(self, a) -> complex:
-        return complex(self.counit @ np.asarray(a))
-
     def left_mult_matrix(self, a) -> np.ndarray:
         """Matrix of x -> a x on coordinate vectors."""
         return np.einsum("i,ilk->kl", np.asarray(a), self.mult)
-
-    def right_mult_matrix(self, a) -> np.ndarray:
-        """Matrix of x -> x a on coordinate vectors."""
-        return np.einsum("j,ljk->kl", np.asarray(a), self.mult)
 
     # -- coarse structure queries ----------------------------------------
 
@@ -109,9 +102,6 @@ class FiniteHopfStarAlgebra:
 
     def is_commutative(self, tol: float = DEFAULT_TOL) -> bool:
         return self.commutativity_defect() <= tol
-
-    def is_cocommutative(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.cocommutativity_defect() <= tol
 
     def structure_scale(self) -> float:
         return max(

@@ -10,6 +10,15 @@ W = sum_j x_j (x) L_j, where L_j is left multiplication by the j-th basis
 element and the x_j span the dual subspace; applying such functionals
 entrywise would not be meaningful since they act on the algebra, not on
 Hilbert-space coordinates.
+
+``build_multiplicative_unitary`` computes this expansion once per run and
+factors the stacked x_j by one SVD (``MultiplicativeUnitary.dual_span``): an
+orthonormal basis Q of the dual subspace plus the map from Q-coordinates to
+coordinates over the x_j.  Every dual-subspace question is answered with
+that factorisation: the dimension, membership of a matrix (its distance from
+span Q), the coordinates of products and adjoints (closure), and membership
+of a dual coproduct in the doubled span (its distance from {Q X Q^T} after
+regrouping the legs), so no pair basis is ever built.
 """
 
 from __future__ import annotations
@@ -24,25 +33,30 @@ from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra
 from .report import ReportBuilder, VerificationReport
 from .tensors import (
     FunctionalOnOperators,
+    SpanBasis,
     TensorOperator,
     embed_legs,
     expand_in_leg,
     frob,
-    matrix_unit_functional,
+    kron_sum,
     max_pairwise_commutator,
     numerical_rank,
     project_onto_span,
     slice_leg,
+    span_basis,
 )
 
 
 @dataclass(frozen=True)
 class MultiplicativeUnitary:
-    """W on two copies of the GNS space, with its dual-leg expansion cached.
+    """W on two copies of the GNS space: the context every later stage shares.
 
     ``slice_basis[j]`` is the right slice of W by the j-th dual-basis
     functional of the algebra; these matrices span the dual subspace and
     W = sum_j slice_basis[j] (x) left_regular[j] up to ``expansion_residual``.
+    ``dual_span`` is the one SVD of the stacked slice basis: an orthonormal
+    basis ``q`` of the dual subspace and the map from coordinates in ``q`` to
+    coordinates over ``slice_basis``.
     """
 
     w: TensorOperator
@@ -50,6 +64,7 @@ class MultiplicativeUnitary:
     gns: GnsData
     slice_basis: np.ndarray
     expansion_residual: float
+    dual_span: SpanBasis
 
     @property
     def dim(self) -> int:
@@ -65,15 +80,16 @@ def _w_in_algebra_coords(a: FiniteHopfStarAlgebra) -> np.ndarray:
 def build_multiplicative_unitary(
     a: FiniteHopfStarAlgebra, gns: GnsData
 ) -> MultiplicativeUnitary:
-    """Assemble W in orthonormal coordinates and cache its dual-leg expansion."""
+    """Assemble W in orthonormal coordinates with its dual-leg expansion and
+    the factorisation of the dual subspace."""
     n = a.dim
     r = gns.to_onb
     q = gns.onb_change
     w_mat = np.kron(r, r) @ _w_in_algebra_coords(a) @ np.kron(q, q)
     w = TensorOperator((n, n), w_mat)
-    coeffs, residual = expand_in_leg(w_mat, (n, n), 2, list(gns.left_regular))
+    coeffs, residual = expand_in_leg(w_mat, (n, n), gns.left_regular)
     coeffs.setflags(write=False)
-    return MultiplicativeUnitary(w, a, gns, coeffs, residual)
+    return MultiplicativeUnitary(w, a, gns, coeffs, residual, span_basis(coeffs))
 
 
 def inverse_via_antipode(a: FiniteHopfStarAlgebra, gns: GnsData) -> TensorOperator:
@@ -160,29 +176,38 @@ def coproduct_as_two_leg_operator(wop: MultiplicativeUnitary, coords) -> np.ndar
 
 
 def verify_coproduct_implemented(
-    wop: MultiplicativeUnitary, coords, tol: float = DEFAULT_TOL
+    wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
-    """W (L_a (x) 1) W* equals left multiplication by coproduct(a); plus the
-    global form (id (x) coproduct) W = W12 W13."""
+    """W (L_a (x) 1) W* equals left multiplication by coproduct(a) for every
+    basis element a; plus the global form (id (x) coproduct) W = W12 W13."""
     a, gns, w = wop.algebra, wop.gns, wop.w
     n = a.dim
+    deltas = np.stack([coproduct_as_two_leg_operator(wop, a.basis_element(j)) for j in range(n)])
+    eye = np.eye(n)
+    worst = 0.0
+    for j in range(n):
+        lhs = w.entries @ np.kron(gns.left_regular[j], eye) @ w.entries.conj().T
+        worst = max(worst, frob(lhs - deltas[j]))
     rb = ReportBuilder()
-
-    la = left_multiplication_matrix(a, gns, coords)
-    lhs = w.entries @ np.kron(la, np.eye(n)) @ w.entries.conj().T
-    rb.add("coproduct_conjugation", frob(lhs - coproduct_as_two_leg_operator(wop, coords)), tol)
+    rb.add("conjugation_over_basis", worst, tol)
 
     ambient = (n, n, n)
     w12 = embed_legs(w, [1, 2], ambient).entries
     w13 = embed_legs(w, [1, 3], ambient).entries
-    global_lhs = np.zeros((n ** 3, n ** 3), dtype=complex)
-    for j in range(n):
-        global_lhs += np.kron(
-            wop.slice_basis[j],
-            coproduct_as_two_leg_operator(wop, a.basis_element(j)),
-        )
+    global_lhs = kron_sum(wop.slice_basis, deltas)
     rb.add("coproduct_on_second_leg_of_w", frob(global_lhs - w12 @ w13), tol)
     return rb.build()
+
+
+def _require_w_expansion(wop: MultiplicativeUnitary, tol: float) -> None:
+    """Raise ExpansionFailed unless W = sum_j slice_basis[j] (x) L_j holds."""
+    if wop.expansion_residual > tol * (1.0 + frob(wop.w.entries)):
+        raise ExpansionFailed(
+            f"W does not lie in the dual-subspace tensor algebra span "
+            f"(residual {wop.expansion_residual:.3e})",
+            check="w_expansion",
+            residual=wop.expansion_residual,
+        )
 
 
 def verify_antipode_relation(
@@ -190,18 +215,12 @@ def verify_antipode_relation(
 ) -> VerificationReport:
     """(id (x) antipode) W = W*, the antipode transported to the second leg."""
     a, gns, w = wop.algebra, wop.gns, wop.w
-    n = a.dim
-    if wop.expansion_residual > tol * (1.0 + frob(w.entries)):
-        raise ExpansionFailed(
-            f"W does not lie in the dual-subspace tensor algebra span "
-            f"(residual {wop.expansion_residual:.3e})",
-            check="w_expansion",
-            residual=wop.expansion_residual,
-        )
-    lhs = np.zeros((n * n, n * n), dtype=complex)
-    for j in range(n):
-        s_j = left_multiplication_matrix(a, gns, a.apply_antipode(a.basis_element(j)))
-        lhs += np.kron(wop.slice_basis[j], s_j)
+    _require_w_expansion(wop, tol)
+    antipodes = [
+        left_multiplication_matrix(a, gns, a.apply_antipode(a.basis_element(j)))
+        for j in range(a.dim)
+    ]
+    lhs = kron_sum(wop.slice_basis, antipodes)
     rb = ReportBuilder()
     rb.add("antipode_on_second_leg_of_w", frob(lhs - w.entries.conj().T), tol)
     return rb.build()
@@ -211,67 +230,59 @@ def verify_antipode_relation(
 class DualSubspace:
     """Span of the right slices of W, closed under product and adjoint.
 
-    ``basis[j]`` is the slice of W by the j-th dual-basis functional;
-    ``coords_of_w[i, j]`` expands W = sum basis_i (x) left_regular_j (the
-    identity matrix by construction).  ``product_coords[i, j]`` holds the
-    expansion of basis_i basis_j back in the basis.
+    ``basis[j]`` is the slice of W by the j-th dual-basis functional, so
+    W = sum basis_j (x) left_regular_j.  ``closure_residual`` is the largest
+    distance of a product or adjoint of basis elements from the span.
     """
 
     basis: np.ndarray
-    coords_of_w: np.ndarray
-    product_coords: np.ndarray
     closure_residual: float
+
+
+def slice_products_and_adjoints(
+    wop: MultiplicativeUnitary,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Coordinates over the slice basis of every product basis_i basis_j
+    (shape (n, n, n)) and adjoint basis_i* (shape (n, n)), and the largest
+    distance of any of them from the dual subspace."""
+    n = wop.dim
+    basis = wop.slice_basis
+    product_coords, product_res = wop.dual_span.coords(basis[:, None] @ basis[None, :])
+    star_coords, star_res = wop.dual_span.coords(basis.conj().transpose(0, 2, 1))
+    closure = float(max(product_res.max(), star_res.max()))
+    return product_coords.reshape(n, n, n), star_coords, closure
 
 
 def build_dual_subspace(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> DualSubspace:
     """Basis of the dual subspace with closure and dimension certificates."""
     n = wop.dim
     w = wop.w
-    basis = wop.slice_basis
-    if wop.expansion_residual > tol * (1.0 + frob(w.entries)):
-        raise ExpansionFailed(
-            f"W expansion residual {wop.expansion_residual:.3e} exceeds tolerance",
-            check="w_expansion",
-            residual=wop.expansion_residual,
-        )
-    rank = numerical_rank(list(basis), tol)
+    _require_w_expansion(wop, tol)
+    rank = wop.dual_span.rank(tol)
     if rank != n:
         raise DimensionMismatch(
             f"dual subspace has dimension {rank}, expected {n}",
             check="dual_subspace_dimension",
             residual=float(rank),
         )
-    # every entrywise right slice must already lie in the span
-    worst_member = 0.0
-    all_slices = []
-    for r in range(n):
-        for s in range(n):
-            y = slice_leg(w, "right", matrix_unit_functional(n, r, s))
-            all_slices.append(y)
-            _, res = project_onto_span(list(basis), y)
-            worst_member = max(worst_member, res)
+    # every entrywise right slice must already lie in the span: slice (r, s)
+    # is the leg-1 matrix W[(p, r), (q, s)] over (p, q)
+    all_slices = w.as_legs().transpose(1, 3, 0, 2).reshape(n * n, n, n)
+    slice_coords, residuals = project_onto_span(wop.dual_span.q, all_slices)
+    worst_member = float(residuals.max())
     if worst_member > tol * (1.0 + frob(w.entries)):
         raise DimensionMismatch(
             f"a right slice escapes the dual subspace (residual {worst_member:.3e})",
             check="dual_subspace_membership",
             residual=worst_member,
         )
-    if numerical_rank(all_slices, tol) != n:
+    if numerical_rank(slice_coords, tol) != n:
         raise DimensionMismatch(
             "right slices of W do not span an n-dimensional space",
             check="dual_subspace_dimension",
         )
-    product_coords = np.empty((n, n, n), dtype=complex)
-    closure = 0.0
-    for i in range(n):
-        for j in range(n):
-            coeffs, res = project_onto_span(list(basis), basis[i] @ basis[j])
-            product_coords[i, j] = coeffs
-            closure = max(closure, res)
-        _, res = project_onto_span(list(basis), basis[i].conj().T)
-        closure = max(closure, res)
-    product_coords.setflags(write=False)
-    return DualSubspace(basis, np.eye(n, dtype=complex), product_coords, closure)
+    _, _, closure = slice_products_and_adjoints(wop)
+    return DualSubspace(wop.slice_basis, closure)
 
 
 def dual_coproduct(wop: MultiplicativeUnitary, x) -> np.ndarray:
@@ -291,8 +302,9 @@ def dual_coproduct_checked(
     """
     x = np.asarray(x, dtype=complex)
     n = wop.dim
-    basis = list(wop.slice_basis)
-    _, res_x = project_onto_span(basis, x)
+    q = wop.dual_span.q
+    _, residuals = project_onto_span(q, x)
+    res_x = float(residuals[0])
     if res_x > tol * (1.0 + frob(x)):
         raise NotInDualSubspace(
             f"matrix is not in the dual subspace (residual {res_x:.3e})",
@@ -300,8 +312,10 @@ def dual_coproduct_checked(
             residual=res_x,
         )
     y = dual_coproduct(wop, x)
-    pair_basis = [np.kron(basis[i], basis[j]) for i in range(n) for j in range(n)]
-    _, res_y = project_onto_span(pair_basis, y)
+    # regroup legs so that kron(x_i, x_j) becomes the rank-one x_i x_j^T over
+    # flattened matrices; the doubled span is then {Q X Q^T}
+    z = y.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    res_y = frob(z - q @ (q.conj().T @ z @ q.conj()) @ q.T)
     rb = ReportBuilder()
     rb.add("dual_coproduct_in_doubled_span", res_y, tol * (1.0 + frob(y)))
     return TensorOperator((n, n), y), rb.build()
@@ -322,9 +336,8 @@ def verify_dual_coproduct_identities(
     ambient = (n, n, n)
     w13 = embed_legs(w, [1, 3], ambient).entries
     w23 = embed_legs(w, [2, 3], ambient).entries
-    lhs = np.zeros((n ** 3, n ** 3), dtype=complex)
-    for j in range(n):
-        lhs += np.kron(dual_coproduct(wop, wop.slice_basis[j]), wop.gns.left_regular[j])
+    images = np.stack([dual_coproduct(wop, x) for x in wop.slice_basis])
+    lhs = kron_sum(images, wop.gns.left_regular)
     rb.add("dual_coproduct_on_first_leg_of_w", frob(lhs - w13 @ w23), tol)
 
     w_mat = w.entries
@@ -332,9 +345,7 @@ def verify_dual_coproduct_identities(
     worst_coassoc = 0.0
     worst_star = 0.0
     worst_mult = 0.0
-    for j in range(n):
-        x = wop.slice_basis[j]
-        dx = dual_coproduct(wop, x)
+    for x, dx in zip(wop.slice_basis, images):
         # (dual-coproduct (x) id) of dx conjugates legs 1,2; (id (x) dual-coproduct)
         # conjugates legs 2,3 with dx placed on legs 1,3.
         first = np.kron(w_mat.conj().T, eye) @ np.kron(eye, dx) @ np.kron(w_mat, eye)
@@ -344,12 +355,8 @@ def verify_dual_coproduct_identities(
         worst_star = max(
             worst_star, frob(dual_coproduct(wop, x.conj().T) - dx.conj().T)
         )
-        for k in range(n):
-            y = wop.slice_basis[k]
-            worst_mult = max(
-                worst_mult,
-                frob(dual_coproduct(wop, x @ y) - dx @ dual_coproduct(wop, y)),
-            )
+        for y, dy in zip(wop.slice_basis, images):
+            worst_mult = max(worst_mult, frob(dual_coproduct(wop, x @ y) - dx @ dy))
     rb.add("dual_coproduct_coassociative", worst_coassoc, tol)
     rb.add("dual_coproduct_star_homomorphism", worst_star, tol)
     rb.add("dual_coproduct_multiplicative", worst_mult, tol)

@@ -62,13 +62,6 @@ class VerificationReport:
         finite = [c.residual for c in self.checks if c.residual is not None]
         return max(finite) if finite else 0.0
 
-    @staticmethod
-    def combine(*reports: VerificationReport) -> VerificationReport:
-        checks: list[Check] = []
-        for r in reports:
-            checks.extend(r.checks)
-        return VerificationReport(tuple(checks))
-
     def as_dict(self) -> dict:
         return {
             "checks": [c.as_dict() for c in self.checks],
@@ -92,16 +85,15 @@ class VerificationReport:
 class ReportBuilder:
     """Accumulates checks; by default a check passes iff residual <= tolerance."""
 
-    def __init__(self, prefix: str = ""):
-        self.prefix = prefix
+    def __init__(self):
         self._checks: list[Check] = []
 
     def add(self, name: str, residual: float, tolerance: float, detail: str = "") -> Check:
         residual = float(residual)
         if math.isnan(residual):
-            check = Check(self.prefix + name, None, float(tolerance), False, detail or "residual is NaN")
+            check = Check(name, None, float(tolerance), False, detail or "residual is NaN")
         else:
-            check = Check(self.prefix + name, residual, float(tolerance), residual <= tolerance, detail)
+            check = Check(name, residual, float(tolerance), residual <= tolerance, detail)
         self._checks.append(check)
         return check
 
@@ -111,15 +103,14 @@ class ReportBuilder:
         return self.add(name, float(abs(got - expected)), 0.0, info)
 
     def add_aborted(self, name: str, tolerance: float, detail: str) -> Check:
-        check = Check(self.prefix + name, None, float(tolerance), False, detail)
+        check = Check(name, None, float(tolerance), False, detail)
         self._checks.append(check)
         return check
 
-    def extend(self, report: VerificationReport) -> None:
+    def extend(self, prefix: str, report: VerificationReport) -> None:
+        """Append every check of ``report`` with ``prefix`` before its name."""
         for c in report.checks:
-            self._checks.append(
-                Check(self.prefix + c.name, c.residual, c.tolerance, c.passed, c.detail)
-            )
+            self._checks.append(Check(prefix + c.name, c.residual, c.tolerance, c.passed, c.detail))
 
     def build(self) -> VerificationReport:
         return VerificationReport(tuple(self._checks))

@@ -25,13 +25,6 @@ def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def kron_all(mats) -> np.ndarray:
-    out = np.array([[1.0 + 0.0j]])
-    for m in mats:
-        out = np.kron(out, np.asarray(m, dtype=complex))
-    return out
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -66,10 +59,6 @@ class TensorOperator:
     @property
     def n_legs(self) -> int:
         return len(self.dims)
-
-    @property
-    def total_dim(self) -> int:
-        return prod(self.dims)
 
     def adjoint(self) -> TensorOperator:
         return TensorOperator(self.dims, self.entries.conj().T)
@@ -161,9 +150,6 @@ class FunctionalOnOperators:
     def dim(self) -> int:
         return self.bra.size
 
-    def value(self, matrix) -> complex:
-        return complex(self.bra.conj() @ np.asarray(matrix) @ self.ket)
-
 
 def matrix_unit_functional(dim: int, i: int, j: int) -> FunctionalOnOperators:
     """The functional T -> T[i, j] on dim x dim matrices."""
@@ -201,58 +187,91 @@ def op_distance(x: TensorOperator, y: TensorOperator) -> float:
     return frob(x.entries - y.entries)
 
 
-def project_onto_span(basis_mats, target) -> tuple[np.ndarray, float]:
-    """Least-squares coefficients of ``target`` in the span of ``basis_mats``.
+def kron_sum(xs, ys) -> np.ndarray:
+    """sum_j kron(xs[j], ys[j]) for two equally long stacks of matrices."""
+    xs = np.asarray(xs, dtype=complex)
+    ys = np.asarray(ys, dtype=complex)
+    _, a, b = xs.shape
+    _, c, d = ys.shape
+    return np.tensordot(xs, ys, axes=(0, 0)).transpose(0, 2, 1, 3).reshape(a * c, b * d)
 
-    Returns (coefficients, residual) where residual is the Frobenius norm of
-    target minus its projection.
+
+@dataclass(frozen=True)
+class SpanBasis:
+    """One SVD of a stack of matrices, reused for every question about their span.
+
+    ``q`` holds an orthonormal basis of the span as columns of flattened
+    matrices; singular values at or below eps * max(shape) * sigma_max are
+    dropped, the cutoff np.linalg.lstsq uses.  ``sigma`` keeps all singular
+    values, and ``to_coords`` maps coordinates in ``q`` to the minimum-norm
+    coefficients over the stacked matrices.
     """
-    basis_mats = [np.asarray(b, dtype=complex) for b in basis_mats]
-    target = np.asarray(target, dtype=complex)
-    a = np.stack([b.reshape(-1) for b in basis_mats], axis=1)
-    rhs = target.reshape(-1)
-    coeffs, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    residual = frob(a @ coeffs - rhs)
-    return coeffs, residual
+
+    q: np.ndarray
+    sigma: np.ndarray
+    to_coords: np.ndarray
+
+    def rank(self, tol: float) -> int:
+        """Numerical rank with the threshold of ``numerical_rank``."""
+        return _rank_above(self.sigma, tol)
+
+    def coords(self, targets) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients of each target over the stacked matrices, and its
+        Frobenius distance from the span."""
+        q_coords, residuals = project_onto_span(self.q, targets)
+        return q_coords @ self.to_coords.T, residuals
 
 
-def expand_in_leg(matrix, dims, leg: int, basis_mats) -> tuple[np.ndarray, float]:
-    """Expand a 2-leg operator X = sum_b (coeff_b (x) basis_b) in one leg.
+def span_basis(basis_mats) -> SpanBasis:
+    """Factor the span of ``basis_mats`` once (see SpanBasis)."""
+    a = np.stack([np.asarray(b, dtype=complex).reshape(-1) for b in basis_mats], axis=1)
+    u, sigma, vh = np.linalg.svd(a, full_matrices=False)
+    keep = sigma > np.finfo(float).eps * max(a.shape) * sigma[0]
+    to_coords = vh[keep].conj().T / sigma[keep]
+    return SpanBasis(_freeze(u[:, keep]), _freeze(sigma), _freeze(to_coords))
 
-    leg=2 solves X = sum_b C_b (x) basis_b and returns the stack of C_b
-    matrices on leg 1; leg=1 solves X = sum_b basis_b (x) C_b.  The residual
-    is the Frobenius norm of the unexplained part; it vanishes exactly when
-    the matrix lies in L(leg-other) (x) span(basis).
+
+def project_onto_span(q, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal projection of each target onto the column span of ``q``.
+
+    ``q`` has orthonormal columns; ``targets`` is one matrix or a stack of
+    them, each flattening to a column of ``q``.  Returns the coordinates in
+    ``q`` (one row per target) and the Frobenius norm of each target minus
+    its projection.
+    """
+    t = np.asarray(targets, dtype=complex).reshape(-1, q.shape[0])
+    coords = t @ q.conj()
+    residuals = np.linalg.norm(t - coords @ q.T, axis=1)
+    return coords, residuals
+
+
+def expand_in_leg(matrix, dims, basis_mats) -> tuple[np.ndarray, float]:
+    """Expand a 2-leg operator as X = sum_b C_b (x) basis_b in its second leg.
+
+    Returns the stack of C_b matrices on leg 1 and the residual, the
+    Frobenius norm of the unexplained part; it vanishes exactly when the
+    matrix lies in L(leg 1) (x) span(basis).
     """
     d1, d2 = (int(dims[0]), int(dims[1]))
     x = np.asarray(matrix, dtype=complex)
     if x.shape != (d1 * d2, d1 * d2):
         raise StructuralError(f"matrix shape {x.shape} does not match dims {dims}")
-    t = x.reshape(d1, d2, d1, d2)
-    basis_mats = [np.asarray(b, dtype=complex) for b in basis_mats]
-    if leg == 2:
-        a = np.stack([b.reshape(-1) for b in basis_mats], axis=1)  # (d2*d2, nb)
-        rhs = t.transpose(1, 3, 0, 2).reshape(d2 * d2, d1 * d1)
-        coeffs, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-        residual = frob(a @ coeffs - rhs)
-        return coeffs.reshape(len(basis_mats), d1, d1), residual
-    if leg == 1:
-        a = np.stack([b.reshape(-1) for b in basis_mats], axis=1)  # (d1*d1, nb)
-        rhs = t.transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
-        coeffs, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-        residual = frob(a @ coeffs - rhs)
-        return coeffs.reshape(len(basis_mats), d2, d2), residual
-    raise StructuralError(f"leg must be 1 or 2, got {leg}")
+    a = np.stack([np.asarray(b, dtype=complex).reshape(-1) for b in basis_mats], axis=1)
+    rhs = x.reshape(d1, d2, d1, d2).transpose(1, 3, 0, 2).reshape(d2 * d2, d1 * d1)
+    coeffs, *_ = np.linalg.lstsq(a, rhs, rcond=None)
+    return coeffs.reshape(a.shape[1], d1, d1), frob(a @ coeffs - rhs)
+
+
+def _rank_above(sigma, tol: float) -> int:
+    if sigma.size == 0:
+        return 0
+    return int(np.sum(sigma > tol * max(1.0, float(sigma[0]))))
 
 
 def numerical_rank(vectors, tol: float = 1e-9) -> int:
     """Rank of the row span with singular values below tol*max(1, sigma_max) dropped."""
     a = np.stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
-    sigma = np.linalg.svd(a, compute_uv=False)
-    if sigma.size == 0:
-        return 0
-    threshold = tol * max(1.0, float(sigma[0]))
-    return int(np.sum(sigma > threshold))
+    return _rank_above(np.linalg.svd(a, compute_uv=False), tol)
 
 
 def max_pairwise_commutator(mats) -> float:

@@ -112,7 +112,7 @@ def test_03_multiplicative_unitary_identity_suite():
         worst = max(worst, verify_unitarity(wop).max_residual())
         worst = max(worst, pentagon_residual(wop.w))
         worst = max(worst, verify_antipode_relation(wop).max_residual())
-        rep = verify_coproduct_implemented(wop, wop.algebra.unit)
+        rep = verify_coproduct_implemented(wop)
         worst = max(worst, rep.residual("coproduct_on_second_leg_of_w"))
         dual_rep = verify_dual_coproduct_identities(wop)
         worst = max(worst, dual_rep.residual("dual_coproduct_on_first_leg_of_w"))

@@ -10,10 +10,10 @@ from fqg import (
     ParseError,
     SchemaVersionMismatch,
     UnknownPreset,
+    build_dual,
     build_multiplicative_unitary,
     cayley_from_table,
     compute_haar,
-    dual_concrete,
     gns_construct,
     group_preset,
     load_algebra,
@@ -86,7 +86,7 @@ def test_function_algebra_of_order_one_group_is_trivial():
 def test_dual_concrete_is_involutive():
     for name in ("kz4", "fs3"):
         a = preset(name)
-        assert tensors_equal(dual_concrete(dual_concrete(a)), a)
+        assert tensors_equal(build_dual(build_dual(a)), a)
 
 
 def test_unknown_preset():
@@ -203,6 +203,9 @@ def test_resolve_group_inline_and_errors():
     with pytest.raises(InvalidGroupTable):
         # an idempotent quasigroup: every row is a permutation, no identity
         cayley_from_table([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+    for bad in ([[0, 1], [1, float("nan")]], [[0, 1.5], [1, 0]]):
+        with pytest.raises(InvalidGroupTable):
+            resolve_group({"table": bad})
     with pytest.raises(ParseError):
         resolve_group({"table": [[0]], "bogus": 1})
     with pytest.raises(ParseError):

@@ -3,7 +3,9 @@
 import json
 
 import numpy as np
+import pytest
 
+from fqg import cli
 from fqg.builders import algebra_to_json, preset
 from fqg.cli import main
 
@@ -211,3 +213,42 @@ def test_action_failing_action_exits_one(tmp_path, capsys):
     code, out, _ = run(capsys, ["action", str(path)])
     assert code == 1
     assert "FAIL" in out
+
+
+def test_non_finite_structure_constant_exits_two(tmp_path, capsys):
+    data = json.loads(algebra_to_json(preset("kz2")))
+    data["mult"][0][3] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, ["verify", str(path)])
+    assert code == 2
+    assert "non-finite" in err
+
+
+def test_non_finite_action_spec_entry_exits_two(tmp_path, capsys):
+    eye = [[[1.0 if r == c else 0.0, 0.0] for c in range(3)] for r in range(3)]
+    bad = [[list(pair) for pair in row] for row in eye]
+    bad[1][1][1] = float("inf")
+    spec = {"format_version": 1, "algebra": "kz3", "group": "z2", "automorphisms": [eye, bad]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(capsys, ["action", str(path)])
+    assert code == 2
+    assert "non-finite" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_exits_two(capsys, tol):
+    code, _, err = run(capsys, ["verify", "kz2", "--tol", tol])
+    assert code == 2
+    assert "tolerance" in err
+
+
+def test_linear_algebra_failure_exits_two(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "full_suite", fail)
+    code, _, err = run(capsys, ["verify", "kz2"])
+    assert code == 2
+    assert "linear algebra failed" in err

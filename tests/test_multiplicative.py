@@ -23,7 +23,9 @@ from fqg import (
     verify_pentagon,
     verify_unitarity,
 )
-from fqg.multiplicative import dual_subspace_commutativity_defect
+from fqg import multiplicative
+from fqg.multiplicative import dual_subspace_commutativity_defect, slice_products_and_adjoints
+from fqg.tensors import matrix_unit_functional, project_onto_span, slice_leg
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -131,8 +133,7 @@ def test_left_slices_span_the_algebra():
 
 def test_coproduct_implemented_by_conjugation():
     wop = unitary_of("kz2")
-    a = wop.algebra
-    report = verify_coproduct_implemented(wop, a.unit)
+    report = verify_coproduct_implemented(wop)
     assert report.overall_pass
 
     # conjugating L_g (x) 1 by the controlled-not gives L_g (x) L_g
@@ -140,11 +141,9 @@ def test_coproduct_implemented_by_conjugation():
     lhs = wop.w.entries @ np.kron(flip_mat, np.eye(2)) @ wop.w.entries.conj().T
     assert np.max(np.abs(lhs - np.kron(flip_mat, flip_mat))) <= 1e-13
 
-    wop6 = unitary_of("ks3")
-    for i in range(6):
-        rep = verify_coproduct_implemented(wop6, wop6.algebra.basis_element(i))
-        assert rep.overall_pass
-        assert rep.max_residual() <= 1e-12
+    rep = verify_coproduct_implemented(unitary_of("ks3"))
+    assert rep.overall_pass
+    assert rep.max_residual() <= 1e-12
 
 
 def test_antipode_relation():
@@ -163,7 +162,6 @@ def test_dual_subspace_of_group_algebra_z2_is_diagonal_projections():
     assert np.max(np.abs(dual.basis[0] - np.diag([1.0, 0.0]))) < 1e-13
     assert np.max(np.abs(dual.basis[1] - np.diag([0.0, 1.0]))) < 1e-13
     assert dual.closure_residual <= 1e-12
-    assert np.array_equal(dual.coords_of_w, np.eye(2))
     assert dual_subspace_commutativity_defect(wop) <= 1e-13
 
 
@@ -202,3 +200,51 @@ def test_dual_coproduct_global_identities():
         report = verify_dual_coproduct_identities(unitary_of(name))
         assert report.overall_pass, [c.name for c in report.checks if not c.passed]
         assert report.max_residual() <= 1e-11
+
+
+def _lstsq_residual(basis_mats, target):
+    """Distance of ``target`` from the span of ``basis_mats`` by explicit least squares."""
+    a = np.stack([np.asarray(b).reshape(-1) for b in basis_mats], axis=1)
+    rhs = np.asarray(target).reshape(-1)
+    coeffs, *_ = np.linalg.lstsq(a, rhs, rcond=None)
+    return float(np.linalg.norm(a @ coeffs - rhs))
+
+
+@pytest.mark.parametrize("name", ["ks3", "fs3"])
+def test_shared_projector_matches_pair_basis_lstsq_oracle(name, basis_changed, monkeypatch):
+    a = basis_changed(preset(name), seed=11)
+    wop = build_multiplicative_unitary(a, gns_construct(a, compute_haar(a)))
+    n = a.dim
+    basis = list(wop.slice_basis)
+    rng = np.random.default_rng(3)
+
+    # membership: entrywise right slices (in the span) and random matrices (not)
+    slices = [slice_leg(wop.w, "right", matrix_unit_functional(n, r, s))
+              for r in range(n) for s in range(n)]
+    targets = slices + list(rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n)))
+    _, residuals = project_onto_span(wop.dual_span.q, targets)
+    oracle = [_lstsq_residual(basis, t) for t in targets]
+    assert np.max(np.abs(residuals - oracle)) <= 1e-13
+    assert min(oracle[-4:]) > 0.1
+
+    # closure: products and adjoints, with coordinates that reproduce them
+    product_coords, star_coords, closure = slice_products_and_adjoints(wop)
+    products = [x @ y for x in basis for y in basis]
+    adjoints = [x.conj().T for x in basis]
+    assert abs(closure - max(_lstsq_residual(basis, t) for t in products + adjoints)) <= 1e-13
+    rebuilt = np.einsum("ijk,kpq->ijpq", product_coords, wop.slice_basis).reshape(n * n, n, n)
+    assert np.max(np.abs(rebuilt - products)) <= 1e-12
+    assert np.max(np.abs(np.einsum("ik,kpq->ipq", star_coords, wop.slice_basis) - adjoints)) <= 1e-12
+
+    # doubled span: true dual coproducts (residual ~0) and random images (residual O(1))
+    pair_basis = [np.kron(x, y) for x in basis for y in basis]
+    for x in basis[:2]:
+        _, report = dual_coproduct_checked(wop, x)
+        oracle = _lstsq_residual(pair_basis, dual_coproduct(wop, x))
+        assert abs(report.residual("dual_coproduct_in_doubled_span") - oracle) <= 1e-13
+    noise = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    monkeypatch.setattr(multiplicative, "dual_coproduct", lambda wop, x: noise)
+    _, report = dual_coproduct_checked(wop, basis[0])
+    oracle = _lstsq_residual(pair_basis, noise)
+    assert oracle > 1.0
+    assert abs(report.residual("dual_coproduct_in_doubled_span") - oracle) <= 1e-13

@@ -1,6 +1,7 @@
 """End-to-end pipelines: stage ordering, abort paths, report plumbing."""
 
 import numpy as np
+import pytest
 
 from fqg import FiniteHopfStarAlgebra, action_suite, full_suite, group_preset, preset
 
@@ -102,3 +103,11 @@ def test_report_filter_and_lookup():
     assert [c.name for c in filtered.checks] == ["pentagon/pentagon"]
     assert filtered.overall_pass
     assert report.residual("pentagon/pentagon") == 0.0
+
+
+@pytest.mark.parametrize("name", ["ks3", "fs3", "kz4", "fz5", "dual:ks3"])
+def test_full_suite_passes_in_a_random_basis(name, basis_changed):
+    # a valid Kac algebra passes every check in any basis, not only in the
+    # permutation-sparse preset basis
+    report = full_suite(basis_changed(preset(name), seed=len(name) * 101))
+    assert [c.name for c in report.checks if not c.passed] == []

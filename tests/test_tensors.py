@@ -14,6 +14,7 @@ from fqg import (
     op_distance,
     slice_leg,
 )
+from fqg.tensors import kron_sum
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -223,3 +224,13 @@ def test_op_distance_values_and_triangle():
     assert op_distance(a, c) <= op_distance(a, b) + op_distance(b, c) + 1e-12
     with pytest.raises(StructuralError):
         op_distance(x, identity_operator([3]))
+
+
+def test_kron_sum_matches_kron_loop():
+    rng = np.random.default_rng(5)
+    xs = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
+    ys = rng.standard_normal((4, 5, 3)) + 1j * rng.standard_normal((4, 5, 3))
+    loop = np.zeros((10, 9), dtype=complex)
+    for x, y in zip(xs, ys):
+        loop += np.kron(x, y)
+    assert np.max(np.abs(kron_sum(xs, ys) - loop)) <= 1e-13
