@@ -45,9 +45,17 @@ from .multiplicative import (
     slice_products_and_adjoints,
 )
 from .report import ReportBuilder, VerificationReport
-from .tensors import TensorOperator, embed_legs, expand_in_leg, frob, kron_sum, numerical_rank
+from .tensors import (
+    TensorOperator,
+    expand_in_leg,
+    frob,
+    kron_sum,
+    leg_distance,
+    leg_distance_bytes,
+    numerical_rank,
+)
 
-FULL_MODE_LIMIT = 10 ** 6
+FULL_MODE_BYTES = 2 ** 30
 AUTO_FULL_THRESHOLD = 10 ** 3
 
 
@@ -561,6 +569,19 @@ def five_leg_dimension(action: FiniteGroupAction) -> int:
     return n * n * m * n * n
 
 
+def full_mode_bytes(n: int, m: int) -> int:
+    """Estimated peak bytes of full mode for algebra dimension n and group order m.
+
+    The larger of the five-leg commutator, as ``leg_distance`` runs it, and a
+    four-leg expansion: its dense left side and the copy kron_sum makes of it
+    (2 * 16 * N4^2) next to its own ``leg_distance``; plus V, the stack of
+    its slice generators and the operand copies einsum makes, each at most
+    the size of V (3 * 16 * (n^2 m)^2).
+    """
+    four = 2 * 16 * (n ** 3 * m) ** 2 + leg_distance_bytes((n, n, m, n))
+    return max(leg_distance_bytes((n, n, m, n, n)), four) + 3 * 16 * (n * n * m) ** 2
+
+
 def verify_slice_commutativity(
     data: IntertwinerData,
     wop: MultiplicativeUnitary,
@@ -569,11 +590,13 @@ def verify_slice_commutativity(
 ) -> VerificationReport:
     """Commutation of V234 with V135, fully or through slice families.
 
-    mode="full" embeds V twice into the five-leg space (available only while
-    that space stays below 10^6 dimensions) and also checks the two coproduct
-    expansions of V used to derive the commutation.  mode="sliced" checks the
-    equivalent family of scalar-slice commutators in C(K), plus the span
-    generated by the slices of beta.  mode="auto" picks "full" for five-leg
+    mode="full" contracts two copies of V placed on legs [2, 3, 4] and
+    [1, 3, 5] of the five-leg space, block by block over leg 1 when large
+    (``tensors.leg_distance``), and also checks the two coproduct expansions
+    of V used to derive the commutation; it raises ModeUnavailable before
+    allocating when ``full_mode_bytes`` exceeds FULL_MODE_BYTES.
+    mode="sliced" checks the equivalent family of scalar-slice commutators in
+    C(K), plus the span generated by the slices of beta.  mode="auto" picks "full" for five-leg
     dimension up to 10^3 and "sliced" beyond.
     """
     action = data.action
@@ -588,39 +611,42 @@ def verify_slice_commutativity(
     rb = ReportBuilder()
 
     if mode == "full":
-        if dim5 > FULL_MODE_LIMIT:
+        need = full_mode_bytes(n, m)
+        if need > FULL_MODE_BYTES:
             raise ModeUnavailable(
-                f"five-leg space has dimension {dim5} > {FULL_MODE_LIMIT}; use sliced mode"
+                f"full mode needs about {need} bytes > {FULL_MODE_BYTES}; use sliced mode"
             )
-        ambient5 = (n, n, m, n, n)
-        v234 = embed_legs(data.v, [2, 3, 4], ambient5).entries
-        v135 = embed_legs(data.v, [1, 3, 5], ambient5).entries
+        v = data.v.entries
         rb.add(
             "five_leg_commutation",
-            frob(v234 @ v135 - v135 @ v234),
+            leg_distance(
+                [(v, [2, 3, 4]), (v, [1, 3, 5])], [(v, [1, 3, 5]), (v, [2, 3, 4])], (n, n, m, n, n)
+            ),
             tol,
             detail=f"five-leg dimension {dim5}",
         )
 
         # dual-coproduct expansion: (dual-coproduct (x) id (x) id) V = V134 V234
-        ambient4a = (n, n, m, n)
         lhs = kron_sum(
             [dual_coproduct(wop, x) for x in wop.slice_basis],
             [beta_operator(action, gns, a.basis_element(j)) for j in range(n)],
         )
-        v134 = embed_legs(data.v, [1, 3, 4], ambient4a).entries
-        v234a = embed_legs(data.v, [2, 3, 4], ambient4a).entries
-        rb.add("dual_coproduct_expansion_of_v", frob(lhs - v134 @ v234a), tol)
+        rb.add(
+            "dual_coproduct_expansion_of_v",
+            leg_distance([(lhs, [1, 2, 3, 4])], [(v, [1, 3, 4]), (v, [2, 3, 4])], (n, n, m, n)),
+            tol,
+        )
 
         # coproduct expansion: (id (x) id (x) coproduct) V = V123 V124
-        ambient4b = (n, m, n, n)
         lhs2 = kron_sum(
             data.v_last_leg,
             [coproduct_as_two_leg_operator(wop, a.basis_element(j)) for j in range(n)],
         )
-        v123 = embed_legs(data.v, [1, 2, 3], ambient4b).entries
-        v124 = embed_legs(data.v, [1, 2, 4], ambient4b).entries
-        rb.add("coproduct_expansion_of_v", frob(lhs2 - v123 @ v124), tol)
+        rb.add(
+            "coproduct_expansion_of_v",
+            leg_distance([(lhs2, [1, 2, 3, 4])], [(v, [1, 2, 3]), (v, [1, 2, 4])], (n, m, n, n)),
+            tol,
+        )
 
     # slice V in its outer legs with all matrix-unit vector functionals; the
     # middle-leg matrices obtained this way generate the image of beta's slices

@@ -36,7 +36,10 @@ class CayleyTable:
 
 def cayley_from_table(table, labels=None, name: str = "group") -> CayleyTable:
     """Validate a multiplication table and wrap it; raises InvalidGroupTable."""
-    table = np.asarray(table)
+    try:
+        table = np.asarray(table)
+    except ValueError as exc:  # ragged rows
+        raise InvalidGroupTable(f"table must be square and nonempty: {exc}") from None
     if table.dtype.kind not in "iu":
         raise InvalidGroupTable(f"table entries must be integers, got dtype {table.dtype}")
     if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] == 0:

@@ -1,4 +1,11 @@
-"""Dense complex operators on tensor products of small Hilbert spaces.
+"""Complex operators on tensor products of small Hilbert spaces.
+
+Operators on one or two legs are dense matrices.  A product of operators
+placed on legs of a larger space (W23 W12 W23*, V234 V135, ...) is evaluated
+by ``leg_product`` and compared by ``leg_distance``: one einsum over the leg
+tensors, so no factor is expanded with identities, and ``leg_distance`` holds
+only one tile of each side, cut over leg 1, at a time.  ``embed_legs`` builds the dense ambient matrix of one placed operator; it is
+the reference the contraction is tested against.
 
 Conventions used throughout the package:
 
@@ -129,6 +136,119 @@ def embed_legs(x: TensorOperator, placement, ambient) -> TensorOperator:
     tensor = tensor.transpose([*axes, *(m + j for j in axes)])
     n = prod(ambient)
     return TensorOperator(ambient, tensor.reshape(n, n))
+
+
+# leg_distance evaluates its two sides tile by tile over the leg-1 row and
+# column index; tiles are as large as three complex arrays of their size
+# (the two sides and their difference) allow within this many bytes.
+TILE_BYTES = 64 * 2 ** 20
+_LABELS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def _contraction(factors, dims):
+    """einsum operands and subscripts for a product of operators on legs.
+
+    Each factor is ``(matrix, placement)``, leftmost factor first; ``matrix``
+    acts on the 1-based legs named by ``placement``, in that order.  Output
+    row labels are the first len(dims) letters; each factor's row labels are
+    the current labels of its legs and it gets fresh column labels.  A leg no
+    factor touches gets an identity on that leg alone.
+    """
+    m = len(dims)
+    fresh = iter(_LABELS[m:])
+    current = list(_LABELS[:m])
+    operands, subscripts = [], []
+    try:
+        for matrix, placement in factors:
+            placement = [int(p) for p in placement]
+            if len(set(placement)) != len(placement) or any(p < 1 or p > m for p in placement):
+                raise StructuralError(f"placement {placement} invalid for {m} legs")
+            leg_dims = tuple(dims[p - 1] for p in placement)
+            k = prod(leg_dims)
+            matrix = np.asarray(matrix)
+            if matrix.shape != (k, k):
+                raise StructuralError(
+                    f"operator of shape {matrix.shape} cannot act on legs {placement} "
+                    f"of dims {dims}"
+                )
+            rows = [current[p - 1] for p in placement]
+            for p in placement:
+                current[p - 1] = next(fresh)
+            operands.append(matrix.reshape(leg_dims + leg_dims))
+            subscripts.append("".join(rows) + "".join(current[p - 1] for p in placement))
+        for leg in range(m):
+            if current[leg] == _LABELS[leg]:
+                current[leg] = next(fresh)
+                operands.append(np.eye(dims[leg]))
+                subscripts.append(_LABELS[leg] + current[leg])
+    except StopIteration:
+        raise StructuralError("too many legs for one contraction") from None
+    return operands, subscripts, _LABELS[:m] + "".join(current)
+
+
+def _tile(dims) -> int:
+    """Largest divisor t of d1 whose (N t / d1)^2 tiles fit in TILE_BYTES (at least 1)."""
+    side, d1 = prod(dims) // dims[0], dims[0]
+    fits = [t for t in range(1, d1 + 1) if d1 % t == 0 and 3 * 16 * (side * t) ** 2 <= TILE_BYTES]
+    return max(fits, default=1)
+
+
+def leg_distance_bytes(dims) -> int:
+    """Bytes of the three complex tiles alive at once in ``leg_distance``."""
+    dims = tuple(int(d) for d in dims)
+    side = prod(dims) // dims[0] * _tile(dims)
+    return 3 * 16 * side * side
+
+
+def _leg1_tiles(factors, dims, t):
+    """A function (i, j) -> the tile of a product of placed operators with
+    leg-1 row indices i..i+t-1 and column indices j..j+t-1; the einsum path
+    is planned once."""
+    operands, subscripts, out = _contraction(factors, dims)
+    # the leg-1 row and column labels each sit on exactly one operand axis
+    row, col = out[0], out[len(dims)]
+    spec = ",".join(subscripts) + "->" + out
+
+    def sliced(i, j):
+        ranges = {row: slice(i, i + t), col: slice(j, j + t)}
+        return [
+            op[tuple(ranges.get(label, slice(None)) for label in s)]
+            for op, s in zip(operands, subscripts)
+        ]
+
+    path = np.einsum_path(spec, *sliced(0, 0), optimize="greedy")[0]
+    return lambda i, j: np.einsum(spec, *sliced(i, j), optimize=path)
+
+
+def leg_product(factors, dims) -> np.ndarray:
+    """The N x N matrix of a product of operators placed on legs of ``dims``.
+
+    ``factors`` lists ``(matrix, placement)`` pairs, leftmost first, as for
+    ``embed_legs``; e.g. ``[(w, [2, 3]), (w, [1, 2])]`` is W23 W12.  One
+    einsum over the leg tensors; no factor is expanded with identities.
+    """
+    dims = tuple(int(d) for d in dims)
+    n = prod(dims)
+    return _leg1_tiles(factors, dims, dims[0])(0, 0).reshape(n, n)
+
+
+def leg_distance(lhs, rhs, dims) -> float:
+    """Frobenius distance between two products of operators placed on legs.
+
+    ``lhs`` and ``rhs`` are factor lists as for ``leg_product``.  Each side
+    is contracted tile by tile over ranges of the leg-1 row and column index
+    and the squared tile norms are summed.  Tiles are as large as
+    ``TILE_BYTES`` allows: one tile for a small space, down to a single
+    leg-1 index pair (N^2 / d1^2 entries per side) for a large one.
+    """
+    dims = tuple(int(d) for d in dims)
+    t = _tile(dims)
+    lhs_tile, rhs_tile = _leg1_tiles(lhs, dims, t), _leg1_tiles(rhs, dims, t)
+    total = 0.0
+    for i in range(0, dims[0], t):
+        for j in range(0, dims[0], t):
+            total += frob(lhs_tile(i, j) - rhs_tile(i, j)) ** 2
+    return float(np.sqrt(total))
 
 
 @dataclass(frozen=True)

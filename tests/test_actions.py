@@ -1,5 +1,6 @@
 """Group actions by automorphisms: invariance, exchange identity, commutation."""
 
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -10,12 +11,14 @@ from fqg import (
     NotAHomomorphism,
     NotAnAutomorphism,
     StructuralError,
+    TensorOperator,
     build_group_action,
     build_intertwiner_data,
     build_multiplicative_unitary,
     compute_haar,
     conjugation_theta,
     cyclic_group,
+    embed_legs,
     gns_construct,
     group_algebra,
     group_preset,
@@ -305,9 +308,80 @@ def test_full_mode_unavailable_above_limit(monkeypatch):
     import fqg.actions as actions_mod
 
     _, action, h, wop, data = pipeline("kz3", "z2", "inversion")
-    monkeypatch.setattr(actions_mod, "FULL_MODE_LIMIT", 100)
+    monkeypatch.setattr(actions_mod, "FULL_MODE_BYTES", 100)
     with pytest.raises(ModeUnavailable):
         verify_slice_commutativity(data, wop, mode="full")
+
+
+@pytest.mark.parametrize("tile_bytes", [None, 0])
+def test_full_mode_residuals_match_dense_on_non_commuting_v(monkeypatch, tile_bytes):
+    # a random V does not satisfy any of the identities, so every residual is O(1)
+    import fqg.tensors as tensors_mod
+    from fqg.actions import beta_operator, coproduct_as_two_leg_operator, dual_coproduct
+    from fqg.tensors import kron_sum
+
+    if tile_bytes is not None:  # 0: one tile per leg-1 index pair
+        monkeypatch.setattr(tensors_mod, "TILE_BYTES", tile_bytes)
+    a, action, h, wop, data = pipeline("kz3", "z2", "inversion")
+    n, m = 3, 2
+    rng = np.random.default_rng(4)
+    k = n * m * n
+    v = TensorOperator((n, m, n), rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    report = verify_slice_commutativity(replace(data, v=v), wop, mode="full")
+
+    def placed(ambient, placement):
+        return embed_legs(v, placement, ambient).entries
+
+    five = (n, n, m, n, n)
+    v234, v135 = placed(five, [2, 3, 4]), placed(five, [1, 3, 5])
+    lhs_a = kron_sum(
+        [dual_coproduct(wop, x) for x in wop.slice_basis],
+        [beta_operator(action, wop.gns, a.basis_element(j)) for j in range(n)],
+    )
+    lhs_b = kron_sum(
+        data.v_last_leg,
+        [coproduct_as_two_leg_operator(wop, a.basis_element(j)) for j in range(n)],
+    )
+    four_a, four_b = (n, n, m, n), (n, m, n, n)
+    expected = {
+        "five_leg_commutation": np.linalg.norm(v234 @ v135 - v135 @ v234),
+        "dual_coproduct_expansion_of_v": np.linalg.norm(
+            lhs_a - placed(four_a, [1, 3, 4]) @ placed(four_a, [2, 3, 4])
+        ),
+        "coproduct_expansion_of_v": np.linalg.norm(
+            lhs_b - placed(four_b, [1, 2, 3]) @ placed(four_b, [1, 2, 4])
+        ),
+    }
+    for name, value in expected.items():
+        assert value > 1.0
+        assert abs(report.residual(name) - value) <= 1e-13 * value, name
+
+
+def test_full_mode_bytes_estimate():
+    from fqg.actions import FULL_MODE_BYTES, full_mode_bytes
+
+    # ks3 with S3: the five-leg commutator, one tile per leg-1 index pair, dominates
+    assert full_mode_bytes(6, 6) == 3 * 16 * (6 * 6 * 6 * 6) ** 2 + 3 * 16 * 216 ** 2
+    # kz3 with Z2: every space is one tile, the five-leg arrays dominate
+    assert full_mode_bytes(3, 2) == 3 * 16 * 162 ** 2 + 3 * 16 * 18 ** 2
+    assert full_mode_bytes(8, 4) < FULL_MODE_BYTES
+    assert full_mode_bytes(16, 8) > FULL_MODE_BYTES
+
+
+def test_full_mode_peak_memory_within_estimate():
+    import tracemalloc
+
+    from fqg.actions import full_mode_bytes
+
+    _, action, h, wop, data = pipeline("kz6", "z2", "inversion")
+    tracemalloc.start()
+    try:
+        report = verify_slice_commutativity(data, wop, mode="full")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.overall_pass
+    assert full_mode_bytes(6, 2) / 2 <= peak <= full_mode_bytes(6, 2)
 
 
 def test_mode_name_validated():

@@ -186,6 +186,17 @@ def test_action_inline_group_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_action_ragged_inline_group_exits_two(tmp_path, capsys):
+    group_path = tmp_path / "ragged.json"
+    group_path.write_text(json.dumps({"table": [[0, 1], [1]]}))
+    code, _, err = run(
+        capsys,
+        ["action", "kz2", "--group", str(group_path), "--automorphisms", "inversion"],
+    )
+    assert code == 2
+    assert "square" in err
+
+
 def test_custom_algebra_file_runs_the_full_suite(tmp_path, capsys):
     # the Klein four-group is not a preset; build it inline, export, verify
     from fqg import cayley_from_table, group_algebra, save_algebra

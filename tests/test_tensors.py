@@ -14,7 +14,8 @@ from fqg import (
     op_distance,
     slice_leg,
 )
-from fqg.tensors import kron_sum
+import fqg.tensors as tensors_mod
+from fqg.tensors import kron_sum, leg_distance, leg_distance_bytes, leg_product
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -234,3 +235,95 @@ def test_kron_sum_matches_kron_loop():
     for x, y in zip(xs, ys):
         loop += np.kron(x, y)
     assert np.max(np.abs(kron_sum(xs, ys) - loop)) <= 1e-13
+
+
+def dense_product(factors, dims):
+    """Oracle: embed every factor densely with embed_legs and multiply."""
+    out = np.eye(int(np.prod(dims)), dtype=complex)
+    for matrix, placement in factors:
+        leg_dims = tuple(dims[p - 1] for p in placement)
+        out = out @ embed_legs(TensorOperator(leg_dims, matrix), placement, dims).entries
+    return out
+
+
+def random_factor(rng, dims, placement):
+    k = int(np.prod([dims[p - 1] for p in placement]))
+    return rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)), placement
+
+
+@pytest.mark.parametrize(
+    "dims,lhs,rhs",
+    [
+        # unequal leg dims (n, m, n) and a permuted placement
+        ((2, 3, 2), [[1, 2], [2, 3], [3, 1]], [[1, 3], [2, 1]]),
+        ((3, 2, 3), [[2, 1], [1, 3]], [[3, 1], [1, 2], [2, 3]]),
+        # four legs, one side leaving leg 4 untouched
+        ((2, 3, 2, 2), [[1, 3, 4], [2, 3, 4]], [[1, 3], [2, 3]]),
+        # five legs, the shape of the five-leg commutator
+        ((2, 2, 3, 2, 2), [[2, 3, 4], [1, 3, 5]], [[1, 3, 5], [2, 3, 4]]),
+        # a factor on every leg against a product
+        ((2, 3, 2), [[1, 2, 3]], [[1, 2], [1, 3]]),
+        # one side leaves leg 1, the tiled leg, untouched
+        ((2, 3, 2), [[2, 3]], [[1, 2], [3, 2]]),
+        # leg 1 of dim 4 cut into tiles of 2 as well
+        ((4, 2, 3), [[1, 2], [3, 1]], [[2, 3], [1, 3]]),
+    ],
+)
+def test_leg_product_and_distance_match_dense_embedding(monkeypatch, dims, lhs, rhs):
+    rng = np.random.default_rng(len(dims) + sum(dims))
+    lhs = [random_factor(rng, dims, p) for p in lhs]
+    rhs = [random_factor(rng, dims, p) for p in rhs]
+    for factors in (lhs, rhs):
+        dense = dense_product(factors, dims)
+        assert np.max(np.abs(leg_product(factors, dims) - dense)) <= 1e-13 * np.max(np.abs(dense))
+    expected = np.linalg.norm(dense_product(lhs, dims) - dense_product(rhs, dims))
+    assert expected > 1.0
+    side = int(np.prod(dims)) // dims[0]
+    for tile in (dims[0], 2, 1):  # leg-1 indices per tile, when it divides dims[0]
+        monkeypatch.setattr(tensors_mod, "TILE_BYTES", 3 * 16 * (side * tile) ** 2)
+        got = leg_distance(lhs, rhs, dims)
+        assert abs(got - expected) <= 1e-13 * expected
+
+
+def test_tiled_distance_equals_untiled_near_zero(monkeypatch):
+    # two orderings of commuting factors: a distance at rounding level
+    rng = np.random.default_rng(11)
+    dims = (3, 2, 2)
+    x, y = random_factor(rng, dims, [1])[0], random_factor(rng, dims, [2, 3])[0]
+    lhs = [(x, [1]), (y, [2, 3])]
+    rhs = [(y, [2, 3]), (x, [1])]
+    assert leg_distance(lhs, rhs, dims) <= 1e-13
+    monkeypatch.setattr(tensors_mod, "TILE_BYTES", 0)
+    assert leg_distance(lhs, rhs, dims) <= 1e-13
+    assert leg_distance([], [], dims) == 0.0
+
+
+def test_leg_distance_bytes(monkeypatch):
+    # a small space is one tile; a large one is tiled over leg 1
+    assert leg_distance_bytes((10, 10, 10)) == 3 * 16 * 1000 ** 2
+    assert leg_distance_bytes((6, 6, 2, 6, 6)) == 3 * 16 * (2 * 432) ** 2
+    assert leg_distance_bytes((6, 6, 6, 6, 6)) == 3 * 16 * 1296 ** 2
+    monkeypatch.setattr(tensors_mod, "TILE_BYTES", 0)
+    assert leg_distance_bytes((2, 3, 2)) == 3 * 16 * 6 ** 2
+
+
+def test_leg_product_errors():
+    x = np.eye(2)
+    with pytest.raises(StructuralError):
+        leg_product([(x, [1, 1])], (2, 2))
+    with pytest.raises(StructuralError):
+        leg_product([(x, [3])], (2, 2))
+    with pytest.raises(StructuralError):
+        leg_product([(x, [1])], (3, 2))
+
+
+def test_pentagon_residual_matches_dense_on_non_unitary_input():
+    from fqg import pentagon_residual
+
+    rng = np.random.default_rng(3)
+    w = random_operator(rng, (3, 3))
+    ambient = (3, 3, 3)
+    w12, w13, w23 = (embed_legs(w, p, ambient).entries for p in ([1, 2], [1, 3], [2, 3]))
+    expected = np.linalg.norm(w23 @ w12 @ w23.conj().T - w12 @ w13)
+    assert expected > 1.0
+    assert abs(pentagon_residual(w) - expected) <= 1e-13 * expected
