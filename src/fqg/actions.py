@@ -35,7 +35,7 @@ from .errors import (
     StructuralError,
 )
 from .groups import CayleyTable
-from .haar import Functional, GnsData
+from .haar import Functional
 from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra, is_hopf_star_automorphism
 from .duality import fourier_matrix
 from .multiplicative import (
@@ -53,6 +53,8 @@ from .tensors import (
     leg_distance,
     leg_distance_bytes,
     numerical_rank,
+    span_basis,
+    star_homomorphism_defects,
 )
 
 FULL_MODE_BYTES = 2 ** 30
@@ -187,13 +189,18 @@ def resolve_automorphisms(
 
 @dataclass(frozen=True)
 class FiniteGroupAction:
-    """A validated action of a finite group by Hopf *-automorphisms."""
+    """An action of a finite group by Hopf *-automorphisms, with the
+    ``action_axioms_report`` that validated it."""
 
     algebra: FiniteHopfStarAlgebra
     group: CayleyTable
     theta: np.ndarray  # (|K|, n, n)
-    alpha: np.ndarray  # (n*|K|, n), basis of A (x) C(K) ordered e_j (x) delta_k
     report: VerificationReport
+
+    def __post_init__(self):
+        theta = np.ascontiguousarray(self.theta, dtype=complex)
+        theta.setflags(write=False)
+        object.__setattr__(self, "theta", theta)
 
     @property
     def order(self) -> int:
@@ -220,13 +227,8 @@ def action_axioms_report(
         frob(theta[k_group.identity_index] - np.eye(n)),
         tol_eff,
     )
-    worst_hom = 0.0
-    for j in range(m):
-        for k in range(m):
-            worst_hom = max(
-                worst_hom, frob(theta[j] @ theta[k] - theta[k_group.multiply(j, k)])
-            )
-    rb.add("theta_homomorphism", worst_hom, tol_eff)
+    hom = _homomorphism_defects(theta, k_group)
+    rb.add("theta_homomorphism", float(hom.max()), tol_eff)
 
     worst_auto = 0.0
     failing = ""
@@ -239,15 +241,7 @@ def action_axioms_report(
     rb.add("theta_automorphisms", worst_auto, tol * algebra.structure_scale(), detail=failing)
 
     # coaction axiom: both sides live in A (x) C(K) (x) C(K)
-    lhs = np.zeros((n, m, m, n), dtype=complex)
-    rhs = np.zeros((n, m, m, n), dtype=complex)
-    for j in range(m):
-        for k in range(m):
-            lhs[:, j, k, :] = theta[j] @ theta[k]
-    for r in range(m):
-        for s in range(m):
-            rhs[:, r, s, :] = theta[k_group.multiply(r, s)]
-    rb.add("coaction_axiom", frob(lhs - rhs), tol_eff)
+    rb.add("coaction_axiom", frob(hom), tol_eff)
 
     # Podles density: alpha(A)(1 (x) C(K)) spans A (x) C(K)
     vectors = []
@@ -259,7 +253,7 @@ def action_axioms_report(
     rank = numerical_rank(vectors, tol)
     rb.add_count("podles_density", rank, n * m)
 
-    distinct = len({np.ascontiguousarray(theta[k]).tobytes() for k in range(m)})
+    distinct = _distinct_automorphisms(theta, tol)
     if distinct == m:
         note = f"faithful: {m} distinct automorphisms"
     elif distinct == 1:
@@ -269,6 +263,20 @@ def action_axioms_report(
     rb.add("theta_image_size", 0.0, 0.0, detail=note)
 
     return rb.build()
+
+
+def _homomorphism_defects(maps, group: CayleyTable) -> np.ndarray:
+    """(|K|, |K|) Frobenius norms of maps[j] maps[k] - maps[jk], the coaction
+    law written in coordinates."""
+    return np.linalg.norm(maps[:, None] @ maps[None] - maps[group.table], axis=(2, 3))
+
+
+def _distinct_automorphisms(theta, tol: float) -> int:
+    """Number of distinct theta_k, two counting as equal when no entry
+    differs by more than tol * max(1, max |theta|)."""
+    scale = max(1.0, float(np.abs(theta).max()))
+    close = np.abs(theta[:, None] - theta[None]).max(axis=(2, 3)) <= tol * scale
+    return sum(not close[k, :k].any() for k in range(len(theta)))
 
 
 def build_group_action(
@@ -286,15 +294,7 @@ def build_group_action(
         if first.name == "theta_automorphisms":
             raise NotAnAutomorphism(message, check=first.name, residual=first.residual)
         raise CoactionAxiomFailed(message, check=first.name, residual=first.residual)
-    m, n = k_group.order, algebra.dim
-    alpha = np.zeros((n * m, n), dtype=complex)
-    for k in range(m):
-        for j in range(n):
-            alpha[j * m + k, :] = theta[k][j, :]
-    theta = np.ascontiguousarray(theta)
-    theta.setflags(write=False)
-    alpha.setflags(write=False)
-    return FiniteGroupAction(algebra, k_group, theta, alpha, report)
+    return FiniteGroupAction(algebra, k_group, theta, report)
 
 
 # -- invariance -------------------------------------------------------------
@@ -374,33 +374,26 @@ def verify_strong_right_invariance(
 
 @dataclass(frozen=True)
 class IntertwinerData:
-    """Matrix forms of beta and gamma plus the three-leg operator V.
+    """beta and gamma as stacks of operators, plus the three-leg operator V.
 
-    - beta_matrix maps A to C(K) (x) A, basis delta_k (x) e_j (k slowest).
+    - beta_ops[j] = beta(e_j) on C^K (x) H (k slowest): block k is left
+      multiplication by theta_{k^-1}(e_j).
+    - gamma_ops[j] = gamma(x_j) on H (x) C^K for the slice basis x_j of the
+      dual subspace, sum_k gamma_hat[k](x_j) (x) delta_k.
     - gamma_hat[k] is the conjugated automorphism acting on dual-subspace
-      coordinates; gamma(x) = sum_k gamma_hat[k](x) (x) delta_k.
+      coordinates.
     - v = (id (x) beta) W on legs [n, |K|, n].
     - v_last_leg[j] are the coefficients of V over left multiplications in
       its last leg, with ``v_expansion_residual`` the unexplained part.
     """
 
     action: FiniteGroupAction
-    gns: GnsData
-    beta_matrix: np.ndarray
+    beta_ops: np.ndarray
+    gamma_ops: np.ndarray
     gamma_hat: np.ndarray
     v: TensorOperator
     v_last_leg: np.ndarray
     v_expansion_residual: float
-
-
-def beta_operator(action: FiniteGroupAction, gns: GnsData, coords) -> np.ndarray:
-    """Operator of beta(element) on C^K (x) H: one block per group element."""
-    n, m = action.algebra.dim, action.order
-    out = np.zeros((m * n, m * n), dtype=complex)
-    for k in range(m):
-        img = action.theta_of_inverse(k) @ np.asarray(coords)
-        out[k * n:(k + 1) * n, k * n:(k + 1) * n] = np.einsum("i,ikl->kl", img, gns.left_regular)
-    return out
 
 
 def beta_matrix(action: FiniteGroupAction) -> np.ndarray:
@@ -432,7 +425,7 @@ def beta_matrix_antipode_form(action: FiniteGroupAction) -> np.ndarray:
 def build_intertwiner_data(
     action: FiniteGroupAction, wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL
 ) -> IntertwinerData:
-    """Assemble beta, gamma and V = (id (x) beta) W."""
+    """Assemble the beta and gamma stacks and V = (id (x) beta) W."""
     a = action.algebra
     gns = wop.gns
     n, m = a.dim, action.order
@@ -440,49 +433,32 @@ def build_intertwiner_data(
     f_inv = np.linalg.inv(f)
     gamma_hat = np.stack([f @ action.theta[k] @ f_inv for k in range(m)])
 
-    betas = [beta_operator(action, gns, a.basis_element(j)) for j in range(n)]
-    v_mat = kron_sum(wop.slice_basis, betas)
+    eye = np.eye(m)
+    theta_inv = action.theta[action.group.inverses()]
+    beta_ops = np.einsum("kij,iab,kl->jkalb", theta_inv, gns.left_regular, eye)
+    gamma_ops = np.einsum("kij,ipq,kl->jpkql", gamma_hat, wop.slice_basis, eye)
+    beta_ops = beta_ops.reshape(n, m * n, m * n)
+    gamma_ops = gamma_ops.reshape(n, n * m, n * m)
+    v_mat = kron_sum(wop.slice_basis, beta_ops)
     v = TensorOperator((n, m, n), v_mat)
     v_last, v_res = expand_in_leg(v_mat, (n * m, n), gns.left_regular)
-    return IntertwinerData(action, gns, beta_matrix(action), gamma_hat, v, v_last, v_res)
-
-
-def gamma_operator(data: IntertwinerData, wop: MultiplicativeUnitary, coeffs) -> np.ndarray:
-    """gamma applied to the dual-subspace element with coordinates ``coeffs``,
-    as an operator on H (x) C^K."""
-    m = data.action.order
-    images = np.einsum("kj,jpq->kpq", data.gamma_hat @ np.asarray(coeffs), wop.slice_basis)
-    diagonal_units = np.eye(m)[:, :, None] * np.eye(m)[:, None, :]  # [k] = delta_k delta_k^T
-    return kron_sum(images, diagonal_units)
+    return IntertwinerData(action, beta_ops, gamma_ops, gamma_hat, v, v_last, v_res)
 
 
 def verify_beta(
     data: IntertwinerData, wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
     """beta is a unital *-homomorphism and agrees with its antipode-sandwich form."""
-    action, gns = data.action, data.gns
+    action = data.action
     a = action.algebra
-    n = a.dim
+    unit, mult, star = star_homomorphism_defects(data.beta_ops, a.mult, a.star, a.unit)
     rb = ReportBuilder()
-
-    rb.add("beta_unital", frob(beta_operator(action, gns, a.unit) - np.eye(action.order * n)), tol)
-
-    worst_mult = 0.0
-    worst_star = 0.0
-    beta_ops = [beta_operator(action, gns, a.basis_element(i)) for i in range(n)]
-    for i in range(n):
-        star_coords = a.apply_star(a.basis_element(i))
-        lhs_star = beta_operator(action, gns, star_coords)
-        worst_star = max(worst_star, frob(lhs_star - beta_ops[i].conj().T))
-        for j in range(n):
-            lhs = beta_operator(action, gns, a.multiply(a.basis_element(i), a.basis_element(j)))
-            worst_mult = max(worst_mult, frob(lhs - beta_ops[i] @ beta_ops[j]))
-    rb.add("beta_multiplicative", worst_mult, tol)
-    rb.add("beta_star_homomorphism", worst_star, tol)
-
+    rb.add("beta_unital", unit, tol)
+    rb.add("beta_multiplicative", float(mult.max()), tol)
+    rb.add("beta_star_homomorphism", float(star.max()), tol)
     rb.add(
         "beta_antipode_form_agreement",
-        frob(data.beta_matrix - beta_matrix_antipode_form(action)),
+        frob(beta_matrix(action) - beta_matrix_antipode_form(action)),
         tol,
     )
     return rb.build()
@@ -492,46 +468,17 @@ def verify_gamma(
     data: IntertwinerData, wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
     """gamma is a unital *-homomorphism on the dual subspace and a coaction."""
-    action = data.action
-    a = action.algebra
-    n, m = a.dim, action.order
-    rb = ReportBuilder()
-
-    # unit of the dual subspace is the identity operator = image of the counit
-    unit_coords = a.counit
-    rb.add(
-        "gamma_unital",
-        frob(gamma_operator(data, wop, unit_coords) - np.eye(n * m)),
-        tol,
-    )
-
+    # the unit of the dual subspace, the identity operator, is the image of the counit
     product_coords, star_coords, _ = slice_products_and_adjoints(wop)
-    worst_mult = 0.0
-    worst_star = 0.0
-    for i in range(n):
-        gi = gamma_operator(data, wop, np.eye(n)[i])
-        worst_star = max(
-            worst_star, frob(gamma_operator(data, wop, star_coords[i]) - gi.conj().T)
-        )
-        for j in range(n):
-            gj = gamma_operator(data, wop, np.eye(n)[j])
-            prod_coeffs = product_coords[i, j]
-            worst_mult = max(
-                worst_mult, frob(gamma_operator(data, wop, prod_coeffs) - gi @ gj)
-            )
-    rb.add("gamma_multiplicative", worst_mult, tol)
-    rb.add("gamma_star_homomorphism", worst_star, tol)
-
-    # coaction axiom for gamma in coordinates
-    lhs = np.zeros((n, m, m, n), dtype=complex)
-    rhs = np.zeros((n, m, m, n), dtype=complex)
-    for k in range(m):
-        for l in range(m):
-            lhs[:, l, k, :] = data.gamma_hat[l] @ data.gamma_hat[k]
-    for r in range(m):
-        for s in range(m):
-            rhs[:, r, s, :] = data.gamma_hat[action.group.multiply(r, s)]
-    rb.add("gamma_coaction_axiom", frob(lhs - rhs), tol)
+    unit, mult, star = star_homomorphism_defects(
+        data.gamma_ops, product_coords, star_coords, data.action.algebra.counit
+    )
+    rb = ReportBuilder()
+    rb.add("gamma_unital", unit, tol)
+    rb.add("gamma_multiplicative", float(mult.max()), tol)
+    rb.add("gamma_star_homomorphism", float(star.max()), tol)
+    coaction = _homomorphism_defects(data.gamma_hat, data.action.group)
+    rb.add("gamma_coaction_axiom", frob(coaction), tol)
     return rb.build()
 
 
@@ -545,28 +492,20 @@ def verify_action_intertwiner(
     scalar consequence obtained by slicing the exchange identity.
     """
     action = data.action
-    a = action.algebra
     gns = wop.gns
-    n, m = a.dim, action.order
     rb = ReportBuilder()
 
-    gammas = [gamma_operator(data, wop, np.eye(n)[j]) for j in range(n)]
-    rhs = kron_sum(gammas, gns.left_regular)
+    rhs = kron_sum(data.gamma_ops, gns.left_regular)
     rb.add("intertwiner_exchange", frob(data.v.entries - rhs), tol)
 
-    pair = _pair_values(a, gns.haar)
+    pair = _pair_values(action.algebra, gns.haar)
     worst = 0.0
-    for k in range(m):
+    for k in range(action.order):
         lhs = pair @ action.theta[k]  # (j, i) -> haar(e_j theta_k(e_i))
         rhs_k = action.theta_of_inverse(k).T @ pair  # (j, i) -> haar(theta_{k^-1}(e_j) e_i)
         worst = max(worst, float(np.max(np.abs(lhs - rhs_k))))
     rb.add("intertwiner_sliced_family", worst, tol)
     return rb.build()
-
-
-def five_leg_dimension(action: FiniteGroupAction) -> int:
-    n, m = action.algebra.dim, action.order
-    return n * n * m * n * n
 
 
 def full_mode_bytes(n: int, m: int) -> int:
@@ -595,15 +534,20 @@ def verify_slice_commutativity(
     (``tensors.leg_distance``), and also checks the two coproduct expansions
     of V used to derive the commutation; it raises ModeUnavailable before
     allocating when ``full_mode_bytes`` exceeds FULL_MODE_BYTES.
-    mode="sliced" checks the equivalent family of scalar-slice commutators in
-    C(K), plus the span generated by the slices of beta.  mode="auto" picks "full" for five-leg
-    dimension up to 10^3 and "sliced" beyond.
+    mode="sliced" checks the equivalent scalar-slice family instead: the
+    slices of V by matrix units of its outer legs are matrices in C(K), and
+    the commutators of an orthonormal basis of their span must vanish
+    (commutativity extends bilinearly, so a basis is enough).  mode="auto"
+    picks "full" for five-leg dimension up to 10^3 and "sliced" beyond.
+
+    Every mode ends with ``beta_slices_generate``: the diagonals of those
+    slices, closed under pointwise products, span an algebra whose dimension
+    equals the number of distinct automorphisms.
     """
     action = data.action
     a = action.algebra
-    gns = wop.gns
     n, m = a.dim, action.order
-    dim5 = five_leg_dimension(action)
+    dim5 = n * n * m * n * n
     if mode == "auto":
         mode = "full" if dim5 <= AUTO_FULL_THRESHOLD else "sliced"
     if mode not in ("full", "sliced"):
@@ -627,10 +571,7 @@ def verify_slice_commutativity(
         )
 
         # dual-coproduct expansion: (dual-coproduct (x) id (x) id) V = V134 V234
-        lhs = kron_sum(
-            [dual_coproduct(wop, x) for x in wop.slice_basis],
-            [beta_operator(action, gns, a.basis_element(j)) for j in range(n)],
-        )
+        lhs = kron_sum([dual_coproduct(wop, x) for x in wop.slice_basis], data.beta_ops)
         rb.add(
             "dual_coproduct_expansion_of_v",
             leg_distance([(lhs, [1, 2, 3, 4])], [(v, [1, 3, 4]), (v, [2, 3, 4])], (n, n, m, n)),
@@ -656,38 +597,21 @@ def verify_slice_commutativity(
     keep = generators[norms > tol]
 
     if mode == "sliced":
-        note = f"{len(keep)} nonzero slice generators"
-        pairs = keep
-        if len(pairs) > 512:
-            # pairwise check on a spanning subset; commutativity extends bilinearly
-            idx = _independent_subset(list(pairs.reshape(len(pairs), -1)), tol)
-            pairs = pairs[idx]
-            note += f", reduced to a spanning subset of {len(pairs)}"
-        if len(pairs):
-            products = np.einsum("aij,bjk->abik", pairs, pairs, optimize=True)
-            worst = float(np.max(np.abs(products - products.transpose(1, 0, 2, 3))))
-        else:
-            worst = 0.0
+        basis = _span_rows(keep.reshape(len(keep), m * m), tol).reshape(-1, m, m)
+        products = np.einsum("aij,bjk->abik", basis, basis)
         rb.add(
             "sliced_commutation",
-            worst,
+            float(np.max(np.abs(products - products.transpose(1, 0, 2, 3)), initial=0.0)),
             tol,
-            detail=f"{note}, {len(pairs) ** 2} ordered pairs",
+            detail=(
+                f"{len(keep)} nonzero slice generators, an orthonormal basis of "
+                f"{len(basis)} for their span, {len(basis) ** 2} ordered pairs"
+            ),
         )
 
     # the slices of beta generate the functions constant on fibres of theta
-    grown = [np.diagonal(g).copy() for g in keep]
-    while grown:
-        basis_idx = _independent_subset(grown, tol)
-        basis_vecs = [grown[i] for i in basis_idx]
-        new = [u * v for u in basis_vecs for v in basis_vecs]
-        candidate = basis_vecs + new
-        if numerical_rank(candidate, tol) == len(basis_vecs):
-            grown = basis_vecs
-            break
-        grown = candidate
-    generated_dim = numerical_rank(grown, tol) if grown else 0
-    distinct_theta = len({action.theta[k].tobytes() for k in range(m)})
+    generated_dim = _generated_dimension(np.diagonal(keep, axis1=1, axis2=2), tol)
+    distinct_theta = _distinct_automorphisms(action.theta, tol)
     rb.add_count(
         "beta_slices_generate",
         generated_dim,
@@ -701,11 +625,26 @@ def verify_slice_commutativity(
     return rb.build()
 
 
-def _independent_subset(vectors, tol: float) -> list[int]:
-    """Indices of a maximal independent subset, greedily in order."""
-    chosen: list[int] = []
-    for i, v in enumerate(vectors):
-        trial = [vectors[j] for j in chosen] + [v]
-        if numerical_rank(trial, tol) == len(trial):
-            chosen.append(i)
-    return chosen
+def _span_rows(vectors, tol: float) -> np.ndarray:
+    """Orthonormal rows spanning the rows of ``vectors``, at the rank
+    threshold of ``numerical_rank``."""
+    if len(vectors) == 0:
+        return np.zeros((0, vectors.shape[1]), dtype=complex)
+    span = span_basis(vectors)
+    return span.q[:, :span.rank(tol)].T
+
+
+def _generated_dimension(vectors, tol: float) -> int:
+    """Dimension of the algebra the rows of ``vectors`` generate under pointwise products.
+
+    Each round adds the pointwise products of an orthonormal basis of the
+    current span (those of any basis span the same space) and takes one SVD;
+    the span is closed once a round adds no dimension.
+    """
+    basis = _span_rows(vectors, tol)
+    while True:
+        products = (basis[:, None] * basis[None]).reshape(-1, basis.shape[1])
+        grown = _span_rows(np.concatenate([basis, products]), tol)
+        if len(grown) == len(basis):
+            return len(basis)
+        basis = grown

@@ -116,8 +116,8 @@ def action_suite(
     rb.extend("action/", axioms)
     if not axioms.overall_pass:
         return rb.build()
+    action = actions_mod.FiniteGroupAction(a, k_group, theta, axioms)
     try:
-        action = actions_mod.build_group_action(a, k_group, theta, tol)
         h = haar.compute_haar(a, tol)
         gns = haar.gns_construct(a, h, tol)
     except VerificationError as exc:

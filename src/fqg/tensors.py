@@ -4,8 +4,11 @@ Operators on one or two legs are dense matrices.  A product of operators
 placed on legs of a larger space (W23 W12 W23*, V234 V135, ...) is evaluated
 by ``leg_product`` and compared by ``leg_distance``: one einsum over the leg
 tensors, so no factor is expanded with identities, and ``leg_distance`` holds
-only one tile of each side, cut over leg 1, at a time.  ``embed_legs`` builds the dense ambient matrix of one placed operator; it is
-the reference the contraction is tested against.
+only one tile of each side, cut over leg 1, at a time.  ``embed_legs`` builds
+the dense ambient matrix of one placed operator; it is the reference the
+contraction is tested against.  ``star_homomorphism_defects`` checks, for a
+whole stack of operators at once, whether a linear map is a unital
+*-homomorphism.
 
 Conventions used throughout the package:
 
@@ -363,6 +366,29 @@ def project_onto_span(q, targets) -> tuple[np.ndarray, np.ndarray]:
     coords = t @ q.conj()
     residuals = np.linalg.norm(t - coords @ q.T, axis=1)
     return coords, residuals
+
+
+def star_homomorphism_defects(images, mult, star, unit) -> tuple[float, np.ndarray, np.ndarray]:
+    """Defects of a linear map f from an algebra to operators as a unital *-homomorphism.
+
+    ``images[j]`` is f(e_j), a (d, d) matrix; ``mult``, ``star`` and ``unit``
+    are the source algebra's structure constants in the conventions of
+    ``FiniteHopfStarAlgebra`` (row i of ``star`` holds the coordinates of
+    (e_i)*).  Returns the Frobenius norm of f(1) - I, the (n, n) norms of
+    f(e_i e_j) - f(e_i) f(e_j) and the (n,) norms of f(e_i*) - f(e_i)*.  The
+    products are formed one row i at a time, so memory stays at a few times
+    that of ``images``.
+    """
+    f = np.asarray(images, dtype=complex)
+    n, d, _ = f.shape
+    flat = f.reshape(n, d * d)
+
+    def defects(coords, targets):  # norms of f(element with coordinates coords[r]) - targets[r]
+        return np.linalg.norm((coords @ flat).reshape(-1, d, d) - targets, axis=(1, 2))
+
+    mult_norms = np.stack([defects(mult[i], f[i] @ f) for i in range(n)])
+    star_norms = defects(star, f.conj().transpose(0, 2, 1))
+    return float(defects(unit[None], np.eye(d))[0]), mult_norms, star_norms
 
 
 def expand_in_leg(matrix, dims, basis_mats) -> tuple[np.ndarray, float]:

@@ -6,20 +6,25 @@ import pytest
 from fqg import FiniteHopfStarAlgebra
 
 
-def change_basis(a: FiniteHopfStarAlgebra, seed: int) -> FiniteHopfStarAlgebra:
-    """``a`` in the basis f_b = sum_i P[i, b] e_i for a seeded random complex P.
-
-    P = U diag(s) V* with Haar-random unitaries U, V and s in [1, 4], so its
-    condition number stays below 4.  With Q = P^-1, old coordinates are P y.
-    """
+def basis_change_matrix(n: int, seed: int) -> np.ndarray:
+    """A seeded random complex P = U diag(s) V* with Haar-random unitaries U, V
+    and s in [1, 4], so its condition number stays below 4."""
     rng = np.random.default_rng(seed)
-    n = a.dim
 
     def unitary():
         q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         return q
 
-    p = (unitary() * rng.uniform(1.0, 4.0, size=n)) @ unitary().conj().T
+    return (unitary() * rng.uniform(1.0, 4.0, size=n)) @ unitary().conj().T
+
+
+def change_basis(a: FiniteHopfStarAlgebra, seed: int) -> FiniteHopfStarAlgebra:
+    """``a`` in the basis f_b = sum_i P[i, b] e_i for P = basis_change_matrix(n, seed).
+
+    With Q = P^-1, old coordinates are P y; an automorphism theta becomes Q theta P.
+    """
+    n = a.dim
+    p = basis_change_matrix(n, seed)
     q = np.linalg.inv(p)
     return FiniteHopfStarAlgebra(
         dim=n,

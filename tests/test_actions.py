@@ -35,12 +35,17 @@ from fqg import (
     verify_strong_right_invariance,
 )
 from fqg.actions import (
+    _generated_dimension,
+    action_axioms_report,
     beta_matrix,
     beta_matrix_antipode_form,
     enumerate_group_automorphisms,
     permutation_matrix,
     strong_right_invariance_residual,
 )
+from fqg.tensors import numerical_rank
+
+from conftest import basis_change_matrix, change_basis
 
 
 def brute_force_automorphisms(cayley):
@@ -101,7 +106,6 @@ def test_trivial_group_action_passes():
     k = group_preset("z1")
     action = build_group_action(a, k, np.eye(3)[None, :, :])
     assert action.report.overall_pass
-    assert np.array_equal(action.alpha, np.eye(3))
 
 
 def test_inversion_action_on_z3_passes():
@@ -317,7 +321,7 @@ def test_full_mode_unavailable_above_limit(monkeypatch):
 def test_full_mode_residuals_match_dense_on_non_commuting_v(monkeypatch, tile_bytes):
     # a random V does not satisfy any of the identities, so every residual is O(1)
     import fqg.tensors as tensors_mod
-    from fqg.actions import beta_operator, coproduct_as_two_leg_operator, dual_coproduct
+    from fqg.actions import coproduct_as_two_leg_operator, dual_coproduct
     from fqg.tensors import kron_sum
 
     if tile_bytes is not None:  # 0: one tile per leg-1 index pair
@@ -334,10 +338,7 @@ def test_full_mode_residuals_match_dense_on_non_commuting_v(monkeypatch, tile_by
 
     five = (n, n, m, n, n)
     v234, v135 = placed(five, [2, 3, 4]), placed(five, [1, 3, 5])
-    lhs_a = kron_sum(
-        [dual_coproduct(wop, x) for x in wop.slice_basis],
-        [beta_operator(action, wop.gns, a.basis_element(j)) for j in range(n)],
-    )
+    lhs_a = kron_sum([dual_coproduct(wop, x) for x in wop.slice_basis], data.beta_ops)
     lhs_b = kron_sum(
         data.v_last_leg,
         [coproduct_as_two_leg_operator(wop, a.basis_element(j)) for j in range(n)],
@@ -388,3 +389,122 @@ def test_mode_name_validated():
     _, action, h, wop, data = pipeline("kz3", "z2", "inversion")
     with pytest.raises(StructuralError):
         verify_slice_commutativity(data, wop, mode="everything")
+
+
+def basis_changed_pipeline(algebra_name, group_name, kind, seed):
+    """pipeline() on the algebra in a random basis, with theta'_k = Q theta_k P."""
+    a = preset(algebra_name)
+    k = group_preset(group_name)
+    theta = resolve_automorphisms(a, k, kind)
+    p = basis_change_matrix(a.dim, seed)
+    q = np.linalg.inv(p)
+    b = change_basis(a, seed)
+    action = build_group_action(b, k, np.stack([q @ t @ p for t in theta]))
+    wop = build_multiplicative_unitary(b, gns_construct(b, compute_haar(b)))
+    return b, action, wop, build_intertwiner_data(action, wop)
+
+
+def test_action_axioms_match_per_pair_loops():
+    # a random theta is no homomorphism, so both coaction residuals are O(1)
+    a = preset("kz3")
+    k = group_preset("s3")
+    rng = np.random.default_rng(9)
+    theta = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+    theta[k.identity_index] = np.eye(3)
+    defects = np.array(
+        [
+            [np.linalg.norm(theta[j] @ theta[l] - theta[k.multiply(j, l)]) for l in range(6)]
+            for j in range(6)
+        ]
+    )
+    report = action_axioms_report(a, k, theta)
+    assert defects.max() > 1.0
+    assert abs(report.residual("theta_homomorphism") - defects.max()) <= 1e-13 * defects.max()
+    total = np.sqrt(np.sum(defects ** 2))
+    assert abs(report.residual("coaction_axiom") - total) <= 1e-13 * total
+
+
+def test_operator_stacks_match_per_element_construction():
+    # beta(e_j): block k is left multiplication by theta_{k^-1}(e_j);
+    # gamma(x_j) = sum_k (sum_i gamma_hat[k][i, j] x_i) (x) delta_k delta_k^T
+    b, action, wop, data = basis_changed_pipeline("ks3", "s3", "conjugation", 2)
+    n, m = b.dim, action.order
+    for j in range(n):
+        beta = np.zeros((m * n, m * n), dtype=complex)
+        gamma = np.zeros((n * m, n * m), dtype=complex)
+        for k in range(m):
+            img = action.theta_of_inverse(k) @ b.basis_element(j)
+            beta[k * n:(k + 1) * n, k * n:(k + 1) * n] = np.einsum(
+                "i,ikl->kl", img, wop.gns.left_regular
+            )
+            unit_k = np.zeros((m, m))
+            unit_k[k, k] = 1.0
+            x = np.einsum("i,ipq->pq", data.gamma_hat[k][:, j], wop.slice_basis)
+            gamma += np.kron(x, unit_k)
+        assert np.max(np.abs(data.beta_ops[j] - beta)) <= 1e-13
+        assert np.max(np.abs(data.gamma_ops[j] - gamma)) <= 1e-13
+
+
+def reference_generated_dimension(vectors, tol):
+    """The greedy closure: one rank test per candidate vector, then pointwise
+    products of the chosen subset until the rank stops growing."""
+
+    def independent_subset(vectors):
+        chosen = []
+        for i, v in enumerate(vectors):
+            trial = [vectors[j] for j in chosen] + [v]
+            if numerical_rank(trial, tol) == len(trial):
+                chosen.append(i)
+        return chosen
+
+    grown = list(vectors)
+    while grown:
+        basis_vecs = [grown[i] for i in independent_subset(grown)]
+        candidate = basis_vecs + [u * v for u in basis_vecs for v in basis_vecs]
+        if numerical_rank(candidate, tol) == len(basis_vecs):
+            grown = basis_vecs
+            break
+        grown = candidate
+    return numerical_rank(grown, tol) if grown else 0
+
+
+@pytest.mark.parametrize(
+    "names,expected",
+    [
+        (("kz5", "z2", "inversion"), 2),
+        (("ks3", "s3", "conjugation"), 6),
+        (("kz2", "z2", "inversion"), 1),
+    ],
+)
+def test_generated_dimension_matches_greedy_reference(names, expected):
+    b, action, wop, data = basis_changed_pipeline(*names, seed=3)
+    n, m = b.dim, action.order
+    t = data.v.entries.reshape(n, m, n, n, m, n)
+    generators = t.transpose(0, 3, 2, 5, 1, 4).reshape(n ** 4, m, m)
+    norms = np.linalg.norm(generators.reshape(len(generators), -1), axis=1)
+    diagonals = np.diagonal(generators[norms > 1e-9], axis1=1, axis2=2)
+    assert _generated_dimension(diagonals, 1e-9) == reference_generated_dimension(diagonals, 1e-9)
+    assert _generated_dimension(diagonals, 1e-9) == expected
+    report = verify_slice_commutativity(data, wop, mode="sliced")
+    assert report.overall_pass, [c.name for c in report.checks if not c.passed]
+    assert report.check("beta_slices_generate").detail.startswith(
+        f"generated algebra dimension {expected},"
+    )
+
+
+def test_generated_dimension_closes_over_several_rounds():
+    # span{(1, 2, 3)} -> + squares -> + cubes: all of C^3 after two rounds
+    vectors = np.array([[1.0, 2.0, 3.0]], dtype=complex)
+    assert _generated_dimension(vectors, 1e-9) == 3
+    assert reference_generated_dimension(vectors, 1e-9) == 3
+    assert _generated_dimension(np.zeros((0, 3), dtype=complex), 1e-9) == 0
+
+
+def test_sliced_commutation_detects_non_commuting_v():
+    a, action, h, wop, data = pipeline("kz3", "z2", "inversion")
+    k = 3 * 2 * 3
+    rng = np.random.default_rng(11)
+    v = TensorOperator((3, 2, 3), rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    report = verify_slice_commutativity(replace(data, v=v), wop, mode="sliced")
+    assert report.residual("sliced_commutation") > 0.1
+    assert not report.check("sliced_commutation").passed

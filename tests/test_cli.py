@@ -263,3 +263,31 @@ def test_linear_algebra_failure_exits_two(capsys, monkeypatch):
     code, _, err = run(capsys, ["verify", "kz2"])
     assert code == 2
     assert "linear algebra failed" in err
+
+
+@pytest.mark.parametrize("mode", ["full", "sliced"])
+def test_trivial_action_in_a_random_basis_counts_one_automorphism(tmp_path, capsys, mode):
+    # theta_1 = P^-1 I P equals the identity only up to rounding; it must not
+    # count as a second automorphism
+    from conftest import basis_change_matrix, change_basis
+
+    p = basis_change_matrix(3, 12)
+    theta = [np.eye(3), np.linalg.inv(p) @ np.eye(3) @ p]
+    assert not np.array_equal(theta[0], theta[1])
+    algebra = tmp_path / "kz3b.json"
+    algebra.write_text(algebra_to_json(change_basis(preset("kz3"), 12)))
+    spec = {
+        "format_version": 1,
+        "algebra": str(algebra),
+        "group": "z2",
+        "automorphisms": [[[[z.real, z.imag] for z in row] for row in t] for t in theta],
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, ["action", str(path), "--mode", mode, "--format", "json"])
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 0
+    assert checks["action/theta_image_size"]["detail"].startswith("theta is trivial")
+    assert checks["commutation/beta_slices_generate"]["detail"].startswith(
+        "generated algebra dimension 1, distinct automorphisms 1"
+    )

@@ -141,3 +141,35 @@ def test_fourier_slice_identity():
     assert np.max(np.abs(lhs - np.diag([0.0, 1.0]))) <= 1e-13
     rep6 = verify_fourier_slice_identity(unitary_of("ks3"))
     assert rep6.max_residual() <= 1e-12
+
+
+def test_G_isomorphism_residuals_match_convolution_loops(basis_changed):
+    # replacing the slice images by random matrices makes every defect O(1);
+    # the reference applies convolve and functional_star to each basis functional
+    from dataclasses import replace
+
+    a = basis_changed(preset("ks3"), 6)
+    gns = gns_construct(a, compute_haar(a))
+    n = a.dim
+    rng = np.random.default_rng(8)
+    images = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    wop = replace(build_multiplicative_unitary(a, gns), slice_basis=images)
+    basis = [Functional(np.eye(n)[i]) for i in range(n)]
+    expected = {
+        "unit_of_dual_goes_to_identity": np.linalg.norm(
+            G_map(wop, Functional(a.counit)) - np.eye(n)
+        ),
+        "multiplicative_for_convolution": max(
+            np.linalg.norm(G_map(wop, convolve(a, phi, psi)) - G_map(wop, phi) @ G_map(wop, psi))
+            for phi in basis
+            for psi in basis
+        ),
+        "star_compatible": max(
+            np.linalg.norm(G_map(wop, functional_star(a, phi)) - G_map(wop, phi).conj().T)
+            for phi in basis
+        ),
+    }
+    report = verify_G_isomorphism(wop)
+    for name, value in expected.items():
+        assert value > 1.0
+        assert abs(report.residual(name) - value) <= 1e-13 * value, name

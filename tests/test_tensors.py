@@ -327,3 +327,44 @@ def test_pentagon_residual_matches_dense_on_non_unitary_input():
     expected = np.linalg.norm(w23 @ w12 @ w23.conj().T - w12 @ w13)
     assert expected > 1.0
     assert abs(pentagon_residual(w) - expected) <= 1e-13 * expected
+
+
+@pytest.mark.parametrize("name,d", [("ks3", 4), ("fz4", 3), ("dual:ks3", 6)])
+def test_star_homomorphism_defects_match_per_pair_loops(name, d, basis_changed):
+    # random images are far from a homomorphism, so every defect is O(1)
+    from fqg import preset
+    from fqg.tensors import star_homomorphism_defects
+
+    a = basis_changed(preset(name), 3)
+    n = a.dim
+    rng = np.random.default_rng(5)
+    images = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+
+    def f(coords):
+        return sum(c * img for c, img in zip(coords, images))
+
+    unit, mult, star = star_homomorphism_defects(images, a.mult, a.star, a.unit)
+    expected_unit = np.linalg.norm(f(a.unit) - np.eye(d))
+    expected_mult = np.array(
+        [
+            [
+                np.linalg.norm(
+                    f(a.multiply(a.basis_element(i), a.basis_element(j))) - images[i] @ images[j]
+                )
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+    expected_star = np.array(
+        [
+            np.linalg.norm(f(a.apply_star(a.basis_element(i))) - images[i].conj().T)
+            for i in range(n)
+        ]
+    )
+    assert mult.shape == (n, n) and star.shape == (n,)
+    assert expected_unit > 1.0 and expected_mult.min() > 1.0 and expected_star.min() > 1.0
+    assert abs(unit - expected_unit) <= 1e-13 * expected_unit
+    assert np.all(np.abs(mult - expected_mult) <= 1e-13 * expected_mult)
+    assert np.all(np.abs(star - expected_star) <= 1e-13 * expected_star)
+
