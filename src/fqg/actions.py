@@ -40,8 +40,7 @@ from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra, is_hopf_star_automorphism
 from .duality import fourier_matrix
 from .multiplicative import (
     MultiplicativeUnitary,
-    coproduct_as_two_leg_operator,
-    dual_coproduct,
+    coproduct_operators,
     slice_products_and_adjoints,
 )
 from .report import ReportBuilder, VerificationReport
@@ -422,9 +421,7 @@ def beta_matrix_antipode_form(action: FiniteGroupAction) -> np.ndarray:
     return beta
 
 
-def build_intertwiner_data(
-    action: FiniteGroupAction, wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL
-) -> IntertwinerData:
+def build_intertwiner_data(action: FiniteGroupAction, wop: MultiplicativeUnitary) -> IntertwinerData:
     """Assemble the beta and gamma stacks and V = (id (x) beta) W."""
     a = action.algebra
     gns = wop.gns
@@ -445,9 +442,7 @@ def build_intertwiner_data(
     return IntertwinerData(action, beta_ops, gamma_ops, gamma_hat, v, v_last, v_res)
 
 
-def verify_beta(
-    data: IntertwinerData, wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL
-) -> VerificationReport:
+def verify_beta(data: IntertwinerData, tol: float = DEFAULT_TOL) -> VerificationReport:
     """beta is a unital *-homomorphism and agrees with its antipode-sandwich form."""
     action = data.action
     a = action.algebra
@@ -511,14 +506,13 @@ def verify_action_intertwiner(
 def full_mode_bytes(n: int, m: int) -> int:
     """Estimated peak bytes of full mode for algebra dimension n and group order m.
 
-    The larger of the five-leg commutator, as ``leg_distance`` runs it, and a
-    four-leg expansion: its dense left side and the copy kron_sum makes of it
-    (2 * 16 * N4^2) next to its own ``leg_distance``; plus V, the stack of
+    The tiles of the five-leg commutator, each side a product of two copies
+    of V (the four-leg expansions have smaller tiles); plus V, the stack of
     its slice generators and the operand copies einsum makes, each at most
-    the size of V (3 * 16 * (n^2 m)^2).
+    the size of V (3 * 16 * (n^2 m)^2), and the stacks of dual coproducts
+    and coproducts of the basis (2 * 16 * n^5).
     """
-    four = 2 * 16 * (n ** 3 * m) ** 2 + leg_distance_bytes((n, n, m, n))
-    return max(leg_distance_bytes((n, n, m, n, n)), four) + 3 * 16 * (n * n * m) ** 2
+    return leg_distance_bytes((n, n, m, n, n), 2) + 3 * 16 * (n * n * m) ** 2 + 2 * 16 * n ** 5
 
 
 def verify_slice_commutativity(
@@ -571,23 +565,14 @@ def verify_slice_commutativity(
         )
 
         # dual-coproduct expansion: (dual-coproduct (x) id (x) id) V = V134 V234
-        lhs = kron_sum([dual_coproduct(wop, x) for x in wop.slice_basis], data.beta_ops)
-        rb.add(
-            "dual_coproduct_expansion_of_v",
-            leg_distance([(lhs, [1, 2, 3, 4])], [(v, [1, 3, 4]), (v, [2, 3, 4])], (n, n, m, n)),
-            tol,
-        )
+        lhs = [(wop.dual_coproducts, [1, 2]), (data.beta_ops, [3, 4])]
+        rhs = [(v, [1, 3, 4]), (v, [2, 3, 4])]
+        rb.add("dual_coproduct_expansion_of_v", leg_distance(lhs, rhs, (n, n, m, n)), tol)
 
         # coproduct expansion: (id (x) id (x) coproduct) V = V123 V124
-        lhs2 = kron_sum(
-            data.v_last_leg,
-            [coproduct_as_two_leg_operator(wop, a.basis_element(j)) for j in range(n)],
-        )
-        rb.add(
-            "coproduct_expansion_of_v",
-            leg_distance([(lhs2, [1, 2, 3, 4])], [(v, [1, 2, 3]), (v, [1, 2, 4])], (n, m, n, n)),
-            tol,
-        )
+        lhs = [(data.v_last_leg, [1, 2]), (coproduct_operators(wop), [3, 4])]
+        rhs = [(v, [1, 2, 3]), (v, [1, 2, 4])]
+        rb.add("coproduct_expansion_of_v", leg_distance(lhs, rhs, (n, m, n, n)), tol)
 
     # slice V in its outer legs with all matrix-unit vector functionals; the
     # middle-leg matrices obtained this way generate the image of beta's slices

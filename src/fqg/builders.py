@@ -17,7 +17,7 @@ keys are rejected.  Floats are written with full double precision so a
 save/load round trip is bit-exact.
 
 Action spec schema (format_version 1): {"format_version": 1, "algebra":
-preset-or-path, "group": preset-or-inline-table, "automorphisms":
+preset-or-path-beside-the-spec, "group": preset-or-inline-table, "automorphisms":
 "inversion" | "conjugation" | list of per-element matrices [[re, im], ...]}.
 """
 
@@ -251,14 +251,15 @@ def load_algebra(path) -> FiniteHopfStarAlgebra:
     return algebra_from_json_dict(data)
 
 
-def resolve_algebra(spec: str) -> FiniteHopfStarAlgebra:
-    """A preset name, or a path to an algebra JSON file."""
+def resolve_algebra(spec: str, base_dir: str = "") -> FiniteHopfStarAlgebra:
+    """A preset name, or a path to an algebra JSON file relative to ``base_dir``."""
     if spec in _PRESET_BUILDERS or spec.startswith("dual:"):
         return preset(spec)
-    if os.path.exists(spec):
-        return load_algebra(spec)
+    path = os.path.join(base_dir, spec)
+    if os.path.exists(path):
+        return load_algebra(path)
     if any(marker in spec for marker in ("/", "\\", ".json")):
-        raise ParseError(f"algebra file not found: {spec}")
+        raise ParseError(f"algebra file not found: {path}")
     raise UnknownPreset(
         f"unknown preset {spec!r}; known: {', '.join(preset_names())} and dual:<preset>"
     )
@@ -325,4 +326,6 @@ def load_action_spec(path) -> dict:
         raise SchemaVersionMismatch(
             f"action spec has format_version {data['format_version']!r}, expected {FORMAT_VERSION}"
         )
+    if not isinstance(data["algebra"], str):
+        raise ParseError("action spec field 'algebra' must be a preset name or a path")
     return data

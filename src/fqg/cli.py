@@ -24,6 +24,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -71,8 +72,6 @@ def _cmd_verify(args) -> int:
 
 def _resolve_group_input(spec: str):
     """A group preset name, or a path to a JSON file with an inline table."""
-    import os
-
     if os.path.exists(spec) and spec.endswith(".json"):
         try:
             with open(spec, "r", encoding="utf-8") as fh:
@@ -101,7 +100,7 @@ def _cmd_action(args) -> int:
                 "when an action spec file is given, --group/--automorphisms must be omitted"
             )
         spec = builders.load_action_spec(args.input)
-        algebra = builders.resolve_algebra(spec["algebra"])
+        algebra = builders.resolve_algebra(spec["algebra"], os.path.dirname(args.input))
         k_group = builders.resolve_group(spec["group"])
         auto_spec = spec["automorphisms"]
         if isinstance(auto_spec, list):

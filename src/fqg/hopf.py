@@ -78,10 +78,6 @@ class FiniteHopfStarAlgebra:
     def multiply(self, a, b) -> np.ndarray:
         return np.einsum("i,j,ijk->k", np.asarray(a), np.asarray(b), self.mult)
 
-    def coproduct_coeffs(self, a) -> np.ndarray:
-        """Coefficient matrix C with coproduct(a) = sum C[j, k] e_j (x) e_k."""
-        return np.einsum("i,ijk->jk", np.asarray(a), self.comult)
-
     def apply_antipode(self, a) -> np.ndarray:
         return self.antipode.T @ np.asarray(a)
 

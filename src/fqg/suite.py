@@ -56,15 +56,6 @@ def full_suite(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL) -> Verificati
     rb.add("dual_subspace/w_expansion", wop.expansion_residual, tol)
 
     rb.extend("dual_coproduct/", multiplicative.verify_dual_coproduct_identities(wop, tol))
-    worst_member = 0.0
-    for x in wop.slice_basis:
-        try:
-            _, sub = multiplicative.dual_coproduct_checked(wop, x, tol)
-        except VerificationError as exc:
-            rb.add_aborted("dual_coproduct/membership", tol, f"aborted: {exc}")
-            return rb.build()
-        worst_member = max(worst_member, sub.max_residual())
-    rb.add("dual_coproduct/image_in_doubled_span", worst_member, tol)
 
     dual_algebra = duality.build_dual(a)
     rb.extend("dual_algebra/", verify_hopf_star_axioms(dual_algebra, tol))
@@ -128,9 +119,9 @@ def action_suite(
     rb.extend("invariance/", actions_mod.verify_strong_right_invariance(action, h, tol))
 
     wop = multiplicative.build_multiplicative_unitary(a, gns)
-    data = actions_mod.build_intertwiner_data(action, wop, tol)
+    data = actions_mod.build_intertwiner_data(action, wop)
     rb.add("intertwiner/v_expansion", data.v_expansion_residual, tol)
-    rb.extend("beta/", actions_mod.verify_beta(data, wop, tol))
+    rb.extend("beta/", actions_mod.verify_beta(data, tol))
     rb.extend("gamma/", actions_mod.verify_gamma(data, wop, tol))
     rb.extend("intertwiner/", actions_mod.verify_action_intertwiner(data, wop, tol))
     rb.extend("commutation/", actions_mod.verify_slice_commutativity(data, wop, tol, mode))

@@ -3,10 +3,14 @@
 Operators on one or two legs are dense matrices.  A product of operators
 placed on legs of a larger space (W23 W12 W23*, V234 V135, ...) is evaluated
 by ``leg_product`` and compared by ``leg_distance``: one einsum over the leg
-tensors, so no factor is expanded with identities, and ``leg_distance`` holds
-only one tile of each side, cut over leg 1, at a time.  ``embed_legs`` builds
-the dense ambient matrix of one placed operator; it is the reference the
-contraction is tested against.  ``star_homomorphism_defects`` checks, for a
+tensors, so no factor is expanded with identities.  A factor may be a stack
+of matrices; the stacks of one product share a summed index, so a Kronecker
+sum sum_j x_j (x) y_j is two stacked factors and is never built densely.
+``leg_distance`` holds one tile of each side, cut over leg 1, at a time and
+subtracts the rhs tile into the lhs tile; the tile size follows from the
+working set of a tile and ``TILE_BYTES``.  ``embed_legs`` builds the dense
+ambient matrix of one placed operator; it is the reference the contraction
+is tested against.  ``star_homomorphism_defects`` checks, for a
 whole stack of operators at once, whether a linear map is a unital
 *-homomorphism.
 
@@ -142,9 +146,9 @@ def embed_legs(x: TensorOperator, placement, ambient) -> TensorOperator:
 
 
 # leg_distance evaluates its two sides tile by tile over the leg-1 row and
-# column index; tiles are as large as three complex arrays of their size
-# (the two sides and their difference) allow within this many bytes.
-TILE_BYTES = 64 * 2 ** 20
+# column index; tiles are as large as their working set (see _working_set)
+# allows within this many bytes.
+TILE_BYTES = 36 * 2 ** 20
 _LABELS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
@@ -152,15 +156,19 @@ def _contraction(factors, dims):
     """einsum operands and subscripts for a product of operators on legs.
 
     Each factor is ``(matrix, placement)``, leftmost factor first; ``matrix``
-    acts on the 1-based legs named by ``placement``, in that order.  Output
-    row labels are the first len(dims) letters; each factor's row labels are
-    the current labels of its legs and it gets fresh column labels.  A leg no
-    factor touches gets an identity on that leg alone.
+    acts on the 1-based legs named by ``placement``, in that order.  A factor
+    may also be a stack ``(K, k, k)``: every stacked factor of one product
+    shares one summed stack index, so ``[(xs, [1]), (ys, [2, 3])]`` is
+    sum_j xs[j] (x) ys[j].  Output row labels are the first len(dims)
+    letters; each factor's row labels are the current labels of its legs and
+    it gets fresh column labels.  A leg no factor touches gets an identity on
+    that leg alone.
     """
     m = len(dims)
     fresh = iter(_LABELS[m:])
     current = list(_LABELS[:m])
     operands, subscripts = [], []
+    stack = ""
     try:
         for matrix, placement in factors:
             placement = [int(p) for p in placement]
@@ -168,45 +176,58 @@ def _contraction(factors, dims):
                 raise StructuralError(f"placement {placement} invalid for {m} legs")
             leg_dims = tuple(dims[p - 1] for p in placement)
             k = prod(leg_dims)
-            matrix = np.asarray(matrix)
-            if matrix.shape != (k, k):
+            matrix = np.asarray(matrix, dtype=complex)
+            lead = matrix.shape[:-2]  # (K,) for a stack
+            if matrix.shape[-2:] != (k, k) or len(lead) > 1:
                 raise StructuralError(
                     f"operator of shape {matrix.shape} cannot act on legs {placement} "
                     f"of dims {dims}"
                 )
+            if lead:
+                stack = stack or next(fresh)
             rows = [current[p - 1] for p in placement]
             for p in placement:
                 current[p - 1] = next(fresh)
-            operands.append(matrix.reshape(leg_dims + leg_dims))
-            subscripts.append("".join(rows) + "".join(current[p - 1] for p in placement))
+            operands.append(matrix.reshape(lead + leg_dims + leg_dims))
+            subscripts.append(
+                (stack if lead else "") + "".join(rows) + "".join(current[p - 1] for p in placement)
+            )
         for leg in range(m):
             if current[leg] == _LABELS[leg]:
                 current[leg] = next(fresh)
-                operands.append(np.eye(dims[leg]))
+                operands.append(np.eye(dims[leg], dtype=complex))
                 subscripts.append(_LABELS[leg] + current[leg])
     except StopIteration:
         raise StructuralError("too many legs for one contraction") from None
     return operands, subscripts, _LABELS[:m] + "".join(current)
 
 
-def _tile(dims) -> int:
-    """Largest divisor t of d1 whose (N t / d1)^2 tiles fit in TILE_BYTES (at least 1)."""
-    side, d1 = prod(dims) // dims[0], dims[0]
-    fits = [t for t in range(1, d1 + 1) if d1 % t == 0 and 3 * 16 * (side * t) ** 2 <= TILE_BYTES]
-    return max(fits, default=1)
+def _working_set(dims, t, factors) -> int:
+    """Bytes of the tile-sized arrays ``leg_distance`` holds at once, t leg-1
+    indices per tile and at most ``factors`` factors a side: the lhs tile,
+    the rhs tile and one tile for einsum's operand copies and buffers; three
+    or more factors add an intermediate and einsum's copy of it."""
+    arrays = 3 if factors <= 2 else 5
+    return arrays * 16 * (prod(dims) // dims[0] * t) ** 2
 
 
-def leg_distance_bytes(dims) -> int:
-    """Bytes of the three complex tiles alive at once in ``leg_distance``."""
+def _tile(dims, factors) -> int:
+    """Largest divisor t of d1 whose working set fits in TILE_BYTES (at least 1)."""
+    divisors = [t for t in range(1, dims[0] + 1) if dims[0] % t == 0]
+    return max((t for t in divisors if _working_set(dims, t, factors) <= TILE_BYTES), default=1)
+
+
+def leg_distance_bytes(dims, factors) -> int:
+    """Peak bytes of ``leg_distance`` on ``dims``, at most ``factors`` factors a side."""
     dims = tuple(int(d) for d in dims)
-    side = prod(dims) // dims[0] * _tile(dims)
-    return 3 * 16 * side * side
+    return _working_set(dims, _tile(dims, factors), factors)
 
 
 def _leg1_tiles(factors, dims, t):
     """A function (i, j) -> the tile of a product of placed operators with
-    leg-1 row indices i..i+t-1 and column indices j..j+t-1; the einsum path
-    is planned once."""
+    leg-1 row indices i..i+t-1 and column indices j..j+t-1, as a complex
+    array of its own (never a view of an operand), so the caller may write
+    into it; the einsum path is planned once."""
     operands, subscripts, out = _contraction(factors, dims)
     # the leg-1 row and column labels each sit on exactly one operand axis
     row, col = out[0], out[len(dims)]
@@ -220,15 +241,24 @@ def _leg1_tiles(factors, dims, t):
         ]
 
     path = np.einsum_path(spec, *sliced(0, 0), optimize="greedy")[0]
-    return lambda i, j: np.einsum(spec, *sliced(i, j), optimize=path)
+
+    def tile(i, j):
+        ops = sliced(i, j)
+        product = np.einsum(spec, *ops, optimize=path)
+        # a one-operand einsum returns a view of its operand
+        return product.copy() if any(np.may_share_memory(product, op) for op in ops) else product
+
+    return tile
 
 
 def leg_product(factors, dims) -> np.ndarray:
     """The N x N matrix of a product of operators placed on legs of ``dims``.
 
     ``factors`` lists ``(matrix, placement)`` pairs, leftmost first, as for
-    ``embed_legs``; e.g. ``[(w, [2, 3]), (w, [1, 2])]`` is W23 W12.  One
-    einsum over the leg tensors; no factor is expanded with identities.
+    ``embed_legs``; e.g. ``[(w, [2, 3]), (w, [1, 2])]`` is W23 W12.  A factor
+    may be a stack of matrices summed over a shared index (see
+    ``_contraction``).  One einsum over the leg tensors; no factor is
+    expanded with identities.
     """
     dims = tuple(int(d) for d in dims)
     n = prod(dims)
@@ -239,18 +269,23 @@ def leg_distance(lhs, rhs, dims) -> float:
     """Frobenius distance between two products of operators placed on legs.
 
     ``lhs`` and ``rhs`` are factor lists as for ``leg_product``.  Each side
-    is contracted tile by tile over ranges of the leg-1 row and column index
-    and the squared tile norms are summed.  Tiles are as large as
-    ``TILE_BYTES`` allows: one tile for a small space, down to a single
-    leg-1 index pair (N^2 / d1^2 entries per side) for a large one.
+    is contracted tile by tile over ranges of the leg-1 row and column index,
+    the rhs tile is subtracted into the lhs tile and the squared norms of
+    the differences are summed.  Tiles are as large as ``TILE_BYTES`` allows:
+    one tile for a small space, down to a single leg-1 index pair
+    (N^2 / d1^2 entries per side) for a large one.
     """
     dims = tuple(int(d) for d in dims)
-    t = _tile(dims)
+    t = _tile(dims, max(len(lhs), len(rhs)))
     lhs_tile, rhs_tile = _leg1_tiles(lhs, dims, t), _leg1_tiles(rhs, dims, t)
     total = 0.0
     for i in range(0, dims[0], t):
         for j in range(0, dims[0], t):
-            total += frob(lhs_tile(i, j) - rhs_tile(i, j)) ** 2
+            # the previous difference is released only once this lhs tile exists;
+            # freeing it earlier lets the allocator give the pages back every tile
+            diff = lhs_tile(i, j)
+            diff -= rhs_tile(i, j)
+            total += frob(diff) ** 2
     return float(np.sqrt(total))
 
 

@@ -215,7 +215,7 @@ def test_beta_matrix_entries():
 def test_beta_checks_and_antipode_form_agreement():
     for names in (("kz3", "z2", "inversion"), ("ks3", "s3", "conjugation"), ("fz3", "z2", "inversion")):
         _, action, _, wop, data = pipeline(*names)
-        report = verify_beta(data, wop)
+        report = verify_beta(data)
         assert report.overall_pass, [c.name for c in report.checks if not c.passed]
         assert report.max_residual() <= 1e-12
         assert np.max(np.abs(beta_matrix(action) - beta_matrix_antipode_form(action))) <= 1e-12
@@ -321,7 +321,7 @@ def test_full_mode_unavailable_above_limit(monkeypatch):
 def test_full_mode_residuals_match_dense_on_non_commuting_v(monkeypatch, tile_bytes):
     # a random V does not satisfy any of the identities, so every residual is O(1)
     import fqg.tensors as tensors_mod
-    from fqg.actions import coproduct_as_two_leg_operator, dual_coproduct
+    from fqg.multiplicative import coproduct_operators, dual_coproduct
     from fqg.tensors import kron_sum
 
     if tile_bytes is not None:  # 0: one tile per leg-1 index pair
@@ -339,10 +339,7 @@ def test_full_mode_residuals_match_dense_on_non_commuting_v(monkeypatch, tile_by
     five = (n, n, m, n, n)
     v234, v135 = placed(five, [2, 3, 4]), placed(five, [1, 3, 5])
     lhs_a = kron_sum([dual_coproduct(wop, x) for x in wop.slice_basis], data.beta_ops)
-    lhs_b = kron_sum(
-        data.v_last_leg,
-        [coproduct_as_two_leg_operator(wop, a.basis_element(j)) for j in range(n)],
-    )
+    lhs_b = kron_sum(data.v_last_leg, coproduct_operators(wop))
     four_a, four_b = (n, n, m, n), (n, m, n, n)
     expected = {
         "five_leg_commutation": np.linalg.norm(v234 @ v135 - v135 @ v234),
@@ -361,10 +358,12 @@ def test_full_mode_residuals_match_dense_on_non_commuting_v(monkeypatch, tile_by
 def test_full_mode_bytes_estimate():
     from fqg.actions import FULL_MODE_BYTES, full_mode_bytes
 
-    # ks3 with S3: the five-leg commutator, one tile per leg-1 index pair, dominates
-    assert full_mode_bytes(6, 6) == 3 * 16 * (6 * 6 * 6 * 6) ** 2 + 3 * 16 * 216 ** 2
-    # kz3 with Z2: every space is one tile, the five-leg arrays dominate
-    assert full_mode_bytes(3, 2) == 3 * 16 * 162 ** 2 + 3 * 16 * 18 ** 2
+    # ks3 with S3: the five-leg commutator, one tile per leg-1 index pair
+    assert full_mode_bytes(6, 6) == 3 * 16 * 1296 ** 2 + 3 * 16 * 216 ** 2 + 2 * 16 * 6 ** 5
+    # kz6 with Z2: two leg-1 indices per tile
+    assert full_mode_bytes(6, 2) == 3 * 16 * 864 ** 2 + 3 * 16 * 72 ** 2 + 2 * 16 * 6 ** 5
+    # kz3 with Z2: the five-leg space is one tile
+    assert full_mode_bytes(3, 2) == 3 * 16 * 162 ** 2 + 3 * 16 * 18 ** 2 + 2 * 16 * 3 ** 5
     assert full_mode_bytes(8, 4) < FULL_MODE_BYTES
     assert full_mode_bytes(16, 8) > FULL_MODE_BYTES
 

@@ -176,6 +176,34 @@ def test_action_spec_file_with_explicit_matrices(tmp_path, capsys):
     assert code == 0
 
 
+def test_action_spec_algebra_path_is_relative_to_the_spec(tmp_path, capsys, monkeypatch):
+    # dir/spec.json names "kz3b.json", the file beside it, and is run from the
+    # parent directory
+    from conftest import basis_change_matrix, change_basis
+
+    p = basis_change_matrix(3, 4)
+    q = np.linalg.inv(p)
+    inv = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
+    theta = [np.eye(3), q @ inv @ p]
+    spec_dir = tmp_path / "dir"
+    spec_dir.mkdir()
+    (spec_dir / "kz3b.json").write_text(algebra_to_json(change_basis(preset("kz3"), 4)))
+    spec = {
+        "format_version": 1,
+        "algebra": "kz3b.json",
+        "group": "z2",
+        "automorphisms": [[[[z.real, z.imag] for z in row] for row in t] for t in theta],
+    }
+    (spec_dir / "spec.json").write_text(json.dumps(spec))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["action", "dir/spec.json"])
+    assert code == 0, err
+    spec["algebra"] = 3
+    (spec_dir / "spec.json").write_text(json.dumps(spec))
+    code, _, err = run(capsys, ["action", "dir/spec.json"])
+    assert code == 2 and "'algebra'" in err
+
+
 def test_action_inline_group_file(tmp_path, capsys):
     group_path = tmp_path / "z2.json"
     group_path.write_text(json.dumps({"table": [[0, 1], [1, 0]], "labels": ["e", "g"]}))

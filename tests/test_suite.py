@@ -111,3 +111,25 @@ def test_full_suite_passes_in_a_random_basis(name, basis_changed):
     # permutation-sparse preset basis
     report = full_suite(basis_changed(preset(name), seed=len(name) * 101))
     assert [c.name for c in report.checks if not c.passed] == []
+
+
+def test_full_suite_holds_no_dense_three_leg_operator(monkeypatch):
+    # with several tiles per leg identity, the whole suite on the group algebra
+    # of Z8 stays below the size of one dense operand on three legs (8^6
+    # complex entries, 4 MiB)
+    import tracemalloc
+
+    import fqg.tensors as tensors_mod
+    from fqg import cyclic_group, group_algebra
+
+    a = group_algebra(cyclic_group(8))
+    monkeypatch.setattr(tensors_mod, "TILE_BYTES", 2 ** 20)
+    assert tensors_mod._tile((8, 8, 8), 2) < 8
+    tracemalloc.start()
+    try:
+        report = full_suite(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.overall_pass
+    assert peak < 16 * 8 ** 6

@@ -278,11 +278,78 @@ def test_leg_product_and_distance_match_dense_embedding(monkeypatch, dims, lhs, 
         assert np.max(np.abs(leg_product(factors, dims) - dense)) <= 1e-13 * np.max(np.abs(dense))
     expected = np.linalg.norm(dense_product(lhs, dims) - dense_product(rhs, dims))
     assert expected > 1.0
-    side = int(np.prod(dims)) // dims[0]
+    assert_tilings_match(monkeypatch, lhs, rhs, dims, expected)
+
+
+def assert_tilings_match(monkeypatch, lhs, rhs, dims, expected):
+    """leg_distance equals ``expected`` within 1e-13 relative at one tile, at
+    tiles of two leg-1 indices and at one index pair per tile."""
+    factors = max(len(lhs), len(rhs))
     for tile in (dims[0], 2, 1):  # leg-1 indices per tile, when it divides dims[0]
-        monkeypatch.setattr(tensors_mod, "TILE_BYTES", 3 * 16 * (side * tile) ** 2)
+        monkeypatch.setattr(
+            tensors_mod, "TILE_BYTES", tensors_mod._working_set(dims, tile, factors)
+        )
         got = leg_distance(lhs, rhs, dims)
         assert abs(got - expected) <= 1e-13 * expected
+
+
+def random_stack(rng, dims, placement, k=3):
+    d = int(np.prod([dims[p - 1] for p in placement]))
+    return rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d)), placement
+
+
+@pytest.mark.parametrize(
+    "dims,stacked,plain",
+    [
+        # sum_j X_j (x) Y_j on legs 1 | 2,3, the shape of the coproduct identity
+        ((3, 2, 2), [[1], [2, 3]], []),
+        # legs 1,2 | 3, the shape of the dual-coproduct identity, leg 1 of dim 4
+        ((4, 2, 3), [[1, 2], [3]], []),
+        # four legs 1,2 | 3,4, the shape of the expansions of V
+        ((2, 3, 2, 2), [[1, 2], [3, 4]], []),
+        # permuted placements, a plain factor after the stack, an untouched leg
+        ((2, 3, 2, 2), [[3, 1], [2]], [[1, 2]]),
+    ],
+)
+def test_stacked_factors_match_dense_sum(monkeypatch, dims, stacked, plain):
+    rng = np.random.default_rng(sum(dims) + len(stacked))
+    stacks = [random_stack(rng, dims, p) for p in stacked]
+    plains = [random_factor(rng, dims, p) for p in plain]
+    # oracle: the sum over j of the dense products of the j-th stack members
+    dense = sum(
+        dense_product([(xs[j], p) for xs, p in stacks] + plains, dims) for j in range(3)
+    )
+    lhs = stacks + plains
+    assert np.max(np.abs(leg_product(lhs, dims) - dense)) <= 1e-13 * np.max(np.abs(dense))
+    if not plain:  # two stacks on consecutive legs in order: a Kronecker sum
+        (xs, _), (ys, _) = stacks
+        assert np.max(np.abs(kron_sum(xs, ys) - dense)) <= 1e-13 * np.max(np.abs(dense))
+    rhs = [random_factor(rng, dims, list(range(1, len(dims) + 1)))]
+    expected = np.linalg.norm(dense - dense_product(rhs, dims))
+    assert expected > 1.0
+    assert_tilings_match(monkeypatch, lhs, rhs, dims, expected)
+    assert_tilings_match(monkeypatch, rhs, lhs, dims, expected)
+
+
+@pytest.mark.parametrize("tile_bytes", [None, 0])
+def test_leg_distance_leaves_operands_untouched(monkeypatch, tile_bytes):
+    # the difference is formed in place in the lhs tile; a one-factor side is
+    # a view of its operand, which must be copied, not overwritten
+    if tile_bytes is not None:
+        monkeypatch.setattr(tensors_mod, "TILE_BYTES", tile_bytes)
+    rng = np.random.default_rng(8)
+    dims = (2, 3, 2)
+    whole, swapped = random_factor(rng, dims, [1, 2, 3]), random_factor(rng, dims, [2, 1, 3])
+    real = (rng.standard_normal((12, 12)), [1, 2, 3])
+    stack_a, stack_b = random_stack(rng, dims, [1]), random_stack(rng, dims, [2, 3])
+    sides = [[whole], [swapped], [real], [stack_a, stack_b], [whole, swapped]]
+    operands = [m for side in sides for m, _ in side]
+    before = [m.copy() for m in operands]
+    for lhs in sides:
+        for rhs in sides:
+            leg_distance(lhs, rhs, dims)
+    for m, b in zip(operands, before):
+        assert np.array_equal(m, b)
 
 
 def test_tiled_distance_equals_untiled_near_zero(monkeypatch):
@@ -290,21 +357,30 @@ def test_tiled_distance_equals_untiled_near_zero(monkeypatch):
     rng = np.random.default_rng(11)
     dims = (3, 2, 2)
     x, y = random_factor(rng, dims, [1])[0], random_factor(rng, dims, [2, 3])[0]
-    lhs = [(x, [1]), (y, [2, 3])]
-    rhs = [(y, [2, 3]), (x, [1])]
-    assert leg_distance(lhs, rhs, dims) <= 1e-13
+    xs, ys = random_stack(rng, dims, [1])[0], random_stack(rng, dims, [2, 3])[0]
+    pairs = [
+        ([(x, [1]), (y, [2, 3])], [(y, [2, 3]), (x, [1])]),
+        # a stacked sum against the same sum with the factors swapped
+        ([(xs, [1]), (ys, [2, 3])], [(ys, [2, 3]), (xs, [1])]),
+    ]
+    for lhs, rhs in pairs:
+        assert leg_distance(lhs, rhs, dims) <= 1e-13
     monkeypatch.setattr(tensors_mod, "TILE_BYTES", 0)
-    assert leg_distance(lhs, rhs, dims) <= 1e-13
+    for lhs, rhs in pairs:
+        assert leg_distance(lhs, rhs, dims) <= 1e-13
     assert leg_distance([], [], dims) == 0.0
 
 
 def test_leg_distance_bytes(monkeypatch):
-    # a small space is one tile; a large one is tiled over leg 1
-    assert leg_distance_bytes((10, 10, 10)) == 3 * 16 * 1000 ** 2
-    assert leg_distance_bytes((6, 6, 2, 6, 6)) == 3 * 16 * (2 * 432) ** 2
-    assert leg_distance_bytes((6, 6, 6, 6, 6)) == 3 * 16 * 1296 ** 2
+    # three tile-sized arrays for products of two factors, five for three;
+    # a small space is one tile, a larger one is tiled over leg 1
+    assert leg_distance_bytes((3, 3, 3), 3) == 5 * 16 * 27 ** 2
+    assert leg_distance_bytes((10, 10, 10), 2) == 3 * 16 * (5 * 100) ** 2
+    assert leg_distance_bytes((10, 10, 10), 3) == 5 * 16 * (5 * 100) ** 2
+    assert leg_distance_bytes((6, 6, 2, 6, 6), 2) == 3 * 16 * (2 * 432) ** 2
+    assert leg_distance_bytes((6, 6, 6, 6, 6), 2) == 3 * 16 * 1296 ** 2
     monkeypatch.setattr(tensors_mod, "TILE_BYTES", 0)
-    assert leg_distance_bytes((2, 3, 2)) == 3 * 16 * 6 ** 2
+    assert leg_distance_bytes((2, 3, 2), 3) == 5 * 16 * 6 ** 2
 
 
 def test_leg_product_errors():
