@@ -1,5 +1,8 @@
 """Multiplicative unitary: unitarity, pentagon, slices, dual subspace."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,11 @@ from fqg import (
     dual_coproduct_checked,
     gns_construct,
     inverse_via_antipode,
+    load_algebra,
     pentagon_residual,
     preset,
+    preset_names,
+    save_algebra,
     verify_antipode_relation,
     verify_coproduct_implemented,
     verify_dual_coproduct_identities,
@@ -24,8 +30,9 @@ from fqg import (
     verify_unitarity,
 )
 from fqg import multiplicative
+from fqg.cli import main
 from fqg.multiplicative import dual_subspace_commutativity_defect, slice_products_and_adjoints
-from fqg.tensors import matrix_unit_functional, project_onto_span, slice_leg
+from fqg.tensors import leg_distance, matrix_unit_functional, project_onto_span, slice_leg
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -146,6 +153,23 @@ def test_coproduct_implemented_by_conjugation():
     assert rep.max_residual() <= 1e-12
 
 
+def test_conjugation_over_basis_matches_kron_oracle():
+    # a perturbed W makes the residual O(1e-3), so agreement is not rounding
+    wop = unitary_of("ks3")
+    rng = np.random.default_rng(2)
+    d = wop.w.entries.shape[0]
+    w = wop.w.entries + 1e-3 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    bad = dataclasses.replace(wop, w=TensorOperator(wop.w.dims, w))
+    deltas = multiplicative.coproduct_operators(bad)
+    oracle = max(
+        np.linalg.norm(w @ np.kron(lr, np.eye(wop.dim)) @ w.conj().T - delta)
+        for lr, delta in zip(wop.gns.left_regular, deltas)
+    )
+    residual = verify_coproduct_implemented(bad).residual("conjugation_over_basis")
+    assert oracle > 1e-4
+    assert abs(residual - oracle) <= 1e-13
+
+
 def test_antipode_relation():
     rep2 = verify_antipode_relation(unitary_of("kz2"))
     assert rep2.max_residual() <= 1e-14  # self-adjoint permutation, identity antipode
@@ -248,3 +272,128 @@ def test_shared_projector_matches_pair_basis_lstsq_oracle(name, basis_changed, m
     oracle = _lstsq_residual(pair_basis, noise)
     assert oracle > 1.0
     assert abs(report.residual("dual_coproduct_in_doubled_span") - oracle) <= 1e-13
+
+
+# -- certified bounds for coassociativity and multiplicativity of the dual coproduct
+
+BOUNDED = ("dual_coproduct_coassociative", "dual_coproduct_multiplicative")
+
+
+def _oracle_coassociativity(wop):
+    """The per-element leg contraction that the coassociativity bound replaces."""
+    n = wop.dim
+    w_mat = wop.w.entries
+    w_adj = w_mat.conj().T
+    worst = 0.0
+    for dx in wop.dual_coproducts:
+        first = [(w_adj, [1, 2]), (dx, [2, 3]), (w_mat, [1, 2])]
+        second = [(w_adj, [2, 3]), (dx, [1, 3]), (w_mat, [2, 3])]
+        worst = max(worst, leg_distance(first, second, (n, n, n)))
+    return worst
+
+
+def _oracle_multiplicativity(wop):
+    """The pairwise loop that the multiplicativity bound replaces."""
+    worst = 0.0
+    for x, dx in zip(wop.slice_basis, wop.dual_coproducts):
+        for y, dy in zip(wop.slice_basis, wop.dual_coproducts):
+            worst = max(worst, np.linalg.norm(dual_coproduct(wop, x @ y) - dx @ dy))
+    return worst
+
+
+def _oracles(wop):
+    return [_oracle_coassociativity(wop), _oracle_multiplicativity(wop)]
+
+
+def _bounds(wop):
+    """Both certified bounds, read from a report whose tolerance admits them."""
+    report = verify_dual_coproduct_identities(wop, tol=np.inf)
+    assert all(report.check(name).detail == "certified upper bound on the residual" for name in BOUNDED)
+    return [report.residual(name) for name in BOUNDED]
+
+
+def _unitary(a):
+    return build_multiplicative_unitary(a, gns_construct(a, compute_haar(a)))
+
+
+def _with_w(wop, w):
+    """``wop`` with W replaced by ``w`` and its dual coproducts recomputed."""
+    bad = dataclasses.replace(wop, w=TensorOperator(wop.w.dims, w))
+    images = np.stack([dual_coproduct(bad, x) for x in wop.slice_basis])
+    return dataclasses.replace(bad, dual_coproducts=images)
+
+
+def _defects(wop, seed):
+    """A random unitary in place of W, then W plus complex noise at four scales."""
+    rng = np.random.default_rng(seed)
+    d = wop.w.entries.shape[0]
+
+    def noise():
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    yield np.linalg.qr(noise())[0]
+    for scale in (1e-8, 1e-6, 1e-4, 1e-3):
+        yield wop.w.entries + scale * noise()
+
+
+@pytest.mark.parametrize("name", [*preset_names(), *(f"dual:{p}" for p in preset_names())])
+def test_dual_coproduct_bounds_dominate_exact_contraction(name, basis_changed):
+    for a in (preset(name), basis_changed(preset(name), seed=5)):
+        wop = _unitary(a)
+        bounds = _bounds(wop)
+        for bound, exact in zip(bounds, _oracles(wop)):
+            assert exact <= bound <= 1e-11
+        report = verify_dual_coproduct_identities(wop)
+        assert [report.residual(check) for check in BOUNDED] == bounds
+
+
+@pytest.mark.parametrize("name", ["kz3", "kz5", "ks3"])
+def test_dual_coproduct_bounds_on_injected_defects_are_tight(name, basis_changed):
+    wop = _unitary(basis_changed(preset(name), seed=7))
+    for w in _defects(wop, seed=13):
+        bad = _with_w(wop, w)
+        for bound, exact in zip(_bounds(bad), _oracles(bad)):
+            assert exact <= bound <= 50 * exact
+
+
+def test_coassociativity_bound_is_exact_for_a_quasigroup_unitary():
+    # |g, h> -> |g, -g-h> on Z3 is a permutation like W, so its dual coproduct
+    # keeps diagonal matrices in the doubled span; the law is not associative,
+    # so the whole defect sits in the coefficient tensors
+    n = 3
+    w = np.zeros((n * n, n * n))
+    for g in range(n):
+        for h in range(n):
+            w[g * n + (-g - h) % n, g * n + h] = 1.0
+    bad = _with_w(unitary_of("kz3"), w)
+    (coassoc, mult), (exact_coassoc, exact_mult) = _bounds(bad), _oracles(bad)
+    assert exact_coassoc > 1.0
+    assert exact_coassoc <= coassoc <= exact_coassoc * (1 + 1e-12)
+    assert exact_mult <= mult <= 1e-13
+
+
+def test_dual_coproduct_bound_above_tol_reports_exact_contraction(basis_changed):
+    wop = _unitary(basis_changed(preset("kz3"), seed=7))
+    bad = _with_w(wop, list(_defects(wop, seed=13))[-1])
+    report = verify_dual_coproduct_identities(bad)
+    for name, exact in zip(BOUNDED, _oracles(bad)):
+        check = report.check(name)
+        assert check.detail.startswith("exact contraction; certified bound")
+        assert not check.passed
+        assert check.residual == pytest.approx(exact, rel=1e-13, abs=0)
+
+
+def test_cli_reports_exact_contraction_below_the_rounding_allowance(tmp_path, basis_changed, capsys):
+    # at tol 1e-15 the dual subspace is still accepted, but both bounds, which
+    # include a rounding allowance of order n^2 eps, exceed the tolerance
+    path = tmp_path / "kz3b.json"
+    save_algebra(basis_changed(preset("kz3"), seed=3), str(path))
+    code = main(["verify", str(path), "--tol", "1e-15", "--format", "json"])
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    oracles = _oracles(_unitary(load_algebra(str(path))))
+    assert code == 1
+    for name, exact in zip(BOUNDED, oracles):
+        check = checks["dual_coproduct/" + name]
+        assert check["detail"].startswith("exact contraction; certified bound")
+        assert check["residual"] == pytest.approx(exact, rel=1e-13, abs=0)
+        assert exact > 0.0
