@@ -69,7 +69,6 @@ from .haar import (
     compute_haar,
     gns_construct,
     haar_invariance_residual,
-    left_multiplication_matrix,
     verify_gns,
     verify_trace,
 )
@@ -98,15 +97,6 @@ from .multiplicative import (
 )
 from .report import Check, VerificationReport
 from .suite import action_suite, full_suite
-from .tensors import (
-    FunctionalOnOperators,
-    TensorOperator,
-    embed_legs,
-    flip,
-    identity_operator,
-    matrix_unit_functional,
-    op_distance,
-    slice_leg,
-)
+from .tensors import TensorOperator, embed_legs
 
 __version__ = "0.1.0"

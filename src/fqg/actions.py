@@ -48,9 +48,9 @@ from .tensors import (
     TensorOperator,
     expand_in_leg,
     frob,
-    kron_sum,
     leg_distance,
     leg_distance_bytes,
+    leg_product,
     numerical_rank,
     span_basis,
     star_homomorphism_defects,
@@ -397,11 +397,8 @@ class IntertwinerData:
 
 def beta_matrix(action: FiniteGroupAction) -> np.ndarray:
     """beta(e_i) = sum_k delta_k (x) theta_{k^-1}(e_i) as a coordinate map."""
-    n, m = action.algebra.dim, action.order
-    beta = np.zeros((m * n, n), dtype=complex)
-    for k in range(m):
-        beta[k * n:(k + 1) * n, :] = action.theta_of_inverse(k)
-    return beta
+    n = action.algebra.dim
+    return action.theta[action.group.inverses()].reshape(-1, n)
 
 
 def beta_matrix_antipode_form(action: FiniteGroupAction) -> np.ndarray:
@@ -412,13 +409,8 @@ def beta_matrix_antipode_form(action: FiniteGroupAction) -> np.ndarray:
     when the automorphisms commute with the antipode.
     """
     a = action.algebra
-    n, m = a.dim, action.order
     s_op = a.antipode.T
-    beta = np.zeros((m * n, n), dtype=complex)
-    for k in range(m):
-        block = s_op @ action.theta_of_inverse(k) @ s_op
-        beta[k * n:(k + 1) * n, :] = block
-    return beta
+    return (s_op @ action.theta[action.group.inverses()] @ s_op).reshape(-1, a.dim)
 
 
 def build_intertwiner_data(action: FiniteGroupAction, wop: MultiplicativeUnitary) -> IntertwinerData:
@@ -436,7 +428,7 @@ def build_intertwiner_data(action: FiniteGroupAction, wop: MultiplicativeUnitary
     gamma_ops = np.einsum("kij,ipq,kl->jpkql", gamma_hat, wop.slice_basis, eye)
     beta_ops = beta_ops.reshape(n, m * n, m * n)
     gamma_ops = gamma_ops.reshape(n, n * m, n * m)
-    v_mat = kron_sum(wop.slice_basis, beta_ops)
+    v_mat = leg_product([(wop.slice_basis, [1]), (beta_ops, [2, 3])], (n, m, n))
     v = TensorOperator((n, m, n), v_mat)
     v_last, v_res = expand_in_leg(v_mat, (n * m, n), gns.left_regular)
     return IntertwinerData(action, beta_ops, gamma_ops, gamma_hat, v, v_last, v_res)
@@ -490,8 +482,10 @@ def verify_action_intertwiner(
     gns = wop.gns
     rb = ReportBuilder()
 
-    rhs = kron_sum(data.gamma_ops, gns.left_regular)
-    rb.add("intertwiner_exchange", frob(data.v.entries - rhs), tol)
+    exchange = leg_distance(
+        [(data.v.entries, [1, 2, 3])], [(data.gamma_ops, [1, 2]), (gns.left_regular, [3])], data.v.dims
+    )
+    rb.add("intertwiner_exchange", exchange, tol)
 
     pair = _pair_values(action.algebra, gns.haar)
     worst = 0.0

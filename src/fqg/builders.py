@@ -158,6 +158,20 @@ def algebra_to_json(a: FiniteHopfStarAlgebra) -> str:
     return json.dumps(algebra_to_json_dict(a), indent=2)
 
 
+def read_json(path):
+    """The parsed contents of the JSON file at ``path``.
+
+    Raises ParseError when the file cannot be read, is not UTF-8 or is not
+    valid JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def save_algebra(a: FiniteHopfStarAlgebra, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(algebra_to_json(a))
@@ -241,14 +255,7 @@ def algebra_from_json_dict(data: dict) -> FiniteHopfStarAlgebra:
 
 
 def load_algebra(path) -> FiniteHopfStarAlgebra:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    return algebra_from_json_dict(data)
+    return algebra_from_json_dict(read_json(path))
 
 
 def resolve_algebra(spec: str, base_dir: str = "") -> FiniteHopfStarAlgebra:
@@ -306,14 +313,8 @@ def parse_explicit_automorphisms(entries, order: int, dim: int) -> np.ndarray:
 _ACTION_KEYS = {"format_version", "algebra", "group", "automorphisms"}
 
 
-def load_action_spec(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+def action_spec_from_json_dict(data) -> dict:
+    """Validate the parsed contents of an action-spec file and return them."""
     if not isinstance(data, dict):
         raise ParseError("action spec must contain a JSON object")
     unknown = set(data) - _ACTION_KEYS

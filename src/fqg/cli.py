@@ -32,7 +32,7 @@ import numpy as np
 from . import builders
 from .actions import resolve_automorphisms
 from .duality import build_dual
-from .errors import NumericalFailure, ParseError, StructuralError
+from .errors import NumericalFailure, StructuralError
 from .report import VerificationReport
 from .suite import action_suite, full_suite
 
@@ -70,63 +70,40 @@ def _cmd_verify(args) -> int:
     return _emit(report, provenance, args.format, args.only)
 
 
-def _resolve_group_input(spec: str):
-    """A group preset name, or a path to a JSON file with an inline table."""
-    if os.path.exists(spec) and spec.endswith(".json"):
-        try:
-            with open(spec, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{spec} is not valid JSON: {exc}") from exc
-        return builders.resolve_group(data)
-    return builders.resolve_group(spec)
-
-
-def _looks_like_action_spec(path: str) -> bool:
-    if not path.endswith(".json"):
-        return False
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return False
-    return isinstance(data, dict) and "automorphisms" in data
+def _json_file(spec: str):
+    """The parsed contents of ``spec`` if it names an existing .json file, else None."""
+    return builders.read_json(spec) if spec.endswith(".json") and os.path.exists(spec) else None
 
 
 def _cmd_action(args) -> int:
-    if _looks_like_action_spec(args.input):
+    data = _json_file(args.input)
+    if isinstance(data, dict) and "automorphisms" in data:
         if args.group or args.automorphisms:
             raise StructuralError(
                 "when an action spec file is given, --group/--automorphisms must be omitted"
             )
-        spec = builders.load_action_spec(args.input)
+        spec = builders.action_spec_from_json_dict(data)
         algebra = builders.resolve_algebra(spec["algebra"], os.path.dirname(args.input))
         k_group = builders.resolve_group(spec["group"])
         auto_spec = spec["automorphisms"]
         if isinstance(auto_spec, list):
-            theta = builders.parse_explicit_automorphisms(
-                auto_spec, k_group.order, algebra.dim
-            )
+            theta = builders.parse_explicit_automorphisms(auto_spec, k_group.order, algebra.dim)
         else:
             theta = resolve_automorphisms(algebra, k_group, auto_spec)
     else:
         if not args.group or not args.automorphisms:
             raise StructuralError("--group and --automorphisms are required")
-        algebra = builders.resolve_algebra(args.input)
-        k_group = _resolve_group_input(args.group)
+        if data is None:
+            algebra = builders.resolve_algebra(args.input)
+        else:
+            algebra = builders.algebra_from_json_dict(data)
+        group_data = _json_file(args.group)
+        k_group = builders.resolve_group(args.group if group_data is None else group_data)
         if args.automorphisms in ("inversion", "conjugation"):
             theta = resolve_automorphisms(algebra, k_group, args.automorphisms)
         else:
-            try:
-                with open(args.automorphisms, "r", encoding="utf-8") as fh:
-                    entries = json.load(fh)
-            except OSError as exc:
-                raise ParseError(f"cannot read {args.automorphisms}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{args.automorphisms} is not valid JSON: {exc}") from exc
-            theta = builders.parse_explicit_automorphisms(
-                entries, k_group.order, algebra.dim
-            )
+            entries = builders.read_json(args.automorphisms)
+            theta = builders.parse_explicit_automorphisms(entries, k_group.order, algebra.dim)
     report = action_suite(algebra, k_group, theta, tol=args.tol, mode=args.mode)
     digest = hashlib.sha256()
     digest.update(builders.algebra_to_json(algebra).encode("utf-8"))

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NoInvariantFunctional, NonUniqueHaar, NotPositive, StructuralError
 from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra
 from .report import ReportBuilder, VerificationReport
-from .tensors import frob, star_homomorphism_defects
+from .tensors import frob, rounding_allowance, star_homomorphism_defects
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,11 @@ def compute_haar(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL) -> Function
 
     Raises NoInvariantFunctional when the invariance system admits no
     normalized solution and NonUniqueHaar when the solution ray is not
-    unique (either way the input is not a finite quantum group).
+    unique (either way the input is not a finite quantum group).  Every
+    comparison uses at least the rounding allowance of dimension n.
     """
     n = a.dim
+    tol = max(tol, rounding_allowance(n))
     system = _invariance_system(a)
     _, sigma, vh = np.linalg.svd(system)
     threshold = tol * max(1.0, float(sigma[0]) if sigma.size else 0.0)
@@ -137,11 +139,13 @@ def gns_construct(a: FiniteHopfStarAlgebra, h: Functional, tol: float = DEFAULT_
     """Gram matrix, orthonormalization and left regular representation.
 
     Raises NotPositive when the Gram matrix is not positive definite, i.e.
-    when the functional is not faithful and positive.
+    when the functional is not faithful and positive.  Both comparisons use
+    at least the rounding allowance of dimension n.
     """
     n = a.dim
     if h.dim != n:
         raise StructuralError(f"functional dim {h.dim} != algebra dim {n}")
+    tol = max(tol, rounding_allowance(n))
     gram = np.einsum("il,ljk,k->ij", a.star, a.mult, h.coords, optimize=True)
     herm_defect = frob(gram - gram.conj().T)
     if herm_defect > tol * max(1.0, frob(gram)):
@@ -170,14 +174,6 @@ def gns_construct(a: FiniteHopfStarAlgebra, h: Functional, tol: float = DEFAULT_
     for arr in (gram, onb_change, to_onb, left_regular):
         arr.setflags(write=False)
     return GnsData(h, gram, onb_change, to_onb, left_regular)
-
-
-def left_multiplication_matrix(a: FiniteHopfStarAlgebra, gns: GnsData, coords) -> np.ndarray:
-    """Left multiplication by the element ``coords`` in orthonormal coordinates."""
-    coords = np.asarray(coords).reshape(-1)
-    if coords.size != a.dim:
-        raise StructuralError(f"element dim {coords.size} != algebra dim {a.dim}")
-    return np.einsum("i,ikl->kl", coords, gns.left_regular)
 
 
 def verify_gns(

@@ -21,7 +21,6 @@ Conventions used throughout the package:
 - The basis of a tensor product is ordered row-major with leg 1 slowest,
   i.e. index(i1, ..., ik) = ((i1*d2 + i2)*d3 + ...), which is exactly the
   ordering produced by numpy.kron.
-- Vector functionals are antilinear in the bra and linear in the ket.
 """
 
 from __future__ import annotations
@@ -39,6 +38,11 @@ def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
+def rounding_allowance(n: int) -> float:
+    """4 n^2 eps, the rounding level of residuals built from dimension-n data."""
+    return 4 * n * n * np.finfo(float).eps
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -49,9 +53,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class TensorOperator:
     """A square operator on a tensor product, tagged with its leg dimensions.
 
-    ``entries`` is (N, N) with N = prod(dims).  For operators between tensor
-    products with permuted factors (the flip), ``dims`` records the codomain
-    legs; the matrix is still square because the total dimension agrees.
+    ``entries`` is (N, N) with N = prod(dims).
     """
 
     dims: tuple[int, ...]
@@ -74,38 +76,9 @@ class TensorOperator:
     def n_legs(self) -> int:
         return len(self.dims)
 
-    def adjoint(self) -> TensorOperator:
-        return TensorOperator(self.dims, self.entries.conj().T)
-
-    def __matmul__(self, other: TensorOperator) -> TensorOperator:
-        if self.dims != other.dims:
-            raise StructuralError(f"cannot compose dims {self.dims} with {other.dims}")
-        return TensorOperator(self.dims, self.entries @ other.entries)
-
     def as_legs(self) -> np.ndarray:
         """View the matrix as a 2k-axis array (row legs first, column legs last)."""
         return self.entries.reshape(self.dims + self.dims)
-
-
-def identity_operator(dims) -> TensorOperator:
-    dims = tuple(int(d) for d in dims)
-    return TensorOperator(dims, np.eye(prod(dims), dtype=complex))
-
-
-def flip(dim_a: int, dim_b: int) -> TensorOperator:
-    """The flip a (x) b -> b (x) a as a permutation matrix.
-
-    Domain legs are (dim_a, dim_b); the recorded dims are the codomain
-    (dim_b, dim_a).  When dim_a == dim_b the flip is an involution.
-    """
-    if dim_a < 1 or dim_b < 1:
-        raise StructuralError("flip dimensions must be positive")
-    n = dim_a * dim_b
-    sigma = np.zeros((n, n), dtype=complex)
-    for a in range(dim_a):
-        for b in range(dim_b):
-            sigma[b * dim_a + a, a * dim_b + b] = 1.0
-    return TensorOperator((dim_b, dim_a), sigma)
 
 
 def embed_legs(x: TensorOperator, placement, ambient) -> TensorOperator:
@@ -290,71 +263,6 @@ def leg_distance(lhs, rhs, dims) -> float:
 
 
 @dataclass(frozen=True)
-class FunctionalOnOperators:
-    """The vector functional T -> <bra, T ket> on operators of one leg."""
-
-    bra: np.ndarray
-    ket: np.ndarray
-
-    def __post_init__(self):
-        bra = np.asarray(self.bra, dtype=complex).reshape(-1)
-        ket = np.asarray(self.ket, dtype=complex).reshape(-1)
-        if bra.shape != ket.shape or bra.size < 1:
-            raise StructuralError("bra and ket must be vectors of equal positive length")
-        object.__setattr__(self, "bra", _freeze(bra))
-        object.__setattr__(self, "ket", _freeze(ket))
-
-    @property
-    def dim(self) -> int:
-        return self.bra.size
-
-
-def matrix_unit_functional(dim: int, i: int, j: int) -> FunctionalOnOperators:
-    """The functional T -> T[i, j] on dim x dim matrices."""
-    bra = np.zeros(dim, dtype=complex)
-    ket = np.zeros(dim, dtype=complex)
-    bra[i] = 1.0
-    ket[j] = 1.0
-    return FunctionalOnOperators(bra, ket)
-
-
-def slice_leg(x: TensorOperator, side: str, omega: FunctionalOnOperators) -> np.ndarray:
-    """Apply ``omega`` to one leg of a 2-leg operator, returning the other-leg matrix.
-
-    side="left" computes (omega (x) id) x, side="right" computes (id (x) omega) x.
-    """
-    if x.n_legs != 2:
-        raise StructuralError(f"slice needs a 2-leg operator, got {x.n_legs} legs")
-    d1, d2 = x.dims
-    t = x.as_legs()  # axes (p, r, q, s): rows (p, r), columns (q, s)
-    if side == "left":
-        if omega.dim != d1:
-            raise StructuralError(f"functional dim {omega.dim} != leg dim {d1}")
-        return np.einsum("p,prqs,q->rs", omega.bra.conj(), t, omega.ket)
-    if side == "right":
-        if omega.dim != d2:
-            raise StructuralError(f"functional dim {omega.dim} != leg dim {d2}")
-        return np.einsum("r,prqs,s->pq", omega.bra.conj(), t, omega.ket)
-    raise StructuralError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def op_distance(x: TensorOperator, y: TensorOperator) -> float:
-    """Frobenius distance between two operators with identical leg structure."""
-    if x.dims != y.dims:
-        raise StructuralError(f"dims differ: {x.dims} vs {y.dims}")
-    return frob(x.entries - y.entries)
-
-
-def kron_sum(xs, ys) -> np.ndarray:
-    """sum_j kron(xs[j], ys[j]) for two equally long stacks of matrices."""
-    xs = np.asarray(xs, dtype=complex)
-    ys = np.asarray(ys, dtype=complex)
-    _, a, b = xs.shape
-    _, c, d = ys.shape
-    return np.tensordot(xs, ys, axes=(0, 0)).transpose(0, 2, 1, 3).reshape(a * c, b * d)
-
-
-@dataclass(frozen=True)
 class SpanBasis:
     """One SVD of a stack of matrices, reused for every question about their span.
 
@@ -453,13 +361,3 @@ def numerical_rank(vectors, tol: float = 1e-9) -> int:
     """Rank of the row span with singular values below tol*max(1, sigma_max) dropped."""
     a = np.stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
     return _rank_above(np.linalg.svd(a, compute_uv=False), tol)
-
-
-def max_pairwise_commutator(mats) -> float:
-    """Largest Frobenius norm of [A, B] over all pairs from ``mats``."""
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    worst = 0.0
-    for i, a in enumerate(mats):
-        for b in mats[i + 1:]:
-            worst = max(worst, frob(a @ b - b @ a))
-    return worst

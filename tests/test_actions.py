@@ -258,6 +258,20 @@ def test_intertwiner_exchange_identity():
         assert report.residual("intertwiner_sliced_family") <= 1e-11
 
 
+def test_v_and_exchange_residual_match_kron_loops():
+    # V is sum_j x_j (x) beta(e_j); a random V in its place makes the exchange residual O(1)
+    _, _, _, wop, data = pipeline("ks3", "s3", "conjugation")
+    v_loop = sum(np.kron(x, b) for x, b in zip(wop.slice_basis, data.beta_ops))
+    assert np.max(np.abs(data.v.entries - v_loop)) <= 1e-13
+    rng = np.random.default_rng(6)
+    k = data.v.entries.shape[0]
+    v = TensorOperator(data.v.dims, rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    rhs = sum(np.kron(g, lr) for g, lr in zip(data.gamma_ops, wop.gns.left_regular))
+    expected = np.linalg.norm(v.entries - rhs)
+    got = verify_action_intertwiner(replace(data, v=v), wop).residual("intertwiner_exchange")
+    assert expected > 1.0 and abs(got - expected) <= 1e-13 * expected
+
+
 def test_intertwiner_trivial_group_reduces_to_w():
     a = preset("kz2")
     action = build_group_action(a, group_preset("z1"), np.eye(2)[None, :, :])
@@ -322,7 +336,9 @@ def test_full_mode_residuals_match_dense_on_non_commuting_v(monkeypatch, tile_by
     # a random V does not satisfy any of the identities, so every residual is O(1)
     import fqg.tensors as tensors_mod
     from fqg.multiplicative import coproduct_operators, dual_coproduct
-    from fqg.tensors import kron_sum
+
+    def kron_sum(xs, ys):  # dense oracle: sum_j xs[j] (x) ys[j]
+        return sum(np.kron(x, y) for x, y in zip(xs, ys))
 
     if tile_bytes is not None:  # 0: one tile per leg-1 index pair
         monkeypatch.setattr(tensors_mod, "TILE_BYTES", tile_bytes)

@@ -319,3 +319,51 @@ def test_trivial_action_in_a_random_basis_counts_one_automorphism(tmp_path, caps
     assert checks["commutation/beta_slices_generate"]["detail"].startswith(
         "generated algebra dimension 1, distinct automorphisms 1"
     )
+
+
+def _bad_file(tmp_path, kind):
+    """A file that cannot be read as JSON: a directory, invalid JSON, or
+    bytes that are not UTF-8."""
+    path = tmp_path / f"bad-{kind}.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "invalid":
+        path.write_text("{not json")
+    else:
+        path.write_bytes(b"\xff\xfe\x00")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "invalid", "binary"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{}"],
+        ["action", "{}", "--group", "z2", "--automorphisms", "inversion"],
+        ["action", "kz2", "--group", "{}", "--automorphisms", "inversion"],
+        ["action", "kz2", "--group", "z2", "--automorphisms", "{}"],
+    ],
+    ids=["algebra", "action-input", "group", "automorphisms"],
+)
+def test_unreadable_input_files_exit_two(tmp_path, capsys, argv, kind):
+    path = _bad_file(tmp_path, kind)
+    code, _, err = run(capsys, [path if a == "{}" else a for a in argv])
+    assert code == 2
+    assert err.startswith("error: ") and path in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"automorphisms": "inversion"},  # missing fields
+        {"format_version": 1, "algebra": "kz2", "group": "z2", "automorphisms": "inversion", "x": 0},
+        {"format_version": 1, "algebra": "missing.json", "group": "z2", "automorphisms": "inversion"},
+        {"format_version": 1, "algebra": "kz2", "group": "z2", "automorphisms": [[[[1, 0]]]]},
+    ],
+    ids=["missing-fields", "unknown-field", "missing-algebra", "wrong-shape"],
+)
+def test_invalid_action_spec_exits_two(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(capsys, ["action", str(path)])
+    assert code == 2 and err.startswith("error: ")

@@ -12,7 +12,6 @@ from fqg import (
     compute_haar,
     gns_construct,
     haar_invariance_residual,
-    left_multiplication_matrix,
     preset,
     verify_gns,
     verify_trace,
@@ -112,21 +111,6 @@ def test_onb_change_orthonormalizes_gram():
         gns = gns_construct(a, compute_haar(a))
         q = gns.onb_change
         assert np.max(np.abs(q.conj().T @ gns.gram @ q - np.eye(a.dim))) < 1e-12
-
-
-def test_left_multiplication_matrix_on_group_algebra():
-    a = preset("kz2")
-    gns = gns_construct(a, compute_haar(a))
-    flip_mat = left_multiplication_matrix(a, gns, [0.0, 1.0])
-    assert np.max(np.abs(flip_mat - np.array([[0, 1], [1, 0]]))) < 1e-14
-    assert np.allclose(left_multiplication_matrix(a, gns, a.unit), np.eye(2))
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    assert np.allclose(
-        left_multiplication_matrix(a, gns, x + y),
-        left_multiplication_matrix(a, gns, x) + left_multiplication_matrix(a, gns, y),
-    )
 
 
 def test_verify_gns_report_passes_on_presets():

@@ -32,7 +32,8 @@ from fqg import (
 from fqg import multiplicative
 from fqg.cli import main
 from fqg.multiplicative import dual_subspace_commutativity_defect, slice_products_and_adjoints
-from fqg.tensors import leg_distance, matrix_unit_functional, project_onto_span, slice_leg
+from fqg.duality import fourier_matrix, verify_fourier_slice_identity
+from fqg.tensors import expand_in_leg, leg_distance, project_onto_span, span_basis
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -198,6 +199,10 @@ def test_dual_subspace_dimensions_and_commutativity_classification():
     assert dual_subspace_commutativity_defect(unitary_of("ks3")) <= 1e-12
     assert dual_subspace_commutativity_defect(unitary_of("fz3")) <= 1e-12
     assert dual_subspace_commutativity_defect(unitary_of("fs3")) > 0.1
+    for name in ("fs3", "dual:ks3"):  # against the pairwise loop it batches
+        basis = unitary_of(name).slice_basis
+        loop = max(np.linalg.norm(x @ y - y @ x) for x in basis for y in basis)
+        assert abs(dual_subspace_commutativity_defect(unitary_of(name)) - loop) <= 1e-13 * loop
 
 
 def test_dual_coproduct_on_projections():
@@ -243,8 +248,7 @@ def test_shared_projector_matches_pair_basis_lstsq_oracle(name, basis_changed, m
     rng = np.random.default_rng(3)
 
     # membership: entrywise right slices (in the span) and random matrices (not)
-    slices = [slice_leg(wop.w, "right", matrix_unit_functional(n, r, s))
-              for r in range(n) for s in range(n)]
+    slices = list(wop.w.as_legs().transpose(1, 3, 0, 2).reshape(n * n, n, n))
     targets = slices + list(rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n)))
     _, residuals = project_onto_span(wop.dual_span.q, targets)
     oracle = [_lstsq_residual(basis, t) for t in targets]
@@ -397,3 +401,132 @@ def test_cli_reports_exact_contraction_below_the_rounding_allowance(tmp_path, ba
         assert check["detail"].startswith("exact contraction; certified bound")
         assert check["residual"] == pytest.approx(exact, rel=1e-13, abs=0)
         assert exact > 0.0
+
+
+# -- slices by vector functionals, and the *-homomorphism law of the dual coproduct
+
+
+def _vector_slice(w, bra, ket, side):
+    """The slice of the two-leg matrix ``w`` by T -> <bra, T ket> on one leg,
+    summed block by block: the (p, q) block of W is its leg-2 matrix for
+    leg-1 indices p, q."""
+    n = len(bra)
+    blocks = w.reshape(n, n, n, n).transpose(0, 2, 1, 3)  # blocks[p, q] = W[pn:pn+n, qn:qn+n]
+    if side == "right":
+        blocks = blocks.transpose(2, 3, 0, 1)
+    out = np.zeros((n, n), dtype=complex)
+    for p in range(n):
+        for q in range(n):
+            out += np.conj(bra[p]) * ket[q] * blocks[p, q]
+    return out
+
+
+def _slice_oracles(wop):
+    """The left-slice and Fourier-slice residuals, one vector functional at a time."""
+    a, gns, w = wop.algebra, wop.gns, wop.w.entries
+    n = a.dim
+    left = max(
+        np.linalg.norm(
+            _vector_slice(w, gns.to_onb[:, i], gns.to_onb[:, j], "left")
+            - sum(c * lr for c, lr in zip(gns.gram[i] @ a.comult[j], gns.left_regular))
+        )
+        for i in range(n)
+        for j in range(n)
+    )
+    f = fourier_matrix(a, gns.haar)
+    bra = gns.to_onb @ a.unit
+    fourier = max(
+        np.linalg.norm(
+            sum(f[j, i] * x for j, x in enumerate(wop.slice_basis))
+            - _vector_slice(w, bra, gns.to_onb[:, i], "right")
+        )
+        for i in range(n)
+    )
+    return left, fourier
+
+
+def _slice_residuals(wop):
+    return (
+        verify_left_slices_span(wop).residual("left_slice_acts_by_left_multiplication"),
+        verify_fourier_slice_identity(wop).residual("fourier_slice_closed_form"),
+    )
+
+
+@pytest.mark.parametrize("name", ["ks3", "fs3", "dual:ks3"])
+def test_batched_slices_match_vector_functional_formula(name, basis_changed):
+    wop = _unitary(basis_changed(preset(name), seed=5))
+    for got, expected in zip(_slice_residuals(wop), _slice_oracles(wop)):
+        assert got <= 1e-12 and abs(got - expected) <= 1e-13
+    # a random non-unitary W in place of W: both residuals are O(1)
+    noise = _noise(np.random.default_rng(9), wop.w.entries.shape[0])
+    bad = dataclasses.replace(wop, w=TensorOperator(wop.w.dims, noise))
+    for got, expected in zip(_slice_residuals(bad), _slice_oracles(bad)):
+        assert expected > 0.1
+        assert abs(got - expected) <= 1e-13 * expected
+
+
+def _noise(rng, d):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def _context(wop, w):
+    """The pipeline context of ``wop`` rebuilt around ``w`` in place of W: its
+    slice basis, expansion and dual coproducts all come from ``w``."""
+    n = wop.dim
+    coeffs, residual = expand_in_leg(w, (n, n), wop.gns.left_regular)
+    images = np.stack([w.conj().T @ np.kron(np.eye(n), x) @ w for x in coeffs])
+    w_op = TensorOperator((n, n), w)
+    return multiplicative.MultiplicativeUnitary(
+        w_op, wop.algebra, wop.gns, coeffs, residual, span_basis(coeffs), images
+    )
+
+
+def test_antipode_relation_matches_kron_loop_on_defective_w(basis_changed):
+    wop = _unitary(basis_changed(preset("fs3"), seed=5))
+    a, lr = wop.algebra, wop.gns.left_regular
+    antipodes = [np.einsum("k,kab->ab", a.apply_antipode(a.basis_element(j)), lr) for j in range(a.dim)]
+    noise = _noise(np.random.default_rng(4), wop.w.entries.shape[0])
+    for w in (wop.w.entries, wop.w.entries + 1e-3 * noise):
+        ctx = _context(wop, w)
+        lhs = sum(np.kron(x, s) for x, s in zip(ctx.slice_basis, antipodes))
+        expected = np.linalg.norm(lhs - w.conj().T)
+        got = verify_antipode_relation(ctx, tol=1.0).residual("antipode_on_second_leg_of_w")
+        assert abs(got - expected) <= 1e-13 * max(1.0, expected)
+    assert expected > 1e-4
+
+
+def test_dual_coproduct_star_check_fails_on_defective_w(basis_changed):
+    # the adjoints of the slices of a defective W leave their span, so the
+    # image of x_j* written over the slice basis is not the adjoint of the image of x_j
+    wop = _unitary(basis_changed(preset("ks3"), seed=5))
+    rng = np.random.default_rng(13)
+    d = wop.w.entries.shape[0]
+    for w, floor in ((np.linalg.qr(_noise(rng, d))[0], 0.1), (wop.w.entries + 1e-3 * _noise(rng, d), 1e-3)):
+        bad = _context(wop, w)
+        basis, images = bad.slice_basis, bad.dual_coproducts
+        flat = np.stack([x.reshape(-1) for x in basis], axis=1)
+        oracle = 0.0
+        for x, image in zip(basis, images):
+            c, *_ = np.linalg.lstsq(flat, x.conj().T.reshape(-1), rcond=None)
+            oracle = max(oracle, np.linalg.norm(np.einsum("k,kab->ab", c, images) - image.conj().T))
+        check = verify_dual_coproduct_identities(bad).check("dual_coproduct_star_homomorphism")
+        assert oracle > floor and not check.passed
+        assert abs(check.residual - oracle) <= 1e-12 * oracle
+    check = verify_dual_coproduct_identities(wop).check("dual_coproduct_star_homomorphism")
+    assert check.passed and check.residual <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["kz3", "fs3"])
+def test_tolerance_below_rounding_fails_checks_without_aborting(name, capsys):
+    assert main(["verify", name, "--format", "json"]) == 0
+    expected = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    code = main(["verify", name, "--tol", "1e-20", "--format", "json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 1
+    assert len(expected) == 78 and [c["name"] for c in checks] == expected
+    assert all(c["residual"] is not None for c in checks)
+    assert {c["tolerance"] for c in checks if c["name"] == "pentagon/pentagon"} == {1e-20}
+    # the membership guard of a single dual coproduct has the same floor
+    wop = unitary_of(name)
+    _, report = dual_coproduct_checked(wop, wop.slice_basis[0], tol=1e-20)
+    assert [c.name for c in report.checks] == ["dual_coproduct_in_doubled_span"]
