@@ -243,13 +243,8 @@ def action_axioms_report(
     rb.add("coaction_axiom", frob(hom), tol_eff)
 
     # Podles density: alpha(A)(1 (x) C(K)) spans A (x) C(K)
-    vectors = []
-    for i in range(n):
-        for k in range(m):
-            vec = np.zeros((n, m), dtype=complex)
-            vec[:, k] = theta[k][:, i]
-            vectors.append(vec)
-    rank = numerical_rank(vectors, tol)
+    # one vector theta_k(e_i) (x) delta_k per pair (i, k), flattened over (n, m)
+    rank = numerical_rank(np.einsum("kai,kl->ikal", theta, np.eye(m)).reshape(n * m, n * m), tol)
     rb.add_count("podles_density", rank, n * m)
 
     distinct = _distinct_automorphisms(theta, tol)
@@ -303,9 +298,7 @@ def verify_haar_invariance(
     action: FiniteGroupAction, h: Functional, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
     """haar(theta_k(a)) = haar(a) for every group element and basis element."""
-    worst = 0.0
-    for k in range(action.order):
-        worst = max(worst, float(np.max(np.abs(h.coords @ action.theta[k] - h.coords))))
+    worst = float(np.max(np.abs(h.coords @ action.theta - h.coords)))
     rb = ReportBuilder()
     rb.add("haar_invariant_under_action", worst, tol)
     return rb.build()
@@ -329,14 +322,10 @@ def strong_right_invariance_residual(
     if antipode not in ("inverse", "identity"):
         raise StructuralError(f"antipode must be 'inverse' or 'identity', got {antipode!r}")
     pair = _pair_values(action.algebra, h)
-    worst = 0.0
-    for k in range(action.order):
-        t_k = action.theta[k]
-        t_other = action.theta_of_inverse(k) if antipode == "inverse" else action.theta[k]
-        lhs = t_k.T @ pair  # (i, j) -> haar(theta_k(e_i) e_j)
-        rhs = pair @ t_other  # (i, j) -> haar(e_i theta(e_j))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    theta = action.theta
+    other = theta[action.group.inverses()] if antipode == "inverse" else theta
+    # (k, i, j) -> haar(theta_k(e_i) e_j) against haar(e_i theta(e_j))
+    return float(np.max(np.abs(theta.transpose(0, 2, 1) @ pair - pair @ other)))
 
 
 def verify_strong_right_invariance(
@@ -355,14 +344,11 @@ def verify_strong_right_invariance(
         tol,
     )
     n, m = action.algebra.dim, action.order
-    phi1 = np.zeros((n * m, n * m), dtype=complex)
-    phi2 = np.zeros((n * m, n * m), dtype=complex)
-    for k in range(m):
-        t_k = action.theta[k]
-        t_kinv = action.theta_of_inverse(k)
-        # basis e_i (x) delta_k at flat index i*m + k
-        phi1[k::m, k::m] = t_k
-        phi2[k::m, k::m] = t_kinv
+    # basis e_i (x) delta_k at flat index i*m + k; each map is block diagonal over k
+    phi1, phi2 = (
+        np.einsum("kij,kl->ikjl", t, np.eye(m)).reshape(n * m, n * m)
+        for t in (action.theta, action.theta[action.group.inverses()])
+    )
     eye = np.eye(n * m)
     rb.add("shear_maps_mutually_inverse", max(frob(phi1 @ phi2 - eye), frob(phi2 @ phi1 - eye)), tol)
     return rb.build()
@@ -420,7 +406,7 @@ def build_intertwiner_data(action: FiniteGroupAction, wop: MultiplicativeUnitary
     n, m = a.dim, action.order
     f = fourier_matrix(a, gns.haar)
     f_inv = np.linalg.inv(f)
-    gamma_hat = np.stack([f @ action.theta[k] @ f_inv for k in range(m)])
+    gamma_hat = f @ action.theta @ f_inv
 
     eye = np.eye(m)
     theta_inv = action.theta[action.group.inverses()]
@@ -488,11 +474,9 @@ def verify_action_intertwiner(
     rb.add("intertwiner_exchange", exchange, tol)
 
     pair = _pair_values(action.algebra, gns.haar)
-    worst = 0.0
-    for k in range(action.order):
-        lhs = pair @ action.theta[k]  # (j, i) -> haar(e_j theta_k(e_i))
-        rhs_k = action.theta_of_inverse(k).T @ pair  # (j, i) -> haar(theta_{k^-1}(e_j) e_i)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs_k))))
+    theta_inv = action.theta[action.group.inverses()]
+    # (k, j, i) -> haar(e_j theta_k(e_i)) against haar(theta_{k^-1}(e_j) e_i)
+    worst = float(np.max(np.abs(pair @ action.theta - theta_inv.transpose(0, 2, 1) @ pair)))
     rb.add("intertwiner_sliced_family", worst, tol)
     return rb.build()
 

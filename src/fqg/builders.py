@@ -39,25 +39,15 @@ FORMAT_VERSION = 1
 
 def group_algebra(cayley: CayleyTable, name: str = "") -> FiniteHopfStarAlgebra:
     """The group algebra: basis u_g, diagonal coproduct, convolution product."""
-    m = cayley.order
-    mult = np.zeros((m, m, m), dtype=complex)
-    comult = np.zeros((m, m, m), dtype=complex)
-    unit = np.zeros(m, dtype=complex)
-    counit = np.ones(m, dtype=complex)
-    inv_perm = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        comult[i, i, i] = 1.0
-        inv_perm[i, cayley.inverse(i)] = 1.0
-        for j in range(m):
-            mult[i, j, cayley.multiply(i, j)] = 1.0
-    unit[cayley.identity_index] = 1.0
+    m, e = cayley.order, np.eye(cayley.order, dtype=complex)
+    inv_perm = e[cayley.inverses()]  # row g is u_{g^-1}
     return FiniteHopfStarAlgebra(
         dim=m,
         basis_labels=tuple(f"u_{lbl}" for lbl in cayley.labels),
-        mult=mult,
-        comult=comult,
-        unit=unit,
-        counit=counit,
+        mult=e[cayley.table],  # u_g u_h = u_{gh}
+        comult=np.einsum("ij,ik->ijk", e, e),  # u_g -> u_g (x) u_g
+        unit=e[cayley.identity_index],
+        counit=np.ones(m, dtype=complex),
         antipode=inv_perm,
         star=inv_perm.copy(),
         name=name or f"group_algebra({cayley.name})",
@@ -68,27 +58,15 @@ def group_algebra(cayley: CayleyTable, name: str = "") -> FiniteHopfStarAlgebra:
 
 def function_algebra(cayley: CayleyTable, name: str = "") -> FiniteHopfStarAlgebra:
     """Functions on the group: pointwise product, convolution coproduct."""
-    m = cayley.order
-    mult = np.zeros((m, m, m), dtype=complex)
-    comult = np.zeros((m, m, m), dtype=complex)
-    counit = np.zeros(m, dtype=complex)
-    inv_perm = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        mult[i, i, i] = 1.0
-        inv_perm[i, cayley.inverse(i)] = 1.0
-        for s in range(m):
-            for t in range(m):
-                if cayley.multiply(s, t) == i:
-                    comult[i, s, t] = 1.0
-    counit[cayley.identity_index] = 1.0
+    m, e = cayley.order, np.eye(cayley.order, dtype=complex)
     return FiniteHopfStarAlgebra(
         dim=m,
         basis_labels=tuple(f"d_{lbl}" for lbl in cayley.labels),
-        mult=mult,
-        comult=comult,
+        mult=np.einsum("ij,ik->ijk", e, e),  # d_g d_h = [g = h] d_g
+        comult=e[cayley.table].transpose(2, 0, 1),  # d_g -> sum over st = g of d_s (x) d_t
         unit=np.ones(m, dtype=complex),
-        counit=counit,
-        antipode=inv_perm,
+        counit=e[cayley.identity_index],
+        antipode=e[cayley.inverses()],
         star=np.eye(m, dtype=complex),
         name=name or f"function_algebra({cayley.name})",
         source_group=cayley,
@@ -131,12 +109,13 @@ def preset(name: str) -> FiniteHopfStarAlgebra:
 
 
 def _sparse_entries(array: np.ndarray) -> list:
-    entries = []
-    for idx in np.ndindex(array.shape):
-        value = complex(array[idx])
-        if value != 0:
-            entries.append([*map(int, idx), float(value.real), float(value.imag)])
-    return entries
+    """[*index, re, im] for every nonzero entry in C order (-0.0 counts as zero)."""
+    idx = np.nonzero(array)
+    values = np.asarray(array[idx], dtype=complex)
+    return [
+        [*i, re, im]
+        for i, re, im in zip(np.transpose(idx).tolist(), values.real.tolist(), values.imag.tolist())
+    ]
 
 
 def algebra_to_json_dict(a: FiniteHopfStarAlgebra) -> dict:

@@ -48,6 +48,9 @@ def _sha256_of_algebra(a) -> str:
 def _emit(report: VerificationReport, provenance: dict, fmt: str, only) -> int:
     if only:
         report = report.filtered(only)
+        if not report.checks:
+            # a mistyped glob must not pass vacuously
+            raise StructuralError(f"--only matched no check: {', '.join(only)}")
     if fmt == "json":
         payload = {"provenance": provenance, **report.as_dict()}
         print(json.dumps(payload, indent=2))

@@ -23,18 +23,18 @@ span Q), the coordinates of products and adjoints (closure), and membership
 of a dual coproduct in the doubled span (its distance from {Q X Q^T} after
 regrouping the legs), so no pair basis is ever built.
 
-Coassociativity and multiplicativity of the dual coproduct are reported as
-certified upper bounds (coefficient tensors over Q (x) Q (x) Q plus projection
-remainders, and ||W||^2 max ||x_j||^2 ||I - WW*||), each with a rounding
-allowance 4 n^2 eps (1 + ||W*W - I||) times its scale; a bound above the
-tolerance gives way to the exact contraction.  The same 4 n^2 eps is the
-floor of every guard that ends a stage, so a tolerance below rounding is
-reported as failing checks.
+The pentagon, (dual-coproduct (x) id) W = W13 W23, and coassociativity and
+multiplicativity of the dual coproduct are reported as certified upper bounds
+built from quantities other stages compute (see ``verify_pentagon`` and
+``verify_dual_coproduct_identities``); a bound above the tolerance gives way
+to the exact contraction.  The guards that end a stage have the floor
+4 n^2 eps, so a tolerance below rounding is reported as failing checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +80,11 @@ class MultiplicativeUnitary:
     def dim(self) -> int:
         return self.algebra.dim
 
+    @cached_property
+    def unitarity_defect(self) -> float:  # one ||W*W - I||_F per context
+        w = self.w.entries
+        return frob(w.conj().T @ w - np.eye(w.shape[0]))
+
 
 def _in_onb(gns: GnsData, t: np.ndarray) -> TensorOperator:
     """The two-leg operator with algebra-coordinate entries t[p, k, i, j], in
@@ -110,10 +115,9 @@ def inverse_via_antipode(a: FiniteHopfStarAlgebra, gns: GnsData) -> TensorOperat
 
 def verify_unitarity(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> VerificationReport:
     w = wop.w.entries
-    eye = np.eye(w.shape[0])
     rb = ReportBuilder()
-    rb.add("w_unitary_wstar_w", frob(w.conj().T @ w - eye), tol)
-    rb.add("w_unitary_w_wstar", frob(w @ w.conj().T - eye), tol)
+    rb.add("w_unitary_wstar_w", wop.unitarity_defect, tol)
+    rb.add("w_unitary_w_wstar", frob(w @ w.conj().T - np.eye(w.shape[0])), tol)
     return rb.build()
 
 
@@ -141,9 +145,51 @@ def pentagon_residual(w: TensorOperator) -> float:
     )
 
 
-def verify_pentagon(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> VerificationReport:
+def _reported(report: VerificationReport, name: str) -> float:
+    residual = report.check(name).residual
+    return float("nan") if residual is None else residual
+
+
+def _allowance(wop: MultiplicativeUnitary, kron_side: float) -> float:
+    """The rounding allowance derived in ``verify_pentagon``."""
+    n, w2 = wop.dim, 1.0 + wop.unitarity_defect
+    return 4 * n * np.finfo(float).eps * w2 * (kron_side + w2 * np.sqrt(n) * frob(wop.w.entries))
+
+
+def verify_pentagon(
+    wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL, coproduct: VerificationReport | None = None
+) -> VerificationReport:
+    """The pentagon W23 W12 W23* = W12 W13, as a certified upper bound.
+
+    With W = sum_j x_j (x) L_j + E (||E||_F = ``expansion_residual``) and
+    D_j = W (L_j (x) 1) W* - coproduct(e_j), the defect is
+    [sum_j x_j (x) coproduct(e_j) - W12 W13] + sum_j x_j (x) D_j + W23 E12 W23*.
+    The first term is ``coproduct_on_second_leg_of_w``; the second regroups
+    to X^T D over the flattened x_j and D_j, so it is at most
+    ||X||_2 sqrt(n) max_j ||D_j|| (``conjugation_over_basis``); the third is
+    at most w2 sqrt(n) ||E||_F, as ||W||_2^2 <= w2 = 1 + ||W*W - I||_F.
+
+    Each input is a sum over indices of length k <= n^2, so its rounding is
+    of order 4 sqrt(k) eps = 4 n eps (the probabilistic bound of Higham and
+    Mary 2019) relative to its operands: the Kronecker sum, at most
+    ||X||_2 ||Delta||_F over the coproduct operators, and products of W on
+    legs, at most w2 sqrt(n) ||W||_F, with a factor w2 for conjugating by W.
+    Hence the allowance 4 n eps w2 (||X||_2 ||Delta||_F + w2 sqrt(n) ||W||_F);
+    4 n^2 eps would grow as n^3.5 and reach the tolerance near n = 36.
+    ``coproduct`` is the report of ``verify_coproduct_implemented``, computed
+    when not given.  A bound above ``tol``, or NaN, gives way to the exact
+    n^8 ``pentagon_residual``.
+    """
+    n, lr, c = wop.dim, wop.gns.left_regular, wop.algebra.comult
+    coproduct = coproduct or verify_coproduct_implemented(wop, tol)
+    x_norm = np.linalg.norm(wop.slice_basis.reshape(n, -1), 2)
+    gram = np.einsum("pab,rab->pr", lr.conj(), lr)  # ||Delta||_F^2 is a form in comult over it
+    delta_norm = np.sqrt(abs(np.einsum("jpq,pr,qs,jrs->", c.conj(), gram, gram, c, optimize=True)))
+    bound = _reported(coproduct, "coproduct_on_second_leg_of_w") + _allowance(wop, x_norm * delta_norm)
+    bound += x_norm * np.sqrt(n) * _reported(coproduct, "conjugation_over_basis")
+    bound += np.sqrt(n) * (1.0 + wop.unitarity_defect) * wop.expansion_residual
     rb = ReportBuilder()
-    rb.add("pentagon", pentagon_residual(wop.w), tol)
+    _add_bounded(rb, "pentagon", bound, tol, lambda w: pentagon_residual(w.w), wop)
     return rb.build()
 
 
@@ -357,6 +403,13 @@ def _exact_multiplicativity(wop: MultiplicativeUnitary) -> float:
     return max(frob(dual_coproduct(wop, x @ y) - dx @ dy) for x, dx in pairs for y, dy in pairs)
 
 
+def _exact_first_leg(wop: MultiplicativeUnitary) -> float:
+    """Defect of (dual-coproduct (x) id) W = W13 W23 by leg contraction."""
+    n, w_mat = wop.dim, wop.w.entries
+    lhs = [(wop.dual_coproducts, [1, 2]), (wop.gns.left_regular, [3])]
+    return leg_distance(lhs, [(w_mat, [1, 3]), (w_mat, [2, 3])], (n, n, n))
+
+
 def _add_bounded(rb: ReportBuilder, name: str, bound: float, tol: float, exact, wop) -> None:
     """Report ``bound`` if it is within ``tol``, else the value of ``exact(wop)``."""
     if bound <= tol:
@@ -366,13 +419,21 @@ def _add_bounded(rb: ReportBuilder, name: str, bound: float, tol: float, exact, 
 
 
 def verify_dual_coproduct_identities(
-    wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL
+    wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL, pentagon: VerificationReport | None = None
 ) -> VerificationReport:
     """Global laws of the dual coproduct.
 
     Checks (dual-coproduct (x) id) W = W13 W23, coassociativity, the
     *-homomorphism property and multiplicativity on the slice basis, and that
     the image of every slice-basis element lies in the doubled span.
+
+    (dual-coproduct (x) id) W = W13 W23 is a bound on the pentagon: with the
+    notation of ``verify_pentagon`` and u = ||W*W - I||_F, the left side is
+    W12* (W23 - E23) W12, and W12* W23 W12 - W13 W23 = W12* (pentagon defect)
+    W23 + W12* W23 W12 (I - W23* W23) + (W12* W12 - I) W13 W23.  So the defect
+    is at most w2 P + sqrt(n) u (w2^3/2 + w2) + sqrt(n) w2 ||E||_F plus the
+    allowance of ``verify_pentagon`` with Kronecker side ||Delta-hat||_F ||L||_2,
+    where P is the residual of ``pentagon`` (computed when not given).
 
     The *-homomorphism check writes x_j* = sum_k c_jk x_k over the slice
     basis (``dual_span.coords``) and compares sum_k c_jk dual-coproduct(x_k)
@@ -382,27 +443,25 @@ def verify_dual_coproduct_identities(
     span misses, so it fails when that span is not closed under adjoint.
 
     Coassociativity and multiplicativity report upper bounds valid for any W,
-    with w2 = 1 + ||W*W - I||_F >= ||W||_2^2 (and ||WW* - I||_F = w2 - 1) and
-    the allowance e = 4 n^2 eps w2 for floating-point rounding.  With
+    with w2 = 1 + u >= ||W||_2^2 (and ||WW* - I||_F = u) and the allowance
+    e = 4 n^2 eps w2 for floating-point rounding.  With
     dual-coproduct(x_j) = sum C_ab Q_a (x) Q_b + R_j over the orthonormal Q_a,
     and C^a for Q_a by linearity through T = ``dual_span.to_coords``, the
     coassociativity defect is at most ||sum_a C_ak C^a_ij - sum_b C_ib C^b_jk||
     + (2 ||T||_2 (sum_j ||R_j||^2)^1/2 + e) ||C|| + 2 sqrt(n) w2 ||R_j||.  The
     multiplicativity defect W*(1 (x) x)(I - WW*)(1 (x) y)W is at most
-    w2 max_j ||x_j||_2^2 (w2 - 1 + 4 n^2 eps).  A bound above ``tol`` gives
-    way to the exact contraction, so no verdict rests on the slack.
+    w2 max_j ||x_j||_2^2 (w2 - 1 + 4 n^2 eps).  A bound above ``tol``, or NaN,
+    gives way to the exact contraction, so no verdict rests on the slack.
     """
-    n = wop.dim
-    rb = ReportBuilder()
-
-    w_mat = wop.w.entries
-    w_adj = w_mat.conj().T
+    n, u = wop.dim, wop.unitarity_defect
+    w2 = 1.0 + u
     images = wop.dual_coproducts
-    lhs = [(images, [1, 2]), (wop.gns.left_regular, [3])]
-    rhs = [(w_mat, [1, 3]), (w_mat, [2, 3])]
-    rb.add("dual_coproduct_on_first_leg_of_w", leg_distance(lhs, rhs, (n, n, n)), tol)
-
-    w2 = 1.0 + frob(w_adj @ w_mat - np.eye(n * n))  # W*W - I and WW* - I have equal norms
+    lr_norm = np.linalg.norm(wop.gns.left_regular.reshape(n, -1), 2)
+    first_leg = w2 * _reported(pentagon or verify_pentagon(wop, tol), "pentagon")
+    first_leg += np.sqrt(n) * (u * (w2 ** 1.5 + w2) + w2 * wop.expansion_residual)
+    first_leg += _allowance(wop, frob(images) * lr_norm)
+    rb = ReportBuilder()
+    _add_bounded(rb, "dual_coproduct_on_first_leg_of_w", first_leg, tol, _exact_first_leg, wop)
     rounding = rounding_allowance(n)
     coeffs, remainders = _doubled_span_coords(wop, images)
     t = wop.dual_span.to_coords

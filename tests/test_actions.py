@@ -35,6 +35,7 @@ from fqg import (
     verify_strong_right_invariance,
 )
 from fqg.actions import (
+    FiniteGroupAction,
     _generated_dimension,
     action_axioms_report,
     beta_matrix,
@@ -437,6 +438,51 @@ def test_action_axioms_match_per_pair_loops():
     assert abs(report.residual("theta_homomorphism") - defects.max()) <= 1e-13 * defects.max()
     total = np.sqrt(np.sum(defects ** 2))
     assert abs(report.residual("coaction_axiom") - total) <= 1e-13 * total
+
+
+def test_invariance_checks_match_per_element_loops():
+    # a random theta is no automorphism, so every residual below is O(1); one
+    # zero column of theta_1 costs the Podles vectors one dimension
+    a, k = preset("ks3"), group_preset("s3")
+    rng = np.random.default_rng(17)
+    theta = rng.standard_normal((6, 6, 6)) + 1j * rng.standard_normal((6, 6, 6))
+    theta[k.identity_index] = np.eye(6)
+    theta[1][:, 0] = 0.0
+    h = compute_haar(a)
+    wop = build_multiplicative_unitary(a, gns_construct(a, h))
+    action = FiniteGroupAction(a, k, theta, action_axioms_report(a, k, theta))
+    pair = np.einsum("pqk,k->pq", a.mult, h.coords)
+    inv = [action.theta_of_inverse(j) for j in range(6)]
+    phi1, phi2 = np.zeros((36, 36), dtype=complex), np.zeros((36, 36), dtype=complex)
+    for j in range(6):
+        phi1[j::6, j::6], phi2[j::6, j::6] = theta[j], inv[j]
+    vectors = []
+    for i in range(6):
+        for j in range(6):
+            vec = np.zeros((6, 6), dtype=complex)
+            vec[:, j] = theta[j][:, i]
+            vectors.append(vec)
+    oracles = {
+        "haar_invariant_under_action": max(np.abs(h.coords @ t - h.coords).max() for t in theta),
+        "strong_right_invariance": max(np.abs(t.T @ pair - pair @ s).max() for t, s in zip(theta, inv)),
+        "shear_maps_mutually_inverse": np.linalg.norm(phi1 @ phi2 - np.eye(36)),
+        "intertwiner_sliced_family": max(
+            np.abs(pair @ t - s.T @ pair).max() for t, s in zip(theta, inv)
+        ),
+    }
+    reports = (
+        verify_haar_invariance(action, h),
+        verify_strong_right_invariance(action, h),
+        verify_action_intertwiner(build_intertwiner_data(action, wop), wop),
+    )
+    residuals = {c.name: c.residual for report in reports for c in report.checks}
+    for name, expected in oracles.items():
+        assert expected > 1.0
+        assert abs(residuals[name] - expected) <= 1e-13 * expected, name
+    identity = max(np.abs(t.T @ pair - pair @ t).max() for t in theta)
+    assert strong_right_invariance_residual(action, h, "identity") == pytest.approx(identity, rel=1e-13)
+    assert numerical_rank(vectors, 1e-9) == 35
+    assert action.report.residual("podles_density") == 1.0
 
 
 def test_operator_stacks_match_per_element_construction():

@@ -22,7 +22,15 @@ from fqg import (
     save_algebra,
     verify_hopf_star_axioms,
 )
-from fqg.builders import algebra_to_json, resolve_algebra, resolve_group
+from fqg.builders import (
+    _sparse_entries,
+    algebra_to_json,
+    function_algebra,
+    group_algebra,
+    resolve_algebra,
+    resolve_group,
+)
+from fqg.groups import cyclic_group, symmetric_group_3
 
 ALL_PRESETS = [
     "trivial",
@@ -108,6 +116,65 @@ def test_save_load_round_trip_is_exact(tmp_path):
     assert b.name == a.name
     # serialization itself is deterministic
     assert algebra_to_json(a) == algebra_to_json(load_algebra(path))
+
+
+def _group_tensors_by_loop(cayley):
+    """Structure constants of the group algebra and the function algebra of
+    ``cayley``, entry by entry from the Cayley table."""
+    m = cayley.order
+    conv, diag = np.zeros((m, m, m), dtype=complex), np.zeros((m, m, m), dtype=complex)
+    inv_perm, point = np.zeros((m, m), dtype=complex), np.zeros(m, dtype=complex)
+    for i in range(m):
+        diag[i, i, i] = 1.0
+        inv_perm[i, cayley.inverse(i)] = 1.0
+        for j in range(m):
+            conv[i, j, cayley.multiply(i, j)] = 1.0
+    point[cayley.identity_index] = 1.0
+    ones = np.ones(m, dtype=complex)
+    group = dict(mult=conv, comult=diag, unit=point, counit=ones, antipode=inv_perm, star=inv_perm)
+    function = dict(
+        mult=diag, comult=conv.transpose(2, 0, 1), unit=ones, counit=point,
+        antipode=inv_perm, star=np.eye(m, dtype=complex),
+    )
+    return group, function
+
+
+@pytest.mark.parametrize("cayley", [cyclic_group(1), cyclic_group(5), symmetric_group_3()])
+def test_group_and_function_algebras_match_the_table_loops(cayley):
+    algebras = (group_algebra(cayley), function_algebra(cayley))
+    for algebra, expected in zip(algebras, _group_tensors_by_loop(cayley)):
+        for field, value in expected.items():
+            assert np.array_equal(getattr(algebra, field), value), field
+
+
+def _sparse_entries_by_loop(array):
+    """The entry-by-entry serialisation that ``_sparse_entries`` vectorises."""
+    entries = []
+    for idx in np.ndindex(array.shape):
+        value = complex(array[idx])
+        if value != 0:
+            entries.append([*map(int, idx), float(value.real), float(value.imag)])
+    return entries
+
+
+def test_sparse_entries_match_the_entry_loop():
+    rng = np.random.default_rng(31)
+    t = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+    t[rng.random(t.shape) < 0.5] = 0.0
+    t[0, 0, 0] = complex(-0.0, -0.0)  # signed zeros are zero
+    t[0, 0, 1] = complex(-0.0, 2.5)  # purely imaginary, real part -0.0
+    t[0, 0, 2] = complex(-1.5, -0.0)  # purely real, imaginary part -0.0
+    t[0, 0, 3] = 1j
+    for array in (t, t[0, 0], t[0], np.zeros((2, 2), dtype=complex), t.real.copy()):
+        got, expected = _sparse_entries(array), _sparse_entries_by_loop(array)
+        assert json.dumps(got) == json.dumps(expected)
+        assert all(type(v) is int for e in got for v in e[:-2])
+    assert [0, 1, -0.0, 2.5] in _sparse_entries(t[0])
+    assert json.dumps(_sparse_entries(t[0, 0])[:2]) == "[[1, -0.0, 2.5], [2, -1.5, -0.0]]"
+    for name in ALL_PRESETS:
+        a = preset(name)
+        for field in ("mult", "comult", "unit", "counit", "antipode", "star"):
+            assert _sparse_entries(getattr(a, field)) == _sparse_entries_by_loop(getattr(a, field))
 
 
 def test_round_trip_preserves_complex_entries_exactly(tmp_path):

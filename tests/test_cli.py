@@ -71,6 +71,14 @@ def test_verify_only_filter(capsys):
     assert [c["name"] for c in payload["checks"]] == ["pentagon/pentagon"]
 
 
+def test_verify_only_matching_nothing_exits_two(capsys):
+    # a mistyped glob must not report "ALL CHECKS PASSED (0 checks)"
+    code, out, err = run(capsys, ["verify", "kz3", "--only", "nope/*", "--only", "pentagn/*"])
+    assert code == 2
+    assert out == ""
+    assert "--only matched no check" in err and "nope/*" in err and "pentagn/*" in err
+
+
 def test_verify_bad_tolerance_exits_two(capsys):
     code, _, err = run(capsys, ["verify", "kz2", "--tol", "-1"])
     assert code == 2

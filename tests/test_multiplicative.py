@@ -14,6 +14,7 @@ from fqg import (
     compute_haar,
     dual_coproduct,
     dual_coproduct_checked,
+    full_suite,
     gns_construct,
     inverse_via_antipode,
     load_algebra,
@@ -33,6 +34,7 @@ from fqg import multiplicative
 from fqg.cli import main
 from fqg.multiplicative import dual_subspace_commutativity_defect, slice_products_and_adjoints
 from fqg.duality import fourier_matrix, verify_fourier_slice_identity
+from fqg.report import ReportBuilder
 from fqg.tensors import expand_in_leg, leg_distance, project_onto_span, span_basis
 
 CNOT = np.array(
@@ -401,6 +403,136 @@ def test_cli_reports_exact_contraction_below_the_rounding_allowance(tmp_path, ba
         assert check["detail"].startswith("exact contraction; certified bound")
         assert check["residual"] == pytest.approx(exact, rel=1e-13, abs=0)
         assert exact > 0.0
+
+
+# -- certified bounds for the pentagon and (dual-coproduct (x) id) W = W13 W23
+
+CERTIFIED = "certified upper bound on the residual"
+ALL_PRESETS = [*preset_names(), *(f"dual:{p}" for p in preset_names())]
+
+
+def _oracle_first_leg(wop):
+    """The three-leg contraction that the first-leg bound replaces."""
+    n, w_mat = wop.dim, wop.w.entries
+    lhs = [(wop.dual_coproducts, [1, 2]), (wop.gns.left_regular, [3])]
+    return leg_distance(lhs, [(w_mat, [1, 3]), (w_mat, [2, 3])], (n, n, n))
+
+
+def _leg_oracles(wop):
+    return [pentagon_residual(wop.w), _oracle_first_leg(wop)]
+
+
+def _leg_checks(wop, tol=np.inf):
+    """The pentagon check and the first-leg check, chained as in ``full_suite``."""
+    pentagon = verify_pentagon(wop, tol, verify_coproduct_implemented(wop, tol))
+    first_leg = verify_dual_coproduct_identities(wop, tol, pentagon)
+    return [pentagon.check("pentagon"), first_leg.check("dual_coproduct_on_first_leg_of_w")]
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_leg_bounds_dominate_exact_contraction(name, basis_changed):
+    for a in (preset(name), basis_changed(preset(name), seed=5)):
+        wop = _unitary(a)
+        checks = _leg_checks(wop)
+        for check, exact in zip(checks, _leg_oracles(wop)):
+            assert check.detail == CERTIFIED
+            assert exact <= check.residual <= 1e-12
+        # called on their own, the stages compute the reports they build on
+        standalone = [
+            verify_pentagon(wop).residual("pentagon"),
+            verify_dual_coproduct_identities(wop).residual("dual_coproduct_on_first_leg_of_w"),
+        ]
+        assert standalone == [c.residual for c in checks]
+
+
+@pytest.mark.parametrize("name", ["kz3", "kz5", "ks3"])
+def test_leg_bounds_on_injected_defects_are_tight(name, basis_changed):
+    # the context is rebuilt around each defective W, so the expansion
+    # W = sum_j x_j (x) L_j + E the bounds rest on holds with the true E
+    wop = _unitary(basis_changed(preset(name), seed=7))
+    for w in _defects(wop, seed=13):
+        bad = _context(wop, w)
+        for check, exact in zip(_leg_checks(bad), _leg_oracles(bad)):
+            assert check.detail == CERTIFIED
+            assert exact <= check.residual <= 10 * exact
+
+
+def test_pentagon_bound_covers_a_defect_only_in_the_conjugation_stack():
+    # W = sum_g |g><g| (x) L_{-g} on Z3 is unitary, lies in the expansion
+    # span (E = 0) and makes sum_j x_j (x) coproduct(e_j) = W12 W13 exactly;
+    # its whole pentagon defect is sum_j x_j (x) D_j, with D_0 = 0 and
+    # ||D_1|| = ||D_2||, so the bound is sqrt(3/2) times the exact defect
+    wop = unitary_of("kz3")
+    lr = wop.gns.left_regular
+    w = sum(np.kron(np.diag(np.eye(3)[g]), lr[-g % 3]) for g in range(3))
+    bad = _context(wop, w)
+    coproduct = verify_coproduct_implemented(bad, tol=np.inf)
+    assert bad.expansion_residual <= 1e-14
+    assert coproduct.residual("coproduct_on_second_leg_of_w") <= 1e-14
+    (check, _), (exact, _) = _leg_checks(bad), _leg_oracles(bad)
+    assert exact > 1.0
+    assert exact <= check.residual <= exact * np.sqrt(1.5) * (1 + 1e-12)
+
+
+def test_leg_bounds_above_tol_report_exact_contraction(basis_changed):
+    wop = _unitary(basis_changed(preset("kz3"), seed=7))
+    bad = _context(wop, list(_defects(wop, seed=13))[-1])
+    for check, exact in zip(_leg_checks(bad, tol=1e-9), _leg_oracles(bad)):
+        assert check.detail.startswith("exact contraction; certified bound")
+        assert not check.passed
+        assert check.residual == pytest.approx(exact, rel=1e-13, abs=0)
+
+
+def test_pentagon_bound_that_is_nan_reports_exact_contraction():
+    wop = unitary_of("ks3")
+    rb = ReportBuilder()
+    rb.add("conjugation_over_basis", float("nan"), 1e-9)
+    rb.add("coproduct_on_second_leg_of_w", 0.0, 1e-9)
+    check = verify_pentagon(wop, coproduct=rb.build()).check("pentagon")
+    assert check.detail == "exact contraction; certified bound nan exceeds tol"
+    assert check.passed and check.residual == pentagon_residual(wop.w)
+
+
+def test_cli_reports_exact_pentagon_below_the_rounding_allowance(tmp_path, basis_changed, capsys):
+    path = tmp_path / "kz3b.json"
+    save_algebra(basis_changed(preset("kz3"), seed=3), str(path))
+    code = main(["verify", str(path), "--tol", "1e-15", "--format", "json"])
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    oracles = _leg_oracles(_unitary(load_algebra(str(path))))
+    assert code == 1
+    names = ("pentagon/pentagon", "dual_coproduct/dual_coproduct_on_first_leg_of_w")
+    for name, exact in zip(names, oracles):
+        assert checks[name]["detail"].startswith("exact contraction; certified bound")
+        assert checks[name]["residual"] == pytest.approx(exact, rel=1e-13, abs=0)
+        assert exact > 0.0
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_full_suite_reports_every_bounded_check_as_certified(name, basis_changed):
+    # at the default tolerance no n^8 contraction runs: a silent fallback to
+    # an exact contraction fails here
+    for a in (preset(name), basis_changed(preset(name), seed=3)):
+        report = full_suite(a)
+        assert report.overall_pass
+        for check in (
+            "pentagon/pentagon",
+            "dual_coproduct/dual_coproduct_on_first_leg_of_w",
+            "dual_coproduct/dual_coproduct_coassociative",
+            "dual_coproduct/dual_coproduct_multiplicative",
+        ):
+            assert report.check(check).detail == CERTIFIED, check
+
+
+def test_unitarity_defect_is_computed_once_per_context(basis_changed):
+    wop = _unitary(basis_changed(preset("ks3"), seed=5))
+    w = wop.w.entries
+    assert "unitarity_defect" not in vars(wop)
+    residual = verify_unitarity(wop).residual("w_unitary_wstar_w")
+    assert vars(wop)["unitarity_defect"] == residual
+    assert residual == float(np.linalg.norm(w.conj().T @ w - np.eye(w.shape[0])))  # bit for bit
+    # a context around another W computes its own
+    bad = _context(wop, 2 * w)
+    assert bad.unitarity_defect == pytest.approx(3 * np.sqrt(w.shape[0]), rel=1e-12)
 
 
 # -- slices by vector functionals, and the *-homomorphism law of the dual coproduct

@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from fqg import FiniteHopfStarAlgebra, action_suite, full_suite, group_preset, preset
+from fqg import (
+    FiniteHopfStarAlgebra,
+    action_suite,
+    build_multiplicative_unitary,
+    compute_haar,
+    full_suite,
+    gns_construct,
+    group_preset,
+    pentagon_residual,
+    preset,
+)
 
 
 def test_full_suite_passes_and_orders_stages():
@@ -102,7 +112,11 @@ def test_report_filter_and_lookup():
     filtered = report.filtered(["pentagon/*"])
     assert [c.name for c in filtered.checks] == ["pentagon/pentagon"]
     assert filtered.overall_pass
-    assert report.residual("pentagon/pentagon") == 0.0
+    # the report carries a certified bound with its rounding allowance; the
+    # exact contraction of the one-dimensional W = [1] is exactly zero
+    assert 0.0 < report.residual("pentagon/pentagon") <= 1e-14
+    a = preset("trivial")
+    assert pentagon_residual(build_multiplicative_unitary(a, gns_construct(a, compute_haar(a))).w) == 0.0
 
 
 @pytest.mark.parametrize("name", ["ks3", "fs3", "kz4", "fz5", "dual:ks3"])
