@@ -23,7 +23,7 @@ algebra generated by the slices of beta is commutative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .errors import (
     ModeUnavailable,
     NotAHomomorphism,
     NotAnAutomorphism,
+    ParseError,
     StructuralError,
 )
 from .groups import CayleyTable
@@ -47,6 +48,7 @@ from .report import ReportBuilder, VerificationReport
 from .tensors import (
     TensorOperator,
     expand_in_leg,
+    freeze,
     frob,
     leg_distance,
     leg_distance_bytes,
@@ -110,12 +112,16 @@ def enumerate_group_automorphisms(cayley: CayleyTable) -> list[tuple[int, ...]]:
 
 def permutation_matrix(perm) -> np.ndarray:
     """Column convention: basis vector i is sent to basis vector perm[i]."""
-    perm = [int(p) for p in perm]
-    m = len(perm)
-    t = np.zeros((m, m), dtype=complex)
-    for i, p in enumerate(perm):
-        t[p, i] = 1.0
-    return t
+    return np.eye(len(perm), dtype=complex)[:, [int(p) for p in perm]]
+
+
+def _source_group(algebra: FiniteHopfStarAlgebra, kind: str) -> CayleyTable:
+    """The group ``algebra`` was built from; the ``kind`` action needs one."""
+    if algebra.source_group is None:
+        raise StructuralError(
+            f"{kind} action needs an algebra built from a group preset or Cayley table"
+        )
+    return algebra.source_group
 
 
 def inversion_theta(algebra: FiniteHopfStarAlgebra, k_group: CayleyTable) -> np.ndarray:
@@ -124,11 +130,7 @@ def inversion_theta(algebra: FiniteHopfStarAlgebra, k_group: CayleyTable) -> np.
     Only defined for algebras built from a group; the acting group must have
     order 1 or 2 so that the assignment is a homomorphism.
     """
-    source = algebra.source_group
-    if source is None:
-        raise StructuralError(
-            "inversion action needs an algebra built from a group preset or Cayley table"
-        )
+    source = _source_group(algebra, "inversion")
     if k_group.order > 2:
         raise StructuralError("inversion action expects an acting group of order <= 2")
     inv = permutation_matrix(source.inverses())
@@ -142,11 +144,7 @@ def inversion_theta(algebra: FiniteHopfStarAlgebra, k_group: CayleyTable) -> np.
 
 def conjugation_theta(algebra: FiniteHopfStarAlgebra, k_group: CayleyTable) -> np.ndarray:
     """theta_k = conjugation by k on the basis, for K equal to the source group."""
-    source = algebra.source_group
-    if source is None:
-        raise StructuralError(
-            "conjugation action needs an algebra built from a group preset or Cayley table"
-        )
+    source = _source_group(algebra, "conjugation")
     if k_group.order != source.order or not np.array_equal(k_group.table, source.table):
         raise StructuralError(
             "conjugation action requires the acting group to equal the algebra's group"
@@ -163,24 +161,17 @@ def conjugation_theta(algebra: FiniteHopfStarAlgebra, k_group: CayleyTable) -> n
 def resolve_automorphisms(
     algebra: FiniteHopfStarAlgebra, k_group: CayleyTable, spec
 ) -> np.ndarray:
-    """Turn an automorphism specification into a stack of matrices.
-
-    ``spec`` is "inversion", "conjugation", or an explicit list with one
-    n x n matrix per element of the acting group.
-    """
-    if isinstance(spec, str):
-        if spec == "inversion":
-            return inversion_theta(algebra, k_group)
-        if spec == "conjugation":
-            return conjugation_theta(algebra, k_group)
-        raise StructuralError(f"unknown automorphism preset {spec!r}")
-    theta = np.asarray(spec, dtype=complex)
-    if theta.shape != (k_group.order, algebra.dim, algebra.dim):
-        raise StructuralError(
-            f"explicit automorphisms must have shape "
-            f"{(k_group.order, algebra.dim, algebra.dim)}, got {theta.shape}"
-        )
-    return theta
+    """The theta stack of the preset ``spec``, "inversion" or "conjugation";
+    any other value raises ParseError.  An action spec's "automorphisms" may
+    also be a list of per-element matrices of [re, im] pairs, which
+    ``builders.parse_explicit_automorphisms`` reads."""
+    presets = {"inversion": inversion_theta, "conjugation": conjugation_theta}
+    if isinstance(spec, str) and spec in presets:
+        return presets[spec](algebra, k_group)
+    raise ParseError(
+        "'automorphisms' must be 'inversion', 'conjugation' or a list of "
+        f"per-element matrices, got {spec!r}"
+    )
 
 
 # -- the action -------------------------------------------------------------
@@ -195,18 +186,16 @@ class FiniteGroupAction:
     group: CayleyTable
     theta: np.ndarray  # (|K|, n, n)
     report: VerificationReport
+    theta_inv: np.ndarray = field(init=False)  # theta_inv[k] = theta[k^-1]
 
     def __post_init__(self):
-        theta = np.ascontiguousarray(self.theta, dtype=complex)
-        theta.setflags(write=False)
+        theta = freeze(np.asarray(self.theta, dtype=complex))
         object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "theta_inv", freeze(theta[self.group.inverses()]))
 
     @property
     def order(self) -> int:
         return self.group.order
-
-    def theta_of_inverse(self, k: int) -> np.ndarray:
-        return self.theta[self.group.inverse(k)]
 
 
 def action_axioms_report(
@@ -323,7 +312,7 @@ def strong_right_invariance_residual(
         raise StructuralError(f"antipode must be 'inverse' or 'identity', got {antipode!r}")
     pair = _pair_values(action.algebra, h)
     theta = action.theta
-    other = theta[action.group.inverses()] if antipode == "inverse" else theta
+    other = action.theta_inv if antipode == "inverse" else theta
     # (k, i, j) -> haar(theta_k(e_i) e_j) against haar(e_i theta(e_j))
     return float(np.max(np.abs(theta.transpose(0, 2, 1) @ pair - pair @ other)))
 
@@ -343,14 +332,11 @@ def verify_strong_right_invariance(
         strong_right_invariance_residual(action, h, "inverse"),
         tol,
     )
-    n, m = action.algebra.dim, action.order
-    # basis e_i (x) delta_k at flat index i*m + k; each map is block diagonal over k
-    phi1, phi2 = (
-        np.einsum("kij,kl->ikjl", t, np.eye(m)).reshape(n * m, n * m)
-        for t in (action.theta, action.theta[action.group.inverses()])
-    )
-    eye = np.eye(n * m)
-    rb.add("shear_maps_mutually_inverse", max(frob(phi1 @ phi2 - eye), frob(phi2 @ phi1 - eye)), tol)
+    # both maps act on e_i (x) delta_k as theta_k, resp. theta_{k^-1}, times
+    # delta_k: their compositions are the blocks theta_k theta_{k^-1} over k
+    theta, theta_inv, eye = action.theta, action.theta_inv, np.eye(action.algebra.dim)
+    shear = max(frob(theta @ theta_inv - eye), frob(theta_inv @ theta - eye))
+    rb.add("shear_maps_mutually_inverse", shear, tol)
     return rb.build()
 
 
@@ -384,7 +370,7 @@ class IntertwinerData:
 def beta_matrix(action: FiniteGroupAction) -> np.ndarray:
     """beta(e_i) = sum_k delta_k (x) theta_{k^-1}(e_i) as a coordinate map."""
     n = action.algebra.dim
-    return action.theta[action.group.inverses()].reshape(-1, n)
+    return action.theta_inv.reshape(-1, n)
 
 
 def beta_matrix_antipode_form(action: FiniteGroupAction) -> np.ndarray:
@@ -396,7 +382,7 @@ def beta_matrix_antipode_form(action: FiniteGroupAction) -> np.ndarray:
     """
     a = action.algebra
     s_op = a.antipode.T
-    return (s_op @ action.theta[action.group.inverses()] @ s_op).reshape(-1, a.dim)
+    return (s_op @ action.theta_inv @ s_op).reshape(-1, a.dim)
 
 
 def build_intertwiner_data(action: FiniteGroupAction, wop: MultiplicativeUnitary) -> IntertwinerData:
@@ -409,8 +395,7 @@ def build_intertwiner_data(action: FiniteGroupAction, wop: MultiplicativeUnitary
     gamma_hat = f @ action.theta @ f_inv
 
     eye = np.eye(m)
-    theta_inv = action.theta[action.group.inverses()]
-    beta_ops = np.einsum("kij,iab,kl->jkalb", theta_inv, gns.left_regular, eye)
+    beta_ops = np.einsum("kij,iab,kl->jkalb", action.theta_inv, gns.left_regular, eye)
     gamma_ops = np.einsum("kij,ipq,kl->jpkql", gamma_hat, wop.slice_basis, eye)
     beta_ops = beta_ops.reshape(n, m * n, m * n)
     gamma_ops = gamma_ops.reshape(n, n * m, n * m)
@@ -474,9 +459,9 @@ def verify_action_intertwiner(
     rb.add("intertwiner_exchange", exchange, tol)
 
     pair = _pair_values(action.algebra, gns.haar)
-    theta_inv = action.theta[action.group.inverses()]
     # (k, j, i) -> haar(e_j theta_k(e_i)) against haar(theta_{k^-1}(e_j) e_i)
-    worst = float(np.max(np.abs(pair @ action.theta - theta_inv.transpose(0, 2, 1) @ pair)))
+    swapped = action.theta_inv.transpose(0, 2, 1) @ pair
+    worst = float(np.max(np.abs(pair @ action.theta - swapped)))
     rb.add("intertwiner_sliced_family", worst, tol)
     return rb.build()
 

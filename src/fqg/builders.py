@@ -52,7 +52,6 @@ def group_algebra(cayley: CayleyTable, name: str = "") -> FiniteHopfStarAlgebra:
         star=inv_perm.copy(),
         name=name or f"group_algebra({cayley.name})",
         source_group=cayley,
-        source_kind="group",
     )
 
 
@@ -70,7 +69,6 @@ def function_algebra(cayley: CayleyTable, name: str = "") -> FiniteHopfStarAlgeb
         star=np.eye(m, dtype=complex),
         name=name or f"function_algebra({cayley.name})",
         source_group=cayley,
-        source_kind="function",
     )
 
 
@@ -201,19 +199,26 @@ _ALGEBRA_KEYS = {
 }
 
 
-def algebra_from_json_dict(data: dict) -> FiniteHopfStarAlgebra:
+def _checked_object(data, keys, what: str) -> dict:
+    """``data`` if it is a JSON object with exactly the fields ``keys`` and
+    format_version 1; raises ParseError or SchemaVersionMismatch otherwise."""
     if not isinstance(data, dict):
-        raise ParseError("algebra file must contain a JSON object")
-    unknown = set(data) - _ALGEBRA_KEYS
+        raise ParseError(f"{what} must contain a JSON object")
+    unknown = set(data) - keys
     if unknown:
-        raise ParseError(f"unknown field(s) in algebra file: {sorted(unknown)}")
-    missing = _ALGEBRA_KEYS - set(data)
+        raise ParseError(f"unknown field(s) in {what}: {sorted(unknown)}")
+    missing = keys - set(data)
     if missing:
-        raise ParseError(f"missing field(s) in algebra file: {sorted(missing)}")
+        raise ParseError(f"missing field(s) in {what}: {sorted(missing)}")
     if data["format_version"] != FORMAT_VERSION:
         raise SchemaVersionMismatch(
-            f"file has format_version {data['format_version']!r}, expected {FORMAT_VERSION}"
+            f"{what} has format_version {data['format_version']!r}, expected {FORMAT_VERSION}"
         )
+    return data
+
+
+def algebra_from_json_dict(data: dict) -> FiniteHopfStarAlgebra:
+    data = _checked_object(data, _ALGEBRA_KEYS, "algebra file")
     n = data["dim"]
     if not isinstance(n, int) or n < 1:
         raise ParseError(f"field 'dim' must be a positive integer, got {n!r}")
@@ -246,9 +251,7 @@ def resolve_algebra(spec: str, base_dir: str = "") -> FiniteHopfStarAlgebra:
         return load_algebra(path)
     if any(marker in spec for marker in ("/", "\\", ".json")):
         raise ParseError(f"algebra file not found: {path}")
-    raise UnknownPreset(
-        f"unknown preset {spec!r}; known: {', '.join(preset_names())} and dual:<preset>"
-    )
+    return preset(spec)
 
 
 # -- action specifications --------------------------------------------------
@@ -264,6 +267,8 @@ def resolve_group(spec) -> CayleyTable:
             raise ParseError(f"unknown field(s) in inline group: {sorted(unknown)}")
         if "table" not in spec:
             raise ParseError("inline group needs a 'table' field")
+        if not isinstance(spec.get("labels", []), list):
+            raise ParseError("inline group field 'labels' must be a list")
         return cayley_from_table(
             spec["table"], labels=spec.get("labels"), name=spec.get("name", "custom")
         )
@@ -294,18 +299,7 @@ _ACTION_KEYS = {"format_version", "algebra", "group", "automorphisms"}
 
 def action_spec_from_json_dict(data) -> dict:
     """Validate the parsed contents of an action-spec file and return them."""
-    if not isinstance(data, dict):
-        raise ParseError("action spec must contain a JSON object")
-    unknown = set(data) - _ACTION_KEYS
-    if unknown:
-        raise ParseError(f"unknown field(s) in action spec: {sorted(unknown)}")
-    missing = _ACTION_KEYS - set(data)
-    if missing:
-        raise ParseError(f"missing field(s) in action spec: {sorted(missing)}")
-    if data["format_version"] != FORMAT_VERSION:
-        raise SchemaVersionMismatch(
-            f"action spec has format_version {data['format_version']!r}, expected {FORMAT_VERSION}"
-        )
+    data = _checked_object(data, _ACTION_KEYS, "action spec")
     if not isinstance(data["algebra"], str):
         raise ParseError("action spec field 'algebra' must be a preset name or a path")
     return data

@@ -41,8 +41,19 @@ EXIT_CHECKS_FAILED = 1
 EXIT_STRUCTURAL = 2
 
 
-def _sha256_of_algebra(a) -> str:
-    return hashlib.sha256(builders.algebra_to_json(a).encode("utf-8")).hexdigest()
+def _provenance(args, algebra, *arrays) -> dict:
+    """The report's provenance block; sha256 hashes ``algebra_to_json`` of the
+    algebra, then the C-order bytes of ``arrays`` (action: group table, theta)."""
+    digest = hashlib.sha256(builders.algebra_to_json(algebra).encode("utf-8"))
+    for array in arrays:
+        digest.update(array.tobytes())
+    return {
+        "input": args.input,
+        "sha256": digest.hexdigest(),
+        "tolerance": args.tol,
+        "mode": getattr(args, "mode", None),
+        "format_version": builders.FORMAT_VERSION,
+    }
 
 
 def _emit(report: VerificationReport, provenance: dict, fmt: str, only) -> int:
@@ -63,63 +74,40 @@ def _emit(report: VerificationReport, provenance: dict, fmt: str, only) -> int:
 def _cmd_verify(args) -> int:
     algebra = builders.resolve_algebra(args.input)
     report = full_suite(algebra, tol=args.tol)
-    provenance = {
-        "input": args.input,
-        "sha256": _sha256_of_algebra(algebra),
-        "tolerance": args.tol,
-        "mode": None,
-        "format_version": builders.FORMAT_VERSION,
-    }
-    return _emit(report, provenance, args.format, args.only)
+    return _emit(report, _provenance(args, algebra), args.format, args.only)
 
 
-def _json_file(spec: str):
-    """The parsed contents of ``spec`` if it names an existing .json file, else None."""
-    return builders.read_json(spec) if spec.endswith(".json") and os.path.exists(spec) else None
+def _json_or_name(spec: str):
+    """The parsed contents of ``spec`` if it names an existing .json file, else ``spec``."""
+    return builders.read_json(spec) if spec.endswith(".json") and os.path.exists(spec) else spec
 
 
 def _cmd_action(args) -> int:
-    data = _json_file(args.input)
+    data = _json_or_name(args.input)
     if isinstance(data, dict) and "automorphisms" in data:
         if args.group or args.automorphisms:
             raise StructuralError(
                 "when an action spec file is given, --group/--automorphisms must be omitted"
             )
-        spec = builders.action_spec_from_json_dict(data)
-        algebra = builders.resolve_algebra(spec["algebra"], os.path.dirname(args.input))
-        k_group = builders.resolve_group(spec["group"])
-        auto_spec = spec["automorphisms"]
-        if isinstance(auto_spec, list):
-            theta = builders.parse_explicit_automorphisms(auto_spec, k_group.order, algebra.dim)
-        else:
-            theta = resolve_automorphisms(algebra, k_group, auto_spec)
+        spec, base_dir = builders.action_spec_from_json_dict(data), os.path.dirname(args.input)
+    elif not args.group or not args.automorphisms:
+        raise StructuralError("--group and --automorphisms are required")
     else:
-        if not args.group or not args.automorphisms:
-            raise StructuralError("--group and --automorphisms are required")
-        if data is None:
-            algebra = builders.resolve_algebra(args.input)
-        else:
-            algebra = builders.algebra_from_json_dict(data)
-        group_data = _json_file(args.group)
-        k_group = builders.resolve_group(args.group if group_data is None else group_data)
-        if args.automorphisms in ("inversion", "conjugation"):
-            theta = resolve_automorphisms(algebra, k_group, args.automorphisms)
-        else:
-            entries = builders.read_json(args.automorphisms)
-            theta = builders.parse_explicit_automorphisms(entries, k_group.order, algebra.dim)
+        # the flags spell out the same spec: a --group file holds an inline
+        # table, an --automorphisms file a list of matrices
+        group, auto = _json_or_name(args.group), args.automorphisms
+        if auto not in ("inversion", "conjugation"):
+            auto = builders.read_json(auto)
+        spec, base_dir = {"algebra": args.input, "group": group, "automorphisms": auto}, ""
+    algebra = builders.resolve_algebra(spec["algebra"], base_dir)
+    k_group = builders.resolve_group(spec["group"])
+    auto = spec["automorphisms"]
+    if isinstance(auto, list):
+        theta = builders.parse_explicit_automorphisms(auto, k_group.order, algebra.dim)
+    else:
+        theta = resolve_automorphisms(algebra, k_group, auto)
     report = action_suite(algebra, k_group, theta, tol=args.tol, mode=args.mode)
-    digest = hashlib.sha256()
-    digest.update(builders.algebra_to_json(algebra).encode("utf-8"))
-    digest.update(np.ascontiguousarray(k_group.table).tobytes())
-    digest.update(np.ascontiguousarray(theta).tobytes())
-    provenance = {
-        "input": args.input,
-        "sha256": digest.hexdigest(),
-        "tolerance": args.tol,
-        "mode": args.mode,
-        "format_version": builders.FORMAT_VERSION,
-    }
-    return _emit(report, provenance, args.format, args.only)
+    return _emit(report, _provenance(args, algebra, k_group.table, theta), args.format, args.only)
 
 
 def _cmd_preset(args) -> int:

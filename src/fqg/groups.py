@@ -8,6 +8,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import InvalidGroupTable, UnknownPreset
+from .tensors import freeze
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,7 @@ def cayley_from_table(table, labels=None, name: str = "group") -> CayleyTable:
         labels = tuple(str(s) for s in labels)
         if len(labels) != m:
             raise InvalidGroupTable(f"{len(labels)} labels for {m} elements")
-    frozen = np.ascontiguousarray(table)
-    frozen.setflags(write=False)
-    return CayleyTable(m, frozen, labels, identity, name)
+    return CayleyTable(m, freeze(table), labels, identity, name)
 
 
 def cyclic_group(n: int) -> CayleyTable:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NoInvariantFunctional, NonUniqueHaar, NotPositive, StructuralError
 from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra
 from .report import ReportBuilder, VerificationReport
-from .tensors import frob, rounding_allowance, star_homomorphism_defects
+from .tensors import _rank_above, freeze, frob, rounding_allowance, star_homomorphism_defects
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,7 @@ class Functional:
         coords = np.asarray(self.coords, dtype=complex).reshape(-1)
         if coords.size < 1:
             raise StructuralError("functional must have positive dimension")
-        coords = np.ascontiguousarray(coords)
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", freeze(coords))
 
     @property
     def dim(self) -> int:
@@ -62,10 +60,7 @@ def haar_invariance_residual(a: FiniteHopfStarAlgebra, h: Functional) -> float:
 
 
 def haar_nullspace_dimension(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL) -> int:
-    system = _invariance_system(a)
-    sigma = np.linalg.svd(system, compute_uv=False)
-    threshold = tol * max(1.0, float(sigma[0]) if sigma.size else 0.0)
-    return a.dim - int(np.sum(sigma > threshold))
+    return a.dim - _rank_above(np.linalg.svd(_invariance_system(a), compute_uv=False), tol)
 
 
 def compute_haar(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL) -> Functional:
@@ -78,10 +73,8 @@ def compute_haar(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL) -> Function
     """
     n = a.dim
     tol = max(tol, rounding_allowance(n))
-    system = _invariance_system(a)
-    _, sigma, vh = np.linalg.svd(system)
-    threshold = tol * max(1.0, float(sigma[0]) if sigma.size else 0.0)
-    null_dim = n - int(np.sum(sigma > threshold))
+    _, sigma, vh = np.linalg.svd(_invariance_system(a))
+    null_dim = n - _rank_above(sigma, tol)
     if null_dim < 1:
         raise NoInvariantFunctional(
             "invariance system has only the zero solution", check="haar_exists"
@@ -130,10 +123,6 @@ class GnsData:
     def smallest_gram_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.gram)[0])
 
-    def vector_of(self, a) -> np.ndarray:
-        """Orthonormal coordinates of the algebra element ``a``."""
-        return self.to_onb @ np.asarray(a)
-
 
 def gns_construct(a: FiniteHopfStarAlgebra, h: Functional, tol: float = DEFAULT_TOL) -> GnsData:
     """Gram matrix, orthonormalization and left regular representation.
@@ -167,13 +156,9 @@ def gns_construct(a: FiniteHopfStarAlgebra, h: Functional, tol: float = DEFAULT_
     lower = np.linalg.cholesky(gram_h)
     to_onb = lower.conj().T  # gram = to_onb^H to_onb
     onb_change = np.linalg.inv(to_onb)
-    left_regular = np.empty((n, n, n), dtype=complex)
-    for i in range(n):
-        m_i = a.left_mult_matrix(a.basis_element(i))
-        left_regular[i] = to_onb @ m_i @ onb_change
-    for arr in (gram, onb_change, to_onb, left_regular):
-        arr.setflags(write=False)
-    return GnsData(h, gram, onb_change, to_onb, left_regular)
+    # mult[i].T is the matrix of x -> e_i x on coordinate vectors
+    left_regular = to_onb @ a.mult.transpose(0, 2, 1) @ onb_change
+    return GnsData(h, freeze(gram), freeze(onb_change), freeze(to_onb), freeze(left_regular))
 
 
 def verify_gns(

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import StructuralError
 from .groups import CayleyTable
 from .report import ReportBuilder, VerificationReport
-from .tensors import frob
+from .tensors import freeze, frob
 
 DEFAULT_TOL = 1e-9
 
@@ -33,9 +33,7 @@ def _frozen_complex(a, shape, what: str) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
     if arr.shape != shape:
         raise StructuralError(f"{what} must have shape {shape}, got {arr.shape}")
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    return arr
+    return freeze(arr)
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,6 @@ class FiniteHopfStarAlgebra:
     star: np.ndarray
     name: str = ""
     source_group: CayleyTable | None = None
-    source_kind: str | None = None  # "group" | "function" when built from a Cayley table
 
     def __post_init__(self):
         n = int(self.dim)
@@ -83,10 +80,6 @@ class FiniteHopfStarAlgebra:
 
     def apply_star(self, a) -> np.ndarray:
         return self.star.T @ np.conj(np.asarray(a))
-
-    def left_mult_matrix(self, a) -> np.ndarray:
-        """Matrix of x -> a x on coordinate vectors."""
-        return np.einsum("i,ilk->kl", np.asarray(a), self.mult)
 
     # -- coarse structure queries ----------------------------------------
 

@@ -46,6 +46,7 @@ from .tensors import (
     SpanBasis,
     TensorOperator,
     expand_in_leg,
+    freeze,
     frob,
     leg_distance,
     numerical_rank,
@@ -102,9 +103,8 @@ def build_multiplicative_unitary(
     n = a.dim
     w = _in_onb(gns, np.einsum("ipq,qjk->pkij", a.comult, a.mult, optimize=True))
     coeffs, residual = expand_in_leg(w.entries, (n, n), gns.left_regular)
-    images = _dual_coproducts(w.entries, coeffs)
-    coeffs.setflags(write=False)
-    images.setflags(write=False)
+    coeffs = freeze(coeffs)
+    images = freeze(_dual_coproducts(w.entries, coeffs))
     return MultiplicativeUnitary(w, a, gns, coeffs, residual, span_basis(coeffs), images)
 
 

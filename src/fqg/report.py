@@ -83,7 +83,8 @@ class VerificationReport:
 
 
 class ReportBuilder:
-    """Accumulates checks; by default a check passes iff residual <= tolerance."""
+    """Accumulates checks; by default a check passes iff residual <= tolerance.
+    A NaN residual (a check an aborted stage could not compute) never passes."""
 
     def __init__(self):
         self._checks: list[Check] = []
@@ -101,11 +102,6 @@ class ReportBuilder:
         """Integer equality stated as a residual: |got - expected| <= 0."""
         info = detail or f"got {got}, expected {expected}"
         return self.add(name, float(abs(got - expected)), 0.0, info)
-
-    def add_aborted(self, name: str, tolerance: float, detail: str) -> Check:
-        check = Check(name, None, float(tolerance), False, detail)
-        self._checks.append(check)
-        return check
 
     def extend(self, prefix: str, report: VerificationReport) -> None:
         """Append every check of ``report`` with ``prefix`` before its name."""

@@ -25,7 +25,7 @@ def full_suite(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL) -> Verificati
     try:
         h = haar.compute_haar(a, tol)
     except VerificationError as exc:
-        rb.add_aborted("haar/" + (exc.check or "haar_exists"), tol, f"aborted: {exc}")
+        rb.add("haar/" + (exc.check or "haar_exists"), np.nan, tol, f"aborted: {exc}")
         return rb.build()
     rb.add("haar/invariance", haar.haar_invariance_residual(a, h), tol * a.structure_scale())
     rb.add_count("haar/nullspace_dimension", haar.haar_nullspace_dimension(a, tol), 1)
@@ -33,7 +33,7 @@ def full_suite(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL) -> Verificati
     try:
         gns = haar.gns_construct(a, h, tol)
     except VerificationError as exc:
-        rb.add_aborted("gns/" + (exc.check or "gram_positive"), tol, f"aborted: {exc}")
+        rb.add("gns/" + (exc.check or "gram_positive"), np.nan, tol, f"aborted: {exc}")
         return rb.build()
     rb.extend("gns/", haar.verify_gns(a, h, gns, tol))
     rb.extend("trace/", haar.verify_trace(a, h, tol))
@@ -52,7 +52,7 @@ def full_suite(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL) -> Verificati
         rb.extend("antipode_relation/", multiplicative.verify_antipode_relation(wop, tol))
         dual_space = multiplicative.build_dual_subspace(wop, tol)
     except VerificationError as exc:
-        rb.add_aborted("dual_subspace/" + (exc.check or "build"), tol, f"aborted: {exc}")
+        rb.add("dual_subspace/" + (exc.check or "build"), np.nan, tol, f"aborted: {exc}")
         return rb.build()
     rb.add_count("dual_subspace/dimension", dual_space.basis.shape[0], a.dim)
     rb.add("dual_subspace/closed_under_product_and_adjoint", dual_space.closure_residual, tol)
@@ -66,7 +66,7 @@ def full_suite(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL) -> Verificati
         dual_h = haar.compute_haar(dual_algebra, tol)
         haar.gns_construct(dual_algebra, dual_h, tol)
     except VerificationError as exc:
-        rb.add_aborted("dual_algebra/haar", tol, f"aborted: {exc}")
+        rb.add("dual_algebra/haar", np.nan, tol, f"aborted: {exc}")
         return rb.build()
     rb.add(
         "dual_algebra/haar_invariance",
@@ -115,7 +115,7 @@ def action_suite(
         h = haar.compute_haar(a, tol)
         gns = haar.gns_construct(a, h, tol)
     except VerificationError as exc:
-        rb.add_aborted("action/" + (exc.check or "build"), tol, f"aborted: {exc}")
+        rb.add("action/" + (exc.check or "build"), np.nan, tol, f"aborted: {exc}")
         return rb.build()
 
     rb.extend("invariance/", actions_mod.verify_haar_invariance(action, h, tol))

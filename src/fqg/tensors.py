@@ -43,7 +43,8 @@ def rounding_allowance(n: int) -> float:
     return 4 * n * n * np.finfo(float).eps
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def freeze(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only C-contiguous array (a copy only when needed)."""
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
@@ -70,7 +71,7 @@ class TensorOperator:
                 f"entries must be {n}x{n} for dims {dims}, got {entries.shape}"
             )
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "entries", _freeze(entries))
+        object.__setattr__(self, "entries", freeze(entries))
 
     @property
     def n_legs(self) -> int:
@@ -294,7 +295,7 @@ def span_basis(basis_mats) -> SpanBasis:
     u, sigma, vh = np.linalg.svd(a, full_matrices=False)
     keep = sigma > np.finfo(float).eps * max(a.shape) * sigma[0]
     to_coords = vh[keep].conj().T / sigma[keep]
-    return SpanBasis(_freeze(u[:, keep]), _freeze(sigma), _freeze(to_coords))
+    return SpanBasis(freeze(u[:, keep]), freeze(sigma), freeze(to_coords))
 
 
 def project_onto_span(q, targets) -> tuple[np.ndarray, np.ndarray]:

@@ -176,7 +176,7 @@ def test_strong_right_invariance_direct_oracle():
                 lhs = h(a.multiply(action.theta[k] @ a.basis_element(i), a.basis_element(j)))
                 rhs = h(
                     a.multiply(
-                        a.basis_element(i), action.theta_of_inverse(k) @ a.basis_element(j)
+                        a.basis_element(i), action.theta_inv[k] @ a.basis_element(j)
                     )
                 )
                 assert abs(lhs - rhs) <= 1e-13
@@ -452,7 +452,7 @@ def test_invariance_checks_match_per_element_loops():
     wop = build_multiplicative_unitary(a, gns_construct(a, h))
     action = FiniteGroupAction(a, k, theta, action_axioms_report(a, k, theta))
     pair = np.einsum("pqk,k->pq", a.mult, h.coords)
-    inv = [action.theta_of_inverse(j) for j in range(6)]
+    inv = [action.theta_inv[j] for j in range(6)]
     phi1, phi2 = np.zeros((36, 36), dtype=complex), np.zeros((36, 36), dtype=complex)
     for j in range(6):
         phi1[j::6, j::6], phi2[j::6, j::6] = theta[j], inv[j]
@@ -494,7 +494,7 @@ def test_operator_stacks_match_per_element_construction():
         beta = np.zeros((m * n, m * n), dtype=complex)
         gamma = np.zeros((n * m, n * m), dtype=complex)
         for k in range(m):
-            img = action.theta_of_inverse(k) @ b.basis_element(j)
+            img = action.theta_inv[k] @ b.basis_element(j)
             beta[k * n:(k + 1) * n, k * n:(k + 1) * n] = np.einsum(
                 "i,ikl->kl", img, wop.gns.left_regular
             )

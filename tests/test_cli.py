@@ -375,3 +375,65 @@ def test_invalid_action_spec_exits_two(tmp_path, capsys, spec):
     path.write_text(json.dumps(spec))
     code, _, err = run(capsys, ["action", str(path)])
     assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "value", [{"a": 1}, None, 3, True, "twist"], ids=["object", "null", "number", "true", "name"]
+)
+@pytest.mark.parametrize("grammar", ["spec", "flags"])
+def test_automorphisms_of_the_wrong_type_exit_two(tmp_path, capsys, grammar, value):
+    # neither a preset name nor a list of matrices, in a spec file or in an
+    # --automorphisms file
+    if grammar == "spec":
+        spec = {"format_version": 1, "algebra": "kz3", "group": "z2", "automorphisms": value}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = ["action", str(path)]
+    else:
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(value))
+        argv = ["action", "kz3", "--group", "z2", "--automorphisms", str(path)]
+    code, _, err = run(capsys, argv)
+    assert code == 2 and err.startswith("error: ") and "'automorphisms'" in err
+
+
+@pytest.mark.parametrize("route", ["spec", "group-file"])
+def test_inline_group_labels_must_be_a_list(tmp_path, capsys, route):
+    group = {"table": [[0, 1], [1, 0]], "labels": 5}
+    if route == "spec":
+        spec = {"format_version": 1, "algebra": "kz2", "group": group, "automorphisms": "inversion"}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = ["action", str(path)]
+    else:
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(group))
+        argv = ["action", "kz2", "--group", str(path), "--automorphisms", "inversion"]
+    code, _, err = run(capsys, argv)
+    assert code == 2 and err.startswith("error: ") and "'labels'" in err
+
+
+def test_flag_and_spec_grammars_give_the_same_report(tmp_path, capsys):
+    # one basis-changed action, once as an algebra file, an inline-group file
+    # and an automorphisms file, once as a single spec file
+    from conftest import basis_change_matrix, change_basis
+
+    p = basis_change_matrix(3, 4)
+    inv = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
+    theta = [np.eye(3), np.linalg.inv(p) @ inv @ p]
+    matrices = [[[[z.real, z.imag] for z in row] for row in t] for t in theta]
+    group = {"table": [[0, 1], [1, 0]], "labels": ["e", "s"]}
+    (tmp_path / "kz3b.json").write_text(algebra_to_json(change_basis(preset("kz3"), 4)))
+    (tmp_path / "group.json").write_text(json.dumps(group))
+    (tmp_path / "theta.json").write_text(json.dumps(matrices))
+    spec = {"format_version": 1, "algebra": "kz3b.json", "group": group, "automorphisms": matrices}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    flag_code, by_flags, _ = run(capsys, [
+        "action", str(tmp_path / "kz3b.json"), "--group", str(tmp_path / "group.json"),
+        "--automorphisms", str(tmp_path / "theta.json"), "--format", "json",
+    ])
+    spec_code, by_spec, _ = run(capsys, ["action", str(tmp_path / "spec.json"), "--format", "json"])
+    by_flags, by_spec = json.loads(by_flags), json.loads(by_spec)
+    assert flag_code == spec_code == 0
+    assert by_flags["provenance"].pop("input") != by_spec["provenance"].pop("input")
+    assert by_flags == by_spec

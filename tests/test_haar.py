@@ -145,3 +145,13 @@ def test_not_positive_star_is_rejected():
     h = compute_haar(indefinite)
     with pytest.raises(NotPositive):
         gns_construct(indefinite, h)
+
+
+def test_left_regular_matches_per_element_products(basis_changed):
+    # reference: e_i e_j one pair at a time, taken to orthonormal coordinates
+    a = basis_changed(preset("ks3"), 5)
+    gns = gns_construct(a, compute_haar(a))
+    for i in range(a.dim):
+        for j in range(a.dim):
+            product = gns.to_onb @ a.multiply(a.basis_element(i), a.basis_element(j))
+            assert np.max(np.abs(gns.left_regular[i] @ gns.to_onb[:, j] - product)) < 1e-11
