@@ -37,7 +37,6 @@ from .duality import (
     build_dual,
     convolve,
     fourier,
-    fourier_matrix,
     functional_star,
     verify_fourier,
     verify_G_isomorphism,
@@ -67,6 +66,7 @@ from .haar import (
     Functional,
     GnsData,
     compute_haar,
+    fourier_matrix,
     gns_construct,
     haar_invariance_residual,
     verify_gns,

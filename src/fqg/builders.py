@@ -29,9 +29,12 @@ import os
 
 import numpy as np
 
+from .actions import _THETA_PRESETS
 from .duality import build_dual
 from .errors import ParseError, SchemaVersionMismatch, UnknownPreset
-from .groups import CayleyTable, cayley_from_table, cyclic_group, group_preset, symmetric_group_3
+from .groups import (
+    _GROUP_PRESETS, CayleyTable, cayley_from_table, cyclic_group, group_preset, symmetric_group_3,
+)
 from .hopf import FiniteHopfStarAlgebra
 
 FORMAT_VERSION = 1
@@ -242,16 +245,27 @@ def load_algebra(path) -> FiniteHopfStarAlgebra:
     return algebra_from_json_dict(read_json(path))
 
 
-def resolve_algebra(spec: str, base_dir: str = "") -> FiniteHopfStarAlgebra:
-    """A preset name, or a path to an algebra JSON file relative to ``base_dir``."""
-    if spec in _PRESET_BUILDERS or spec.startswith("dual:"):
-        return preset(spec)
-    path = os.path.join(base_dir, spec)
-    if os.path.exists(path):
-        return load_algebra(path)
-    if any(marker in spec for marker in ("/", "\\", ".json")):
-        raise ParseError(f"algebra file not found: {path}")
-    return preset(spec)
+def name_or_file(value: str, role: str, base_dir: str = ""):
+    """The one rule for an input that is a preset name or a JSON file.
+
+    A preset of ``role`` ("algebra", "group" or "automorphisms") is a name and
+    wins over a file of the same name.  Otherwise a value that ends in .json,
+    contains a path separator or names an existing path is a file: its contents
+    (``read_json`` of ``value`` relative to ``base_dir``) are returned.  Any
+    other value is returned as it is, an unknown name of ``role``."""
+    names = {"algebra": _PRESET_BUILDERS, "group": _GROUP_PRESETS, "automorphisms": _THETA_PRESETS}
+    name = value.removeprefix("dual:") if role == "algebra" else value
+    path = os.path.join(base_dir, value)
+    is_file = value.endswith(".json") or "/" in value or "\\" in value or os.path.exists(path)
+    return read_json(path) if is_file and name not in names[role] else value
+
+
+def resolve_algebra(spec, base_dir: str = "") -> FiniteHopfStarAlgebra:
+    """An algebra from a preset name or file (see ``name_or_file``), or from
+    the parsed contents of an algebra file."""
+    if isinstance(spec, str):
+        spec = name_or_file(spec, "algebra", base_dir)
+    return preset(spec) if isinstance(spec, str) else algebra_from_json_dict(spec)
 
 
 # -- action specifications --------------------------------------------------

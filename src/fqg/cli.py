@@ -77,13 +77,8 @@ def _cmd_verify(args) -> int:
     return _emit(report, _provenance(args, algebra), args.format, args.only)
 
 
-def _json_or_name(spec: str):
-    """The parsed contents of ``spec`` if it names an existing .json file, else ``spec``."""
-    return builders.read_json(spec) if spec.endswith(".json") and os.path.exists(spec) else spec
-
-
 def _cmd_action(args) -> int:
-    data = _json_or_name(args.input)
+    data = builders.name_or_file(args.input, "algebra")
     if isinstance(data, dict) and "automorphisms" in data:
         if args.group or args.automorphisms:
             raise StructuralError(
@@ -95,10 +90,9 @@ def _cmd_action(args) -> int:
     else:
         # the flags spell out the same spec: a --group file holds an inline
         # table, an --automorphisms file a list of matrices
-        group, auto = _json_or_name(args.group), args.automorphisms
-        if auto not in ("inversion", "conjugation"):
-            auto = builders.read_json(auto)
-        spec, base_dir = {"algebra": args.input, "group": group, "automorphisms": auto}, ""
+        group = builders.name_or_file(args.group, "group")
+        auto = builders.name_or_file(args.automorphisms, "automorphisms")
+        spec, base_dir = {"algebra": data, "group": group, "automorphisms": auto}, ""
     algebra = builders.resolve_algebra(spec["algebra"], base_dir)
     k_group = builders.resolve_group(spec["group"])
     auto = spec["automorphisms"]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .haar import Functional
+from .haar import Functional, fourier_matrix
 from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra
 from .multiplicative import MultiplicativeUnitary
 from .report import ReportBuilder, VerificationReport
@@ -44,13 +44,9 @@ def convolve(a: FiniteHopfStarAlgebra, phi: Functional, psi: Functional) -> Func
 
 
 def functional_star(a: FiniteHopfStarAlgebra, phi: Functional) -> Functional:
-    """The involution phi*(x) = conj(phi(antipode(x)*)) of the dual algebra."""
-    n = a.dim
-    coords = np.empty(n, dtype=complex)
-    for j in range(n):
-        s_star = a.apply_star(a.apply_antipode(a.basis_element(j)))
-        coords[j] = np.conj(phi(s_star))
-    return Functional(coords)
+    """The involution phi*(x) = conj(phi(antipode(x)*)) of the dual algebra:
+    the matrix antipode @ conj(star) of ``build_dual``'s star on conj(phi)."""
+    return Functional(a.antipode @ np.conj(a.star) @ np.conj(phi.coords))
 
 
 def G_map(wop: MultiplicativeUnitary, phi: Functional) -> np.ndarray:
@@ -94,11 +90,6 @@ def verify_G_isomorphism(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -
     rb.add("intertwines_coproducts", worst_coproduct, tol)
 
     return rb.build()
-
-
-def fourier_matrix(a: FiniteHopfStarAlgebra, h: Functional) -> np.ndarray:
-    """Matrix of the Fourier transform a -> haar( . a) in dual-basis coordinates."""
-    return np.einsum("bik,k->bi", a.mult, h.coords)
 
 
 def fourier(a: FiniteHopfStarAlgebra, h: Functional, coords) -> Functional:

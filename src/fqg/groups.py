@@ -25,14 +25,10 @@ class CayleyTable:
         return int(self.table[i, j])
 
     def inverse(self, i: int) -> int:
-        e = self.identity_index
-        for j in range(self.order):
-            if self.table[i, j] == e:
-                return j
-        raise InvalidGroupTable(f"element {i} has no inverse")  # unreachable after validation
+        return int(self.inverses()[i])
 
     def inverses(self) -> np.ndarray:
-        return np.array([self.inverse(i) for i in range(self.order)], dtype=int)
+        return np.argmax(self.table == self.identity_index, axis=1)
 
 
 def cayley_from_table(table, labels=None, name: str = "group") -> CayleyTable:
@@ -41,10 +37,10 @@ def cayley_from_table(table, labels=None, name: str = "group") -> CayleyTable:
         table = np.asarray(table)
     except ValueError as exc:  # ragged rows
         raise InvalidGroupTable(f"table must be square and nonempty: {exc}") from None
-    if table.dtype.kind not in "iu":
-        raise InvalidGroupTable(f"table entries must be integers, got dtype {table.dtype}")
     if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] == 0:
         raise InvalidGroupTable(f"table must be square and nonempty, got shape {table.shape}")
+    if table.dtype.kind not in "iu":
+        raise InvalidGroupTable(f"table entries must be integers, got dtype {table.dtype}")
     m = table.shape[0]
     if table.min() < 0 or table.max() >= m:
         raise InvalidGroupTable("table entries must be element indices")
@@ -52,27 +48,19 @@ def cayley_from_table(table, labels=None, name: str = "group") -> CayleyTable:
     for i in range(m):
         if set(table[i, :].tolist()) != ref or set(table[:, i].tolist()) != ref:
             raise InvalidGroupTable(f"row/column {i} is not a permutation (not a Latin square)")
-    identity = None
-    for e in range(m):
-        if all(table[e, i] == i and table[i, e] == i for i in range(m)):
-            identity = e
-            break
-    if identity is None:
+    # a Latin square has an inverse for every element once it has an identity
+    arange = np.arange(m)
+    identities = np.flatnonzero((table == arange).all(axis=1) & (table.T == arange).all(axis=1))
+    if identities.size == 0:
         raise InvalidGroupTable("no identity element")
-    for i in range(m):
-        if not any(table[i, j] == identity for j in range(m)):
-            raise InvalidGroupTable(f"element {i} has no inverse")
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                if table[table[i, j], k] != table[i, table[j, k]]:
-                    raise InvalidGroupTable(f"associativity fails at ({i}, {j}, {k})")
-    if labels is None:
-        labels = tuple(str(i) for i in range(m))
-    else:
-        labels = tuple(str(s) for s in labels)
-        if len(labels) != m:
-            raise InvalidGroupTable(f"{len(labels)} labels for {m} elements")
+    identity = int(identities[0])
+    for i in range(m):  # (ij)k against i(jk) over all (j, k), one m x m slice per i
+        failures = np.argwhere(table[table[i]] != table[i][table])
+        if failures.size:
+            raise InvalidGroupTable("associativity fails at (%d, %d, %d)" % (i, *failures[0]))
+    labels = tuple(str(s) for s in (range(m) if labels is None else labels))
+    if len(labels) != m:
+        raise InvalidGroupTable(f"{len(labels)} labels for {m} elements")
     return CayleyTable(m, freeze(table), labels, identity, name)
 
 

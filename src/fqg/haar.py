@@ -201,9 +201,15 @@ def verify_gns(
     return rb.build()
 
 
+def fourier_matrix(a: FiniteHopfStarAlgebra, h: Functional) -> np.ndarray:
+    """The Haar pairing h(e_b e_i) over basis pairs (b, i): the matrix of the
+    Fourier transform a -> haar( . a) in dual-basis coordinates."""
+    return np.einsum("bik,k->bi", a.mult, h.coords)
+
+
 def verify_trace(a: FiniteHopfStarAlgebra, h: Functional, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Largest |haar(e_i e_j) - haar(e_j e_i)| over all basis pairs."""
-    values = np.einsum("ijk,k->ij", a.mult, h.coords)
+    values = fourier_matrix(a, h)
     residual = float(np.max(np.abs(values - values.T))) if a.dim > 0 else 0.0
     rb = ReportBuilder()
     rb.add("haar_is_trace", residual, tol * a.structure_scale())

@@ -54,7 +54,7 @@ def full_suite(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL) -> Verificati
     except VerificationError as exc:
         rb.add("dual_subspace/" + (exc.check or "build"), np.nan, tol, f"aborted: {exc}")
         return rb.build()
-    rb.add_count("dual_subspace/dimension", dual_space.basis.shape[0], a.dim)
+    rb.add_count("dual_subspace/dimension", wop.dual_span.rank(tol), a.dim)
     rb.add("dual_subspace/closed_under_product_and_adjoint", dual_space.closure_residual, tol)
     rb.add("dual_subspace/w_expansion", wop.expansion_residual, tol)
 

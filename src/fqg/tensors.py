@@ -353,9 +353,10 @@ def expand_in_leg(matrix, dims, basis_mats) -> tuple[np.ndarray, float]:
 
 
 def _rank_above(sigma, tol: float) -> int:
+    """How many of ``sigma`` (a matrix's, or all its diagonal blocks') exceed tol * max(1, max)."""
     if sigma.size == 0:
         return 0
-    return int(np.sum(sigma > tol * max(1.0, float(sigma[0]))))
+    return int(np.sum(sigma > tol * max(1.0, float(sigma.max()))))
 
 
 def numerical_rank(vectors, tol: float = 1e-9) -> int:

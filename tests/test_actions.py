@@ -15,6 +15,7 @@ from fqg import (
     build_group_action,
     build_intertwiner_data,
     build_multiplicative_unitary,
+    cayley_from_table,
     compute_haar,
     conjugation_theta,
     cyclic_group,
@@ -569,3 +570,41 @@ def test_sliced_commutation_detects_non_commuting_v():
     report = verify_slice_commutativity(replace(data, v=v), wop, mode="sliced")
     assert report.residual("sliced_commutation") > 0.1
     assert not report.check("sliced_commutation").passed
+
+
+def conjugation_theta_loop(cayley):
+    """theta_k(u_g) = u_{k g k^-1}, one multiply/inverse call per entry."""
+    m = cayley.order
+    theta = np.zeros((m, m, m), dtype=complex)
+    for k in range(m):
+        for g in range(m):
+            theta[k, cayley.multiply(cayley.multiply(k, g), cayley.inverse(k)), g] = 1.0
+    return theta
+
+
+# the dihedral group of order 8: element a + 4 t is r^a s^t, and s r = r^-1 s
+D4_TABLE = [
+    [(a + (-1) ** t * b) % 4 + 4 * ((t + u) % 2) for u in (0, 1) for b in range(4)]
+    for t in (0, 1)
+    for a in range(4)
+]
+
+
+@pytest.mark.parametrize("table", [symmetric_group_3().table, D4_TABLE], ids=["s3", "d4"])
+def test_conjugation_theta_matches_the_element_loop(table):
+    cayley = cayley_from_table(table)
+    theta = conjugation_theta(group_algebra(cayley), cayley)
+    assert np.array_equal(theta, conjugation_theta_loop(cayley))
+    assert not np.array_equal(theta[1], np.eye(cayley.order))  # the group is non-abelian
+
+
+@pytest.mark.parametrize(
+    "names", [("kz6", "z2", "inversion"), ("ks3", "s3", "conjugation"), ("fs3", "s3", "conjugation")]
+)
+def test_v_is_block_diagonal_in_its_middle_leg(names):
+    # C(K) is diagonal, so the five-leg and sliced commutations hold by construction
+    a, action, _, _, data = pipeline(*names)
+    n, m = a.dim, action.order
+    blocks = data.v.entries.reshape(n, m, n, n, m, n).transpose(1, 4, 0, 2, 3, 5)
+    assert not np.any(blocks[~np.eye(m, dtype=bool)])
+    assert np.all(np.any(blocks[np.eye(m, dtype=bool)], axis=(1, 2, 3, 4)))

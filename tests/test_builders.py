@@ -293,3 +293,9 @@ def test_nonassociative_latin_square_rejected():
     ]
     with pytest.raises(InvalidGroupTable):
         cayley_from_table(table)
+
+
+def test_empty_inline_table_is_reported_by_shape():
+    # np.asarray([]) is float, so the shape must be checked before the dtype
+    with pytest.raises(InvalidGroupTable, match="table must be square and nonempty"):
+        resolve_group({"table": []})

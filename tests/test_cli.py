@@ -330,19 +330,19 @@ def test_trivial_action_in_a_random_basis_counts_one_automorphism(tmp_path, caps
 
 
 def _bad_file(tmp_path, kind):
-    """A file that cannot be read as JSON: a directory, invalid JSON, or
-    bytes that are not UTF-8."""
-    path = tmp_path / f"bad-{kind}.json"
+    """A file that cannot be read as JSON: a directory, invalid JSON, bytes
+    that are not UTF-8, or a missing path (named like a file or in a directory)."""
+    path = tmp_path / ("dir/x" if kind == "missing-dir" else f"bad-{kind}.json")
     if kind == "directory":
         path.mkdir()
     elif kind == "invalid":
         path.write_text("{not json")
-    else:
+    elif kind == "binary":
         path.write_bytes(b"\xff\xfe\x00")
     return str(path)
 
 
-@pytest.mark.parametrize("kind", ["directory", "invalid", "binary"])
+@pytest.mark.parametrize("kind", ["directory", "invalid", "binary", "missing", "missing-dir"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -358,6 +358,7 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys, argv, kind):
     code, _, err = run(capsys, [path if a == "{}" else a for a in argv])
     assert code == 2
     assert err.startswith("error: ") and path in err
+    assert "cannot read" in err or not kind.startswith("missing")
 
 
 @pytest.mark.parametrize(
@@ -437,3 +438,29 @@ def test_flag_and_spec_grammars_give_the_same_report(tmp_path, capsys):
     assert flag_code == spec_code == 0
     assert by_flags["provenance"].pop("input") != by_spec["provenance"].pop("input")
     assert by_flags == by_spec
+
+
+def test_flag_grammar_reads_the_algebra_file_once(tmp_path, capsys, monkeypatch):
+    from fqg import builders
+
+    algebra, theta = str(tmp_path / "kz3.json"), str(tmp_path / "theta.json")
+    (tmp_path / "kz3.json").write_text(algebra_to_json(preset("kz3")))
+    inversion = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
+    matrices = [[[[float(x), 0.0] for x in row] for row in t] for t in (np.eye(3), inversion)]
+    (tmp_path / "theta.json").write_text(json.dumps(matrices))
+    reads = []
+    read_json = builders.read_json
+    monkeypatch.setattr(builders, "read_json", lambda p: reads.append(p) or read_json(p))
+    code, _, _ = run(capsys, ["action", algebra, "--group", "z2", "--automorphisms", theta])
+    assert code == 0
+    assert reads == [algebra, theta]
+
+
+def test_a_file_named_like_a_preset_does_not_shadow_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in ("kz3", "z2", "inversion"):
+        (tmp_path / name).write_text("{not json")
+    code, _, _ = run(capsys, ["action", "kz3", "--group", "z2", "--automorphisms", "inversion"])
+    assert code == 0
+    code, _, _ = run(capsys, ["verify", "kz3", "--only", "haar/*"])
+    assert code == 0

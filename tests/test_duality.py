@@ -14,6 +14,7 @@ from fqg import (
     functional_star,
     gns_construct,
     preset,
+    preset_names,
     verify_fourier,
     verify_G_isomorphism,
     verify_hopf_star_axioms,
@@ -173,3 +174,16 @@ def test_G_isomorphism_residuals_match_convolution_loops(basis_changed):
     for name, value in expected.items():
         assert value > 1.0
         assert abs(report.residual(name) - value) <= 1e-13 * value, name
+
+
+def test_functional_star_matches_the_basis_element_loop(basis_changed):
+    # the reference applies antipode, then star, then phi to each basis element
+    rng = np.random.default_rng(11)
+    for name in preset_names():
+        a = basis_changed(preset(name), 3)
+        phi = Functional(rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim))
+        expected = [
+            np.conj(phi(a.apply_star(a.apply_antipode(a.basis_element(j))))) for j in range(a.dim)
+        ]
+        got = functional_star(a, phi).coords
+        assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected))), name
