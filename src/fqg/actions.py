@@ -40,11 +40,7 @@ from .errors import (
 from .groups import CayleyTable
 from .haar import Functional, fourier_matrix
 from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra, is_hopf_star_automorphism
-from .multiplicative import (
-    MultiplicativeUnitary,
-    coproduct_operators,
-    slice_products_and_adjoints,
-)
+from .multiplicative import MultiplicativeUnitary, coproduct_operators
 from .report import ReportBuilder, VerificationReport
 from .tensors import (
     TensorOperator,
@@ -415,7 +411,7 @@ def verify_gamma(
 ) -> VerificationReport:
     """gamma is a unital *-homomorphism on the dual subspace and a coaction."""
     # the unit of the dual subspace, the identity operator, is the image of the counit
-    product_coords, star_coords, _ = slice_products_and_adjoints(wop)
+    product_coords, star_coords, _ = wop.slice_closure
     unit, mult, star = star_homomorphism_defects(
         data.gamma_ops, product_coords, star_coords, data.action.algebra.counit
     )
@@ -487,9 +483,9 @@ def verify_slice_commutativity(
     C(K) is diagonal, so V is block-diagonal in its middle leg: both commutations hold by
     construction and become informative only with a non-commutative coefficient algebra.
 
-    Every mode ends with ``beta_slices_generate``: the diagonals of those
-    slices, closed under pointwise products, span an algebra whose dimension
-    equals the number of distinct automorphisms.
+    Every mode ends with ``beta_slices_generate``: those slices, closed
+    under matrix products, span an algebra whose dimension equals the number
+    of distinct automorphisms.
     """
     action = data.action
     a = action.algebra
@@ -533,10 +529,10 @@ def verify_slice_commutativity(
     generators = t.transpose(0, 3, 2, 5, 1, 4).reshape(n * n * n * n, m, m)
     norms = np.linalg.norm(generators.reshape(len(generators), -1), axis=1)
     keep = generators[norms > tol]
+    basis = _span_rows(keep.reshape(len(keep), m * m), tol).reshape(-1, m, m)
+    products = np.einsum("aij,bjk->abik", basis, basis)
 
     if mode == "sliced":
-        basis = _span_rows(keep.reshape(len(keep), m * m), tol).reshape(-1, m, m)
-        products = np.einsum("aij,bjk->abik", basis, basis)
         rb.add(
             "sliced_commutation",
             float(np.max(np.abs(products - products.transpose(1, 0, 2, 3)), initial=0.0)),
@@ -548,7 +544,7 @@ def verify_slice_commutativity(
         )
 
     # the slices of beta generate the functions constant on fibres of theta
-    generated_dim = _generated_dimension(np.diagonal(keep, axis1=1, axis2=2), tol)
+    generated_dim = _generated_dimension(basis, products, tol)
     distinct_theta = _distinct_automorphisms(action.theta, tol)
     rb.add_count(
         "beta_slices_generate",
@@ -572,17 +568,18 @@ def _span_rows(vectors, tol: float) -> np.ndarray:
     return span.q[:, :span.rank(tol)].T
 
 
-def _generated_dimension(vectors, tol: float) -> int:
-    """Dimension of the algebra the rows of ``vectors`` generate under pointwise products.
+def _generated_dimension(basis, products, tol: float) -> int:
+    """Dimension of the algebra the independent (k, m, m) stack ``basis``
+    generates under matrix products; ``products`` holds its (k, k, m, m) pairs.
 
-    Each round adds the pointwise products of an orthonormal basis of the
-    current span (those of any basis span the same space) and takes one SVD;
-    the span is closed once a round adds no dimension.
+    Each round adds the products of an orthonormal basis of the current span
+    (those of any basis span the same space) and takes one SVD; the span is
+    closed once a round adds no dimension.
     """
-    basis = _span_rows(vectors, tol)
+    m = basis.shape[-1]
     while True:
-        products = (basis[:, None] * basis[None]).reshape(-1, basis.shape[1])
-        grown = _span_rows(np.concatenate([basis, products]), tol)
+        candidates = np.concatenate([basis, products.reshape(-1, m, m)])
+        grown = _span_rows(candidates.reshape(-1, m * m), tol).reshape(-1, m, m)
         if len(grown) == len(basis):
             return len(basis)
-        basis = grown
+        basis, products = grown, np.einsum("aij,bjk->abik", grown, grown)

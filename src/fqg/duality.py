@@ -68,6 +68,12 @@ def verify_G_isomorphism(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -
     conjugation coproduct on the dual subspace.  The slice map sends the
     j-th dual-basis functional to ``slice_basis[j]``; products and adjoints
     of functionals are those of ``build_dual``.
+
+    ``intertwines_coproducts`` reads ``dual_coproduct_coords`` (computed on
+    first read): dual-coproduct(x_i) is C_i over the orthonormal Q_a (x) Q_b
+    plus a part of norm r_i orthogonal to them.  With R = Q* X, the x_p over Q,
+    sum_pq m_pqi x_p (x) x_q = sum_ab (R m_i R^T)_ab Q_a (x) Q_b (m_pqi: e_i in
+    e_p e_q), so their distance is exactly sqrt(||C_i - R m_i R^T||_F^2 + r_i^2).
     """
     a = wop.algebra
     n = a.dim
@@ -79,15 +85,11 @@ def verify_G_isomorphism(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -
     rb.add("multiplicative_for_convolution", float(mult.max()), tol)
     rb.add("star_compatible", float(star.max()), tol)
 
-    worst_coproduct = 0.0
-    for i in range(n):
-        # functional composed with the product, expanded over dual basis pairs
-        pair_coeffs = a.mult[:, :, i]
-        lhs = np.einsum(
-            "pq,pab,qcd->acbd", pair_coeffs, wop.slice_basis, wop.slice_basis, optimize=True
-        ).reshape(n * n, n * n)
-        worst_coproduct = max(worst_coproduct, frob(lhs - wop.dual_coproducts[i]))
-    rb.add("intertwines_coproducts", worst_coproduct, tol)
+    coeffs, remainders = wop.dual_coproduct_coords
+    r = wop.dual_span.q.conj().T @ wop.slice_basis.reshape(n, -1).T
+    pairs = r @ a.mult.transpose(2, 0, 1) @ r.T
+    worst = np.sqrt(np.linalg.norm(coeffs - pairs, axis=(1, 2)) ** 2 + remainders ** 2).max()
+    rb.add("intertwines_coproducts", float(worst), tol)
 
     return rb.build()
 

@@ -21,7 +21,8 @@ coordinates over the x_j.  Every dual-subspace question is answered with
 that factorisation: the dimension, membership of a matrix (its distance from
 span Q), the coordinates of products and adjoints (closure), and membership
 of a dual coproduct in the doubled span (its distance from {Q X Q^T} after
-regrouping the legs), so no pair basis is ever built.
+regrouping the legs), so no pair basis is ever built.  What depends on W and
+the x_j alone is computed on first read (see ``MultiplicativeUnitary``).
 
 The pentagon, (dual-coproduct (x) id) W = W13 W23, and coassociativity and
 multiplicativity of the dual coproduct are reported as certified upper bounds
@@ -65,8 +66,9 @@ class MultiplicativeUnitary:
     W = sum_j slice_basis[j] (x) left_regular[j] up to ``expansion_residual``.
     ``dual_span`` is the one SVD of the stacked slice basis: an orthonormal
     basis ``q`` of the dual subspace and the map from coordinates in ``q`` to
-    coordinates over ``slice_basis``.  ``dual_coproducts[j]`` is the dual
-    coproduct W* (1 (x) x_j) W of the j-th slice-basis element.
+    coordinates over ``slice_basis``.  The cached properties are computed on
+    first read, so only a stage that reads ``dual_coproducts`` builds that n^5
+    stack, and a context rebuilt by ``dataclasses.replace`` computes its own.
     """
 
     w: TensorOperator
@@ -75,7 +77,6 @@ class MultiplicativeUnitary:
     slice_basis: np.ndarray
     expansion_residual: float
     dual_span: SpanBasis
-    dual_coproducts: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -85,6 +86,25 @@ class MultiplicativeUnitary:
     def unitarity_defect(self) -> float:  # one ||W*W - I||_F per context
         w = self.w.entries
         return frob(w.conj().T @ w - np.eye(w.shape[0]))
+
+    @cached_property
+    def slice_closure(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Slice-basis coordinates of products (n, n, n) and adjoints (n, n); closure residual."""
+        n, basis = self.dim, self.slice_basis
+        product_coords, product_res = self.dual_span.coords(basis[:, None] @ basis[None, :])
+        star_coords, star_res = self.dual_span.coords(basis.conj().transpose(0, 2, 1))
+        closure = float(max(product_res.max(), star_res.max()))
+        return product_coords.reshape(n, n, n), star_coords, closure
+
+    @cached_property
+    def dual_coproducts(self) -> np.ndarray:
+        """The dual coproducts W* (1 (x) x_j) W of the slice basis, (n, n^2, n^2)."""
+        return freeze(_dual_coproducts(self.w.entries, self.slice_basis))
+
+    @cached_property
+    def dual_coproduct_coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates C of ``dual_coproducts`` over Q_a (x) Q_b, distances r from their span."""
+        return _doubled_span_coords(self, self.dual_coproducts)
 
 
 def _in_onb(gns: GnsData, t: np.ndarray) -> TensorOperator:
@@ -104,8 +124,7 @@ def build_multiplicative_unitary(
     w = _in_onb(gns, np.einsum("ipq,qjk->pkij", a.comult, a.mult, optimize=True))
     coeffs, residual = expand_in_leg(w.entries, (n, n), gns.left_regular)
     coeffs = freeze(coeffs)
-    images = freeze(_dual_coproducts(w.entries, coeffs))
-    return MultiplicativeUnitary(w, a, gns, coeffs, residual, span_basis(coeffs), images)
+    return MultiplicativeUnitary(w, a, gns, coeffs, residual, span_basis(coeffs))
 
 
 def inverse_via_antipode(a: FiniteHopfStarAlgebra, gns: GnsData) -> TensorOperator:
@@ -287,20 +306,6 @@ class DualSubspace:
     closure_residual: float
 
 
-def slice_products_and_adjoints(
-    wop: MultiplicativeUnitary,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Coordinates over the slice basis of every product basis_i basis_j
-    (shape (n, n, n)) and adjoint basis_i* (shape (n, n)), and the largest
-    distance of any of them from the dual subspace."""
-    n = wop.dim
-    basis = wop.slice_basis
-    product_coords, product_res = wop.dual_span.coords(basis[:, None] @ basis[None, :])
-    star_coords, star_res = wop.dual_span.coords(basis.conj().transpose(0, 2, 1))
-    closure = float(max(product_res.max(), star_res.max()))
-    return product_coords.reshape(n, n, n), star_coords, closure
-
-
 def build_dual_subspace(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> DualSubspace:
     """Basis of the dual subspace with closure and dimension certificates."""
     n = wop.dim
@@ -329,8 +334,7 @@ def build_dual_subspace(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) ->
             "right slices of W do not span an n-dimensional space",
             check="dual_subspace_dimension",
         )
-    _, _, closure = slice_products_and_adjoints(wop)
-    return DualSubspace(wop.slice_basis, closure)
+    return DualSubspace(wop.slice_basis, wop.slice_closure[2])
 
 
 def _dual_coproducts(w, xs) -> np.ndarray:
@@ -436,7 +440,7 @@ def verify_dual_coproduct_identities(
     where P is the residual of ``pentagon`` (computed when not given).
 
     The *-homomorphism check writes x_j* = sum_k c_jk x_k over the slice
-    basis (``dual_span.coords``) and compares sum_k c_jk dual-coproduct(x_k)
+    basis (``slice_closure``) and compares sum_k c_jk dual-coproduct(x_k)
     with dual-coproduct(x_j)*.  Comparing dual-coproduct(x*) itself would
     prove nothing: W*(1 (x) x*)W is the adjoint of W*(1 (x) x)W for every
     matrix W.  The residual is the image of the part of x_j* that the slice
@@ -455,6 +459,7 @@ def verify_dual_coproduct_identities(
     """
     n, u = wop.dim, wop.unitarity_defect
     w2 = 1.0 + u
+    # full_suite reads the stack first here, once the coproduct stage has freed its own
     images = wop.dual_coproducts
     lr_norm = np.linalg.norm(wop.gns.left_regular.reshape(n, -1), 2)
     first_leg = w2 * _reported(pentagon or verify_pentagon(wop, tol), "pentagon")
@@ -463,7 +468,7 @@ def verify_dual_coproduct_identities(
     rb = ReportBuilder()
     _add_bounded(rb, "dual_coproduct_on_first_leg_of_w", first_leg, tol, _exact_first_leg, wop)
     rounding = rounding_allowance(n)
-    coeffs, remainders = _doubled_span_coords(wop, images)
+    coeffs, remainders = wop.dual_coproduct_coords
     t = wop.dual_span.to_coords
     up = np.einsum("ja,jcd->acd", t, coeffs).reshape(t.shape[1], -1)  # C^a over (c, d)
     slack = 2 * np.linalg.norm(t, 2) * np.linalg.norm(remainders) + rounding * w2
@@ -473,8 +478,7 @@ def verify_dual_coproduct_identities(
     ])
     mult = w2 * np.linalg.norm(wop.slice_basis, 2, axis=(1, 2)).max() ** 2 * (w2 - 1 + rounding)
 
-    star_coords, _ = wop.dual_span.coords(wop.slice_basis.conj().transpose(0, 2, 1))
-    star = (star_coords @ images.reshape(n, -1)).reshape(images.shape)
+    star = (wop.slice_closure[1] @ images.reshape(n, -1)).reshape(images.shape)
     # |conj(a) - b^T| = |a - b*| entrywise, so conjugating in place spares a stack
     np.conjugate(star, out=star)
     star -= images.transpose(0, 2, 1)

@@ -38,6 +38,7 @@ from fqg import (
 from fqg.actions import (
     FiniteGroupAction,
     _generated_dimension,
+    _span_rows,
     action_axioms_report,
     beta_matrix,
     beta_matrix_antipode_form,
@@ -544,9 +545,11 @@ def test_generated_dimension_matches_greedy_reference(names, expected):
     t = data.v.entries.reshape(n, m, n, n, m, n)
     generators = t.transpose(0, 3, 2, 5, 1, 4).reshape(n ** 4, m, m)
     norms = np.linalg.norm(generators.reshape(len(generators), -1), axis=1)
-    diagonals = np.diagonal(generators[norms > 1e-9], axis1=1, axis2=2)
-    assert _generated_dimension(diagonals, 1e-9) == reference_generated_dimension(diagonals, 1e-9)
-    assert _generated_dimension(diagonals, 1e-9) == expected
+    keep = generators[norms > 1e-9]  # diagonal matrices: C(K) is diagonal
+    diagonals = np.array([np.diag(g) for g in keep])
+    assert np.array_equal(keep, np.array([np.diag(d) for d in diagonals]))
+    assert generated_dimension(keep) == reference_generated_dimension(diagonals, 1e-9)
+    assert generated_dimension(keep) == expected
     report = verify_slice_commutativity(data, wop, mode="sliced")
     assert report.overall_pass, [c.name for c in report.checks if not c.passed]
     assert report.check("beta_slices_generate").detail.startswith(
@@ -554,12 +557,28 @@ def test_generated_dimension_matches_greedy_reference(names, expected):
     )
 
 
+def generated_dimension(mats, tol=1e-9):
+    """``_generated_dimension`` started, as in ``verify_slice_commutativity``,
+    from an orthonormal basis of the span of ``mats`` and its products."""
+    m = mats.shape[-1]
+    basis = _span_rows(mats.reshape(len(mats), m * m), tol).reshape(-1, m, m)
+    return _generated_dimension(basis, basis[:, None] @ basis[None], tol)
+
+
 def test_generated_dimension_closes_over_several_rounds():
-    # span{(1, 2, 3)} -> + squares -> + cubes: all of C^3 after two rounds
+    # span{diag(1, 2, 3)} -> + squares -> + cubes: all diagonal matrices after two rounds
     vectors = np.array([[1.0, 2.0, 3.0]], dtype=complex)
-    assert _generated_dimension(vectors, 1e-9) == 3
+    assert generated_dimension(np.array([np.diag(v) for v in vectors])) == 3
     assert reference_generated_dimension(vectors, 1e-9) == 3
-    assert _generated_dimension(np.zeros((0, 3), dtype=complex), 1e-9) == 0
+    assert generated_dimension(np.zeros((0, 3, 3), dtype=complex)) == 0
+
+
+def test_generated_dimension_of_non_commuting_matrices():
+    # E12 E21 = E11 and E21 E12 = E22, so the matrix units E12, E21 generate M2
+    e = np.eye(2)
+    units = np.einsum("ia,jb->ijab", e, e).astype(complex)  # units[i, j] = E_ij
+    assert generated_dimension(np.array([units[0, 1], units[1, 0]])) == 4
+    assert generated_dimension(units[:1, 0]) == 1
 
 
 def test_sliced_commutation_detects_non_commuting_v():

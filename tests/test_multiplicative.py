@@ -9,6 +9,7 @@ import pytest
 from fqg import (
     NotInDualSubspace,
     TensorOperator,
+    action_suite,
     build_dual_subspace,
     build_multiplicative_unitary,
     compute_haar,
@@ -16,11 +17,13 @@ from fqg import (
     dual_coproduct_checked,
     full_suite,
     gns_construct,
+    group_preset,
     inverse_via_antipode,
     load_algebra,
     pentagon_residual,
     preset,
     preset_names,
+    resolve_automorphisms,
     save_algebra,
     verify_antipode_relation,
     verify_coproduct_implemented,
@@ -32,10 +35,10 @@ from fqg import (
 )
 from fqg import multiplicative
 from fqg.cli import main
-from fqg.multiplicative import dual_subspace_commutativity_defect, slice_products_and_adjoints
-from fqg.duality import fourier_matrix, verify_fourier_slice_identity
+from fqg.multiplicative import dual_subspace_commutativity_defect
+from fqg.duality import fourier_matrix, verify_G_isomorphism, verify_fourier_slice_identity
 from fqg.report import ReportBuilder
-from fqg.tensors import expand_in_leg, leg_distance, project_onto_span, span_basis
+from fqg.tensors import SpanBasis, expand_in_leg, leg_distance, project_onto_span, span_basis
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -258,7 +261,7 @@ def test_shared_projector_matches_pair_basis_lstsq_oracle(name, basis_changed, m
     assert min(oracle[-4:]) > 0.1
 
     # closure: products and adjoints, with coordinates that reproduce them
-    product_coords, star_coords, closure = slice_products_and_adjoints(wop)
+    product_coords, star_coords, closure = wop.slice_closure
     products = [x @ y for x in basis for y in basis]
     adjoints = [x.conj().T for x in basis]
     assert abs(closure - max(_lstsq_residual(basis, t) for t in products + adjoints)) <= 1e-13
@@ -323,10 +326,8 @@ def _unitary(a):
 
 
 def _with_w(wop, w):
-    """``wop`` with W replaced by ``w`` and its dual coproducts recomputed."""
-    bad = dataclasses.replace(wop, w=TensorOperator(wop.w.dims, w))
-    images = np.stack([dual_coproduct(bad, x) for x in wop.slice_basis])
-    return dataclasses.replace(bad, dual_coproducts=images)
+    """``wop`` with W replaced by ``w``; the slice basis stays that of ``wop``."""
+    return dataclasses.replace(wop, w=TensorOperator(wop.w.dims, w))
 
 
 def _defects(wop, seed):
@@ -603,13 +604,12 @@ def _noise(rng, d):
 
 def _context(wop, w):
     """The pipeline context of ``wop`` rebuilt around ``w`` in place of W: its
-    slice basis, expansion and dual coproducts all come from ``w``."""
+    slice basis and expansion come from ``w``."""
     n = wop.dim
     coeffs, residual = expand_in_leg(w, (n, n), wop.gns.left_regular)
-    images = np.stack([w.conj().T @ np.kron(np.eye(n), x) @ w for x in coeffs])
     w_op = TensorOperator((n, n), w)
     return multiplicative.MultiplicativeUnitary(
-        w_op, wop.algebra, wop.gns, coeffs, residual, span_basis(coeffs), images
+        w_op, wop.algebra, wop.gns, coeffs, residual, span_basis(coeffs)
     )
 
 
@@ -662,3 +662,79 @@ def test_tolerance_below_rounding_fails_checks_without_aborting(name, capsys):
     wop = unitary_of(name)
     _, report = dual_coproduct_checked(wop, wop.slice_basis[0], tol=1e-20)
     assert [c.name for c in report.checks] == ["dual_coproduct_in_doubled_span"]
+
+
+# -- quantities computed once per context, on first read
+
+
+def _counting(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` for the rest of the test."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_sliced_action_never_builds_the_dual_coproduct_stack(monkeypatch):
+    calls = _counting(monkeypatch, multiplicative, "_dual_coproducts")
+    a, k_group = preset("ks3"), group_preset("s3")
+    report = action_suite(a, k_group, resolve_automorphisms(a, k_group, "conjugation"), mode="sliced")
+    assert report.overall_pass
+    assert calls == []
+
+
+def test_full_suite_projects_onto_the_dual_span_twice(monkeypatch):
+    # the product and adjoint coordinates of ``slice_closure``, read by every stage
+    calls = _counting(monkeypatch, SpanBasis, "coords")
+    assert full_suite(preset("ks3")).overall_pass
+    assert len(calls) == 2
+
+
+def test_replaced_w_gets_its_own_dual_coproducts(basis_changed):
+    wop = _unitary(basis_changed(preset("kz3"), seed=5))
+    _ = wop.dual_coproducts, wop.dual_coproduct_coords  # cached on the original context
+    n = wop.dim
+    noise = _noise(np.random.default_rng(6), n * n)
+    w2 = wop.w.entries + 1e-3 * noise
+    bad = dataclasses.replace(wop, w=TensorOperator(wop.w.dims, w2))
+    oracle = np.stack([w2.conj().T @ np.kron(np.eye(n), x) @ w2 for x in wop.slice_basis])
+    assert np.max(np.abs(bad.dual_coproducts - oracle)) <= 1e-13
+    assert np.max(np.abs(bad.dual_coproducts - wop.dual_coproducts)) > 1e-4
+    assert bad.dual_coproduct_coords[1].max() > 1e-4 > wop.dual_coproduct_coords[1].max()
+
+
+def _oracle_intertwines(wop):
+    """The per-element loop that the coordinate form of
+    ``intertwines_coproducts`` replaces: sum_pq m_pqi x_p (x) x_q against the
+    dual coproduct of x_i, densely."""
+    a, n, x = wop.algebra, wop.dim, wop.slice_basis
+    worst = 0.0
+    for i in range(n):
+        lhs = np.einsum("pq,pab,qcd->acbd", a.mult[:, :, i], x, x).reshape(n * n, n * n)
+        worst = max(worst, np.linalg.norm(lhs - wop.dual_coproducts[i]))
+    return worst
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_intertwines_coproducts_matches_per_element_loop(name, basis_changed):
+    for a in (preset(name), basis_changed(preset(name), seed=5)):
+        wop = _unitary(a)
+        check = verify_G_isomorphism(wop).check("intertwines_coproducts")
+        assert check.passed
+        assert abs(check.residual - _oracle_intertwines(wop)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["kz3", "kz5", "ks3"])
+def test_intertwines_coproducts_on_injected_defects(name, basis_changed):
+    wop = _unitary(basis_changed(preset(name), seed=7))
+    for w in _defects(wop, seed=13):
+        bad = _with_w(wop, w)
+        oracle = _oracle_intertwines(bad)
+        check = verify_G_isomorphism(bad).check("intertwines_coproducts")
+        assert abs(check.residual - oracle) <= 1e-13
+        assert oracle > 1e-9 and not check.passed

@@ -1,0 +1,65 @@
+"""The report-parity harness in tools/: ``compare`` on hand-made dumps."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "report_parity.py"
+_SPEC = importlib.util.spec_from_file_location("report_parity", _PATH)
+report_parity = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(report_parity)
+
+ALLOWED = "slice_isomorphism/intertwines_coproducts"
+
+
+def _run(checks, code=0):
+    report = {"provenance": {"input": "ks3", "sha256": "00"}, "overall_pass": True, "checks": checks}
+    return {"exit": code, "stdout": json.dumps(report, indent=2) + "\n", "stderr": ""}
+
+
+def _check(name, residual, passed=True):
+    return {"name": name, "residual": residual, "tolerance": 1e-9, "passed": passed, "detail": ""}
+
+
+def _compare(tmp_path, a, b, allow=()):
+    paths = []
+    for label, runs in (("a", a), ("b", b)):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps({"case": runs}))
+        paths.append(str(path))
+    argv = ["compare", *paths]
+    for name in allow:
+        argv += ["--allow", name]
+    return report_parity.main(argv)
+
+
+BASE = [_check("pentagon/pentagon", 1e-15), _check(ALLOWED, 2e-15)]
+
+
+def test_identical_dumps_compare_equal(tmp_path, capsys):
+    assert _compare(tmp_path, _run(BASE), _run(BASE)) == 0
+    assert "1 of 1 outputs byte-identical" in capsys.readouterr().out
+
+
+def test_residual_change_passes_only_on_an_allowed_check(tmp_path, capsys):
+    moved = [BASE[0], _check(ALLOWED, 5e-15)]
+    assert _compare(tmp_path, _run(BASE), _run(moved), allow=[ALLOWED]) == 0
+    assert f"largest residual change of {ALLOWED}: 3.000e-15" in capsys.readouterr().out
+    assert _compare(tmp_path, _run(BASE), _run(moved)) == 1
+
+
+@pytest.mark.parametrize(
+    "changed",
+    [
+        _run([BASE[0], _check(ALLOWED, 2e-15, passed=False)]),  # verdict flip
+        _run([BASE[1], BASE[0]]),  # check order
+        _run(BASE, code=1),  # exit code
+        {**_run(BASE), "stderr": "error: boom\n"},
+        {**_run(BASE), "stdout": _run(BASE)["stdout"].replace('"00"', '"01"')},  # provenance
+    ],
+    ids=["verdict", "order", "exit", "stderr", "provenance"],
+)
+def test_any_other_change_fails_even_on_an_allowed_check(tmp_path, changed):
+    assert _compare(tmp_path, _run(BASE), changed, allow=[ALLOWED]) == 1

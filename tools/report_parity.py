@@ -1,0 +1,140 @@
+"""Report parity between two checkouts of fqg.
+
+    python tools/report_parity.py dump OUT.json
+    python tools/report_parity.py compare A.json B.json [--allow CHECK ...]
+
+``dump`` runs from a checkout root: it imports ``fqg`` from ``src/`` and the
+workload generator from ``perfbench/workloads.py`` of the current directory,
+writes the seed-1 and seed-2 inputs of every benchmark workload into a
+temporary directory, and runs each case, plus a fixed list of preset actions,
+through ``fqg.cli.main`` in process.  OUT.json maps each case to its exit
+code, stdout and stderr.  Run it once in each checkout, then ``compare``.
+
+``compare`` exits 1 on any change of exit code, stderr, provenance, check
+names or order, tolerances, verdicts or details, and on a residual change in
+a check not named by ``--allow`` (a full check name such as
+``slice_isomorphism/intertwines_coproducts``).  It prints the largest
+residual change of each allowed check.  Every case runs with
+``--format json``, so stdout that differs is compared field by field.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+SEEDS = (1, 2)
+PRESET_ACTIONS = (
+    [("ks3", "s3", "conjugation", mode) for mode in ("auto", "full", "sliced")]
+    + [("fs3", "s3", "conjugation", mode) for mode in ("auto", "sliced")]
+    + [(f"kz{n}", "z2", "inversion", mode) for n in (2, 3, 4, 6) for mode in ("full", "sliced")]
+    + [(f"fz{n}", "z2", "inversion", "full") for n in (2, 4)]
+)
+
+
+def _run(main, argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def dump(path: str) -> int:
+    root = os.getcwd()
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import workloads
+    from fqg.cli import main
+
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in workloads.WORKLOADS:
+            for seed in SEEDS:
+                inputs = os.path.join(tmp, f"{name}-{seed}")
+                cases = workloads.generate(name, seed, inputs)
+                os.chdir(inputs)  # case argv names files in the input directory
+                try:
+                    for case in cases:
+                        results[f"{name}/seed{seed}/{case.case_id}"] = _run(main, case.argv)
+                finally:
+                    os.chdir(root)
+    for alg, group, kind, mode in PRESET_ACTIONS:
+        argv = ["action", alg, "--group", group, "--automorphisms", kind, "--mode", mode]
+        argv += ["--format", "json"]
+        results[f"preset/{alg}-{group}-{kind}-{mode}"] = _run(main, argv)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(results, fh, indent=1, sort_keys=True)
+    print(f"wrote {len(results)} reports to {path}")
+    return 0
+
+
+def _report_differences(case: str, a: dict, b: dict, allow, largest: dict) -> list[str]:
+    """What differs between two runs of ``case``; residual changes of allowed
+    checks go into ``largest`` instead."""
+    problems = [f"{case}: {key} differs" for key in ("exit", "stderr") if a[key] != b[key]]
+    if a["stdout"] == b["stdout"]:
+        return problems
+    try:
+        ra, rb = json.loads(a["stdout"]), json.loads(b["stdout"])
+    except json.JSONDecodeError:
+        return problems + [f"{case}: stdout differs and is not a JSON report"]
+    checks_a, checks_b = ra.pop("checks", []), rb.pop("checks", [])
+    if ra != rb:
+        problems.append(f"{case}: provenance or verdict differs")
+    if [c["name"] for c in checks_a] != [c["name"] for c in checks_b]:
+        return problems + [f"{case}: check names or order differ"]
+    for ca, cb in zip(checks_a, checks_b):
+        name = ca["name"]
+        for key in ("tolerance", "passed", "detail"):
+            if ca[key] != cb[key]:
+                problems.append(f"{case}: {name} {key} {ca[key]!r} -> {cb[key]!r}")
+        if ca["residual"] == cb["residual"]:
+            continue
+        if name in allow and None not in (ca["residual"], cb["residual"]):
+            change = abs(cb["residual"] - ca["residual"])
+            largest[name] = max(largest.get(name, 0.0), change)
+        else:
+            problems.append(f"{case}: {name} residual {ca['residual']!r} -> {cb['residual']!r}")
+    return problems
+
+
+def compare(path_a: str, path_b: str, allow) -> int:
+    with open(path_a, encoding="utf-8") as fh:
+        dump_a = json.load(fh)
+    with open(path_b, encoding="utf-8") as fh:
+        dump_b = json.load(fh)
+    problems = [f"{case}: present in one dump only" for case in sorted(set(dump_a) ^ set(dump_b))]
+    largest: dict[str, float] = {}
+    identical = 0
+    for case in sorted(set(dump_a) & set(dump_b)):
+        identical += dump_a[case] == dump_b[case]
+        problems += _report_differences(case, dump_a[case], dump_b[case], set(allow), largest)
+    print(f"{identical} of {len(dump_a)} outputs byte-identical")
+    for name in sorted(allow):
+        print(f"largest residual change of {name}: {largest.get(name, 0.0):.3e}")
+    for problem in problems:
+        print(problem)
+    return 1 if problems else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_dump = sub.add_parser("dump", help="run every parity case from this checkout")
+    p_dump.add_argument("output")
+    p_compare = sub.add_parser("compare", help="compare two dumps")
+    p_compare.add_argument("a")
+    p_compare.add_argument("b")
+    p_compare.add_argument("--allow", action="append", default=[], metavar="CHECK")
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        return dump(args.output)
+    return compare(args.a, args.b, args.allow)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
