@@ -30,12 +30,12 @@ algebra = preset("kz2")
 gns = gns_construct(algebra, compute_haar(algebra))
 wop = build_multiplicative_unitary(algebra, gns)
 
-dual_space = build_dual_subspace(wop)
+build_dual_subspace(wop)  # raises unless the slice basis spans the dual subspace
 print("right-slice basis of the dual subspace of kz2:")
-for j, mat in enumerate(dual_space.basis):
+for j, mat in enumerate(wop.slice_basis):
     print(f"  x[{j}] =\n{mat.real}")
 
-p_g = dual_space.basis[1]
+p_g = wop.slice_basis[1]
 print("\ndual coproduct of the projection onto the u_g sector:")
 print(dual_coproduct(wop, p_g).real)
 print("(reads as p_e (x) p_g + p_g (x) p_e: the dual group law)")

@@ -79,7 +79,6 @@ from .hopf import (
     verify_hopf_star_axioms,
 )
 from .multiplicative import (
-    DualSubspace,
     MultiplicativeUnitary,
     build_dual_subspace,
     build_multiplicative_unitary,

@@ -158,6 +158,12 @@ def save_algebra(a: FiniteHopfStarAlgebra, path) -> None:
         fh.write("\n")
 
 
+def _json_int(value) -> bool:
+    """Whether ``value`` is a JSON integer: Python reads true and false as the
+    ints 1 and 0, and numpy reads a bool in an index as a mask."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _dense_from_sparse(entries, shape, field: str) -> np.ndarray:
     array = np.zeros(shape, dtype=complex)
     n_index = len(shape)
@@ -170,7 +176,7 @@ def _dense_from_sparse(entries, shape, field: str) -> np.ndarray:
                 f"field {field!r} entry {pos} must have {n_index} indices plus re, im"
             )
         idx = entry[:n_index]
-        if not all(isinstance(i, int) for i in idx):
+        if not all(_json_int(i) for i in idx):
             raise ParseError(f"field {field!r} entry {pos} has non-integer indices")
         value = _finite_complex(entry[n_index:], f"field {field!r} entry {pos}")
         if any(i < 0 or i >= s for i, s in zip(idx, shape)):
@@ -185,7 +191,7 @@ def _dense_from_sparse(entries, shape, field: str) -> np.ndarray:
 
 def _finite_complex(pair, where: str) -> complex:
     """The complex number [re, im]; non-numeric or non-finite parts raise ParseError."""
-    if not all(isinstance(v, (int, float)) for v in pair):
+    if not all(_json_int(v) or isinstance(v, float) for v in pair):
         raise ParseError(f"{where} has non-numeric values")
     try:
         finite = all(math.isfinite(v) for v in pair)
@@ -213,6 +219,10 @@ def _checked_object(data, keys, what: str) -> dict:
     missing = keys - set(data)
     if missing:
         raise ParseError(f"missing field(s) in {what}: {sorted(missing)}")
+    if isinstance(data["format_version"], bool):
+        raise ParseError(
+            f"field 'format_version' in {what} must be a number, got {data['format_version']!r}"
+        )
     if data["format_version"] != FORMAT_VERSION:
         raise SchemaVersionMismatch(
             f"{what} has format_version {data['format_version']!r}, expected {FORMAT_VERSION}"
@@ -223,7 +233,7 @@ def _checked_object(data, keys, what: str) -> dict:
 def algebra_from_json_dict(data: dict) -> FiniteHopfStarAlgebra:
     data = _checked_object(data, _ALGEBRA_KEYS, "algebra file")
     n = data["dim"]
-    if not isinstance(n, int) or n < 1:
+    if not _json_int(n) or n < 1:
         raise ParseError(f"field 'dim' must be a positive integer, got {n!r}")
     basis = data["basis"]
     if not isinstance(basis, list) or len(basis) != n:
@@ -283,6 +293,9 @@ def resolve_group(spec) -> CayleyTable:
             raise ParseError("inline group needs a 'table' field")
         if not isinstance(spec.get("labels", []), list):
             raise ParseError("inline group field 'labels' must be a list")
+        rows = spec["table"] if isinstance(spec["table"], list) else []
+        if any(isinstance(v, bool) for row in rows if isinstance(row, list) for v in row):
+            raise ParseError("inline group field 'table' must hold integers, not true or false")
         return cayley_from_table(
             spec["table"], labels=spec.get("labels"), name=spec.get("name", "custom")
         )

@@ -11,7 +11,8 @@ Commands:
 
 Exit codes: 0 all reported checks pass, 1 at least one check failed,
 2 structural error (bad file, non-finite number, unknown preset, bad flags,
-or a linear-algebra routine that fails on the input).
+or a linear-algebra routine or floating-point overflow that fails on the
+input).
 
 Reports are deterministic: the same input and configuration produce
 byte-identical output (there are no timestamps; the provenance block hashes
@@ -169,9 +170,13 @@ def main(argv=None) -> int:
         print("error: tolerance must be positive and finite", file=sys.stderr)
         return EXIT_STRUCTURAL
     try:
-        return args.func(args)
+        # an overflow or NaN from finite input is a failure of the input, not a residual
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except np.linalg.LinAlgError as exc:
         error = NumericalFailure(f"linear algebra failed on this input: {exc}")
+    except FloatingPointError as exc:
+        error = NumericalFailure(f"floating-point arithmetic failed on this input: {exc}")
     except (StructuralError, OSError) as exc:
         error = exc
     print(f"error: {error}", file=sys.stderr)

@@ -26,7 +26,7 @@ the x_j alone is computed on first read (see ``MultiplicativeUnitary``).
 
 The pentagon, (dual-coproduct (x) id) W = W13 W23, and coassociativity and
 multiplicativity of the dual coproduct are reported as certified upper bounds
-built from quantities other stages compute (see ``verify_pentagon`` and
+built from certificates the context caches (see ``verify_pentagon`` and
 ``verify_dual_coproduct_identities``); a bound above the tolerance gives way
 to the exact contraction.  The guards that end a stage have the floor
 4 n^2 eps, so a tolerance below rounding is reported as failing checks.
@@ -66,9 +66,13 @@ class MultiplicativeUnitary:
     W = sum_j slice_basis[j] (x) left_regular[j] up to ``expansion_residual``.
     ``dual_span`` is the one SVD of the stacked slice basis: an orthonormal
     basis ``q`` of the dual subspace and the map from coordinates in ``q`` to
-    coordinates over ``slice_basis``.  The cached properties are computed on
-    first read, so only a stage that reads ``dual_coproducts`` builds that n^5
-    stack, and a context rebuilt by ``dataclasses.replace`` computes its own.
+    coordinates over ``slice_basis``.  The certificates the stages read are
+    cached properties, computed on first read: ``unitarity_defect``,
+    ``coproduct_defects``, ``pentagon_bound``, ``pentagon_exact``,
+    ``slice_closure``, ``dual_coproducts`` and ``dual_coproduct_coords``.  So
+    only a stage that reads ``dual_coproducts`` builds that n^5 stack, the n^8
+    exact pentagon runs at most once, and a context rebuilt by
+    ``dataclasses.replace`` computes its own.
     """
 
     w: TensorOperator
@@ -86,6 +90,39 @@ class MultiplicativeUnitary:
     def unitarity_defect(self) -> float:  # one ||W*W - I||_F per context
         w = self.w.entries
         return frob(w.conj().T @ w - np.eye(w.shape[0]))
+
+    @cached_property
+    def coproduct_defects(self) -> tuple[float, float]:
+        """max_a ||W (L_a (x) 1) W* - coproduct(e_a)||_F, and
+        ||(id (x) coproduct) W - W12 W13||_F (see ``verify_coproduct_implemented``)."""
+        n, w = self.dim, self.w.entries
+        deltas = coproduct_operators(self)
+        # (L_a (x) 1) W* multiplies L_a into the first row leg of W*
+        w_adj = w.conj().T.reshape(n, n**3)
+        conjugation = np.max([
+            frob(w @ (l_a @ w_adj).reshape(n * n, n * n) - delta_a)
+            for l_a, delta_a in zip(self.gns.left_regular, deltas)
+        ])
+        lhs = [(self.slice_basis, [1]), (deltas, [2, 3])]
+        rhs = [(w, [1, 2]), (w, [1, 3])]
+        return float(conjugation), leg_distance(lhs, rhs, (n, n, n))
+
+    @cached_property
+    def pentagon_bound(self) -> float:
+        """The certified upper bound on the pentagon defect derived in ``verify_pentagon``."""
+        n, lr, c = self.dim, self.gns.left_regular, self.algebra.comult
+        conjugation, second_leg = self.coproduct_defects
+        x_norm = np.linalg.norm(self.slice_basis.reshape(n, -1), 2)
+        gram = np.einsum("pab,rab->pr", lr.conj(), lr)  # ||Delta||_F^2 is a form in comult over it
+        delta_norm = np.sqrt(abs(np.einsum("jpq,pr,qs,jrs->", c.conj(), gram, gram, c, optimize=True)))
+        bound = second_leg + _allowance(self, x_norm * delta_norm)
+        bound += x_norm * np.sqrt(n) * conjugation
+        return float(bound + np.sqrt(n) * (1.0 + self.unitarity_defect) * self.expansion_residual)
+
+    @cached_property
+    def pentagon_exact(self) -> float:
+        """The exact n^8 pentagon defect, ``pentagon_residual(w)``."""
+        return pentagon_residual(self.w)
 
     @cached_property
     def slice_closure(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -164,20 +201,13 @@ def pentagon_residual(w: TensorOperator) -> float:
     )
 
 
-def _reported(report: VerificationReport, name: str) -> float:
-    residual = report.check(name).residual
-    return float("nan") if residual is None else residual
-
-
 def _allowance(wop: MultiplicativeUnitary, kron_side: float) -> float:
     """The rounding allowance derived in ``verify_pentagon``."""
     n, w2 = wop.dim, 1.0 + wop.unitarity_defect
     return 4 * n * np.finfo(float).eps * w2 * (kron_side + w2 * np.sqrt(n) * frob(wop.w.entries))
 
 
-def verify_pentagon(
-    wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL, coproduct: VerificationReport | None = None
-) -> VerificationReport:
+def verify_pentagon(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> VerificationReport:
     """The pentagon W23 W12 W23* = W12 W13, as a certified upper bound.
 
     With W = sum_j x_j (x) L_j + E (||E||_F = ``expansion_residual``) and
@@ -195,20 +225,11 @@ def verify_pentagon(
     legs, at most w2 sqrt(n) ||W||_F, with a factor w2 for conjugating by W.
     Hence the allowance 4 n eps w2 (||X||_2 ||Delta||_F + w2 sqrt(n) ||W||_F);
     4 n^2 eps would grow as n^3.5 and reach the tolerance near n = 36.
-    ``coproduct`` is the report of ``verify_coproduct_implemented``, computed
-    when not given.  A bound above ``tol``, or NaN, gives way to the exact
-    n^8 ``pentagon_residual``.
+    The bound is ``wop.pentagon_bound``; above ``tol``, or NaN, it gives way
+    to the exact n^8 ``pentagon_residual`` (``wop.pentagon_exact``).
     """
-    n, lr, c = wop.dim, wop.gns.left_regular, wop.algebra.comult
-    coproduct = coproduct or verify_coproduct_implemented(wop, tol)
-    x_norm = np.linalg.norm(wop.slice_basis.reshape(n, -1), 2)
-    gram = np.einsum("pab,rab->pr", lr.conj(), lr)  # ||Delta||_F^2 is a form in comult over it
-    delta_norm = np.sqrt(abs(np.einsum("jpq,pr,qs,jrs->", c.conj(), gram, gram, c, optimize=True)))
-    bound = _reported(coproduct, "coproduct_on_second_leg_of_w") + _allowance(wop, x_norm * delta_norm)
-    bound += x_norm * np.sqrt(n) * _reported(coproduct, "conjugation_over_basis")
-    bound += np.sqrt(n) * (1.0 + wop.unitarity_defect) * wop.expansion_residual
     rb = ReportBuilder()
-    _add_bounded(rb, "pentagon", bound, tol, lambda w: pentagon_residual(w.w), wop)
+    _add_bounded(rb, "pentagon", wop.pentagon_bound, tol, lambda w: w.pentagon_exact, wop)
     return rb.build()
 
 
@@ -250,20 +271,11 @@ def verify_coproduct_implemented(
     wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
     """W (L_a (x) 1) W* equals left multiplication by coproduct(a) for every
-    basis element a; plus the global form (id (x) coproduct) W = W12 W13."""
-    n, w = wop.dim, wop.w
-    deltas = coproduct_operators(wop)
-    # (L_a (x) 1) W* multiplies L_a into the first row leg of W*
-    l_w_adj = wop.gns.left_regular @ w.entries.conj().T.reshape(n, n**3)
-    conjugated = w.entries @ l_w_adj.reshape(n, n * n, n * n)
-    del l_w_adj  # one (n, n^2, n^2) stack fewer alive for the difference
-    conjugated -= deltas
+    basis element a; plus (id (x) coproduct) W = W12 W13 (``wop.coproduct_defects``)."""
+    conjugation, second_leg = wop.coproduct_defects
     rb = ReportBuilder()
-    rb.add("conjugation_over_basis", np.max([frob(d) for d in conjugated]), tol)
-
-    lhs = [(wop.slice_basis, [1]), (deltas, [2, 3])]
-    rhs = [(w.entries, [1, 2]), (w.entries, [1, 3])]
-    rb.add("coproduct_on_second_leg_of_w", leg_distance(lhs, rhs, (n, n, n)), tol)
+    rb.add("conjugation_over_basis", conjugation, tol)
+    rb.add("coproduct_on_second_leg_of_w", second_leg, tol)
     return rb.build()
 
 
@@ -293,21 +305,9 @@ def verify_antipode_relation(
     return rb.build()
 
 
-@dataclass(frozen=True)
-class DualSubspace:
-    """Span of the right slices of W, closed under product and adjoint.
-
-    ``basis[j]`` is the slice of W by the j-th dual-basis functional, so
-    W = sum basis_j (x) left_regular_j.  ``closure_residual`` is the largest
-    distance of a product or adjoint of basis elements from the span.
-    """
-
-    basis: np.ndarray
-    closure_residual: float
-
-
-def build_dual_subspace(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> DualSubspace:
-    """Basis of the dual subspace with closure and dimension certificates."""
+def build_dual_subspace(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> None:
+    """Raise ExpansionFailed or DimensionMismatch unless ``wop.slice_basis``
+    spans the n-dimensional dual subspace and every right slice of W lies in it."""
     n = wop.dim
     w = wop.w
     _require_w_expansion(wop, tol)
@@ -334,7 +334,6 @@ def build_dual_subspace(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) ->
             "right slices of W do not span an n-dimensional space",
             check="dual_subspace_dimension",
         )
-    return DualSubspace(wop.slice_basis, wop.slice_closure[2])
 
 
 def _dual_coproducts(w, xs) -> np.ndarray:
@@ -354,13 +353,15 @@ def _doubled_span_coords(wop: MultiplicativeUnitary, ys) -> tuple[np.ndarray, np
     """Coordinates C of each operator in the stack ``ys`` over the orthonormal
     pairs Q_a (x) Q_b, and its distance from their span: regrouping legs turns
     kron(x_i, x_j) into x_i x_j^T over flattened matrices, so that span is
-    {Q X Q^T} and C = Q* Z conj(Q)."""
-    n = wop.dim
-    q = wop.dual_span.q
-    z = np.array(ys.reshape(-1, n, n, n, n).transpose(0, 1, 3, 2, 4)).reshape(-1, n * n, n * n)
-    coeffs = q.conj().T @ z @ q.conj()
-    z -= q @ coeffs @ q.T
-    return coeffs, np.array([frob(d) for d in z])
+    {Q X Q^T} and C = Q* Z conj(Q).  One operator is regrouped at a time."""
+    n, q = wop.dim, wop.dual_span.q
+    coeffs, remainders = [], []
+    for y in ys.reshape(-1, n * n, n * n):
+        z = y.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+        c = q.conj().T @ z @ q.conj()
+        coeffs.append(c)
+        remainders.append(frob(z - q @ c @ q.T))
+    return np.array(coeffs), np.array(remainders)
 
 
 def dual_coproduct_checked(
@@ -423,7 +424,7 @@ def _add_bounded(rb: ReportBuilder, name: str, bound: float, tol: float, exact, 
 
 
 def verify_dual_coproduct_identities(
-    wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL, pentagon: VerificationReport | None = None
+    wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
     """Global laws of the dual coproduct.
 
@@ -437,7 +438,7 @@ def verify_dual_coproduct_identities(
     W23 + W12* W23 W12 (I - W23* W23) + (W12* W12 - I) W13 W23.  So the defect
     is at most w2 P + sqrt(n) u (w2^3/2 + w2) + sqrt(n) w2 ||E||_F plus the
     allowance of ``verify_pentagon`` with Kronecker side ||Delta-hat||_F ||L||_2,
-    where P is the residual of ``pentagon`` (computed when not given).
+    where P is the pentagon residual ``verify_pentagon`` reports (bound or exact).
 
     The *-homomorphism check writes x_j* = sum_k c_jk x_k over the slice
     basis (``slice_closure``) and compares sum_k c_jk dual-coproduct(x_k)
@@ -459,10 +460,11 @@ def verify_dual_coproduct_identities(
     """
     n, u = wop.dim, wop.unitarity_defect
     w2 = 1.0 + u
+    pentagon = wop.pentagon_bound if wop.pentagon_bound <= tol else wop.pentagon_exact
     # full_suite reads the stack first here, once the coproduct stage has freed its own
     images = wop.dual_coproducts
     lr_norm = np.linalg.norm(wop.gns.left_regular.reshape(n, -1), 2)
-    first_leg = w2 * _reported(pentagon or verify_pentagon(wop, tol), "pentagon")
+    first_leg = w2 * pentagon
     first_leg += np.sqrt(n) * (u * (w2 ** 1.5 + w2) + w2 * wop.expansion_residual)
     first_leg += _allowance(wop, frob(images) * lr_norm)
     rb = ReportBuilder()

@@ -41,24 +41,21 @@ def full_suite(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL) -> Verificati
     wop = multiplicative.build_multiplicative_unitary(a, gns)
     rb.extend("unitary/", multiplicative.verify_unitarity(wop, tol))
     rb.extend("unitary/", multiplicative.verify_inverse_via_antipode(wop, tol))
-    # the pentagon bound is built from the coproduct identities, so they run first
-    coproduct = multiplicative.verify_coproduct_implemented(wop, tol)
-    pentagon = multiplicative.verify_pentagon(wop, tol, coproduct)
-    rb.extend("pentagon/", pentagon)
+    rb.extend("pentagon/", multiplicative.verify_pentagon(wop, tol))
     rb.extend("slices/", multiplicative.verify_left_slices_span(wop, tol))
-    rb.extend("coproduct_via_w/", coproduct)
+    rb.extend("coproduct_via_w/", multiplicative.verify_coproduct_implemented(wop, tol))
 
     try:
         rb.extend("antipode_relation/", multiplicative.verify_antipode_relation(wop, tol))
-        dual_space = multiplicative.build_dual_subspace(wop, tol)
+        multiplicative.build_dual_subspace(wop, tol)
     except VerificationError as exc:
         rb.add("dual_subspace/" + (exc.check or "build"), np.nan, tol, f"aborted: {exc}")
         return rb.build()
     rb.add_count("dual_subspace/dimension", wop.dual_span.rank(tol), a.dim)
-    rb.add("dual_subspace/closed_under_product_and_adjoint", dual_space.closure_residual, tol)
+    rb.add("dual_subspace/closed_under_product_and_adjoint", wop.slice_closure[2], tol)
     rb.add("dual_subspace/w_expansion", wop.expansion_residual, tol)
 
-    rb.extend("dual_coproduct/", multiplicative.verify_dual_coproduct_identities(wop, tol, pentagon))
+    rb.extend("dual_coproduct/", multiplicative.verify_dual_coproduct_identities(wop, tol))
 
     dual_algebra = duality.build_dual(a)
     rb.extend("dual_algebra/", verify_hopf_star_axioms(dual_algebra, tol))

@@ -150,7 +150,7 @@ def test_05_duality_and_slice_isomorphism():
     for name in PRESET_FAMILY:
         wop = unitary_of(name)
         dual_space = build_dual_subspace(wop)
-        ok &= dual_space.basis.shape[0] == wop.dim
+        ok &= wop.slice_basis.shape[0] == wop.dim
         report = verify_G_isomorphism(wop)
         worst = max(worst, report.residual("multiplicative_for_convolution"))
         worst = max(worst, report.residual("star_compatible"))

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report formats, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,66 @@ def test_non_finite_action_spec_entry_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, ["action", str(path)])
     assert code == 2
     assert "non-finite" in err
+
+
+def _true_indices(data):
+    # [true, true, 0] in place of [1, 1, 0]: numpy would read the bools as a mask
+    data["mult"][3][:2] = [True, True]
+
+
+def _true_dim(data):
+    data["dim"], data["basis"] = True, ["u_0"]
+
+
+def _true_version(data):
+    data["format_version"] = True
+
+
+def _true_value(data):
+    data["unit"][0][1:] = [True, False]
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [(_true_indices, "'mult'"), (_true_dim, "'dim'"), (_true_version, "'format_version'"),
+     (_true_value, "'unit'")],
+    ids=["index", "dim", "format-version", "value"],
+)
+def test_json_booleans_in_an_algebra_file_exit_two(tmp_path, capsys, edit, field):
+    data = json.loads(algebra_to_json(preset("kz2")))
+    edit(data)
+    path = tmp_path / "kz2.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+
+
+@pytest.mark.parametrize("part", ["group", "automorphisms"])
+def test_json_booleans_in_an_action_spec_exit_two(tmp_path, capsys, part):
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    spec = {"format_version": 1, "algebra": "kz2", "group": "z2", "automorphisms": [eye, eye]}
+    if part == "group":
+        spec["group"] = {"table": [[0, True], [True, 0]]}
+    else:
+        spec["automorphisms"] = [eye, [[[True, False], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(capsys, ["action", str(path)])
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert ("'table'" if part == "group" else "automorphism 1 entry (0, 0)") in err
+
+
+def test_overflow_on_finite_input_exits_two(tmp_path, capsys):
+    data = json.loads(algebra_to_json(preset("kz2")))
+    data["mult"][3][3] = 1e200
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 2 and out == "" and caught == []
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

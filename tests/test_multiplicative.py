@@ -37,7 +37,6 @@ from fqg import multiplicative
 from fqg.cli import main
 from fqg.multiplicative import dual_subspace_commutativity_defect
 from fqg.duality import fourier_matrix, verify_G_isomorphism, verify_fourier_slice_identity
-from fqg.report import ReportBuilder
 from fqg.tensors import SpanBasis, expand_in_leg, leg_distance, project_onto_span, span_basis
 
 CNOT = np.array(
@@ -187,19 +186,19 @@ def test_antipode_relation():
 
 def test_dual_subspace_of_group_algebra_z2_is_diagonal_projections():
     wop = unitary_of("kz2")
-    dual = build_dual_subspace(wop)
-    assert dual.basis.shape == (2, 2, 2)
-    assert np.max(np.abs(dual.basis[0] - np.diag([1.0, 0.0]))) < 1e-13
-    assert np.max(np.abs(dual.basis[1] - np.diag([0.0, 1.0]))) < 1e-13
-    assert dual.closure_residual <= 1e-12
+    assert build_dual_subspace(wop) is None  # raises unless the slice basis spans
+    assert wop.slice_basis.shape == (2, 2, 2)
+    assert np.max(np.abs(wop.slice_basis[0] - np.diag([1.0, 0.0]))) < 1e-13
+    assert np.max(np.abs(wop.slice_basis[1] - np.diag([0.0, 1.0]))) < 1e-13
+    assert wop.slice_closure[2] <= 1e-12
     assert dual_subspace_commutativity_defect(wop) <= 1e-13
 
 
 def test_dual_subspace_dimensions_and_commutativity_classification():
     for name, n in (("trivial", 1), ("kz3", 3), ("fz3", 3), ("ks3", 6), ("fs3", 6)):
         wop = unitary_of(name)
-        dual = build_dual_subspace(wop)
-        assert dual.basis.shape[0] == n
+        build_dual_subspace(wop)
+        assert wop.slice_basis.shape[0] == n
     # dual of a cocommutative algebra is commutative, and conversely
     assert dual_subspace_commutativity_defect(unitary_of("ks3")) <= 1e-12
     assert dual_subspace_commutativity_defect(unitary_of("fz3")) <= 1e-12
@@ -424,9 +423,9 @@ def _leg_oracles(wop):
 
 
 def _leg_checks(wop, tol=np.inf):
-    """The pentagon check and the first-leg check, chained as in ``full_suite``."""
-    pentagon = verify_pentagon(wop, tol, verify_coproduct_implemented(wop, tol))
-    first_leg = verify_dual_coproduct_identities(wop, tol, pentagon)
+    """The pentagon check and the first-leg check, in the order of ``full_suite``."""
+    pentagon = verify_pentagon(wop, tol)
+    first_leg = verify_dual_coproduct_identities(wop, tol)
     return [pentagon.check("pentagon"), first_leg.check("dual_coproduct_on_first_leg_of_w")]
 
 
@@ -438,10 +437,10 @@ def test_leg_bounds_dominate_exact_contraction(name, basis_changed):
         for check, exact in zip(checks, _leg_oracles(wop)):
             assert check.detail == CERTIFIED
             assert exact <= check.residual <= 1e-12
-        # called on their own, the stages compute the reports they build on
+        # on fresh contexts, each stage on its own computes the certificates it reads
         standalone = [
-            verify_pentagon(wop).residual("pentagon"),
-            verify_dual_coproduct_identities(wop).residual("dual_coproduct_on_first_leg_of_w"),
+            verify_pentagon(_unitary(a)).residual("pentagon"),
+            verify_dual_coproduct_identities(_unitary(a)).residual("dual_coproduct_on_first_leg_of_w"),
         ]
         assert standalone == [c.residual for c in checks]
 
@@ -467,9 +466,8 @@ def test_pentagon_bound_covers_a_defect_only_in_the_conjugation_stack():
     lr = wop.gns.left_regular
     w = sum(np.kron(np.diag(np.eye(3)[g]), lr[-g % 3]) for g in range(3))
     bad = _context(wop, w)
-    coproduct = verify_coproduct_implemented(bad, tol=np.inf)
     assert bad.expansion_residual <= 1e-14
-    assert coproduct.residual("coproduct_on_second_leg_of_w") <= 1e-14
+    assert bad.coproduct_defects[1] <= 1e-14  # coproduct_on_second_leg_of_w
     (check, _), (exact, _) = _leg_checks(bad), _leg_oracles(bad)
     assert exact > 1.0
     assert exact <= check.residual <= exact * np.sqrt(1.5) * (1 + 1e-12)
@@ -486,12 +484,14 @@ def test_leg_bounds_above_tol_report_exact_contraction(basis_changed):
 
 def test_pentagon_bound_that_is_nan_reports_exact_contraction():
     wop = unitary_of("ks3")
-    rb = ReportBuilder()
-    rb.add("conjugation_over_basis", float("nan"), 1e-9)
-    rb.add("coproduct_on_second_leg_of_w", 0.0, 1e-9)
-    check = verify_pentagon(wop, coproduct=rb.build()).check("pentagon")
+    # the cached (conjugation_over_basis, coproduct_on_second_leg_of_w)
+    vars(wop)["coproduct_defects"] = (float("nan"), 0.0)
+    check = verify_pentagon(wop).check("pentagon")
     assert check.detail == "exact contraction; certified bound nan exceeds tol"
     assert check.passed and check.residual == pentagon_residual(wop.w)
+    # the first-leg bound reads the same exact pentagon value
+    first_leg = verify_dual_coproduct_identities(wop).check("dual_coproduct_on_first_leg_of_w")
+    assert first_leg.detail == CERTIFIED
 
 
 def test_cli_reports_exact_pentagon_below_the_rounding_allowance(tmp_path, basis_changed, capsys):
@@ -693,6 +693,56 @@ def test_full_suite_projects_onto_the_dual_span_twice(monkeypatch):
     calls = _counting(monkeypatch, SpanBasis, "coords")
     assert full_suite(preset("ks3")).overall_pass
     assert len(calls) == 2
+
+
+def test_coproduct_and_pentagon_certificates_are_computed_once_per_context(monkeypatch):
+    operators = _counting(monkeypatch, multiplicative, "coproduct_operators")
+    contractions = _counting(monkeypatch, multiplicative, "leg_distance")
+    wop = unitary_of("ks3")
+    assert verify_coproduct_implemented(wop).overall_pass
+    assert verify_pentagon(wop).overall_pass
+    assert verify_dual_coproduct_identities(wop).overall_pass
+    assert len(operators) == 1 and len(contractions) == 1
+
+
+def test_nan_in_the_last_coproduct_operator_fails_the_conjugation_check(monkeypatch):
+    # a NaN after the first element must reach the maximum over the basis
+    original = multiplicative.coproduct_operators
+
+    def planted(wop):
+        deltas = original(wop)
+        deltas[-1, 0, 0] = np.nan
+        return deltas
+
+    monkeypatch.setattr(multiplicative, "coproduct_operators", planted)
+    check = verify_coproduct_implemented(unitary_of("ks3")).check("conjugation_over_basis")
+    assert check.residual is None and not check.passed
+
+
+def _traced_peak(read):
+    """Peak bytes traced by tracemalloc while ``read()`` runs."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        read()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_coproduct_and_dual_coproduct_stages_hold_no_extra_n5_stack(monkeypatch, basis_changed):
+    # in units of one (n, n^2, n^2) complex stack: the coproduct stage holds
+    # only the coproduct operators and their construction, and regrouping the
+    # dual coproducts copies one element at a time
+    from fqg import cyclic_group, group_algebra
+
+    monkeypatch.setattr(multiplicative, "leg_distance", lambda lhs, rhs, dims: 0.0)
+    wop = _unitary(basis_changed(group_algebra(cyclic_group(12)), seed=1))
+    stack = 16 * wop.dim ** 5
+    assert _traced_peak(lambda: wop.coproduct_defects) <= 2.2 * stack
+    _ = wop.dual_coproducts
+    assert _traced_peak(lambda: wop.dual_coproduct_coords) <= 0.5 * stack
 
 
 def test_replaced_w_gets_its_own_dual_coproducts(basis_changed):

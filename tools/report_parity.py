@@ -6,9 +6,13 @@
 ``dump`` runs from a checkout root: it imports ``fqg`` from ``src/`` and the
 workload generator from ``perfbench/workloads.py`` of the current directory,
 writes the seed-1 and seed-2 inputs of every benchmark workload into a
-temporary directory, and runs each case, plus a fixed list of preset actions,
-through ``fqg.cli.main`` in process.  OUT.json maps each case to its exit
-code, stdout and stderr.  Run it once in each checkout, then ``compare``.
+temporary directory, and runs each case, plus a fixed list of preset actions
+and ``verify <preset> --tol 1e-15`` for every preset and its dual, through
+``fqg.cli.main`` in process.  At that tolerance the pentagon and first-leg
+checks, and on every preset but ``trivial`` and its dual the coassociativity and
+multiplicativity checks, report their exact contractions.  OUT.json maps
+each case to its exit code, stdout and stderr.  Run it once in each
+checkout, then ``compare``.
 
 ``compare`` exits 1 on any change of exit code, stderr, provenance, check
 names or order, tolerances, verdicts or details, and on a residual change in
@@ -29,6 +33,7 @@ import sys
 import tempfile
 
 SEEDS = (1, 2)
+EXACT_TOL = "1e-15"  # below the rounding allowances of the certified bounds
 PRESET_ACTIONS = (
     [("ks3", "s3", "conjugation", mode) for mode in ("auto", "full", "sliced")]
     + [("fs3", "s3", "conjugation", mode) for mode in ("auto", "sliced")]
@@ -48,6 +53,7 @@ def dump(path: str) -> int:
     root = os.getcwd()
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads
+    import fqg
     from fqg.cli import main
 
     results = {}
@@ -66,6 +72,10 @@ def dump(path: str) -> int:
         argv = ["action", alg, "--group", group, "--automorphisms", kind, "--mode", mode]
         argv += ["--format", "json"]
         results[f"preset/{alg}-{group}-{kind}-{mode}"] = _run(main, argv)
+    presets = fqg.preset_names()
+    for name in [*presets, *(f"dual:{p}" for p in presets)]:
+        argv = ["verify", name, "--tol", EXACT_TOL, "--format", "json"]
+        results[f"exact/{name}"] = _run(main, argv)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=1, sort_keys=True)
     print(f"wrote {len(results)} reports to {path}")
