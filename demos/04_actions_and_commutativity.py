@@ -44,26 +44,22 @@ for algebra_name, group_name, kind in (
     algebra = preset(algebra_name)
     k_group = group_preset(group_name)
     theta = resolve_automorphisms(algebra, k_group, kind)
-    action = build_group_action(algebra, k_group, theta)
-    print("action axioms:", "pass" if action.report.overall_pass else "FAIL")
+    action = build_group_action(algebra, k_group, theta)  # raises unless the axioms hold
 
-    h = compute_haar(algebra)
-    gns = gns_construct(algebra, h)
-    wop = build_multiplicative_unitary(algebra, gns)
+    wop = build_multiplicative_unitary(algebra, gns_construct(algebra, compute_haar(algebra)))
     data = build_intertwiner_data(action, wop)
 
-    invariance = verify_strong_right_invariance(action, h)
+    invariance = verify_strong_right_invariance(data)
     print(f"strong right invariance defect: {invariance.max_residual():.1e}")
-    control = strong_right_invariance_residual(action, h, "identity")
+    control = strong_right_invariance_residual(data, "identity")
     print(f"  (control with the group antipode removed: {control:.1e})")
 
-    exchange = verify_action_intertwiner(data, wop)
+    exchange = verify_action_intertwiner(data)
     print(f"exchange identity defect |(id x beta)W - (gamma x id)W|: "
           f"{exchange.residual('intertwiner_exchange'):.1e} "
           f"on a {data.v.entries.shape[0]}-dimensional space")
 
-    mode = "full" if algebra.dim ** 4 * k_group.order <= 1000 else "sliced"
-    commutation = verify_slice_commutativity(data, wop, mode=mode)
+    commutation = verify_slice_commutativity(data)  # auto: full when small, sliced beyond
     for check in commutation.checks:
         print(f"  {check.name}: residual {check.residual:.1e}  {check.detail}")
 

@@ -14,11 +14,14 @@ From the coaction we assemble
   C(K) on the dual subspace,
 - V        = (id (x) beta) W on three legs [n, |K|, n],
 
-and verify: invariance of the Haar state and its strong form, the exchange
-identity (id (x) beta) W = (gamma (x) id) W together with its sliced
-consequence, and the commutation V234 V135 = V135 V234 on five legs (checked
-in full when small, through slice families otherwise), whose slices show the
-algebra generated by the slices of beta is commutative.  For a classical K,
+all held, with W and the Haar pairing, by ``IntertwinerData``: the context of
+the action on W, which ``build_intertwiner_data`` builds once and every
+action stage reads, called as ``(data, tol)``.  The stages verify invariance
+of the Haar state and its strong form, the exchange identity
+(id (x) beta) W = (gamma (x) id) W together with its sliced consequence, and
+the commutation V234 V135 = V135 V234 on five legs (checked in full when
+small, through slice families otherwise), whose slices show the algebra
+generated by the slices of beta is commutative.  For a classical K,
 C(K) is diagonal, so V is block-diagonal in its middle leg and both
 commutations hold by construction.
 """
@@ -38,7 +41,7 @@ from .errors import (
     StructuralError,
 )
 from .groups import CayleyTable
-from .haar import Functional, fourier_matrix
+from .haar import fourier_matrix
 from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra, is_hopf_star_automorphism
 from .multiplicative import MultiplicativeUnitary, coproduct_operators
 from .report import ReportBuilder, VerificationReport
@@ -170,13 +173,12 @@ def resolve_automorphisms(
 
 @dataclass(frozen=True)
 class FiniteGroupAction:
-    """An action of a finite group by Hopf *-automorphisms, with the
-    ``action_axioms_report`` that validated it."""
+    """An action of a finite group by Hopf *-automorphisms; ``build_group_action``
+    builds one only when ``action_axioms_report`` passes."""
 
     algebra: FiniteHopfStarAlgebra
     group: CayleyTable
     theta: np.ndarray  # (|K|, n, n)
-    report: VerificationReport
     theta_inv: np.ndarray = field(init=False)  # theta_inv[k] = theta[k^-1]
 
     def __post_init__(self):
@@ -266,71 +268,20 @@ def build_group_action(
         if first.name == "theta_automorphisms":
             raise NotAnAutomorphism(message, check=first.name, residual=first.residual)
         raise CoactionAxiomFailed(message, check=first.name, residual=first.residual)
-    return FiniteGroupAction(algebra, k_group, theta, report)
+    return FiniteGroupAction(algebra, k_group, theta)
 
 
-# -- invariance -------------------------------------------------------------
-
-
-def verify_haar_invariance(
-    action: FiniteGroupAction, h: Functional, tol: float = DEFAULT_TOL
-) -> VerificationReport:
-    """haar(theta_k(a)) = haar(a) for every group element and basis element."""
-    worst = float(np.max(np.abs(h.coords @ action.theta - h.coords)))
-    rb = ReportBuilder()
-    rb.add("haar_invariant_under_action", worst, tol)
-    return rb.build()
-
-
-def strong_right_invariance_residual(
-    action: FiniteGroupAction, h: Functional, antipode: str = "inverse"
-) -> float:
-    """Max defect of the strong invariance identity over all basis pairs.
-
-    For each pair (a, b) the identity equates, pointwise on the group,
-    haar(theta_k(a) b) with haar(a theta_{k^-1}(b)).  Setting
-    ``antipode="identity"`` replaces k^-1 by k, a falsifiability control that
-    must break on noncommutative examples.
-    """
-    if antipode not in ("inverse", "identity"):
-        raise StructuralError(f"antipode must be 'inverse' or 'identity', got {antipode!r}")
-    pair = fourier_matrix(action.algebra, h)
-    theta = action.theta
-    other = action.theta_inv if antipode == "inverse" else theta
-    # (k, i, j) -> haar(theta_k(e_i) e_j) against haar(e_i theta(e_j))
-    return float(np.max(np.abs(theta.transpose(0, 2, 1) @ pair - pair @ other)))
-
-
-def verify_strong_right_invariance(
-    action: FiniteGroupAction, h: Functional, tol: float = DEFAULT_TOL
-) -> VerificationReport:
-    """Strong right invariance plus the two mutually inverse shear maps.
-
-    The shear maps a (x) c -> alpha(a)(1 (x) c) and its antipode-twisted
-    partner must compose to the identity on A (x) C(K); this is the device
-    that proves the invariance identity.
-    """
-    rb = ReportBuilder()
-    rb.add(
-        "strong_right_invariance",
-        strong_right_invariance_residual(action, h, "inverse"),
-        tol,
-    )
-    # both maps act on e_i (x) delta_k as theta_k, resp. theta_{k^-1}, times
-    # delta_k: their compositions are the blocks theta_k theta_{k^-1} over k
-    theta, theta_inv, eye = action.theta, action.theta_inv, np.eye(action.algebra.dim)
-    shear = max(frob(theta @ theta_inv - eye), frob(theta_inv @ theta - eye))
-    rb.add("shear_maps_mutually_inverse", shear, tol)
-    return rb.build()
-
-
-# -- beta, gamma, and the exchange identity --------------------------------
+# -- the context: beta, gamma and V -----------------------------------------
 
 
 @dataclass(frozen=True)
 class IntertwinerData:
-    """beta and gamma as stacks of operators, plus the three-leg operator V.
+    """The context of an action on W, built once by ``build_intertwiner_data``;
+    every action stage reads it.
 
+    - wop is the multiplicative unitary the action acts on; its Haar state is
+      ``wop.gns.haar``.
+    - pair[b, i] = haar(e_b e_i), the Haar pairing (``haar.fourier_matrix``).
     - beta_ops[j] = beta(e_j) on C^K (x) H (k slowest): block k is left
       multiplication by theta_{k^-1}(e_j).
     - gamma_ops[j] = gamma(x_j) on H (x) C^K for the slice basis x_j of the
@@ -343,6 +294,8 @@ class IntertwinerData:
     """
 
     action: FiniteGroupAction
+    wop: MultiplicativeUnitary
+    pair: np.ndarray
     beta_ops: np.ndarray
     gamma_ops: np.ndarray
     gamma_hat: np.ndarray
@@ -370,23 +323,73 @@ def beta_matrix_antipode_form(action: FiniteGroupAction) -> np.ndarray:
 
 
 def build_intertwiner_data(action: FiniteGroupAction, wop: MultiplicativeUnitary) -> IntertwinerData:
-    """Assemble the beta and gamma stacks and V = (id (x) beta) W."""
-    a = action.algebra
-    gns = wop.gns
+    """The context of ``action`` on W: the Haar pairing, the beta and gamma
+    stacks and V = (id (x) beta) W."""
+    a, left_regular = action.algebra, wop.gns.left_regular
     n, m = a.dim, action.order
-    f = fourier_matrix(a, gns.haar)
-    f_inv = np.linalg.inv(f)
-    gamma_hat = f @ action.theta @ f_inv
+    pair = fourier_matrix(a, wop.gns.haar)
+    gamma_hat = pair @ action.theta @ np.linalg.inv(pair)
 
     eye = np.eye(m)
-    beta_ops = np.einsum("kij,iab,kl->jkalb", action.theta_inv, gns.left_regular, eye)
+    beta_ops = np.einsum("kij,iab,kl->jkalb", action.theta_inv, left_regular, eye)
     gamma_ops = np.einsum("kij,ipq,kl->jpkql", gamma_hat, wop.slice_basis, eye)
     beta_ops = beta_ops.reshape(n, m * n, m * n)
     gamma_ops = gamma_ops.reshape(n, n * m, n * m)
     v_mat = leg_product([(wop.slice_basis, [1]), (beta_ops, [2, 3])], (n, m, n))
     v = TensorOperator((n, m, n), v_mat)
-    v_last, v_res = expand_in_leg(v_mat, (n * m, n), gns.left_regular)
-    return IntertwinerData(action, beta_ops, gamma_ops, gamma_hat, v, v_last, v_res)
+    v_last, v_res = expand_in_leg(v_mat, (n * m, n), left_regular)
+    return IntertwinerData(action, wop, pair, beta_ops, gamma_ops, gamma_hat, v, v_last, v_res)
+
+
+# -- invariance -------------------------------------------------------------
+
+
+def verify_haar_invariance(data: IntertwinerData, tol: float = DEFAULT_TOL) -> VerificationReport:
+    """haar(theta_k(a)) = haar(a) for every group element and basis element."""
+    h = data.wop.gns.haar.coords
+    worst = float(np.max(np.abs(h @ data.action.theta - h)))
+    rb = ReportBuilder()
+    rb.add("haar_invariant_under_action", worst, tol)
+    return rb.build()
+
+
+def strong_right_invariance_residual(data: IntertwinerData, antipode: str = "inverse") -> float:
+    """Max defect of the strong invariance identity over all basis pairs.
+
+    For each pair (a, b) the identity equates, pointwise on the group,
+    haar(theta_k(a) b) with haar(a theta_{k^-1}(b)).  Setting
+    ``antipode="identity"`` replaces k^-1 by k, a falsifiability control that
+    must break on noncommutative examples.
+    """
+    if antipode not in ("inverse", "identity"):
+        raise StructuralError(f"antipode must be 'inverse' or 'identity', got {antipode!r}")
+    theta = data.action.theta
+    other = data.action.theta_inv if antipode == "inverse" else theta
+    # (k, i, j) -> haar(theta_k(e_i) e_j) against haar(e_i theta(e_j))
+    return float(np.max(np.abs(theta.transpose(0, 2, 1) @ data.pair - data.pair @ other)))
+
+
+def verify_strong_right_invariance(
+    data: IntertwinerData, tol: float = DEFAULT_TOL
+) -> VerificationReport:
+    """Strong right invariance plus the two mutually inverse shear maps.
+
+    The shear maps a (x) c -> alpha(a)(1 (x) c) and its antipode-twisted
+    partner must compose to the identity on A (x) C(K); this is the device
+    that proves the invariance identity.
+    """
+    rb = ReportBuilder()
+    rb.add("strong_right_invariance", strong_right_invariance_residual(data), tol)
+    # both maps act on e_i (x) delta_k as theta_k, resp. theta_{k^-1}, times
+    # delta_k: their compositions are the blocks theta_k theta_{k^-1} over k
+    action = data.action
+    theta, theta_inv, eye = action.theta, action.theta_inv, np.eye(action.algebra.dim)
+    shear = max(frob(theta @ theta_inv - eye), frob(theta_inv @ theta - eye))
+    rb.add("shear_maps_mutually_inverse", shear, tol)
+    return rb.build()
+
+
+# -- beta, gamma, and the exchange identity --------------------------------
 
 
 def verify_beta(data: IntertwinerData, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -406,12 +409,10 @@ def verify_beta(data: IntertwinerData, tol: float = DEFAULT_TOL) -> Verification
     return rb.build()
 
 
-def verify_gamma(
-    data: IntertwinerData, wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL
-) -> VerificationReport:
+def verify_gamma(data: IntertwinerData, tol: float = DEFAULT_TOL) -> VerificationReport:
     """gamma is a unital *-homomorphism on the dual subspace and a coaction."""
     # the unit of the dual subspace, the identity operator, is the image of the counit
-    product_coords, star_coords, _ = wop.slice_closure
+    product_coords, star_coords, _ = data.wop.slice_closure
     unit, mult, star = star_homomorphism_defects(
         data.gamma_ops, product_coords, star_coords, data.action.algebra.counit
     )
@@ -424,25 +425,20 @@ def verify_gamma(
     return rb.build()
 
 
-def verify_action_intertwiner(
-    data: IntertwinerData, wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL
-) -> VerificationReport:
+def verify_action_intertwiner(data: IntertwinerData, tol: float = DEFAULT_TOL) -> VerificationReport:
     """(id (x) beta) W = (gamma (x) id) W, plus its sliced scalar family.
 
     The sliced family compares, for every basis pair (a, b) and every group
     element, haar(b theta_k(a)) with haar(theta_{k^-1}(b) a); it is the
     scalar consequence obtained by slicing the exchange identity.
     """
-    action = data.action
-    gns = wop.gns
+    action, pair = data.action, data.pair
     rb = ReportBuilder()
 
-    exchange = leg_distance(
-        [(data.v.entries, [1, 2, 3])], [(data.gamma_ops, [1, 2]), (gns.left_regular, [3])], data.v.dims
-    )
-    rb.add("intertwiner_exchange", exchange, tol)
+    lhs = [(data.v.entries, [1, 2, 3])]
+    rhs = [(data.gamma_ops, [1, 2]), (data.wop.gns.left_regular, [3])]
+    rb.add("intertwiner_exchange", leg_distance(lhs, rhs, data.v.dims), tol)
 
-    pair = fourier_matrix(action.algebra, gns.haar)
     # (k, j, i) -> haar(e_j theta_k(e_i)) against haar(theta_{k^-1}(e_j) e_i)
     swapped = action.theta_inv.transpose(0, 2, 1) @ pair
     worst = float(np.max(np.abs(pair @ action.theta - swapped)))
@@ -463,10 +459,7 @@ def full_mode_bytes(n: int, m: int) -> int:
 
 
 def verify_slice_commutativity(
-    data: IntertwinerData,
-    wop: MultiplicativeUnitary,
-    tol: float = DEFAULT_TOL,
-    mode: str = "auto",
+    data: IntertwinerData, tol: float = DEFAULT_TOL, mode: str = "auto"
 ) -> VerificationReport:
     """Commutation of V234 with V135, fully or through slice families.
 
@@ -487,9 +480,8 @@ def verify_slice_commutativity(
     under matrix products, span an algebra whose dimension equals the number
     of distinct automorphisms.
     """
-    action = data.action
-    a = action.algebra
-    n, m = a.dim, action.order
+    action, wop = data.action, data.wop
+    n, m = action.algebra.dim, action.order
     dim5 = n * n * m * n * n
     if mode == "auto":
         mode = "full" if dim5 <= AUTO_FULL_THRESHOLD else "sliced"

@@ -141,8 +141,8 @@ def algebra_to_json(a: FiniteHopfStarAlgebra) -> str:
 def read_json(path):
     """The parsed contents of the JSON file at ``path``.
 
-    Raises ParseError when the file cannot be read, is not UTF-8 or is not
-    valid JSON."""
+    Raises ParseError when the file cannot be read, is not UTF-8, is not
+    valid JSON or nests too deeply for the parser."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -150,6 +150,8 @@ def read_json(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} nests too deeply to parse: {exc}") from exc
 
 
 def save_algebra(a: FiniteHopfStarAlgebra, path) -> None:

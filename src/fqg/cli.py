@@ -11,8 +11,8 @@ Commands:
 
 Exit codes: 0 all reported checks pass, 1 at least one check failed,
 2 structural error (bad file, non-finite number, unknown preset, bad flags,
-or a linear-algebra routine or floating-point overflow that fails on the
-input).
+a linear-algebra routine or floating-point overflow that fails on the input,
+or an input too large to allocate).
 
 Reports are deterministic: the same input and configuration produce
 byte-identical output (there are no timestamps; the provenance block hashes
@@ -177,6 +177,8 @@ def main(argv=None) -> int:
         error = NumericalFailure(f"linear algebra failed on this input: {exc}")
     except FloatingPointError as exc:
         error = NumericalFailure(f"floating-point arithmetic failed on this input: {exc}")
+    except MemoryError as exc:
+        error = StructuralError(f"input too large to allocate: {exc}")
     except (StructuralError, OSError) as exc:
         error = exc
     print(f"error: {error}", file=sys.stderr)

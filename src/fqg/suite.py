@@ -107,22 +107,20 @@ def action_suite(
     rb.extend("action/", axioms)
     if not axioms.overall_pass:
         return rb.build()
-    action = actions_mod.FiniteGroupAction(a, k_group, theta, axioms)
     try:
-        h = haar.compute_haar(a, tol)
-        gns = haar.gns_construct(a, h, tol)
+        gns = haar.gns_construct(a, haar.compute_haar(a, tol), tol)
     except VerificationError as exc:
         rb.add("action/" + (exc.check or "build"), np.nan, tol, f"aborted: {exc}")
         return rb.build()
 
-    rb.extend("invariance/", actions_mod.verify_haar_invariance(action, h, tol))
-    rb.extend("invariance/", actions_mod.verify_strong_right_invariance(action, h, tol))
-
+    action = actions_mod.FiniteGroupAction(a, k_group, theta)
     wop = multiplicative.build_multiplicative_unitary(a, gns)
     data = actions_mod.build_intertwiner_data(action, wop)
+    rb.extend("invariance/", actions_mod.verify_haar_invariance(data, tol))
+    rb.extend("invariance/", actions_mod.verify_strong_right_invariance(data, tol))
     rb.add("intertwiner/v_expansion", data.v_expansion_residual, tol)
     rb.extend("beta/", actions_mod.verify_beta(data, tol))
-    rb.extend("gamma/", actions_mod.verify_gamma(data, wop, tol))
-    rb.extend("intertwiner/", actions_mod.verify_action_intertwiner(data, wop, tol))
-    rb.extend("commutation/", actions_mod.verify_slice_commutativity(data, wop, tol, mode))
+    rb.extend("gamma/", actions_mod.verify_gamma(data, tol))
+    rb.extend("intertwiner/", actions_mod.verify_action_intertwiner(data, tol))
+    rb.extend("commutation/", actions_mod.verify_slice_commutativity(data, tol, mode))
     return rb.build()

@@ -178,11 +178,11 @@ def _action_pipeline(algebra_name, group_name, kind):
 def test_06_strong_right_invariance():
     worst = 0.0
     for names in (("kz3", "z2", "inversion"), ("ks3", "s3", "conjugation")):
-        a, action, wop, _ = _action_pipeline(*names)
-        report = verify_strong_right_invariance(action, wop.gns.haar)
+        _, _, _, data = _action_pipeline(*names)
+        report = verify_strong_right_invariance(data)
         worst = max(worst, report.residual("strong_right_invariance"))
-    _, action_s3, wop_s3, _ = _action_pipeline("ks3", "s3", "conjugation")
-    control = strong_right_invariance_residual(action_s3, wop_s3.gns.haar, "identity")
+    _, _, _, data_s3 = _action_pipeline("ks3", "s3", "conjugation")
+    control = strong_right_invariance_residual(data_s3, "identity")
     verdict(6, f"strong right invariance (max {worst:.1e}, control {control:.1e})",
             worst <= 1e-10 and control > 1e-3)
 
@@ -192,8 +192,8 @@ def test_07_exchange_identity():
     worst_sliced = 0.0
     start = time.perf_counter()
     for names in (("kz3", "z2", "inversion"), ("ks3", "s3", "conjugation")):
-        _, action, wop, data = _action_pipeline(*names)
-        report = verify_action_intertwiner(data, wop)
+        _, _, _, data = _action_pipeline(*names)
+        report = verify_action_intertwiner(data)
         worst_exchange = max(worst_exchange, report.residual("intertwiner_exchange"))
         worst_sliced = max(worst_sliced, report.residual("intertwiner_sliced_family"))
     elapsed = time.perf_counter() - start
@@ -202,15 +202,15 @@ def test_07_exchange_identity():
 
 
 def test_08_five_leg_commutation():
-    _, action, wop, data = _action_pipeline("kz3", "z2", "inversion")
-    full = verify_slice_commutativity(data, wop, mode="full")
+    _, _, _, data = _action_pipeline("kz3", "z2", "inversion")
+    full = verify_slice_commutativity(data, mode="full")
     ok = full.residual("five_leg_commutation") <= 1e-10
     ok &= "162" in full.check("five_leg_commutation").detail
     ok &= full.residual("dual_coproduct_expansion_of_v") <= 1e-10
     ok &= full.residual("coproduct_expansion_of_v") <= 1e-10
 
-    _, action6, wop6, data6 = _action_pipeline("ks3", "s3", "conjugation")
-    sliced = verify_slice_commutativity(data6, wop6, mode="sliced")
+    _, _, _, data6 = _action_pipeline("ks3", "s3", "conjugation")
+    sliced = verify_slice_commutativity(data6, mode="sliced")
     ok &= sliced.residual("sliced_commutation") <= 1e-10
     verdict(8, "five-leg commutation (full 162-dim and sliced families)", ok)
 

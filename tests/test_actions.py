@@ -107,26 +107,29 @@ def pipeline(algebra_name, group_name, kind):
 def test_trivial_group_action_passes():
     a = preset("kz3")
     k = group_preset("z1")
-    action = build_group_action(a, k, np.eye(3)[None, :, :])
-    assert action.report.overall_pass
+    theta = np.eye(3)[None, :, :]
+    build_group_action(a, k, theta)
+    assert action_axioms_report(a, k, theta).overall_pass
 
 
 def test_inversion_action_on_z3_passes():
-    _, _, action = action_on("kz3", "z2", "inversion")
-    assert action.report.overall_pass
+    a, k, action = action_on("kz3", "z2", "inversion")
+    assert action_axioms_report(a, k, action.theta).overall_pass
     assert np.array_equal(action.theta[1], permutation_matrix([0, 2, 1]))
 
 
 def test_conjugation_action_on_s3_passes():
-    _, _, action = action_on("ks3", "s3", "conjugation")
-    assert action.report.overall_pass
-    assert action.report.check("theta_image_size").detail.startswith("faithful")
+    a, k, action = action_on("ks3", "s3", "conjugation")
+    report = action_axioms_report(a, k, action.theta)
+    assert report.overall_pass
+    assert report.check("theta_image_size").detail.startswith("faithful")
 
 
 def test_inversion_on_z2_is_trivial_but_legal():
-    _, _, action = action_on("kz2", "z2", "inversion")
-    assert action.report.overall_pass
-    assert "trivial" in action.report.check("theta_image_size").detail
+    a, k, action = action_on("kz2", "z2", "inversion")
+    report = action_axioms_report(a, k, action.theta)
+    assert report.overall_pass
+    assert "trivial" in report.check("theta_image_size").detail
 
 
 def test_not_a_homomorphism_raises():
@@ -162,15 +165,15 @@ def test_resolve_automorphisms_guards():
 
 def test_haar_invariance():
     for names in (("kz3", "z2", "inversion"), ("ks3", "s3", "conjugation")):
-        a, action, h, _, _ = pipeline(*names)
-        report = verify_haar_invariance(action, h)
+        _, _, _, _, data = pipeline(*names)
+        report = verify_haar_invariance(data)
         assert report.overall_pass
         assert report.max_residual() <= 1e-13
 
 
 def test_strong_right_invariance_direct_oracle():
     # evaluate both sides of the invariance identity from the Cayley data
-    a, action, h, _, _ = pipeline("kz3", "z2", "inversion")
+    a, action, h, _, data = pipeline("kz3", "z2", "inversion")
     group = a.source_group
     for k in range(action.order):
         for i in range(3):
@@ -182,23 +185,23 @@ def test_strong_right_invariance_direct_oracle():
                     )
                 )
                 assert abs(lhs - rhs) <= 1e-13
-    report = verify_strong_right_invariance(action, h)
+    report = verify_strong_right_invariance(data)
     assert report.overall_pass
     assert report.max_residual() <= 1e-13
 
 
 def test_strong_right_invariance_on_s3():
-    _, action, h, _, _ = pipeline("ks3", "s3", "conjugation")
-    report = verify_strong_right_invariance(action, h)
+    _, _, _, _, data = pipeline("ks3", "s3", "conjugation")
+    report = verify_strong_right_invariance(data)
     assert report.overall_pass
     assert report.max_residual() <= 1e-13
 
 
 def test_identity_antipode_negative_control():
-    _, action, h, _, _ = pipeline("ks3", "s3", "conjugation")
-    assert strong_right_invariance_residual(action, h, "identity") > 1e-3
+    _, _, _, _, data = pipeline("ks3", "s3", "conjugation")
+    assert strong_right_invariance_residual(data, "identity") > 1e-3
     with pytest.raises(StructuralError):
-        strong_right_invariance_residual(action, h, "transpose")
+        strong_right_invariance_residual(data, "transpose")
 
 
 def test_beta_matrix_entries():
@@ -232,21 +235,21 @@ def test_gamma_trivial_group_is_identity():
     wop = build_multiplicative_unitary(a, gns)
     data = build_intertwiner_data(action, wop)
     assert np.max(np.abs(data.gamma_hat[0] - np.eye(2))) <= 1e-13
-    assert verify_gamma(data, wop).overall_pass
+    assert verify_gamma(data).overall_pass
 
 
 def test_gamma_inversion_swaps_nontrivial_sectors():
     _, action, h, wop, data = pipeline("kz3", "z2", "inversion")
     swap12 = permutation_matrix([0, 2, 1])
     assert np.max(np.abs(data.gamma_hat[1] - swap12)) <= 1e-12
-    report = verify_gamma(data, wop)
+    report = verify_gamma(data)
     assert report.overall_pass
     assert report.max_residual() <= 1e-12
 
 
 def test_gamma_checks_on_s3():
     _, action, h, wop, data = pipeline("ks3", "s3", "conjugation")
-    report = verify_gamma(data, wop)
+    report = verify_gamma(data)
     assert report.overall_pass, [c.name for c in report.checks if not c.passed]
     assert report.max_residual() <= 1e-11
 
@@ -255,7 +258,7 @@ def test_intertwiner_exchange_identity():
     for names, dim in ((("kz3", "z2", "inversion"), 18), (("ks3", "s3", "conjugation"), 216)):
         _, action, h, wop, data = pipeline(*names)
         assert data.v.entries.shape == (dim, dim)
-        report = verify_action_intertwiner(data, wop)
+        report = verify_action_intertwiner(data)
         assert report.overall_pass
         assert report.residual("intertwiner_exchange") <= 1e-11
         assert report.residual("intertwiner_sliced_family") <= 1e-11
@@ -271,7 +274,7 @@ def test_v_and_exchange_residual_match_kron_loops():
     v = TensorOperator(data.v.dims, rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
     rhs = sum(np.kron(g, lr) for g, lr in zip(data.gamma_ops, wop.gns.left_regular))
     expected = np.linalg.norm(v.entries - rhs)
-    got = verify_action_intertwiner(replace(data, v=v), wop).residual("intertwiner_exchange")
+    got = verify_action_intertwiner(replace(data, v=v)).residual("intertwiner_exchange")
     assert expected > 1.0 and abs(got - expected) <= 1e-13 * expected
 
 
@@ -282,7 +285,7 @@ def test_intertwiner_trivial_group_reduces_to_w():
     wop = build_multiplicative_unitary(a, gns)
     data = build_intertwiner_data(action, wop)
     assert np.max(np.abs(data.v.entries - wop.w.entries)) <= 1e-13
-    assert verify_action_intertwiner(data, wop).overall_pass
+    assert verify_action_intertwiner(data).overall_pass
 
 
 def test_trivial_group_commutation_is_exact():
@@ -291,13 +294,13 @@ def test_trivial_group_commutation_is_exact():
     gns = gns_construct(a, compute_haar(a))
     wop = build_multiplicative_unitary(a, gns)
     data = build_intertwiner_data(action, wop)
-    report = verify_slice_commutativity(data, wop, mode="full")
+    report = verify_slice_commutativity(data, mode="full")
     assert report.residual("five_leg_commutation") == 0.0
 
 
 def test_five_leg_commutation_full_mode():
     _, action, h, wop, data = pipeline("kz3", "z2", "inversion")
-    report = verify_slice_commutativity(data, wop, mode="full")
+    report = verify_slice_commutativity(data, mode="full")
     assert report.overall_pass, [c.name for c in report.checks if not c.passed]
     assert "162" in report.check("five_leg_commutation").detail
     assert report.residual("five_leg_commutation") <= 1e-11
@@ -307,7 +310,7 @@ def test_five_leg_commutation_full_mode():
 
 def test_sliced_commutation_on_s3():
     _, action, h, wop, data = pipeline("ks3", "s3", "conjugation")
-    report = verify_slice_commutativity(data, wop, mode="sliced")
+    report = verify_slice_commutativity(data, mode="sliced")
     assert report.overall_pass
     assert report.residual("sliced_commutation") <= 1e-11
     gen = report.check("beta_slices_generate")
@@ -316,11 +319,11 @@ def test_sliced_commutation_on_s3():
 
 def test_auto_mode_selects_by_size():
     _, action, h, wop, data = pipeline("kz3", "z2", "inversion")
-    report = verify_slice_commutativity(data, wop, mode="auto")
+    report = verify_slice_commutativity(data, mode="auto")
     assert any(c.name == "five_leg_commutation" for c in report.checks)
 
     _, action6, _, wop6, data6 = pipeline("ks3", "s3", "conjugation")
-    report6 = verify_slice_commutativity(data6, wop6, mode="auto")
+    report6 = verify_slice_commutativity(data6, mode="auto")
     assert any(c.name == "sliced_commutation" for c in report6.checks)
     assert not any(c.name == "five_leg_commutation" for c in report6.checks)
 
@@ -331,7 +334,7 @@ def test_full_mode_unavailable_above_limit(monkeypatch):
     _, action, h, wop, data = pipeline("kz3", "z2", "inversion")
     monkeypatch.setattr(actions_mod, "FULL_MODE_BYTES", 100)
     with pytest.raises(ModeUnavailable):
-        verify_slice_commutativity(data, wop, mode="full")
+        verify_slice_commutativity(data, mode="full")
 
 
 @pytest.mark.parametrize("tile_bytes", [None, 0])
@@ -350,7 +353,7 @@ def test_full_mode_residuals_match_dense_on_non_commuting_v(monkeypatch, tile_by
     rng = np.random.default_rng(4)
     k = n * m * n
     v = TensorOperator((n, m, n), rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
-    report = verify_slice_commutativity(replace(data, v=v), wop, mode="full")
+    report = verify_slice_commutativity(replace(data, v=v), mode="full")
 
     def placed(ambient, placement):
         return embed_legs(v, placement, ambient).entries
@@ -395,7 +398,7 @@ def test_full_mode_peak_memory_within_estimate():
     _, action, h, wop, data = pipeline("kz6", "z2", "inversion")
     tracemalloc.start()
     try:
-        report = verify_slice_commutativity(data, wop, mode="full")
+        report = verify_slice_commutativity(data, mode="full")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -406,7 +409,7 @@ def test_full_mode_peak_memory_within_estimate():
 def test_mode_name_validated():
     _, action, h, wop, data = pipeline("kz3", "z2", "inversion")
     with pytest.raises(StructuralError):
-        verify_slice_commutativity(data, wop, mode="everything")
+        verify_slice_commutativity(data, mode="everything")
 
 
 def basis_changed_pipeline(algebra_name, group_name, kind, seed):
@@ -452,7 +455,8 @@ def test_invariance_checks_match_per_element_loops():
     theta[1][:, 0] = 0.0
     h = compute_haar(a)
     wop = build_multiplicative_unitary(a, gns_construct(a, h))
-    action = FiniteGroupAction(a, k, theta, action_axioms_report(a, k, theta))
+    action = FiniteGroupAction(a, k, theta)
+    data = build_intertwiner_data(action, wop)
     pair = np.einsum("pqk,k->pq", a.mult, h.coords)
     inv = [action.theta_inv[j] for j in range(6)]
     phi1, phi2 = np.zeros((36, 36), dtype=complex), np.zeros((36, 36), dtype=complex)
@@ -473,18 +477,18 @@ def test_invariance_checks_match_per_element_loops():
         ),
     }
     reports = (
-        verify_haar_invariance(action, h),
-        verify_strong_right_invariance(action, h),
-        verify_action_intertwiner(build_intertwiner_data(action, wop), wop),
+        verify_haar_invariance(data),
+        verify_strong_right_invariance(data),
+        verify_action_intertwiner(data),
     )
     residuals = {c.name: c.residual for report in reports for c in report.checks}
     for name, expected in oracles.items():
         assert expected > 1.0
         assert abs(residuals[name] - expected) <= 1e-13 * expected, name
     identity = max(np.abs(t.T @ pair - pair @ t).max() for t in theta)
-    assert strong_right_invariance_residual(action, h, "identity") == pytest.approx(identity, rel=1e-13)
+    assert strong_right_invariance_residual(data, "identity") == pytest.approx(identity, rel=1e-13)
     assert numerical_rank(vectors, 1e-9) == 35
-    assert action.report.residual("podles_density") == 1.0
+    assert action_axioms_report(a, k, theta).residual("podles_density") == 1.0
 
 
 def test_operator_stacks_match_per_element_construction():
@@ -550,7 +554,7 @@ def test_generated_dimension_matches_greedy_reference(names, expected):
     assert np.array_equal(keep, np.array([np.diag(d) for d in diagonals]))
     assert generated_dimension(keep) == reference_generated_dimension(diagonals, 1e-9)
     assert generated_dimension(keep) == expected
-    report = verify_slice_commutativity(data, wop, mode="sliced")
+    report = verify_slice_commutativity(data, mode="sliced")
     assert report.overall_pass, [c.name for c in report.checks if not c.passed]
     assert report.check("beta_slices_generate").detail.startswith(
         f"generated algebra dimension {expected},"
@@ -586,7 +590,7 @@ def test_sliced_commutation_detects_non_commuting_v():
     k = 3 * 2 * 3
     rng = np.random.default_rng(11)
     v = TensorOperator((3, 2, 3), rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
-    report = verify_slice_commutativity(replace(data, v=v), wop, mode="sliced")
+    report = verify_slice_commutativity(replace(data, v=v), mode="sliced")
     assert report.residual("sliced_commutation") > 0.1
     assert not report.check("sliced_commutation").passed
 

@@ -345,6 +345,18 @@ def test_overflow_on_finite_input_exits_two(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
 
 
+def test_algebra_too_large_to_allocate_exits_two(tmp_path, capsys):
+    # a (10^5)^3 complex tensor is 14.2 PiB: numpy refuses it before allocating
+    data = json.loads(algebra_to_json(preset("kz2")))
+    data["dim"] = 100_000
+    data["basis"] = [f"u_{i}" for i in range(100_000)]
+    path = tmp_path / "vast.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: input too large to allocate") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_non_finite_tolerance_exits_two(capsys, tol):
     code, _, err = run(capsys, ["verify", "kz2", "--tol", tol])
@@ -420,6 +432,23 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys, argv, kind):
     assert code == 2
     assert err.startswith("error: ") and path in err
     assert "cannot read" in err or not kind.startswith("missing")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{}"],
+        ["action", "{}"],
+        ["action", "kz2", "--group", "{}", "--automorphisms", "inversion"],
+    ],
+    ids=["algebra", "action-spec", "group"],
+)
+def test_deeply_nested_json_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, [str(path) if a == "{}" else a for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path} nests too deeply") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -745,6 +745,19 @@ def test_coproduct_and_dual_coproduct_stages_hold_no_extra_n5_stack(monkeypatch,
     assert _traced_peak(lambda: wop.dual_coproduct_coords) <= 0.5 * stack
 
 
+def test_dual_coproduct_stage_holds_one_n5_stack(basis_changed):
+    # the stage builds the dual coproducts into one stack, an element at a
+    # time, and takes the *-homomorphism residual element by element
+    from fqg import cyclic_group, group_algebra
+
+    wop = _unitary(basis_changed(group_algebra(cyclic_group(12)), seed=1))
+    _ = wop.pentagon_bound, wop.slice_closure
+    report = []
+    peak = _traced_peak(lambda: report.append(verify_dual_coproduct_identities(wop)))
+    assert report[0].overall_pass
+    assert peak <= 1.5 * 16 * wop.dim ** 5
+
+
 def test_replaced_w_gets_its_own_dual_coproducts(basis_changed):
     wop = _unitary(basis_changed(preset("kz3"), seed=5))
     _ = wop.dual_coproducts, wop.dual_coproduct_coords  # cached on the original context

@@ -107,6 +107,22 @@ def test_action_suite_full_run_check_names():
     assert report.overall_pass
 
 
+@pytest.mark.parametrize(
+    "names,mode", [(("ks3", "s3", "conjugation"), "auto"), (("kz6", "z2", "inversion"), "full")]
+)
+def test_action_suite_builds_the_haar_pairing_once(monkeypatch, names, mode):
+    # every action stage reads the pairing from the one context
+    import fqg.actions as actions_mod
+    from fqg import resolve_automorphisms
+
+    calls, original = [], actions_mod.fourier_matrix
+    monkeypatch.setattr(actions_mod, "fourier_matrix", lambda *args: calls.append(args) or original(*args))
+    a, k = preset(names[0]), group_preset(names[1])
+    report = action_suite(a, k, resolve_automorphisms(a, k, names[2]), mode=mode)
+    assert report.overall_pass
+    assert len(calls) == 1
+
+
 def test_report_filter_and_lookup():
     report = full_suite(preset("trivial"))
     filtered = report.filtered(["pentagon/*"])
