@@ -12,7 +12,6 @@ say: the algebra generated by the slices of beta is commutative.
 import numpy as np
 
 from fqg import (
-    build_group_action,
     build_intertwiner_data,
     build_multiplicative_unitary,
     compute_haar,
@@ -22,6 +21,7 @@ from fqg import (
     resolve_automorphisms,
 )
 from fqg.actions import (
+    action_axioms_report,
     enumerate_group_automorphisms,
     strong_right_invariance_residual,
     verify_action_intertwiner,
@@ -44,10 +44,12 @@ for algebra_name, group_name, kind in (
     algebra = preset(algebra_name)
     k_group = group_preset(group_name)
     theta = resolve_automorphisms(algebra, k_group, kind)
-    action = build_group_action(algebra, k_group, theta)  # raises unless the axioms hold
+    axioms = action_axioms_report(algebra, k_group, theta)
+    assert axioms.overall_pass, axioms.format_text()  # theta is a homomorphism into Aut(A)
+    print(f"action axioms: {len(axioms.checks)} checks pass")
 
     wop = build_multiplicative_unitary(algebra, gns_construct(algebra, compute_haar(algebra)))
-    data = build_intertwiner_data(action, wop)
+    data = build_intertwiner_data(wop, k_group, theta)
 
     invariance = verify_strong_right_invariance(data)
     print(f"strong right invariance defect: {invariance.max_residual():.1e}")

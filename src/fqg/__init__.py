@@ -8,14 +8,9 @@ the commutativity machinery for finite group actions by automorphisms.
 """
 
 from .actions import (
-    FiniteGroupAction,
     IntertwinerData,
-    build_group_action,
     build_intertwiner_data,
-    conjugation_theta,
     enumerate_group_automorphisms,
-    inversion_theta,
-    resolve_automorphisms,
     verify_action_intertwiner,
     verify_beta,
     verify_gamma,
@@ -24,12 +19,15 @@ from .actions import (
     verify_strong_right_invariance,
 )
 from .builders import (
+    conjugation_theta,
     function_algebra,
     group_algebra,
+    inversion_theta,
     load_algebra,
     preset,
     preset_names,
     resolve_algebra,
+    resolve_automorphisms,
     save_algebra,
 )
 from .duality import (
@@ -42,7 +40,6 @@ from .duality import (
     verify_G_isomorphism,
 )
 from .errors import (
-    CoactionAxiomFailed,
     DimensionMismatch,
     ExpansionFailed,
     FqgError,
@@ -50,8 +47,6 @@ from .errors import (
     ModeUnavailable,
     NoInvariantFunctional,
     NonUniqueHaar,
-    NotAHomomorphism,
-    NotAnAutomorphism,
     NotInDualSubspace,
     NotPositive,
     NumericalFailure,

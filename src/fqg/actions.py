@@ -5,7 +5,9 @@ A group K acts through a homomorphism k -> theta_k into the Hopf
 *-automorphisms of the algebra.  The induced coaction into A (x) C(K) is
 alpha(a) = sum_k theta_k(a) (x) delta_k, with C(K) represented by diagonal
 matrices on C^K and its antipode given by the inversion permutation
-delta_k -> delta_{k^-1}.
+delta_k -> delta_{k^-1}.  The stack theta comes from
+``builders.resolve_automorphisms``, and ``action_axioms_report`` checks that it
+is such a homomorphism and that alpha is a coaction.
 
 From the coaction we assemble
 
@@ -14,10 +16,10 @@ From the coaction we assemble
   C(K) on the dual subspace,
 - V        = (id (x) beta) W on three legs [n, |K|, n],
 
-all held, with W and the Haar pairing, by ``IntertwinerData``: the context of
-the action on W, which ``build_intertwiner_data`` builds once and every
-action stage reads, called as ``(data, tol)``.  The stages verify invariance
-of the Haar state and its strong form, the exchange identity
+all held, with K, theta, W and the Haar pairing, by ``IntertwinerData``: the
+context of the action on W, which ``build_intertwiner_data`` builds once and
+every action stage reads, called as ``(data, tol)``.  The stages verify
+invariance of the Haar state and its strong form, the exchange identity
 (id (x) beta) W = (gamma (x) id) W together with its sliced consequence, and
 the commutation V234 V135 = V135 V234 on five legs (checked in full when
 small, through slice families otherwise), whose slices show the algebra
@@ -28,18 +30,11 @@ commutations hold by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CoactionAxiomFailed,
-    ModeUnavailable,
-    NotAHomomorphism,
-    NotAnAutomorphism,
-    ParseError,
-    StructuralError,
-)
+from .errors import ModeUnavailable, StructuralError
 from .groups import CayleyTable
 from .haar import fourier_matrix
 from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra, is_hopf_star_automorphism
@@ -110,85 +105,7 @@ def enumerate_group_automorphisms(cayley: CayleyTable) -> list[tuple[int, ...]]:
     return found
 
 
-def permutation_matrix(perm) -> np.ndarray:
-    """Column convention: basis vector i is sent to basis vector perm[i]; a
-    stack of permutations gives the stack of their matrices."""
-    perm = np.asarray(perm)
-    return (perm[..., None, :] == np.arange(perm.shape[-1])[:, None]).astype(complex)
-
-
-def _source_group(algebra: FiniteHopfStarAlgebra, kind: str) -> CayleyTable:
-    """The group ``algebra`` was built from; the ``kind`` action needs one."""
-    if algebra.source_group is None:
-        raise StructuralError(
-            f"{kind} action needs an algebra built from a group preset or Cayley table"
-        )
-    return algebra.source_group
-
-
-def inversion_theta(algebra: FiniteHopfStarAlgebra, k_group: CayleyTable) -> np.ndarray:
-    """theta for the order-two group acting by basis inversion g -> g^-1.
-
-    Only defined for algebras built from a group; the acting group must have
-    order 1 or 2 so that the assignment is a homomorphism.
-    """
-    source = _source_group(algebra, "inversion")
-    if k_group.order > 2:
-        raise StructuralError("inversion action expects an acting group of order <= 2")
-    fixed = (np.arange(k_group.order) == k_group.identity_index)[:, None]
-    return permutation_matrix(np.where(fixed, np.arange(source.order), source.inverses()))
-
-
-def conjugation_theta(algebra: FiniteHopfStarAlgebra, k_group: CayleyTable) -> np.ndarray:
-    """theta_k = conjugation by k on the basis, for K equal to the source group."""
-    source = _source_group(algebra, "conjugation")
-    if k_group.order != source.order or not np.array_equal(k_group.table, source.table):
-        raise StructuralError(
-            "conjugation action requires the acting group to equal the algebra's group"
-        )
-    table = source.table
-    return permutation_matrix(table[table, source.inverses()[:, None]])  # [k, g] -> k g k^-1
-
-
-_THETA_PRESETS = {"inversion": inversion_theta, "conjugation": conjugation_theta}
-
-
-def resolve_automorphisms(
-    algebra: FiniteHopfStarAlgebra, k_group: CayleyTable, spec
-) -> np.ndarray:
-    """The theta stack of the preset ``spec``, "inversion" or "conjugation";
-    any other value raises ParseError.  An action spec's "automorphisms" may
-    also be a list of per-element matrices of [re, im] pairs, which
-    ``builders.parse_explicit_automorphisms`` reads."""
-    if isinstance(spec, str) and spec in _THETA_PRESETS:
-        return _THETA_PRESETS[spec](algebra, k_group)
-    raise ParseError(
-        "'automorphisms' must be 'inversion', 'conjugation' or a list of "
-        f"per-element matrices, got {spec!r}"
-    )
-
-
-# -- the action -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FiniteGroupAction:
-    """An action of a finite group by Hopf *-automorphisms; ``build_group_action``
-    builds one only when ``action_axioms_report`` passes."""
-
-    algebra: FiniteHopfStarAlgebra
-    group: CayleyTable
-    theta: np.ndarray  # (|K|, n, n)
-    theta_inv: np.ndarray = field(init=False)  # theta_inv[k] = theta[k^-1]
-
-    def __post_init__(self):
-        theta = freeze(np.asarray(self.theta, dtype=complex))
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "theta_inv", freeze(theta[self.group.inverses()]))
-
-    @property
-    def order(self) -> int:
-        return self.group.order
+# -- the axioms of the action ----------------------------------------------
 
 
 def action_axioms_report(
@@ -253,24 +170,6 @@ def _distinct_automorphisms(theta, tol: float) -> int:
     return sum(not close[k, :k].any() for k in range(len(theta)))
 
 
-def build_group_action(
-    algebra: FiniteHopfStarAlgebra, k_group: CayleyTable, theta, tol: float = DEFAULT_TOL
-) -> FiniteGroupAction:
-    """Validate and assemble the action; raises on any failed axiom."""
-    theta = np.asarray(theta, dtype=complex)
-    report = action_axioms_report(algebra, k_group, theta, tol)
-    failures = [c for c in report.checks if not c.passed]
-    if failures:
-        first = failures[0]
-        message = f"action check {first.name!r} failed: {first.detail or first.residual}"
-        if first.name in ("theta_identity", "theta_homomorphism"):
-            raise NotAHomomorphism(message, check=first.name, residual=first.residual)
-        if first.name == "theta_automorphisms":
-            raise NotAnAutomorphism(message, check=first.name, residual=first.residual)
-        raise CoactionAxiomFailed(message, check=first.name, residual=first.residual)
-    return FiniteGroupAction(algebra, k_group, theta)
-
-
 # -- the context: beta, gamma and V -----------------------------------------
 
 
@@ -279,8 +178,11 @@ class IntertwinerData:
     """The context of an action on W, built once by ``build_intertwiner_data``;
     every action stage reads it.
 
-    - wop is the multiplicative unitary the action acts on; its Haar state is
-      ``wop.gns.haar``.
+    - wop is the multiplicative unitary the action acts on; its algebra is
+      ``wop.algebra`` and its Haar state ``wop.gns.haar``.
+    - group is the acting group K; theta[k] is the automorphism of k as an
+      (n, n) coordinate matrix, and theta_inv[k] = theta[k^-1].  Both are
+      read-only.
     - pair[b, i] = haar(e_b e_i), the Haar pairing (``haar.fourier_matrix``).
     - beta_ops[j] = beta(e_j) on C^K (x) H (k slowest): block k is left
       multiplication by theta_{k^-1}(e_j).
@@ -293,7 +195,9 @@ class IntertwinerData:
       its last leg, with ``v_expansion_residual`` the unexplained part.
     """
 
-    action: FiniteGroupAction
+    group: CayleyTable
+    theta: np.ndarray
+    theta_inv: np.ndarray
     wop: MultiplicativeUnitary
     pair: np.ndarray
     beta_ops: np.ndarray
@@ -304,41 +208,46 @@ class IntertwinerData:
     v_expansion_residual: float
 
 
-def beta_matrix(action: FiniteGroupAction) -> np.ndarray:
+def beta_matrix(data: IntertwinerData) -> np.ndarray:
     """beta(e_i) = sum_k delta_k (x) theta_{k^-1}(e_i) as a coordinate map."""
-    n = action.algebra.dim
-    return action.theta_inv.reshape(-1, n)
+    return data.theta_inv.reshape(-1, data.wop.algebra.dim)
 
 
-def beta_matrix_antipode_form(action: FiniteGroupAction) -> np.ndarray:
+def beta_matrix_antipode_form(data: IntertwinerData) -> np.ndarray:
     """The equivalent antipode-sandwich form of beta.
 
     Built independently as flip of (antipode (x) group-inversion) after the
     coaction after the antipode; must agree with ``beta_matrix`` exactly
     when the automorphisms commute with the antipode.
     """
-    a = action.algebra
+    a = data.wop.algebra
     s_op = a.antipode.T
-    return (s_op @ action.theta_inv @ s_op).reshape(-1, a.dim)
+    return (s_op @ data.theta_inv @ s_op).reshape(-1, a.dim)
 
 
-def build_intertwiner_data(action: FiniteGroupAction, wop: MultiplicativeUnitary) -> IntertwinerData:
-    """The context of ``action`` on W: the Haar pairing, the beta and gamma
-    stacks and V = (id (x) beta) W."""
-    a, left_regular = action.algebra, wop.gns.left_regular
-    n, m = a.dim, action.order
-    pair = fourier_matrix(a, wop.gns.haar)
-    gamma_hat = pair @ action.theta @ np.linalg.inv(pair)
+def build_intertwiner_data(wop: MultiplicativeUnitary, group: CayleyTable, theta) -> IntertwinerData:
+    """The context on W of the action of ``group`` by the (|K|, n, n) stack
+    ``theta``, whose axioms ``action_axioms_report`` checks: theta and
+    theta_inv, the Haar pairing, the beta and gamma stacks and
+    V = (id (x) beta) W."""
+    theta = freeze(np.asarray(theta, dtype=complex))
+    theta_inv = freeze(theta[group.inverses()])
+    left_regular = wop.gns.left_regular
+    n, m = wop.algebra.dim, group.order
+    pair = fourier_matrix(wop.algebra, wop.gns.haar)
+    gamma_hat = pair @ theta @ np.linalg.inv(pair)
 
     eye = np.eye(m)
-    beta_ops = np.einsum("kij,iab,kl->jkalb", action.theta_inv, left_regular, eye)
+    beta_ops = np.einsum("kij,iab,kl->jkalb", theta_inv, left_regular, eye)
     gamma_ops = np.einsum("kij,ipq,kl->jpkql", gamma_hat, wop.slice_basis, eye)
     beta_ops = beta_ops.reshape(n, m * n, m * n)
     gamma_ops = gamma_ops.reshape(n, n * m, n * m)
     v_mat = leg_product([(wop.slice_basis, [1]), (beta_ops, [2, 3])], (n, m, n))
     v = TensorOperator((n, m, n), v_mat)
     v_last, v_res = expand_in_leg(v_mat, (n * m, n), left_regular)
-    return IntertwinerData(action, wop, pair, beta_ops, gamma_ops, gamma_hat, v, v_last, v_res)
+    return IntertwinerData(
+        group, theta, theta_inv, wop, pair, beta_ops, gamma_ops, gamma_hat, v, v_last, v_res
+    )
 
 
 # -- invariance -------------------------------------------------------------
@@ -347,7 +256,7 @@ def build_intertwiner_data(action: FiniteGroupAction, wop: MultiplicativeUnitary
 def verify_haar_invariance(data: IntertwinerData, tol: float = DEFAULT_TOL) -> VerificationReport:
     """haar(theta_k(a)) = haar(a) for every group element and basis element."""
     h = data.wop.gns.haar.coords
-    worst = float(np.max(np.abs(h @ data.action.theta - h)))
+    worst = float(np.max(np.abs(h @ data.theta - h)))
     rb = ReportBuilder()
     rb.add("haar_invariant_under_action", worst, tol)
     return rb.build()
@@ -363,8 +272,8 @@ def strong_right_invariance_residual(data: IntertwinerData, antipode: str = "inv
     """
     if antipode not in ("inverse", "identity"):
         raise StructuralError(f"antipode must be 'inverse' or 'identity', got {antipode!r}")
-    theta = data.action.theta
-    other = data.action.theta_inv if antipode == "inverse" else theta
+    theta = data.theta
+    other = data.theta_inv if antipode == "inverse" else theta
     # (k, i, j) -> haar(theta_k(e_i) e_j) against haar(e_i theta(e_j))
     return float(np.max(np.abs(theta.transpose(0, 2, 1) @ data.pair - data.pair @ other)))
 
@@ -382,8 +291,7 @@ def verify_strong_right_invariance(
     rb.add("strong_right_invariance", strong_right_invariance_residual(data), tol)
     # both maps act on e_i (x) delta_k as theta_k, resp. theta_{k^-1}, times
     # delta_k: their compositions are the blocks theta_k theta_{k^-1} over k
-    action = data.action
-    theta, theta_inv, eye = action.theta, action.theta_inv, np.eye(action.algebra.dim)
+    theta, theta_inv, eye = data.theta, data.theta_inv, np.eye(data.wop.algebra.dim)
     shear = max(frob(theta @ theta_inv - eye), frob(theta_inv @ theta - eye))
     rb.add("shear_maps_mutually_inverse", shear, tol)
     return rb.build()
@@ -394,8 +302,7 @@ def verify_strong_right_invariance(
 
 def verify_beta(data: IntertwinerData, tol: float = DEFAULT_TOL) -> VerificationReport:
     """beta is a unital *-homomorphism and agrees with its antipode-sandwich form."""
-    action = data.action
-    a = action.algebra
+    a = data.wop.algebra
     unit, mult, star = star_homomorphism_defects(data.beta_ops, a.mult, a.star, a.unit)
     rb = ReportBuilder()
     rb.add("beta_unital", unit, tol)
@@ -403,7 +310,7 @@ def verify_beta(data: IntertwinerData, tol: float = DEFAULT_TOL) -> Verification
     rb.add("beta_star_homomorphism", float(star.max()), tol)
     rb.add(
         "beta_antipode_form_agreement",
-        frob(beta_matrix(action) - beta_matrix_antipode_form(action)),
+        frob(beta_matrix(data) - beta_matrix_antipode_form(data)),
         tol,
     )
     return rb.build()
@@ -414,13 +321,13 @@ def verify_gamma(data: IntertwinerData, tol: float = DEFAULT_TOL) -> Verificatio
     # the unit of the dual subspace, the identity operator, is the image of the counit
     product_coords, star_coords, _ = data.wop.slice_closure
     unit, mult, star = star_homomorphism_defects(
-        data.gamma_ops, product_coords, star_coords, data.action.algebra.counit
+        data.gamma_ops, product_coords, star_coords, data.wop.algebra.counit
     )
     rb = ReportBuilder()
     rb.add("gamma_unital", unit, tol)
     rb.add("gamma_multiplicative", float(mult.max()), tol)
     rb.add("gamma_star_homomorphism", float(star.max()), tol)
-    coaction = _homomorphism_defects(data.gamma_hat, data.action.group)
+    coaction = _homomorphism_defects(data.gamma_hat, data.group)
     rb.add("gamma_coaction_axiom", frob(coaction), tol)
     return rb.build()
 
@@ -432,7 +339,7 @@ def verify_action_intertwiner(data: IntertwinerData, tol: float = DEFAULT_TOL) -
     element, haar(b theta_k(a)) with haar(theta_{k^-1}(b) a); it is the
     scalar consequence obtained by slicing the exchange identity.
     """
-    action, pair = data.action, data.pair
+    pair = data.pair
     rb = ReportBuilder()
 
     lhs = [(data.v.entries, [1, 2, 3])]
@@ -440,8 +347,8 @@ def verify_action_intertwiner(data: IntertwinerData, tol: float = DEFAULT_TOL) -
     rb.add("intertwiner_exchange", leg_distance(lhs, rhs, data.v.dims), tol)
 
     # (k, j, i) -> haar(e_j theta_k(e_i)) against haar(theta_{k^-1}(e_j) e_i)
-    swapped = action.theta_inv.transpose(0, 2, 1) @ pair
-    worst = float(np.max(np.abs(pair @ action.theta - swapped)))
+    swapped = data.theta_inv.transpose(0, 2, 1) @ pair
+    worst = float(np.max(np.abs(pair @ data.theta - swapped)))
     rb.add("intertwiner_sliced_family", worst, tol)
     return rb.build()
 
@@ -480,8 +387,8 @@ def verify_slice_commutativity(
     under matrix products, span an algebra whose dimension equals the number
     of distinct automorphisms.
     """
-    action, wop = data.action, data.wop
-    n, m = action.algebra.dim, action.order
+    wop = data.wop
+    n, m = wop.algebra.dim, data.group.order
     dim5 = n * n * m * n * n
     if mode == "auto":
         mode = "full" if dim5 <= AUTO_FULL_THRESHOLD else "sliced"
@@ -537,7 +444,7 @@ def verify_slice_commutativity(
 
     # the slices of beta generate the functions constant on fibres of theta
     generated_dim = _generated_dimension(basis, products, tol)
-    distinct_theta = _distinct_automorphisms(action.theta, tol)
+    distinct_theta = _distinct_automorphisms(data.theta, tol)
     rb.add_count(
         "beta_slices_generate",
         generated_dim,

@@ -1,4 +1,5 @@
-"""Constructors for preset algebras and JSON serialization.
+"""Constructors for preset algebras and automorphism stacks, and JSON
+serialization.
 
 Algebra file schema (format_version 1): a JSON object with keys
 "format_version", "name", "dim", "basis", and sparse tensor arrays
@@ -19,6 +20,9 @@ save/load round trip is bit-exact.
 Action spec schema (format_version 1): {"format_version": 1, "algebra":
 preset-or-path-beside-the-spec, "group": preset-or-inline-table, "automorphisms":
 "inversion" | "conjugation" | list of per-element matrices [[re, im], ...]}.
+``resolve_automorphisms`` turns any "automorphisms" value into the stack theta
+of an action, theta[k] the automorphism of the k-th group element; it is the
+one place theta is made.
 """
 
 from __future__ import annotations
@@ -29,9 +33,8 @@ import os
 
 import numpy as np
 
-from .actions import _THETA_PRESETS
 from .duality import build_dual
-from .errors import ParseError, SchemaVersionMismatch, UnknownPreset
+from .errors import ParseError, SchemaVersionMismatch, StructuralError, UnknownPreset
 from .groups import (
     _GROUP_PRESETS, CayleyTable, cayley_from_table, cyclic_group, group_preset, symmetric_group_3,
 )
@@ -146,10 +149,12 @@ def read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    # after the clause above: both are ValueErrors, and so is open()'s
+    # refusal of a path holding a NUL character
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"{path} nests too deeply to parse: {exc}") from exc
 
@@ -304,6 +309,49 @@ def resolve_group(spec) -> CayleyTable:
     raise ParseError(f"group must be a preset name or an inline table, got {type(spec).__name__}")
 
 
+def permutation_matrix(perm) -> np.ndarray:
+    """Column convention: basis vector i is sent to basis vector perm[i]; a
+    stack of permutations gives the stack of their matrices."""
+    perm = np.asarray(perm)
+    return (perm[..., None, :] == np.arange(perm.shape[-1])[:, None]).astype(complex)
+
+
+def _source_group(algebra: FiniteHopfStarAlgebra, kind: str) -> CayleyTable:
+    """The group ``algebra`` was built from; the ``kind`` action needs one."""
+    if algebra.source_group is None:
+        raise StructuralError(
+            f"{kind} action needs an algebra built from a group preset or Cayley table"
+        )
+    return algebra.source_group
+
+
+def inversion_theta(algebra: FiniteHopfStarAlgebra, k_group: CayleyTable) -> np.ndarray:
+    """theta for the order-two group acting by basis inversion g -> g^-1.
+
+    Only defined for algebras built from a group; the acting group must have
+    order 1 or 2 so that the assignment is a homomorphism.
+    """
+    source = _source_group(algebra, "inversion")
+    if k_group.order > 2:
+        raise StructuralError("inversion action expects an acting group of order <= 2")
+    fixed = (np.arange(k_group.order) == k_group.identity_index)[:, None]
+    return permutation_matrix(np.where(fixed, np.arange(source.order), source.inverses()))
+
+
+def conjugation_theta(algebra: FiniteHopfStarAlgebra, k_group: CayleyTable) -> np.ndarray:
+    """theta_k = conjugation by k on the basis, for K equal to the source group."""
+    source = _source_group(algebra, "conjugation")
+    if k_group.order != source.order or not np.array_equal(k_group.table, source.table):
+        raise StructuralError(
+            "conjugation action requires the acting group to equal the algebra's group"
+        )
+    table = source.table
+    return permutation_matrix(table[table, source.inverses()[:, None]])  # [k, g] -> k g k^-1
+
+
+_THETA_PRESETS = {"inversion": inversion_theta, "conjugation": conjugation_theta}
+
+
 def parse_explicit_automorphisms(entries, order: int, dim: int) -> np.ndarray:
     """List of per-element matrices with [re, im] pairs into a complex stack."""
     if not isinstance(entries, list) or len(entries) != order:
@@ -321,6 +369,23 @@ def parse_explicit_automorphisms(entries, order: int, dim: int) -> np.ndarray:
                     raise ParseError(f"{where} must be an [re, im] pair")
                 theta[k, r, c] = _finite_complex(value, where)
     return theta
+
+
+def resolve_automorphisms(
+    algebra: FiniteHopfStarAlgebra, k_group: CayleyTable, spec
+) -> np.ndarray:
+    """The theta stack of an action spec's "automorphisms": the preset
+    "inversion" or "conjugation", or a list of per-element matrices of
+    [re, im] pairs (``parse_explicit_automorphisms``); any other value raises
+    ParseError."""
+    if isinstance(spec, list):
+        return parse_explicit_automorphisms(spec, k_group.order, algebra.dim)
+    if isinstance(spec, str) and spec in _THETA_PRESETS:
+        return _THETA_PRESETS[spec](algebra, k_group)
+    raise ParseError(
+        "'automorphisms' must be 'inversion', 'conjugation' or a list of "
+        f"per-element matrices, got {spec!r}"
+    )
 
 
 _ACTION_KEYS = {"format_version", "algebra", "group", "automorphisms"}

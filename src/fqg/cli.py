@@ -31,7 +31,6 @@ import sys
 import numpy as np
 
 from . import builders
-from .actions import resolve_automorphisms
 from .duality import build_dual
 from .errors import NumericalFailure, StructuralError
 from .report import VerificationReport
@@ -96,11 +95,7 @@ def _cmd_action(args) -> int:
         spec, base_dir = {"algebra": data, "group": group, "automorphisms": auto}, ""
     algebra = builders.resolve_algebra(spec["algebra"], base_dir)
     k_group = builders.resolve_group(spec["group"])
-    auto = spec["automorphisms"]
-    if isinstance(auto, list):
-        theta = builders.parse_explicit_automorphisms(auto, k_group.order, algebra.dim)
-    else:
-        theta = resolve_automorphisms(algebra, k_group, auto)
+    theta = builders.resolve_automorphisms(algebra, k_group, spec["automorphisms"])
     report = action_suite(algebra, k_group, theta, tol=args.tol, mode=args.mode)
     return _emit(report, _provenance(args, algebra, k_group.table, theta), args.format, args.only)
 

@@ -68,15 +68,3 @@ class NotInDualSubspace(VerificationError):
 
 class DimensionMismatch(VerificationError):
     """The dual subspace does not have the dimension of the algebra."""
-
-
-class NotAHomomorphism(VerificationError):
-    """A family of maps indexed by a group fails the homomorphism law."""
-
-
-class NotAnAutomorphism(VerificationError):
-    """A map fails the Hopf *-automorphism conditions."""
-
-
-class CoactionAxiomFailed(VerificationError):
-    """A candidate coaction fails compatibility with the group comultiplication."""

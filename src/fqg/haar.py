@@ -162,11 +162,9 @@ def gns_construct(a: FiniteHopfStarAlgebra, h: Functional, tol: float = DEFAULT_
     return GnsData(h, freeze(gram), freeze(onb_change), freeze(to_onb), freeze(left_regular))
 
 
-def verify_gns(
-    a: FiniteHopfStarAlgebra, h: Functional, gns: GnsData, tol: float = DEFAULT_TOL
-) -> VerificationReport:
+def verify_gns(a: FiniteHopfStarAlgebra, gns: GnsData, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Positivity, orthonormality and *-representation checks (suite stage)."""
-    n = a.dim
+    n, h = a.dim, gns.haar
     scale = a.structure_scale()
     rb = ReportBuilder()
 

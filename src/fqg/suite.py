@@ -35,7 +35,7 @@ def full_suite(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL) -> Verificati
     except VerificationError as exc:
         rb.add("gns/" + (exc.check or "gram_positive"), np.nan, tol, f"aborted: {exc}")
         return rb.build()
-    rb.extend("gns/", haar.verify_gns(a, h, gns, tol))
+    rb.extend("gns/", haar.verify_gns(a, gns, tol))
     rb.extend("trace/", haar.verify_trace(a, h, tol))
 
     wop = multiplicative.build_multiplicative_unitary(a, gns)
@@ -113,9 +113,8 @@ def action_suite(
         rb.add("action/" + (exc.check or "build"), np.nan, tol, f"aborted: {exc}")
         return rb.build()
 
-    action = actions_mod.FiniteGroupAction(a, k_group, theta)
     wop = multiplicative.build_multiplicative_unitary(a, gns)
-    data = actions_mod.build_intertwiner_data(action, wop)
+    data = actions_mod.build_intertwiner_data(wop, k_group, theta)
     rb.extend("invariance/", actions_mod.verify_haar_invariance(data, tol))
     rb.extend("invariance/", actions_mod.verify_strong_right_invariance(data, tol))
     rb.add("intertwiner/v_expansion", data.v_expansion_residual, tol)

@@ -12,7 +12,6 @@ import numpy as np
 from fqg import (
     TensorOperator,
     build_dual,
-    build_group_action,
     build_intertwiner_data,
     build_multiplicative_unitary,
     compute_haar,
@@ -26,14 +25,14 @@ from fqg import (
     verify_hopf_star_axioms,
 )
 from fqg.actions import (
+    action_axioms_report,
     enumerate_group_automorphisms,
-    permutation_matrix,
     strong_right_invariance_residual,
     verify_action_intertwiner,
     verify_slice_commutativity,
     verify_strong_right_invariance,
 )
-from fqg.builders import algebra_to_json
+from fqg.builders import algebra_to_json, permutation_matrix
 from fqg.cli import main as cli_main
 from fqg.duality import verify_G_isomorphism
 from fqg.groups import cyclic_group, symmetric_group_3
@@ -169,10 +168,11 @@ def test_05_duality_and_slice_isomorphism():
 def _action_pipeline(algebra_name, group_name, kind):
     a = preset(algebra_name)
     k = group_preset(group_name)
-    action = build_group_action(a, k, resolve_automorphisms(a, k, kind))
+    theta = resolve_automorphisms(a, k, kind)
+    assert action_axioms_report(a, k, theta).overall_pass
     wop = unitary_of(algebra_name)
-    data = build_intertwiner_data(action, wop)
-    return a, action, wop, data
+    data = build_intertwiner_data(wop, k, theta)
+    return a, theta, wop, data
 
 
 def test_06_strong_right_invariance():

@@ -1,18 +1,18 @@
 """Group actions by automorphisms: invariance, exchange identity, commutation."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+import fqg
 from fqg import (
+    IntertwinerData,
     ModeUnavailable,
-    NotAHomomorphism,
-    NotAnAutomorphism,
     StructuralError,
     TensorOperator,
-    build_group_action,
+    action_suite,
     build_intertwiner_data,
     build_multiplicative_unitary,
     cayley_from_table,
@@ -36,16 +36,15 @@ from fqg import (
     verify_strong_right_invariance,
 )
 from fqg.actions import (
-    FiniteGroupAction,
     _generated_dimension,
     _span_rows,
     action_axioms_report,
     beta_matrix,
     beta_matrix_antipode_form,
     enumerate_group_automorphisms,
-    permutation_matrix,
     strong_right_invariance_residual,
 )
+from fqg.builders import parse_explicit_automorphisms, permutation_matrix
 from fqg.tensors import numerical_rank
 
 from conftest import basis_change_matrix, change_basis
@@ -91,62 +90,71 @@ def test_enumerate_group_automorphisms(group, count):
 def action_on(algebra_name, group_name, kind):
     a = preset(algebra_name)
     k = group_preset(group_name)
-    theta = resolve_automorphisms(a, k, kind)
-    return a, k, build_group_action(a, k, theta)
+    return a, k, resolve_automorphisms(a, k, kind)
+
+
+def context(a, k, theta):
+    """The action's context on W, built only when its axioms hold."""
+    assert action_axioms_report(a, k, theta).overall_pass
+    wop = build_multiplicative_unitary(a, gns_construct(a, compute_haar(a)))
+    return build_intertwiner_data(wop, k, theta)
 
 
 def pipeline(algebra_name, group_name, kind):
-    a, k, action = action_on(algebra_name, group_name, kind)
-    h = compute_haar(a)
-    gns = gns_construct(a, h)
-    wop = build_multiplicative_unitary(a, gns)
-    data = build_intertwiner_data(action, wop)
-    return a, action, h, wop, data
+    a, k, theta = action_on(algebra_name, group_name, kind)
+    return a, context(a, k, theta)
 
 
 def test_trivial_group_action_passes():
     a = preset("kz3")
     k = group_preset("z1")
     theta = np.eye(3)[None, :, :]
-    build_group_action(a, k, theta)
     assert action_axioms_report(a, k, theta).overall_pass
 
 
 def test_inversion_action_on_z3_passes():
-    a, k, action = action_on("kz3", "z2", "inversion")
-    assert action_axioms_report(a, k, action.theta).overall_pass
-    assert np.array_equal(action.theta[1], permutation_matrix([0, 2, 1]))
+    a, k, theta = action_on("kz3", "z2", "inversion")
+    assert action_axioms_report(a, k, theta).overall_pass
+    assert np.array_equal(theta[1], permutation_matrix([0, 2, 1]))
 
 
 def test_conjugation_action_on_s3_passes():
-    a, k, action = action_on("ks3", "s3", "conjugation")
-    report = action_axioms_report(a, k, action.theta)
+    a, k, theta = action_on("ks3", "s3", "conjugation")
+    report = action_axioms_report(a, k, theta)
     assert report.overall_pass
     assert report.check("theta_image_size").detail.startswith("faithful")
 
 
 def test_inversion_on_z2_is_trivial_but_legal():
-    a, k, action = action_on("kz2", "z2", "inversion")
-    report = action_axioms_report(a, k, action.theta)
+    a, k, theta = action_on("kz2", "z2", "inversion")
+    report = action_axioms_report(a, k, theta)
     assert report.overall_pass
     assert "trivial" in report.check("theta_image_size").detail
 
 
-def test_not_a_homomorphism_raises():
+def first_failure_and_suite(a, k, theta):
+    """The first failing axiom check, after asserting that ``action_suite``
+    stops after the action/ checks."""
+    suite = action_suite(a, k, theta)
+    assert not suite.overall_pass
+    assert all(c.name.startswith("action/") for c in suite.checks)
+    return next(c.name for c in action_axioms_report(a, k, theta).checks if not c.passed)
+
+
+def test_not_a_homomorphism_fails_theta_homomorphism():
     a = preset("kz3")
     k = group_preset("z2")
     shift = permutation_matrix([1, 2, 0])
     theta = np.stack([np.eye(3), shift])  # shift squared is not the identity
-    with pytest.raises(NotAHomomorphism):
-        build_group_action(a, k, theta)
+    assert first_failure_and_suite(a, k, theta) == "theta_homomorphism"
 
 
-def test_not_an_automorphism_raises():
+def test_not_an_automorphism_fails_theta_automorphisms():
     a = preset("kz3")
     k = group_preset("z2")
     signs = np.diag([1.0, -1.0, -1.0])  # involutive but not multiplicative
-    with pytest.raises(NotAnAutomorphism):
-        build_group_action(a, k, np.stack([np.eye(3), signs]))
+    theta = np.stack([np.eye(3), signs])
+    assert first_failure_and_suite(a, k, theta) == "theta_automorphisms"
 
 
 def test_resolve_automorphisms_guards():
@@ -163,9 +171,31 @@ def test_resolve_automorphisms_guards():
         conjugation_theta(preset("kz3"), group_preset("z2"))
 
 
+def test_resolve_automorphisms_reads_a_list():
+    # the list form of an action spec resolves through the same function as a preset name
+    a, k = preset("kz3"), group_preset("z2")
+    matrices = [[[[float(r == c), 0.0] for c in range(3)] for r in range(3)], [
+        [[float(r == (3 - c) % 3), 0.0] for c in range(3)] for r in range(3)
+    ]]
+    theta = fqg.resolve_automorphisms(a, k, matrices)
+    assert np.array_equal(theta, parse_explicit_automorphisms(matrices, 2, 3))
+    assert np.array_equal(theta, resolve_automorphisms(a, k, "inversion"))
+
+
+def test_context_holds_theta_and_its_inverses():
+    a, k, theta = action_on("ks3", "s3", "conjugation")
+    data = context(a, k, theta)
+    assert data.group is k and np.array_equal(data.theta, theta)
+    for j in range(k.order):
+        assert np.array_equal(data.theta_inv[j], data.theta[k.inverse(j)])
+    assert not data.theta.flags.writeable and not data.theta_inv.flags.writeable
+    assert "action" not in {f.name for f in fields(IntertwinerData)}
+    assert not hasattr(fqg, "FiniteGroupAction") and not hasattr(fqg, "build_group_action")
+
+
 def test_haar_invariance():
     for names in (("kz3", "z2", "inversion"), ("ks3", "s3", "conjugation")):
-        _, _, _, _, data = pipeline(*names)
+        _, data = pipeline(*names)
         report = verify_haar_invariance(data)
         assert report.overall_pass
         assert report.max_residual() <= 1e-13
@@ -173,15 +203,15 @@ def test_haar_invariance():
 
 def test_strong_right_invariance_direct_oracle():
     # evaluate both sides of the invariance identity from the Cayley data
-    a, action, h, _, data = pipeline("kz3", "z2", "inversion")
-    group = a.source_group
-    for k in range(action.order):
+    a, data = pipeline("kz3", "z2", "inversion")
+    h = data.wop.gns.haar
+    for k in range(data.group.order):
         for i in range(3):
             for j in range(3):
-                lhs = h(a.multiply(action.theta[k] @ a.basis_element(i), a.basis_element(j)))
+                lhs = h(a.multiply(data.theta[k] @ a.basis_element(i), a.basis_element(j)))
                 rhs = h(
                     a.multiply(
-                        a.basis_element(i), action.theta_inv[k] @ a.basis_element(j)
+                        a.basis_element(i), data.theta_inv[k] @ a.basis_element(j)
                     )
                 )
                 assert abs(lhs - rhs) <= 1e-13
@@ -191,14 +221,14 @@ def test_strong_right_invariance_direct_oracle():
 
 
 def test_strong_right_invariance_on_s3():
-    _, _, _, _, data = pipeline("ks3", "s3", "conjugation")
+    _, data = pipeline("ks3", "s3", "conjugation")
     report = verify_strong_right_invariance(data)
     assert report.overall_pass
     assert report.max_residual() <= 1e-13
 
 
 def test_identity_antipode_negative_control():
-    _, _, _, _, data = pipeline("ks3", "s3", "conjugation")
+    _, data = pipeline("ks3", "s3", "conjugation")
     assert strong_right_invariance_residual(data, "identity") > 1e-3
     with pytest.raises(StructuralError):
         strong_right_invariance_residual(data, "transpose")
@@ -207,12 +237,12 @@ def test_identity_antipode_negative_control():
 def test_beta_matrix_entries():
     # trivial group: beta(a) = delta_e (x) a
     a = preset("kz3")
-    action = build_group_action(a, group_preset("z1"), np.eye(3)[None, :, :])
-    assert np.array_equal(beta_matrix(action), np.eye(3))
+    data = context(a, group_preset("z1"), np.eye(3)[None, :, :])
+    assert np.array_equal(beta_matrix(data), np.eye(3))
 
     # order-two group acting by inversion: delta_0 (x) u_g + delta_1 (x) u_{-g}
-    _, _, action = action_on("kz3", "z2", "inversion")
-    beta = beta_matrix(action)
+    _, data = pipeline("kz3", "z2", "inversion")
+    beta = beta_matrix(data)
     inv = permutation_matrix([0, 2, 1])
     assert np.array_equal(beta[0:3, :], np.eye(3))
     assert np.array_equal(beta[3:6, :], inv)
@@ -220,26 +250,22 @@ def test_beta_matrix_entries():
 
 def test_beta_checks_and_antipode_form_agreement():
     for names in (("kz3", "z2", "inversion"), ("ks3", "s3", "conjugation"), ("fz3", "z2", "inversion")):
-        _, action, _, wop, data = pipeline(*names)
+        _, data = pipeline(*names)
         report = verify_beta(data)
         assert report.overall_pass, [c.name for c in report.checks if not c.passed]
         assert report.max_residual() <= 1e-12
-        assert np.max(np.abs(beta_matrix(action) - beta_matrix_antipode_form(action))) <= 1e-12
+        assert np.max(np.abs(beta_matrix(data) - beta_matrix_antipode_form(data))) <= 1e-12
 
 
 def test_gamma_trivial_group_is_identity():
     a = preset("kz2")
-    action = build_group_action(a, group_preset("z1"), np.eye(2)[None, :, :])
-    h = compute_haar(a)
-    gns = gns_construct(a, h)
-    wop = build_multiplicative_unitary(a, gns)
-    data = build_intertwiner_data(action, wop)
+    data = context(a, group_preset("z1"), np.eye(2)[None, :, :])
     assert np.max(np.abs(data.gamma_hat[0] - np.eye(2))) <= 1e-13
     assert verify_gamma(data).overall_pass
 
 
 def test_gamma_inversion_swaps_nontrivial_sectors():
-    _, action, h, wop, data = pipeline("kz3", "z2", "inversion")
+    _, data = pipeline("kz3", "z2", "inversion")
     swap12 = permutation_matrix([0, 2, 1])
     assert np.max(np.abs(data.gamma_hat[1] - swap12)) <= 1e-12
     report = verify_gamma(data)
@@ -248,7 +274,7 @@ def test_gamma_inversion_swaps_nontrivial_sectors():
 
 
 def test_gamma_checks_on_s3():
-    _, action, h, wop, data = pipeline("ks3", "s3", "conjugation")
+    _, data = pipeline("ks3", "s3", "conjugation")
     report = verify_gamma(data)
     assert report.overall_pass, [c.name for c in report.checks if not c.passed]
     assert report.max_residual() <= 1e-11
@@ -256,7 +282,7 @@ def test_gamma_checks_on_s3():
 
 def test_intertwiner_exchange_identity():
     for names, dim in ((("kz3", "z2", "inversion"), 18), (("ks3", "s3", "conjugation"), 216)):
-        _, action, h, wop, data = pipeline(*names)
+        _, data = pipeline(*names)
         assert data.v.entries.shape == (dim, dim)
         report = verify_action_intertwiner(data)
         assert report.overall_pass
@@ -266,7 +292,8 @@ def test_intertwiner_exchange_identity():
 
 def test_v_and_exchange_residual_match_kron_loops():
     # V is sum_j x_j (x) beta(e_j); a random V in its place makes the exchange residual O(1)
-    _, _, _, wop, data = pipeline("ks3", "s3", "conjugation")
+    _, data = pipeline("ks3", "s3", "conjugation")
+    wop = data.wop
     v_loop = sum(np.kron(x, b) for x, b in zip(wop.slice_basis, data.beta_ops))
     assert np.max(np.abs(data.v.entries - v_loop)) <= 1e-13
     rng = np.random.default_rng(6)
@@ -280,26 +307,20 @@ def test_v_and_exchange_residual_match_kron_loops():
 
 def test_intertwiner_trivial_group_reduces_to_w():
     a = preset("kz2")
-    action = build_group_action(a, group_preset("z1"), np.eye(2)[None, :, :])
-    gns = gns_construct(a, compute_haar(a))
-    wop = build_multiplicative_unitary(a, gns)
-    data = build_intertwiner_data(action, wop)
-    assert np.max(np.abs(data.v.entries - wop.w.entries)) <= 1e-13
+    data = context(a, group_preset("z1"), np.eye(2)[None, :, :])
+    assert np.max(np.abs(data.v.entries - data.wop.w.entries)) <= 1e-13
     assert verify_action_intertwiner(data).overall_pass
 
 
 def test_trivial_group_commutation_is_exact():
     a = preset("kz2")
-    action = build_group_action(a, group_preset("z1"), np.eye(2)[None, :, :])
-    gns = gns_construct(a, compute_haar(a))
-    wop = build_multiplicative_unitary(a, gns)
-    data = build_intertwiner_data(action, wop)
+    data = context(a, group_preset("z1"), np.eye(2)[None, :, :])
     report = verify_slice_commutativity(data, mode="full")
     assert report.residual("five_leg_commutation") == 0.0
 
 
 def test_five_leg_commutation_full_mode():
-    _, action, h, wop, data = pipeline("kz3", "z2", "inversion")
+    _, data = pipeline("kz3", "z2", "inversion")
     report = verify_slice_commutativity(data, mode="full")
     assert report.overall_pass, [c.name for c in report.checks if not c.passed]
     assert "162" in report.check("five_leg_commutation").detail
@@ -309,7 +330,7 @@ def test_five_leg_commutation_full_mode():
 
 
 def test_sliced_commutation_on_s3():
-    _, action, h, wop, data = pipeline("ks3", "s3", "conjugation")
+    _, data = pipeline("ks3", "s3", "conjugation")
     report = verify_slice_commutativity(data, mode="sliced")
     assert report.overall_pass
     assert report.residual("sliced_commutation") <= 1e-11
@@ -318,11 +339,11 @@ def test_sliced_commutation_on_s3():
 
 
 def test_auto_mode_selects_by_size():
-    _, action, h, wop, data = pipeline("kz3", "z2", "inversion")
+    _, data = pipeline("kz3", "z2", "inversion")
     report = verify_slice_commutativity(data, mode="auto")
     assert any(c.name == "five_leg_commutation" for c in report.checks)
 
-    _, action6, _, wop6, data6 = pipeline("ks3", "s3", "conjugation")
+    _, data6 = pipeline("ks3", "s3", "conjugation")
     report6 = verify_slice_commutativity(data6, mode="auto")
     assert any(c.name == "sliced_commutation" for c in report6.checks)
     assert not any(c.name == "five_leg_commutation" for c in report6.checks)
@@ -331,7 +352,7 @@ def test_auto_mode_selects_by_size():
 def test_full_mode_unavailable_above_limit(monkeypatch):
     import fqg.actions as actions_mod
 
-    _, action, h, wop, data = pipeline("kz3", "z2", "inversion")
+    _, data = pipeline("kz3", "z2", "inversion")
     monkeypatch.setattr(actions_mod, "FULL_MODE_BYTES", 100)
     with pytest.raises(ModeUnavailable):
         verify_slice_commutativity(data, mode="full")
@@ -348,7 +369,8 @@ def test_full_mode_residuals_match_dense_on_non_commuting_v(monkeypatch, tile_by
 
     if tile_bytes is not None:  # 0: one tile per leg-1 index pair
         monkeypatch.setattr(tensors_mod, "TILE_BYTES", tile_bytes)
-    a, action, h, wop, data = pipeline("kz3", "z2", "inversion")
+    _, data = pipeline("kz3", "z2", "inversion")
+    wop = data.wop
     n, m = 3, 2
     rng = np.random.default_rng(4)
     k = n * m * n
@@ -395,7 +417,7 @@ def test_full_mode_peak_memory_within_estimate():
 
     from fqg.actions import full_mode_bytes
 
-    _, action, h, wop, data = pipeline("kz6", "z2", "inversion")
+    _, data = pipeline("kz6", "z2", "inversion")
     tracemalloc.start()
     try:
         report = verify_slice_commutativity(data, mode="full")
@@ -407,7 +429,7 @@ def test_full_mode_peak_memory_within_estimate():
 
 
 def test_mode_name_validated():
-    _, action, h, wop, data = pipeline("kz3", "z2", "inversion")
+    _, data = pipeline("kz3", "z2", "inversion")
     with pytest.raises(StructuralError):
         verify_slice_commutativity(data, mode="everything")
 
@@ -420,9 +442,7 @@ def basis_changed_pipeline(algebra_name, group_name, kind, seed):
     p = basis_change_matrix(a.dim, seed)
     q = np.linalg.inv(p)
     b = change_basis(a, seed)
-    action = build_group_action(b, k, np.stack([q @ t @ p for t in theta]))
-    wop = build_multiplicative_unitary(b, gns_construct(b, compute_haar(b)))
-    return b, action, wop, build_intertwiner_data(action, wop)
+    return b, context(b, k, np.stack([q @ t @ p for t in theta]))
 
 
 def test_action_axioms_match_per_pair_loops():
@@ -455,10 +475,9 @@ def test_invariance_checks_match_per_element_loops():
     theta[1][:, 0] = 0.0
     h = compute_haar(a)
     wop = build_multiplicative_unitary(a, gns_construct(a, h))
-    action = FiniteGroupAction(a, k, theta)
-    data = build_intertwiner_data(action, wop)
+    data = build_intertwiner_data(wop, k, theta)
     pair = np.einsum("pqk,k->pq", a.mult, h.coords)
-    inv = [action.theta_inv[j] for j in range(6)]
+    inv = [data.theta_inv[j] for j in range(6)]
     phi1, phi2 = np.zeros((36, 36), dtype=complex), np.zeros((36, 36), dtype=complex)
     for j in range(6):
         phi1[j::6, j::6], phi2[j::6, j::6] = theta[j], inv[j]
@@ -494,13 +513,14 @@ def test_invariance_checks_match_per_element_loops():
 def test_operator_stacks_match_per_element_construction():
     # beta(e_j): block k is left multiplication by theta_{k^-1}(e_j);
     # gamma(x_j) = sum_k (sum_i gamma_hat[k][i, j] x_i) (x) delta_k delta_k^T
-    b, action, wop, data = basis_changed_pipeline("ks3", "s3", "conjugation", 2)
-    n, m = b.dim, action.order
+    b, data = basis_changed_pipeline("ks3", "s3", "conjugation", 2)
+    wop = data.wop
+    n, m = b.dim, data.group.order
     for j in range(n):
         beta = np.zeros((m * n, m * n), dtype=complex)
         gamma = np.zeros((n * m, n * m), dtype=complex)
         for k in range(m):
-            img = action.theta_inv[k] @ b.basis_element(j)
+            img = data.theta_inv[k] @ b.basis_element(j)
             beta[k * n:(k + 1) * n, k * n:(k + 1) * n] = np.einsum(
                 "i,ikl->kl", img, wop.gns.left_regular
             )
@@ -544,8 +564,8 @@ def reference_generated_dimension(vectors, tol):
     ],
 )
 def test_generated_dimension_matches_greedy_reference(names, expected):
-    b, action, wop, data = basis_changed_pipeline(*names, seed=3)
-    n, m = b.dim, action.order
+    b, data = basis_changed_pipeline(*names, seed=3)
+    n, m = b.dim, data.group.order
     t = data.v.entries.reshape(n, m, n, n, m, n)
     generators = t.transpose(0, 3, 2, 5, 1, 4).reshape(n ** 4, m, m)
     norms = np.linalg.norm(generators.reshape(len(generators), -1), axis=1)
@@ -586,7 +606,7 @@ def test_generated_dimension_of_non_commuting_matrices():
 
 
 def test_sliced_commutation_detects_non_commuting_v():
-    a, action, h, wop, data = pipeline("kz3", "z2", "inversion")
+    _, data = pipeline("kz3", "z2", "inversion")
     k = 3 * 2 * 3
     rng = np.random.default_rng(11)
     v = TensorOperator((3, 2, 3), rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
@@ -626,8 +646,8 @@ def test_conjugation_theta_matches_the_element_loop(table):
 )
 def test_v_is_block_diagonal_in_its_middle_leg(names):
     # C(K) is diagonal, so the five-leg and sliced commutations hold by construction
-    a, action, _, _, data = pipeline(*names)
-    n, m = a.dim, action.order
+    a, data = pipeline(*names)
+    n, m = a.dim, data.group.order
     blocks = data.v.entries.reshape(n, m, n, n, m, n).transpose(1, 4, 0, 2, 3, 5)
     assert not np.any(blocks[~np.eye(m, dtype=bool)])
     assert np.all(np.any(blocks[np.eye(m, dtype=bool)], axis=(1, 2, 3, 4)))

@@ -451,6 +451,26 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys, argv):
     assert err.startswith(f"error: {path} nests too deeply") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("algebra", ["a\u0000b.json", "kz2/\u0000"], ids=["file", "path"])
+def test_nul_in_an_algebra_path_exits_two(tmp_path, capsys, algebra):
+    # open() refuses a path holding a NUL character with a ValueError, not an OSError
+    spec = {"format_version": 1, "algebra": algebra, "group": "z2", "automorphisms": "inversion"}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, ["action", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
+
+def test_integer_beyond_the_parser_digit_limit_exits_two(tmp_path, capsys):
+    # json reads it with int(), which raises a ValueError past 4300 digits
+    path = tmp_path / "big.json"
+    path.write_text("1" * 5000)
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "spec",
     [

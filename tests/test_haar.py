@@ -118,7 +118,7 @@ def test_verify_gns_report_passes_on_presets():
         a = preset(name)
         h = compute_haar(a)
         gns = gns_construct(a, h)
-        report = verify_gns(a, h, gns)
+        report = verify_gns(a, gns)
         assert report.overall_pass, [c.name for c in report.checks if not c.passed]
 
 

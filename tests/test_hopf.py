@@ -11,7 +11,8 @@ from fqg import (
     preset,
     verify_hopf_star_axioms,
 )
-from fqg.actions import enumerate_group_automorphisms, permutation_matrix
+from fqg.actions import enumerate_group_automorphisms
+from fqg.builders import permutation_matrix
 
 
 def trivial_algebra():

@@ -6,13 +6,15 @@
 ``dump`` runs from a checkout root: it imports ``fqg`` from ``src/`` and the
 workload generator from ``perfbench/workloads.py`` of the current directory,
 writes the seed-1 and seed-2 inputs of every benchmark workload into a
-temporary directory, and runs each case, plus a fixed list of preset actions
-and ``verify <preset> --tol 1e-15`` for every preset and its dual, through
-``fqg.cli.main`` in process.  At that tolerance the pentagon and first-leg
-checks, and on every preset but ``trivial`` and its dual the coassociativity and
-multiplicativity checks, report their exact contractions.  OUT.json maps
-each case to its exit code, stdout and stderr.  Run it once in each
-checkout, then ``compare``.
+temporary directory, and runs each case, plus a fixed list of preset actions,
+five actions that fail their axioms or are refused (``FAILING_ACTIONS``, one
+with a list of matrices written beside the inputs) and ``verify <preset>
+--tol 1e-15`` for every preset and its dual, through ``fqg.cli.main`` in
+process.  At that tolerance the pentagon and first-leg checks, and on every
+preset but ``trivial`` and its dual the coassociativity and multiplicativity
+checks, report their exact contractions.  OUT.json maps each case to its
+exit code, stdout and stderr.  Run it once in each checkout, then
+``compare``.
 
 ``compare`` exits 1 on any change of exit code, stderr, provenance, check
 names or order, tolerances, verdicts or details, and on a residual change in
@@ -39,6 +41,16 @@ PRESET_ACTIONS = (
     + [("fs3", "s3", "conjugation", mode) for mode in ("auto", "sliced")]
     + [(f"kz{n}", "z2", "inversion", mode) for n in (2, 3, 4, 6) for mode in ("full", "sliced")]
     + [(f"fz{n}", "z2", "inversion", "full") for n in (2, 4)]
+)
+# (algebra, group, automorphisms): the first two fail action/ checks (exit 1),
+# the other three are refused before any check (exit 2)
+THREE_CYCLE = "identity-and-3-cycle.json"
+FAILING_ACTIONS = (
+    ("ks3", "z2", "inversion"),
+    ("kz3", "z2", THREE_CYCLE),
+    ("kz3", "z3", "inversion"),
+    ("ks3", "z3", "conjugation"),
+    ("dual:kz2", "z2", "inversion"),
 )
 
 
@@ -68,6 +80,14 @@ def dump(path: str) -> int:
                         results[f"{name}/seed{seed}/{case.case_id}"] = _run(main, case.argv)
                 finally:
                     os.chdir(root)
+        with open(os.path.join(tmp, THREE_CYCLE), "w", encoding="utf-8") as fh:
+            # theta_0 = identity, theta_1 = u_g -> u_{g+1} on kz3, rows of [re, im]
+            json.dump([[[[float(r == (c + shift) % 3), 0.0] for c in range(3)] for r in range(3)]
+                       for shift in (0, 1)], fh)
+        for alg, group, kind in FAILING_ACTIONS:
+            auto = os.path.join(tmp, kind) if kind == THREE_CYCLE else kind
+            argv = ["action", alg, "--group", group, "--automorphisms", auto, "--format", "json"]
+            results[f"failing/{alg}-{group}-{kind}"] = _run(main, argv)
     for alg, group, kind, mode in PRESET_ACTIONS:
         argv = ["action", alg, "--group", group, "--automorphisms", kind, "--mode", mode]
         argv += ["--format", "json"]
