@@ -230,7 +230,7 @@ def build_intertwiner_data(wop: MultiplicativeUnitary, group: CayleyTable, theta
     ``theta``, whose axioms ``action_axioms_report`` checks: theta and
     theta_inv, the Haar pairing, the beta and gamma stacks and
     V = (id (x) beta) W."""
-    theta = freeze(np.asarray(theta, dtype=complex))
+    theta = freeze(np.array(theta, dtype=complex))  # a copy: the caller keeps theirs writable
     theta_inv = freeze(theta[group.inverses()])
     left_regular = wop.gns.left_regular
     n, m = wop.algebra.dim, group.order

@@ -137,8 +137,31 @@ def algebra_to_json_dict(a: FiniteHopfStarAlgebra) -> dict:
     }
 
 
+def _indented_entries(entries: list) -> str:
+    """``json.dumps(entries, indent=2)`` as the value of a top-level key, for
+    a list of lists of numbers.  The C encoder writes the entries compactly
+    and the line breaks go in by replacement, which is exact because the text
+    of a number holds neither "," nor "[" nor "]"."""
+    if not entries:
+        return "[]"
+    rows = json.dumps(entries, separators=(",", ":"))[2:-2]
+    rows = rows.replace(",", ",\n      ").replace("],\n      [", "\n    ],\n    [\n      ")
+    return "[\n    [\n      " + rows + "\n    ]\n  ]"
+
+
 def algebra_to_json(a: FiniteHopfStarAlgebra) -> str:
-    return json.dumps(algebra_to_json_dict(a), indent=2)
+    """``json.dumps(algebra_to_json_dict(a), indent=2)``, byte for byte, without
+    the pure-Python encoder that ``indent`` selects."""
+    fields = []
+    for key, value in algebra_to_json_dict(a).items():
+        if key == "basis":  # never empty: dim >= 1
+            text = "[\n    " + ",\n    ".join(map(json.dumps, value)) + "\n  ]"
+        elif isinstance(value, list):
+            text = _indented_entries(value)
+        else:
+            text = json.dumps(value)
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}"
 
 
 def read_json(path):

@@ -22,6 +22,7 @@ the input).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -114,7 +115,10 @@ def _cmd_dual(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``fqg`` argument parser, built once per process: ``parse_args``
+    starts every call from a fresh namespace, so nothing carries over."""
     parser = argparse.ArgumentParser(
         prog="fqg", description="Verify finite quantum group identities numerically."
     )
@@ -157,9 +161,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _printable(text: str) -> str:
+    """``text`` with each non-printable character backslash-escaped, so an
+    input path cannot put a control sequence on the terminal; printable text
+    is unchanged."""
+    return "".join(c if c.isprintable() else c.encode("unicode_escape").decode() for c in text)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     tol = getattr(args, "tol", 1.0)
     if not (math.isfinite(tol) and tol > 0):
         print("error: tolerance must be positive and finite", file=sys.stderr)
@@ -176,7 +186,7 @@ def main(argv=None) -> int:
         error = StructuralError(f"input too large to allocate: {exc}")
     except (StructuralError, OSError) as exc:
         error = exc
-    print(f"error: {error}", file=sys.stderr)
+    print(f"error: {_printable(str(error))}", file=sys.stderr)
     return EXIT_STRUCTURAL
 
 

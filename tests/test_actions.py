@@ -404,8 +404,8 @@ def test_full_mode_bytes_estimate():
 
     # ks3 with S3: the five-leg commutator, one tile per leg-1 index pair
     assert full_mode_bytes(6, 6) == 3 * 16 * 1296 ** 2 + 3 * 16 * 216 ** 2 + 2 * 16 * 6 ** 5
-    # kz6 with Z2: two leg-1 indices per tile
-    assert full_mode_bytes(6, 2) == 3 * 16 * 864 ** 2 + 3 * 16 * 72 ** 2 + 2 * 16 * 6 ** 5
+    # kz6 with Z2: one leg-1 index pair per tile (two would need 36 MB)
+    assert full_mode_bytes(6, 2) == 3 * 16 * 432 ** 2 + 3 * 16 * 72 ** 2 + 2 * 16 * 6 ** 5
     # kz3 with Z2: the five-leg space is one tile
     assert full_mode_bytes(3, 2) == 3 * 16 * 162 ** 2 + 3 * 16 * 18 ** 2 + 2 * 16 * 3 ** 5
     assert full_mode_bytes(8, 4) < FULL_MODE_BYTES

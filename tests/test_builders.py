@@ -25,6 +25,7 @@ from fqg import (
 from fqg.builders import (
     _sparse_entries,
     algebra_to_json,
+    algebra_to_json_dict,
     function_algebra,
     group_algebra,
     resolve_algebra,
@@ -175,6 +176,25 @@ def test_sparse_entries_match_the_entry_loop():
         a = preset(name)
         for field in ("mult", "comult", "unit", "counit", "antipode", "star"):
             assert _sparse_entries(getattr(a, field)) == _sparse_entries_by_loop(getattr(a, field))
+
+
+def test_algebra_to_json_equals_the_indented_encoder():
+    # the provenance sha256 hashes this text and save_algebra writes it, so it
+    # must stay byte-identical to json.dumps(..., indent=2)
+    from dataclasses import replace
+
+    from conftest import change_basis
+
+    algebras = [preset(name) for name in preset_names()]
+    algebras += [build_dual(a) for a in algebras]
+    algebras += [change_basis(a, 5) for a in algebras]
+    kz3 = preset("kz3")
+    algebras.append(
+        replace(kz3, name='q"uo\\te, ]é', basis_labels=('a", "b', "c\\]", "]ü, ["))
+    )
+    algebras.append(replace(kz3, antipode=np.zeros((3, 3))))  # an empty entry list
+    for a in algebras:
+        assert algebra_to_json(a) == json.dumps(algebra_to_json_dict(a), indent=2), a.name
 
 
 def test_round_trip_preserves_complex_entries_exactly(tmp_path):

@@ -72,6 +72,20 @@ def test_verify_only_filter(capsys):
     assert [c["name"] for c in payload["checks"]] == ["pentagon/pentagon"]
 
 
+def test_only_does_not_carry_over_between_calls(capsys):
+    # the parser is built once per process; an appended --only list must not
+    # survive into the next call
+    plain, only = ["verify", "kz2", "--format", "json"], ["--only", "axioms/*"]
+    alone = run(capsys, plain)
+    filtered = run(capsys, plain + only)
+    assert run(capsys, plain) == alone
+    assert run(capsys, plain + only) == filtered
+    names = [c["name"] for c in json.loads(filtered[1])["checks"]]
+    assert names and all(name.startswith("axioms/") for name in names)
+    assert len(json.loads(alone[1])["checks"]) > len(names)
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_verify_only_matching_nothing_exits_two(capsys):
     # a mistyped glob must not report "ALL CHECKS PASSED (0 checks)"
     code, out, err = run(capsys, ["verify", "kz3", "--only", "nope/*", "--only", "pentagn/*"])
@@ -460,6 +474,19 @@ def test_nul_in_an_algebra_path_exits_two(tmp_path, capsys, algebra):
     code, out, err = run(capsys, ["action", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("contents", [None, "{"], ids=["missing", "invalid"])
+@pytest.mark.parametrize("name", ["a\x1b[31mb.json", "a\tb.json"], ids=["escape", "tab"])
+def test_control_characters_in_a_path_are_escaped_in_the_error_line(tmp_path, capsys, name, contents):
+    path = tmp_path / name
+    if contents is not None:
+        path.write_text(contents)
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 2 and out == ""
+    line = err.removesuffix("\n")
+    assert line.isprintable() and line.startswith("error: ")
+    assert str(path).encode("unicode_escape").decode() in line
 
 
 def test_integer_beyond_the_parser_digit_limit_exits_two(tmp_path, capsys):

@@ -88,7 +88,10 @@ def test_action_suite_full_run_check_names():
     k = group_preset("z2")
     from fqg import resolve_automorphisms
 
-    report = action_suite(a, k, resolve_automorphisms(a, k, "inversion"))
+    theta = resolve_automorphisms(a, k, "inversion")
+    report = action_suite(a, k, theta)
+    # the action context freezes a copy of theta, not the caller's array
+    assert theta.flags.writeable
     names = {c.name for c in report.checks}
     for expected in (
         "action/coaction_axiom",

@@ -166,16 +166,52 @@ def test_leg_product_and_distance_match_dense_embedding(monkeypatch, dims, lhs, 
     assert_tilings_match(monkeypatch, lhs, rhs, dims, expected)
 
 
-def assert_tilings_match(monkeypatch, lhs, rhs, dims, expected):
-    """leg_distance equals ``expected`` within 1e-13 relative at one tile, at
-    tiles of two leg-1 indices and at one index pair per tile."""
+def tilings(monkeypatch, lhs, rhs, dims):
+    """Set TILE_BYTES to one tile, to tiles of two leg-1 indices and to one
+    index pair per tile in turn, yielding after each."""
     factors = max(len(lhs), len(rhs))
     for tile in (dims[0], 2, 1):  # leg-1 indices per tile, when it divides dims[0]
         monkeypatch.setattr(
             tensors_mod, "TILE_BYTES", tensors_mod._working_set(dims, tile, factors)
         )
+        yield tile
+
+
+def assert_tilings_match(monkeypatch, lhs, rhs, dims, expected):
+    """leg_distance equals ``expected`` within 1e-13 relative at every tiling
+    of ``tilings``."""
+    for _ in tilings(monkeypatch, lhs, rhs, dims):
         got = leg_distance(lhs, rhs, dims)
         assert abs(got - expected) <= 1e-13 * expected
+
+
+def in_place_distance(lhs, rhs, dims):
+    """Reference: leg_distance with the rhs tile subtracted into the lhs tile
+    in the logical axis order, ``diff -= rhs``."""
+    t = tensors_mod._tile(dims, max(len(lhs), len(rhs)))
+    lhs_tile = tensors_mod._leg1_tiles(lhs, dims, t)
+    rhs_tile = tensors_mod._leg1_tiles(rhs, dims, t)
+    total = 0.0
+    for i in range(0, dims[0], t):
+        for j in range(0, dims[0], t):
+            diff = lhs_tile(i, j)
+            diff -= rhs_tile(i, j)
+            total += tensors_mod.frob(diff) ** 2
+    return float(np.sqrt(total))
+
+
+def test_leg_distance_bit_identical_to_in_place_loop(monkeypatch):
+    # the five-leg commutator V234 V135 - V135 V234: the subtraction in the lhs
+    # tile's memory order changes neither the values nor the order frob sums
+    rng = np.random.default_rng(15)
+    n, m = 4, 2
+    dims = (n, n, m, n, n)
+    k = n * m * n
+    v = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    lhs, rhs = [(v, [2, 3, 4]), (v, [1, 3, 5])], [(v, [1, 3, 5]), (v, [2, 3, 4])]
+    for tile in tilings(monkeypatch, lhs, rhs, dims):
+        assert tensors_mod._tile(dims, 2) == tile
+        assert leg_distance(lhs, rhs, dims) == in_place_distance(lhs, rhs, dims) > 1.0
 
 
 def random_stack(rng, dims, placement, k=3):
@@ -262,8 +298,8 @@ def test_leg_distance_bytes(monkeypatch):
     # a small space is one tile, a larger one is tiled over leg 1
     assert leg_distance_bytes((3, 3, 3), 3) == 5 * 16 * 27 ** 2
     assert leg_distance_bytes((10, 10, 10), 2) == 3 * 16 * (5 * 100) ** 2
-    assert leg_distance_bytes((10, 10, 10), 3) == 5 * 16 * (5 * 100) ** 2
-    assert leg_distance_bytes((6, 6, 2, 6, 6), 2) == 3 * 16 * (2 * 432) ** 2
+    assert leg_distance_bytes((10, 10, 10), 3) == 5 * 16 * (2 * 100) ** 2
+    assert leg_distance_bytes((6, 6, 2, 6, 6), 2) == 3 * 16 * 432 ** 2
     assert leg_distance_bytes((6, 6, 6, 6, 6), 2) == 3 * 16 * 1296 ** 2
     monkeypatch.setattr(tensors_mod, "TILE_BYTES", 0)
     assert leg_distance_bytes((2, 3, 2), 3) == 5 * 16 * 6 ** 2
