@@ -365,6 +365,20 @@ def full_mode_bytes(n: int, m: int) -> int:
     return leg_distance_bytes((n, n, m, n, n), 2) + 3 * 16 * (n * n * m) ** 2 + 2 * 16 * n ** 5
 
 
+def commutation_mode(n: int, m: int, mode: str) -> str:
+    """``mode`` resolved to "full" or "sliced" at algebra dimension n and group
+    order m: "auto" picks "full" for five-leg dimension up to 10^3.  Raises
+    ModeUnavailable, before anything is allocated, when full mode would need
+    over FULL_MODE_BYTES (``full_mode_bytes``)."""
+    if mode == "auto":
+        mode = "full" if n * n * m * n * n <= AUTO_FULL_THRESHOLD else "sliced"
+    if mode not in ("full", "sliced"):
+        raise StructuralError(f"mode must be 'auto', 'full' or 'sliced', got {mode!r}")
+    if mode == "full" and (need := full_mode_bytes(n, m)) > FULL_MODE_BYTES:
+        raise ModeUnavailable(f"full mode needs about {need} bytes > {FULL_MODE_BYTES}; use sliced mode")
+    return mode
+
+
 def verify_slice_commutativity(
     data: IntertwinerData, tol: float = DEFAULT_TOL, mode: str = "auto"
 ) -> VerificationReport:
@@ -373,13 +387,11 @@ def verify_slice_commutativity(
     mode="full" contracts two copies of V placed on legs [2, 3, 4] and
     [1, 3, 5] of the five-leg space, block by block over leg 1 when large
     (``tensors.leg_distance``), and also checks the two coproduct expansions
-    of V used to derive the commutation; it raises ModeUnavailable before
-    allocating when ``full_mode_bytes`` exceeds FULL_MODE_BYTES.
-    mode="sliced" checks the equivalent scalar-slice family instead: the
-    slices of V by matrix units of its outer legs are matrices in C(K), and
-    the commutators of an orthonormal basis of their span must vanish
-    (commutativity extends bilinearly, so a basis is enough).  mode="auto"
-    picks "full" for five-leg dimension up to 10^3 and "sliced" beyond.
+    of V used to derive the commutation.  mode="sliced" checks the equivalent
+    scalar-slice family instead: the slices of V by matrix units of its outer
+    legs are matrices in C(K), and the commutators of an orthonormal basis of
+    their span must vanish (commutativity extends bilinearly, so a basis is
+    enough).  ``commutation_mode`` resolves "auto" and refuses a "full" too large.
     C(K) is diagonal, so V is block-diagonal in its middle leg: both commutations hold by
     construction and become informative only with a non-commutative coefficient algebra.
 
@@ -390,18 +402,10 @@ def verify_slice_commutativity(
     wop = data.wop
     n, m = wop.algebra.dim, data.group.order
     dim5 = n * n * m * n * n
-    if mode == "auto":
-        mode = "full" if dim5 <= AUTO_FULL_THRESHOLD else "sliced"
-    if mode not in ("full", "sliced"):
-        raise StructuralError(f"mode must be 'auto', 'full' or 'sliced', got {mode!r}")
+    mode = commutation_mode(n, m, mode)
     rb = ReportBuilder()
 
     if mode == "full":
-        need = full_mode_bytes(n, m)
-        if need > FULL_MODE_BYTES:
-            raise ModeUnavailable(
-                f"full mode needs about {need} bytes > {FULL_MODE_BYTES}; use sliced mode"
-            )
         v = data.v.entries
         rb.add(
             "five_leg_commutation",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .haar import Functional, fourier_matrix
+from .haar import Functional, compute_haar, fourier_matrix, gns_construct, haar_invariance_residual
 from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra
 from .multiplicative import MultiplicativeUnitary
 from .report import ReportBuilder, VerificationReport
@@ -35,6 +35,24 @@ def build_dual(a: FiniteHopfStarAlgebra) -> FiniteHopfStarAlgebra:
         star=(a.antipode @ np.conj(a.star)).T,
         name=name,
     )
+
+
+def verify_dual_algebra(a: FiniteHopfStarAlgebra, dual: FiniteHopfStarAlgebra,
+                        tol: float = DEFAULT_TOL) -> VerificationReport:
+    """``dual`` has a Haar state with a positive Gram matrix, raising as
+    ``compute_haar`` and ``gns_construct`` do, and its dual is ``a``."""
+    dual_h = compute_haar(dual, tol)
+    gns_construct(dual, dual_h, tol)
+    rb = ReportBuilder()
+    rb.add("haar_invariance", haar_invariance_residual(dual, dual_h), tol * dual.structure_scale())
+    # five of the six double-dual tensors are pure index transposes of the
+    # primal ones; star goes through a matrix product and so may round
+    double = build_dual(dual)
+    fields = ("mult", "comult", "unit", "counit", "antipode")
+    exact = max(float(np.max(np.abs(getattr(double, f) - getattr(a, f)))) for f in fields)
+    rb.add("double_dual_is_primal", exact, 0.0, detail="exact tensor equality")
+    rb.add("double_dual_star", float(np.max(np.abs(double.star - a.star))), tol * a.structure_scale())
+    return rb.build()
 
 
 def convolve(a: FiniteHopfStarAlgebra, phi: Functional, psi: Functional) -> Functional:

@@ -34,7 +34,7 @@ class CayleyTable:
 def cayley_from_table(table, labels=None, name: str = "group") -> CayleyTable:
     """Validate a multiplication table and wrap it; raises InvalidGroupTable."""
     try:
-        table = np.asarray(table)
+        table = np.array(table)  # a copy: the caller keeps theirs writable
     except ValueError as exc:  # ragged rows
         raise InvalidGroupTable(f"table must be square and nonempty: {exc}") from None
     if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] == 0:

@@ -63,6 +63,12 @@ def haar_nullspace_dimension(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL)
     return a.dim - _rank_above(np.linalg.svd(_invariance_system(a), compute_uv=False), tol)
 
 
+def verify_haar(a: FiniteHopfStarAlgebra, h: Functional, tol: float = DEFAULT_TOL) -> VerificationReport:
+    """Bi-invariance of ``h`` and a one-dimensional invariance solution space."""
+    rb = ReportBuilder().add("invariance", haar_invariance_residual(a, h), tol * a.structure_scale())
+    return rb.add_count("nullspace_dimension", haar_nullspace_dimension(a, tol), 1).build()
+
+
 def compute_haar(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL) -> Functional:
     """Solve for the unique normalized bi-invariant functional.
 

@@ -30,7 +30,7 @@ DEFAULT_TOL = 1e-9
 
 
 def _frozen_complex(a, shape, what: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=complex)
+    arr = np.array(a, dtype=complex)  # a copy: the caller keeps theirs writable
     if arr.shape != shape:
         raise StructuralError(f"{what} must have shape {shape}, got {arr.shape}")
     return freeze(arr)

@@ -279,7 +279,7 @@ def verify_coproduct_implemented(
     return rb.build()
 
 
-def _require_w_expansion(wop: MultiplicativeUnitary, tol: float) -> None:
+def require_w_expansion(wop: MultiplicativeUnitary, tol: float) -> None:
     """Raise ExpansionFailed unless W = sum_j slice_basis[j] (x) L_j holds."""
     if wop.expansion_residual > max(tol, rounding_allowance(wop.dim)) * (1.0 + frob(wop.w.entries)):
         raise ExpansionFailed(
@@ -296,7 +296,7 @@ def verify_antipode_relation(
     """(id (x) antipode) W = W*, the antipode transported to the second leg:
     sum_j x_j (x) L(S(e_j)) against W*, with L(S(e_j)) = sum_k S[j, k] L_k."""
     a, n = wop.algebra, wop.dim
-    _require_w_expansion(wop, tol)
+    require_w_expansion(wop, tol)
     antipodes = np.einsum("jk,kab->jab", a.antipode, wop.gns.left_regular)
     lhs = [(wop.slice_basis, [1]), (antipodes, [2])]
     residual = leg_distance(lhs, [(wop.w.entries.conj().T, [1, 2])], (n, n))
@@ -305,12 +305,13 @@ def verify_antipode_relation(
     return rb.build()
 
 
-def build_dual_subspace(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> None:
+def build_dual_subspace(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Raise ExpansionFailed or DimensionMismatch unless ``wop.slice_basis``
-    spans the n-dimensional dual subspace and every right slice of W lies in it."""
+    spans the n-dimensional dual subspace and every right slice of W lies in
+    it; then report its dimension and closure, and the expansion of W over it."""
     n = wop.dim
     w = wop.w
-    _require_w_expansion(wop, tol)
+    require_w_expansion(wop, tol)
     rank = wop.dual_span.rank(tol)
     if rank != n:
         raise DimensionMismatch(
@@ -334,6 +335,9 @@ def build_dual_subspace(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) ->
             "right slices of W do not span an n-dimensional space",
             check="dual_subspace_dimension",
         )
+    rb = ReportBuilder().add_count("dimension", rank, n)
+    rb.add("closed_under_product_and_adjoint", wop.slice_closure[2], tol)
+    return rb.add("w_expansion", wop.expansion_residual, tol).build()
 
 
 def _dual_coproducts(w, xs) -> np.ndarray:

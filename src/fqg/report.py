@@ -84,21 +84,22 @@ class VerificationReport:
 
 class ReportBuilder:
     """Accumulates checks; by default a check passes iff residual <= tolerance.
-    A NaN residual (a check an aborted stage could not compute) never passes."""
+    A NaN residual (a check an aborted stage could not compute) never passes.
+    ``add`` and ``add_count`` return the builder, so calls chain."""
 
     def __init__(self):
         self._checks: list[Check] = []
 
-    def add(self, name: str, residual: float, tolerance: float, detail: str = "") -> Check:
+    def add(self, name: str, residual: float, tolerance: float, detail: str = "") -> ReportBuilder:
         residual = float(residual)
         if math.isnan(residual):
             check = Check(name, None, float(tolerance), False, detail or "residual is NaN")
         else:
             check = Check(name, residual, float(tolerance), residual <= tolerance, detail)
         self._checks.append(check)
-        return check
+        return self
 
-    def add_count(self, name: str, got: int, expected: int, detail: str = "") -> Check:
+    def add_count(self, name: str, got: int, expected: int, detail: str = "") -> ReportBuilder:
         """Integer equality stated as a residual: |got - expected| <= 0."""
         info = detail or f"got {got}, expected {expected}"
         return self.add(name, float(abs(got - expected)), 0.0, info)

@@ -1,125 +1,95 @@
 """Full verification pipelines: every identity for one algebra or one action.
 
-A stage that raises a VerificationError (no Haar state, Gram not positive,
-span of the wrong dimension, ...) is recorded as a failed check and aborts
-the stages that depend on it; structural errors propagate to the caller.
+Each suite is a table of rows ``(prefix, stage, abort)`` that ``_run`` runs in
+order, reporting each stage's checks under ``prefix``.  A stage that raises a
+VerificationError (no Haar state, Gram not positive, ...) ends the run with the
+failed check ``prefix + (abort or exc.check)``.  A guard row (``abort`` not
+None) runs before any later row that runs; all context is in cached closures.
 """
 
 from __future__ import annotations
 
+import re
+from functools import cache
+
 import numpy as np
 
-from . import actions as actions_mod
-from . import duality, haar, multiplicative
+from . import actions, duality, haar, multiplicative
 from .errors import VerificationError
 from .groups import CayleyTable
 from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra, verify_hopf_star_axioms
 from .report import ReportBuilder, VerificationReport
 
 
-def full_suite(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL) -> VerificationReport:
+def _run(rows, tol: float, only) -> VerificationReport:
+    """The report of ``rows`` filtered by the globs ``only``, if any.  A row runs
+    when some glob's literal head (up to its first ``*``, ``?`` or ``[``) and its
+    prefix are prefixes of one another, a guard also when a later row runs."""
+    heads = [re.split(r"[*?[]", pattern, maxsplit=1)[0] for pattern in only or ()]
+    wanted = [not only or any(h.startswith(p) or p.startswith(h) for h in heads) for p, _, _ in rows]
+    rb = ReportBuilder()
+    for i, (prefix, stage, abort) in enumerate(rows):
+        if not any(wanted[i:] if abort is not None else wanted[i:i + 1]):
+            continue
+        try:
+            result = stage()
+        except VerificationError as exc:
+            rb.add(prefix + (abort or exc.check), np.nan, tol, f"aborted: {exc}")
+            break
+        if isinstance(result, VerificationReport):
+            rb.extend(prefix, result)
+    report = rb.build()
+    return report.filtered(only) if only else report
+
+
+def full_suite(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL, only=None) -> VerificationReport:
     """Axioms, Haar, GNS, trace, the full unitary suite, duality and Fourier."""
-    rb = ReportBuilder()
-    rb.extend("axioms/", verify_hopf_star_axioms(a, tol))
-
-    try:
-        h = haar.compute_haar(a, tol)
-    except VerificationError as exc:
-        rb.add("haar/" + (exc.check or "haar_exists"), np.nan, tol, f"aborted: {exc}")
-        return rb.build()
-    rb.add("haar/invariance", haar.haar_invariance_residual(a, h), tol * a.structure_scale())
-    rb.add_count("haar/nullspace_dimension", haar.haar_nullspace_dimension(a, tol), 1)
-
-    try:
-        gns = haar.gns_construct(a, h, tol)
-    except VerificationError as exc:
-        rb.add("gns/" + (exc.check or "gram_positive"), np.nan, tol, f"aborted: {exc}")
-        return rb.build()
-    rb.extend("gns/", haar.verify_gns(a, gns, tol))
-    rb.extend("trace/", haar.verify_trace(a, h, tol))
-
-    wop = multiplicative.build_multiplicative_unitary(a, gns)
-    rb.extend("unitary/", multiplicative.verify_unitarity(wop, tol))
-    rb.extend("unitary/", multiplicative.verify_inverse_via_antipode(wop, tol))
-    rb.extend("pentagon/", multiplicative.verify_pentagon(wop, tol))
-    rb.extend("slices/", multiplicative.verify_left_slices_span(wop, tol))
-    rb.extend("coproduct_via_w/", multiplicative.verify_coproduct_implemented(wop, tol))
-
-    try:
-        rb.extend("antipode_relation/", multiplicative.verify_antipode_relation(wop, tol))
-        multiplicative.build_dual_subspace(wop, tol)
-    except VerificationError as exc:
-        rb.add("dual_subspace/" + (exc.check or "build"), np.nan, tol, f"aborted: {exc}")
-        return rb.build()
-    rb.add_count("dual_subspace/dimension", wop.dual_span.rank(tol), a.dim)
-    rb.add("dual_subspace/closed_under_product_and_adjoint", wop.slice_closure[2], tol)
-    rb.add("dual_subspace/w_expansion", wop.expansion_residual, tol)
-
-    rb.extend("dual_coproduct/", multiplicative.verify_dual_coproduct_identities(wop, tol))
-
-    dual_algebra = duality.build_dual(a)
-    rb.extend("dual_algebra/", verify_hopf_star_axioms(dual_algebra, tol))
-    try:
-        dual_h = haar.compute_haar(dual_algebra, tol)
-        haar.gns_construct(dual_algebra, dual_h, tol)
-    except VerificationError as exc:
-        rb.add("dual_algebra/haar", np.nan, tol, f"aborted: {exc}")
-        return rb.build()
-    rb.add(
-        "dual_algebra/haar_invariance",
-        haar.haar_invariance_residual(dual_algebra, dual_h),
-        tol * dual_algebra.structure_scale(),
-    )
-    # five of the six double-dual tensors are pure index transposes of the
-    # primal ones; star goes through a matrix product and so may round
-    double = duality.build_dual(dual_algebra)
-    rb.add(
-        "dual_algebra/double_dual_is_primal",
-        max(
-            float(np.max(np.abs(getattr(double, f) - getattr(a, f))))
-            for f in ("mult", "comult", "unit", "counit", "antipode")
-        ),
-        0.0,
-        detail="exact tensor equality",
-    )
-    rb.add(
-        "dual_algebra/double_dual_star",
-        float(np.max(np.abs(double.star - a.star))),
-        tol * a.structure_scale(),
-    )
-
-    rb.extend("slice_isomorphism/", duality.verify_G_isomorphism(wop, tol))
-    rb.extend("fourier/", duality.verify_fourier(a, h, tol))
-    rb.extend("fourier/", duality.verify_fourier_slice_identity(wop, tol))
-    return rb.build()
+    h = cache(lambda: haar.compute_haar(a, tol))
+    gns = cache(lambda: haar.gns_construct(a, h(), tol))
+    wop = cache(lambda: multiplicative.build_multiplicative_unitary(a, gns()))
+    dual = cache(lambda: duality.build_dual(a))
+    return _run((
+        ("axioms/", lambda: verify_hopf_star_axioms(a, tol), None),
+        ("haar/", lambda: haar.verify_haar(a, h(), tol), ""),
+        ("gns/", lambda: haar.verify_gns(a, gns(), tol), ""),
+        ("trace/", lambda: haar.verify_trace(a, h(), tol), None),
+        ("unitary/", lambda: multiplicative.verify_unitarity(wop(), tol), None),
+        ("unitary/", lambda: multiplicative.verify_inverse_via_antipode(wop(), tol), None),
+        ("pentagon/", lambda: multiplicative.verify_pentagon(wop(), tol), None),
+        ("slices/", lambda: multiplicative.verify_left_slices_span(wop(), tol), None),
+        ("coproduct_via_w/", lambda: multiplicative.verify_coproduct_implemented(wop(), tol), None),
+        ("dual_subspace/", lambda: multiplicative.require_w_expansion(wop(), tol), ""),
+        ("antipode_relation/", lambda: multiplicative.verify_antipode_relation(wop(), tol), None),
+        ("dual_subspace/", lambda: multiplicative.build_dual_subspace(wop(), tol), ""),
+        ("dual_coproduct/", lambda: multiplicative.verify_dual_coproduct_identities(wop(), tol), None),
+        ("dual_algebra/", lambda: verify_hopf_star_axioms(dual(), tol), None),
+        ("dual_algebra/", lambda: duality.verify_dual_algebra(a, dual(), tol), "haar"),
+        ("slice_isomorphism/", lambda: duality.verify_G_isomorphism(wop(), tol), None),
+        ("fourier/", lambda: duality.verify_fourier(a, h(), tol), None),
+        ("fourier/", lambda: duality.verify_fourier_slice_identity(wop(), tol), None),
+    ), tol, only)
 
 
-def action_suite(
-    a: FiniteHopfStarAlgebra,
-    k_group: CayleyTable,
-    theta,
-    tol: float = DEFAULT_TOL,
-    mode: str = "auto",
-) -> VerificationReport:
-    """Action axioms, invariance, beta/gamma, exchange identity, commutation."""
-    rb = ReportBuilder()
-    axioms = actions_mod.action_axioms_report(a, k_group, theta, tol)
-    rb.extend("action/", axioms)
-    if not axioms.overall_pass:
-        return rb.build()
-    try:
-        gns = haar.gns_construct(a, haar.compute_haar(a, tol), tol)
-    except VerificationError as exc:
-        rb.add("action/" + (exc.check or "build"), np.nan, tol, f"aborted: {exc}")
-        return rb.build()
-
-    wop = multiplicative.build_multiplicative_unitary(a, gns)
-    data = actions_mod.build_intertwiner_data(wop, k_group, theta)
-    rb.extend("invariance/", actions_mod.verify_haar_invariance(data, tol))
-    rb.extend("invariance/", actions_mod.verify_strong_right_invariance(data, tol))
-    rb.add("intertwiner/v_expansion", data.v_expansion_residual, tol)
-    rb.extend("beta/", actions_mod.verify_beta(data, tol))
-    rb.extend("gamma/", actions_mod.verify_gamma(data, tol))
-    rb.extend("intertwiner/", actions_mod.verify_action_intertwiner(data, tol))
-    rb.extend("commutation/", actions_mod.verify_slice_commutativity(data, tol, mode))
-    return rb.build()
+def action_suite(a: FiniteHopfStarAlgebra, k_group: CayleyTable, theta, tol: float = DEFAULT_TOL,
+                 mode: str = "auto", only=None) -> VerificationReport:
+    """Action axioms, invariance, beta/gamma, exchange identity, commutation.
+    Failed axioms end the run; else a mode that cannot run is refused first."""
+    axioms = actions.action_axioms_report(a, k_group, theta, tol)
+    rows = [("action/", lambda: axioms, None)]
+    if axioms.overall_pass:
+        mode = actions.commutation_mode(a.dim, k_group.order, mode)
+        gns = cache(lambda: haar.gns_construct(a, haar.compute_haar(a, tol), tol))
+        data = cache(lambda: actions.build_intertwiner_data(
+            multiplicative.build_multiplicative_unitary(a, gns()), k_group, theta))
+        rows += [
+            ("action/", gns, ""),
+            ("invariance/", lambda: actions.verify_haar_invariance(data(), tol), None),
+            ("invariance/", lambda: actions.verify_strong_right_invariance(data(), tol), None),
+            ("intertwiner/", lambda: ReportBuilder().add(
+                "v_expansion", data().v_expansion_residual, tol).build(), None),
+            ("beta/", lambda: actions.verify_beta(data(), tol), None),
+            ("gamma/", lambda: actions.verify_gamma(data(), tol), None),
+            ("intertwiner/", lambda: actions.verify_action_intertwiner(data(), tol), None),
+            ("commutation/", lambda: actions.verify_slice_commutativity(data(), tol, mode), None),
+        ]
+    return _run(rows, tol, only)

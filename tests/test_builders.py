@@ -319,3 +319,12 @@ def test_empty_inline_table_is_reported_by_shape():
     # np.asarray([]) is float, so the shape must be checked before the dtype
     with pytest.raises(InvalidGroupTable, match="table must be square and nonempty"):
         resolve_group({"table": []})
+
+
+def test_cayley_from_table_copies_the_caller_table():
+    table = np.array([[0, 1], [1, 0]])
+    group = cayley_from_table(table)
+    assert table.flags.writeable
+    assert not group.table.flags.writeable
+    table[0, 0] = 1  # the group keeps its own table
+    assert group.table[0, 0] == 0

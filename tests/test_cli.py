@@ -476,6 +476,18 @@ def test_nul_in_an_algebra_path_exits_two(tmp_path, capsys, algebra):
     assert err.startswith("error: cannot read ") and err.count("\n") == 1
 
 
+def test_control_characters_in_a_path_are_escaped_on_stdout(tmp_path, capsys):
+    path = str(tmp_path / "k\x1b[1mz.json")
+    escaped = path.encode("unicode_escape").decode()
+    for argv in (["preset", "kz2", "-o", path], ["dual", path, "-o", path], ["verify", path]):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert "\x1b" not in out and escaped in out.splitlines()[0], argv
+    # the JSON report keeps the path as given; json.dumps escapes it
+    code, out, _ = run(capsys, ["verify", path, "--format", "json"])
+    assert code == 0 and json.loads(out)["provenance"]["input"] == path
+
+
 @pytest.mark.parametrize("contents", [None, "{"], ids=["missing", "invalid"])
 @pytest.mark.parametrize("name", ["a\x1b[31mb.json", "a\tb.json"], ids=["escape", "tab"])
 def test_control_characters_in_a_path_are_escaped_in_the_error_line(tmp_path, capsys, name, contents):

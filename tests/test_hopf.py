@@ -152,3 +152,16 @@ def test_structural_shape_errors_raise():
         )
     with pytest.raises(StructuralError):
         is_hopf_star_automorphism(preset("kz2"), np.eye(3))
+
+
+def test_the_algebra_copies_the_caller_arrays():
+    # the algebra freezes its own copy; the caller's complex C-contiguous
+    # arrays, which np.asarray would hand through unchanged, stay writable
+    a = preset("kz2")
+    fields = ("mult", "comult", "unit", "counit", "antipode", "star")
+    given = {f: np.array(getattr(a, f), dtype=complex) for f in fields}
+    built = FiniteHopfStarAlgebra(dim=2, basis_labels=a.basis_labels, **given)
+    for f in fields:
+        assert given[f].flags.writeable, f
+        assert not getattr(built, f).flags.writeable, f
+        assert getattr(built, f) is not given[f], f

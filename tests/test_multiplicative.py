@@ -186,7 +186,7 @@ def test_antipode_relation():
 
 def test_dual_subspace_of_group_algebra_z2_is_diagonal_projections():
     wop = unitary_of("kz2")
-    assert build_dual_subspace(wop) is None  # raises unless the slice basis spans
+    assert build_dual_subspace(wop).overall_pass  # raises unless the slice basis spans
     assert wop.slice_basis.shape == (2, 2, 2)
     assert np.max(np.abs(wop.slice_basis[0] - np.diag([1.0, 0.0]))) < 1e-13
     assert np.max(np.abs(wop.slice_basis[1] - np.diag([0.0, 1.0]))) < 1e-13

@@ -63,3 +63,14 @@ def test_residual_change_passes_only_on_an_allowed_check(tmp_path, capsys):
 )
 def test_any_other_change_fails_even_on_an_allowed_check(tmp_path, changed):
     assert _compare(tmp_path, _run(BASE), changed, allow=[ALLOWED]) == 1
+
+
+def test_the_aborting_inputs_abort_at_the_three_guards():
+    # the dump's changed copies of kz3 exercise --only across an abort
+    import fqg
+
+    aborted = []
+    for change in report_parity.ABORTING.values():
+        report = fqg.full_suite(change(fqg.preset("kz3")))
+        aborted += [c.name for c in report.checks if c.residual is None]
+    assert aborted == ["haar/haar_exists", "gns/gram_positive", "dual_algebra/haar"]

@@ -166,3 +166,84 @@ def test_full_suite_holds_no_dense_three_leg_operator(monkeypatch):
         tracemalloc.stop()
     assert report.overall_pass
     assert peak < 16 * 8 ** 6
+
+
+def _indefinite_kz2():
+    a = preset("kz2")
+    return FiniteHopfStarAlgebra(
+        dim=2, basis_labels=a.basis_labels, mult=a.mult, comult=a.comult, unit=a.unit,
+        counit=a.counit, antipode=a.antipode, star=np.diag([1.0, -1.0]),
+    )
+
+
+FULL_PATTERNS = [
+    "axioms/*", "haar/*", "pentagon/*", "dual_coproduct/*", "dual_algebra/*", "fourier/*",
+    "*w_expansion",
+]
+
+
+@pytest.mark.parametrize("pattern", FULL_PATTERNS)
+@pytest.mark.parametrize("case", ["kz3", "ks3-basis-changed", "kz2-indefinite-gram", "kz3-tol-1e-20"])
+def test_full_suite_selection_equals_filtering(case, pattern, basis_changed):
+    # --only runs only the rows it selects (and the guards before them), yet
+    # reports exactly what filtering the full report would
+    tol = 1e-20 if case == "kz3-tol-1e-20" else 1e-9
+    a = {
+        "kz3": preset("kz3"),
+        "ks3-basis-changed": basis_changed(preset("ks3"), seed=303),
+        "kz2-indefinite-gram": _indefinite_kz2(),
+        "kz3-tol-1e-20": preset("kz3"),
+    }[case]
+    selected = full_suite(a, tol, only=[pattern])
+    assert selected == full_suite(a, tol).filtered([pattern])
+
+
+@pytest.mark.parametrize("pattern", ["action/*", "invariance/*", "commutation/*", "*w_expansion"])
+@pytest.mark.parametrize(
+    "names", [("ks3", "s3", "conjugation"), ("ks3", "z2", "inversion")], ids=["conjugation", "failing"]
+)
+def test_action_suite_selection_equals_filtering(names, pattern):
+    from fqg import resolve_automorphisms
+
+    a, k = preset(names[0]), group_preset(names[1])
+    theta = resolve_automorphisms(a, k, names[2])
+    selected = action_suite(a, k, theta, only=[pattern])
+    assert selected == action_suite(a, k, theta).filtered([pattern])
+
+
+def test_only_skips_the_stages_it_does_not_select(monkeypatch):
+    # an unselected stage is not run, so its failure cannot end the run
+    import fqg.duality as duality_mod
+    import fqg.multiplicative as multiplicative_mod
+
+    def broken(*args):
+        raise np.linalg.LinAlgError("not selected, not run")
+
+    monkeypatch.setattr(multiplicative_mod, "verify_pentagon", broken)
+    monkeypatch.setattr(duality_mod, "verify_fourier", broken)
+    report = full_suite(preset("kz3"), only=["axioms/*", "dual_coproduct/*"])
+    assert report.overall_pass
+    stages = {c.name.split("/")[0] for c in report.checks}
+    assert stages == {"axioms", "dual_coproduct"}
+    with pytest.raises(np.linalg.LinAlgError):
+        full_suite(preset("kz3"))
+
+
+def test_only_runs_the_guards_before_a_selected_stage():
+    # the Gram guard ends the run before the Fourier rows, as in the full run
+    report = full_suite(_indefinite_kz2(), only=["fourier/*", "gns/*"])
+    assert [c.name for c in report.checks] == ["gns/gram_positive"]
+    assert report.checks[0].residual is None
+
+
+def test_too_large_full_mode_is_refused_under_only(monkeypatch, capsys):
+    # the full-mode size refusal is a precondition: --only cannot skip it
+    import fqg.actions as actions_mod
+    from fqg.cli import main
+
+    monkeypatch.setattr(actions_mod, "FULL_MODE_BYTES", 100)
+    argv = ["action", "kz3", "--group", "z2", "--automorphisms", "inversion", "--mode", "full"]
+    for only in ([], ["--only", "action/*"], ["--only", "commutation/*"]):
+        assert main(argv + only) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "full mode needs about" in captured.err

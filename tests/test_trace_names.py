@@ -28,3 +28,21 @@ def test_traced_name_is_a_public_module_level_function(qualname):
     value = getattr(module, attr, None)
     assert inspect.isfunction(value), qualname
     assert value.__module__ == module.__name__ and not attr.startswith("_"), qualname
+
+
+def test_the_tracer_sees_every_stage_the_suites_call():
+    # the suites look their stage functions up when a row runs, so the
+    # patcher's rebinding of module attributes reaches every call
+    from fqg import action_suite, full_suite, group_preset, preset, resolve_automorphisms
+
+    a, k = preset("kz3"), group_preset("z2")
+    theta = resolve_automorphisms(a, k, "inversion")
+    never_called = {"tensors.embed_legs", "multiplicative.dual_coproduct_checked"}
+    traced = [n for n in run.TRACE_FUNCTIONS + run.SELF_ONLY_FUNCTIONS if n not in never_called]
+    traced = [n for n in traced if not n.startswith("builders.")]  # the CLI's, not the suites'
+    with tracer.Tracer(traced) as spans, tracer.PeakTracker() as peaks:
+        assert full_suite(a).overall_pass
+        assert action_suite(a, k, theta, mode="full").overall_pass
+    calls = tracer.aggregate(spans.spans)
+    assert [n for n in traced if calls.get(n, {}).get("calls", 0) < 1] == []
+    assert sorted(peaks.peak_bytes) == sorted(tracer.PEAK_STAGES)

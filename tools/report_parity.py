@@ -12,9 +12,16 @@ with a list of matrices written beside the inputs) and ``verify <preset>
 --tol 1e-15`` for every preset and its dual, through ``fqg.cli.main`` in
 process.  At that tolerance the pentagon and first-leg checks, and on every
 preset but ``trivial`` and its dual the coassociativity and multiplicativity
-checks, report their exact contractions.  OUT.json maps each case to its
-exit code, stdout and stderr.  Run it once in each checkout, then
-``compare``.
+checks, report their exact contractions.  It also runs every preset verify
+with each ``--only`` pattern of ``ONLY_VERIFY``, at that tolerance and at
+``1e-20``, where the checks at rounding level fail; three changed copies of
+``kz3`` whose runs abort at ``haar/``, ``gns/`` and ``dual_algebra/haar``
+(``ABORTING``), alone and with each pattern of ``ONLY_VERIFY``; and every
+preset and failing action with each pattern of ``ONLY_ACTION``.
+OUT.json maps each case to its exit code, stdout and stderr.  Run it once in
+each checkout, then ``compare``.  Where ``--only`` filters the finished
+report, the ``only/`` cases of one dump are the filtered full runs; where it
+selects the stages to run, they must match those byte for byte.
 
 ``compare`` exits 1 on any change of exit code, stderr, provenance, check
 names or order, tolerances, verdicts or details, and on a residual change in
@@ -28,14 +35,23 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
 import sys
 import tempfile
 
+import numpy as np
+
 SEEDS = (1, 2)
 EXACT_TOL = "1e-15"  # below the rounding allowances of the certified bounds
+ROUNDING_TOL = "1e-20"  # fails every check whose residual sits at rounding level
+ONLY_VERIFY = (
+    "axioms/*", "haar/*", "pentagon/*", "dual_coproduct/*", "dual_algebra/*", "fourier/*",
+    "*w_expansion",
+)
+ONLY_ACTION = ("action/*", "invariance/*", "commutation/*")
 PRESET_ACTIONS = (
     [("ks3", "s3", "conjugation", mode) for mode in ("auto", "full", "sliced")]
     + [("fs3", "s3", "conjugation", mode) for mode in ("auto", "sliced")]
@@ -52,6 +68,14 @@ FAILING_ACTIONS = (
     ("ks3", "z3", "conjugation"),
     ("dual:kz2", "z2", "inversion"),
 )
+
+# kz3 with one structure tensor changed, by file name: no Haar state, a Gram
+# matrix that is not positive, and a dual algebra without a Haar state
+ABORTING = {
+    "kz3-doubled-comult.json": lambda a: dataclasses.replace(a, comult=2 * a.comult),
+    "kz3-negated-star.json": lambda a: dataclasses.replace(a, star=-a.star),
+    "kz3-identity-antipode.json": lambda a: dataclasses.replace(a, antipode=np.eye(3)),
+}
 
 
 def _run(main, argv) -> dict:
@@ -88,14 +112,35 @@ def dump(path: str) -> int:
             auto = os.path.join(tmp, kind) if kind == THREE_CYCLE else kind
             argv = ["action", alg, "--group", group, "--automorphisms", auto, "--format", "json"]
             results[f"failing/{alg}-{group}-{kind}"] = _run(main, argv)
+            for pattern in ONLY_ACTION:
+                case = f"only/failing/{alg}-{group}-{kind}/{pattern}"
+                results[case] = _run(main, [*argv, "--only", pattern])
+        os.chdir(tmp)  # the provenance names each file as given, so relative to tmp
+        try:
+            for file_name, change in ABORTING.items():
+                fqg.save_algebra(change(fqg.preset("kz3")), file_name)
+                argv = ["verify", file_name, "--format", "json"]
+                results[f"aborting/{file_name}"] = _run(main, argv)
+                for pattern in ONLY_VERIFY:
+                    case = f"only/aborting/{file_name}/{pattern}"
+                    results[case] = _run(main, [*argv, "--only", pattern])
+        finally:
+            os.chdir(root)
     for alg, group, kind, mode in PRESET_ACTIONS:
         argv = ["action", alg, "--group", group, "--automorphisms", kind, "--mode", mode]
         argv += ["--format", "json"]
         results[f"preset/{alg}-{group}-{kind}-{mode}"] = _run(main, argv)
+        for pattern in ONLY_ACTION:
+            case = f"only/preset/{alg}-{group}-{kind}-{mode}/{pattern}"
+            results[case] = _run(main, [*argv, "--only", pattern])
     presets = fqg.preset_names()
     for name in [*presets, *(f"dual:{p}" for p in presets)]:
         argv = ["verify", name, "--tol", EXACT_TOL, "--format", "json"]
         results[f"exact/{name}"] = _run(main, argv)
+        for tol in (EXACT_TOL, ROUNDING_TOL):
+            for pattern in ONLY_VERIFY:
+                argv = ["verify", name, "--tol", tol, "--format", "json", "--only", pattern]
+                results[f"only/{tol}/{name}/{pattern}"] = _run(main, argv)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=1, sort_keys=True)
     print(f"wrote {len(results)} reports to {path}")
