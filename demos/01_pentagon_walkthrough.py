@@ -13,11 +13,11 @@ from fqg import (
     TensorOperator,
     build_multiplicative_unitary,
     compute_haar,
-    embed_legs,
     gns_construct,
     pentagon_residual,
     preset,
 )
+from fqg.tensors import leg_product
 
 np.set_printoptions(precision=3, suppress=True, linewidth=120)
 
@@ -36,12 +36,11 @@ print(f"\nW (the controlled-not):\n{wop.w.entries.real}")
 print(f"\nunitarity defect |W* W - 1| = {np.linalg.norm(wop.w.entries.conj().T @ wop.w.entries - np.eye(4)):.2e}")
 print(f"pentagon defect |W23 W12 W23* - W12 W13| = {pentagon_residual(wop.w):.2e}")
 
-# the same contraction spelled out by hand on three legs
-ambient = (2, 2, 2)
-w12 = embed_legs(wop.w, [1, 2], ambient).entries
-w13 = embed_legs(wop.w, [1, 3], ambient).entries
-w23 = embed_legs(wop.w, [2, 3], ambient).entries
-print(f"hand-assembled defect          = {np.linalg.norm(w23 @ w12 @ w23.conj().T - w12 @ w13):.2e}")
+# the same two sides assembled as products of W placed on legs of three copies of C^2
+w, legs = wop.w.entries, (2, 2, 2)
+lhs = leg_product([(w, [2, 3]), (w, [1, 2]), (w.conj().T, [2, 3])], legs)
+rhs = leg_product([(w, [1, 2]), (w, [1, 3])], legs)
+print(f"hand-assembled defect          = {np.linalg.norm(lhs - rhs):.2e}")
 
 swap = TensorOperator((2, 2), np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex

@@ -10,19 +10,15 @@ and the double dual reproduces the original structure tensors bit for bit.
 import numpy as np
 
 from fqg import (
-    G_map,
     build_dual,
     build_dual_subspace,
     build_multiplicative_unitary,
     compute_haar,
     dual_coproduct,
-    fourier,
     fourier_matrix,
     gns_construct,
     preset,
 )
-from fqg.haar import Functional
-from fqg.multiplicative import dual_subspace_commutativity_defect
 
 np.set_printoptions(precision=3, suppress=True, linewidth=120)
 
@@ -59,8 +55,10 @@ for name in ("ks3", "fs3"):
     w = build_multiplicative_unitary(
         preset(name), gns_construct(preset(name), compute_haar(preset(name)))
     )
-    print(f"  {name}: largest commutator in the dual subspace = "
-          f"{dual_subspace_commutativity_defect(w):.3f}")
+    x = w.slice_basis
+    products = x[:, None] @ x[None]  # products[i, j] = x_i x_j
+    commutator = np.linalg.norm(products - products.transpose(1, 0, 2, 3), axis=(2, 3)).max()
+    print(f"  {name}: largest commutator in the dual subspace = {commutator:.3f}")
 
 print("\nFourier transform on kz3 (matrix in dual-basis coordinates):")
 a3 = preset("kz3")
@@ -68,9 +66,9 @@ h3 = compute_haar(a3)
 f3 = fourier_matrix(a3, h3)
 print(f3.real)
 print(f"condition number {np.linalg.cond(f3):.2f}")
-print(f"image of the unit is the Haar state: {np.allclose(fourier(a3, h3, a3.unit).coords, h3.coords)}")
+print(f"image of the unit is the Haar state: {np.allclose(f3 @ a3.unit, h3.coords)}")
 
+# the slice map sends a functional phi to sum_j phi_j x_j over the slice basis
 w3 = build_multiplicative_unitary(a3, gns_construct(a3, h3))
-phi = Functional(a3.counit)
-print(f"slice image of the counit is the identity: "
-      f"{np.allclose(G_map(w3, phi), np.eye(3))}")
+counit_slice = np.einsum("j,jpq->pq", a3.counit, w3.slice_basis)
+print(f"slice image of the counit is the identity: {np.allclose(counit_slice, np.eye(3))}")

@@ -9,6 +9,8 @@ V = (id (x) beta) W forces V234 V135 = V135 V234 on five legs, whose slices
 say: the algebra generated by the slices of beta is commutative.
 """
 
+from itertools import permutations
+
 import numpy as np
 
 from fqg import (
@@ -22,8 +24,6 @@ from fqg import (
 )
 from fqg.actions import (
     action_axioms_report,
-    enumerate_group_automorphisms,
-    strong_right_invariance_residual,
     verify_action_intertwiner,
     verify_slice_commutativity,
     verify_strong_right_invariance,
@@ -33,7 +33,10 @@ np.set_printoptions(precision=3, suppress=True, linewidth=120)
 
 print("automorphism groups found by brute force:")
 for name in ("z2", "z3", "z4", "s3"):
-    autos = enumerate_group_automorphisms(group_preset(name))
+    table = group_preset(name).table
+    # p is an automorphism when p(gh) = p(g) p(h) for every entry of the Cayley table
+    autos = [p for p in permutations(range(len(table)))
+             if np.array_equal(np.take(p, table), table[np.ix_(p, p)])]
     print(f"  {name}: order {len(autos)}")
 
 for algebra_name, group_name, kind in (
@@ -53,7 +56,8 @@ for algebra_name, group_name, kind in (
 
     invariance = verify_strong_right_invariance(data)
     print(f"strong right invariance defect: {invariance.max_residual():.1e}")
-    control = strong_right_invariance_residual(data, "identity")
+    # the same identity with theta_{k^-1} replaced by theta_k
+    control = max(np.abs(t.T @ data.pair - data.pair @ t).max() for t in data.theta)
     print(f"  (control with the group antipode removed: {control:.1e})")
 
     exchange = verify_action_intertwiner(data)

@@ -10,7 +10,6 @@ the commutativity machinery for finite group actions by automorphisms.
 from .actions import (
     IntertwinerData,
     build_intertwiner_data,
-    enumerate_group_automorphisms,
     verify_action_intertwiner,
     verify_beta,
     verify_gamma,
@@ -31,11 +30,7 @@ from .builders import (
     save_algebra,
 )
 from .duality import (
-    G_map,
     build_dual,
-    convolve,
-    fourier,
-    functional_star,
     verify_fourier,
     verify_G_isomorphism,
 )

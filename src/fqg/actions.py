@@ -57,54 +57,6 @@ FULL_MODE_BYTES = 2 ** 30
 AUTO_FULL_THRESHOLD = 10 ** 3
 
 
-# -- group automorphisms ----------------------------------------------------
-
-
-def enumerate_group_automorphisms(cayley: CayleyTable) -> list[tuple[int, ...]]:
-    """All table-preserving bijections fixing the identity, by pruned search.
-
-    Returned in lexicographic order of the image tuples.
-    """
-    m = cayley.order
-    table = cayley.table
-    e = cayley.identity_index
-    found: list[tuple[int, ...]] = []
-    image = [-1] * m
-    used = [False] * m
-    image[e] = e
-    used[e] = True
-    positions = [i for i in range(m) if i != e]
-
-    def consistent(last: int) -> bool:
-        for a in range(m):
-            if image[a] < 0:
-                continue
-            for x, y in ((a, last), (last, a)):
-                z = table[x, y]
-                if image[z] >= 0 and image[z] != table[image[x], image[y]]:
-                    return False
-        return True
-
-    def search(depth: int) -> None:
-        if depth == len(positions):
-            found.append(tuple(image))
-            return
-        i = positions[depth]
-        for candidate in range(m):
-            if used[candidate]:
-                continue
-            image[i] = candidate
-            used[candidate] = True
-            if consistent(i):
-                search(depth + 1)
-            image[i] = -1
-            used[candidate] = False
-
-    search(0)
-    found.sort()
-    return found
-
-
 # -- the axioms of the action ----------------------------------------------
 
 
@@ -262,36 +214,24 @@ def verify_haar_invariance(data: IntertwinerData, tol: float = DEFAULT_TOL) -> V
     return rb.build()
 
 
-def strong_right_invariance_residual(data: IntertwinerData, antipode: str = "inverse") -> float:
-    """Max defect of the strong invariance identity over all basis pairs.
-
-    For each pair (a, b) the identity equates, pointwise on the group,
-    haar(theta_k(a) b) with haar(a theta_{k^-1}(b)).  Setting
-    ``antipode="identity"`` replaces k^-1 by k, a falsifiability control that
-    must break on noncommutative examples.
-    """
-    if antipode not in ("inverse", "identity"):
-        raise StructuralError(f"antipode must be 'inverse' or 'identity', got {antipode!r}")
-    theta = data.theta
-    other = data.theta_inv if antipode == "inverse" else theta
-    # (k, i, j) -> haar(theta_k(e_i) e_j) against haar(e_i theta(e_j))
-    return float(np.max(np.abs(theta.transpose(0, 2, 1) @ data.pair - data.pair @ other)))
-
-
 def verify_strong_right_invariance(
     data: IntertwinerData, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
     """Strong right invariance plus the two mutually inverse shear maps.
 
-    The shear maps a (x) c -> alpha(a)(1 (x) c) and its antipode-twisted
-    partner must compose to the identity on A (x) C(K); this is the device
-    that proves the invariance identity.
+    The invariance identity equates, for every basis pair (a, b) and pointwise
+    on the group, haar(theta_k(a) b) with haar(a theta_{k^-1}(b)).  The shear
+    maps a (x) c -> alpha(a)(1 (x) c) and its antipode-twisted partner must
+    compose to the identity on A (x) C(K); this is the device that proves the
+    invariance identity.
     """
+    theta, theta_inv, pair = data.theta, data.theta_inv, data.pair
     rb = ReportBuilder()
-    rb.add("strong_right_invariance", strong_right_invariance_residual(data), tol)
+    strong = np.max(np.abs(theta.transpose(0, 2, 1) @ pair - pair @ theta_inv))
+    rb.add("strong_right_invariance", float(strong), tol)
     # both maps act on e_i (x) delta_k as theta_k, resp. theta_{k^-1}, times
     # delta_k: their compositions are the blocks theta_k theta_{k^-1} over k
-    theta, theta_inv, eye = data.theta, data.theta_inv, np.eye(data.wop.algebra.dim)
+    eye = np.eye(data.wop.algebra.dim)
     shear = max(frob(theta @ theta_inv - eye), frob(theta_inv @ theta - eye))
     rb.add("shear_maps_mutually_inverse", shear, tol)
     return rb.build()

@@ -13,11 +13,12 @@ Commands:
 globs can match a check name under its prefix, and the guards before it run
 too, so an abort there is reported as in the full run.  A stage that is not
 selected is not run, so an overflow or LinAlgError inside it does not end
-the run.  The report holds the full report's checks that the globs match.
+the run.  The report holds the checks the globs match and those that ended
+the run (an abort, or failed action axioms).
 
 Exit codes: 0 all reported checks pass, 1 at least one check failed,
 2 structural error (bad file, non-finite number, unknown preset, bad flags,
-an ``--only`` that matches no check, a linear-algebra routine or
+an ``--only`` that reports no check, a linear-algebra routine or
 floating-point overflow that fails on the input in a stage that runs, a
 ``--mode full`` too large to run, or an input too large to allocate).
 

@@ -55,28 +55,6 @@ def verify_dual_algebra(a: FiniteHopfStarAlgebra, dual: FiniteHopfStarAlgebra,
     return rb.build()
 
 
-def convolve(a: FiniteHopfStarAlgebra, phi: Functional, psi: Functional) -> Functional:
-    """Convolution product (phi psi)(x) = (phi (x) psi)(coproduct x)."""
-    coords = np.einsum("kij,i,j->k", a.comult, phi.coords, psi.coords)
-    return Functional(coords)
-
-
-def functional_star(a: FiniteHopfStarAlgebra, phi: Functional) -> Functional:
-    """The involution phi*(x) = conj(phi(antipode(x)*)) of the dual algebra:
-    the matrix antipode @ conj(star) of ``build_dual``'s star on conj(phi)."""
-    return Functional(a.antipode @ np.conj(a.star) @ np.conj(phi.coords))
-
-
-def G_map(wop: MultiplicativeUnitary, phi: Functional) -> np.ndarray:
-    """Slice the second leg of W with an algebra functional.
-
-    The functional acts on the algebra, so it is applied through the
-    expansion of W over left-multiplication operators; the result is a
-    member of the dual subspace.
-    """
-    return np.einsum("j,jpq->pq", phi.coords, wop.slice_basis)
-
-
 def verify_G_isomorphism(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> VerificationReport:
     """The slice map is a *-algebra isomorphism onto the dual subspace.
 
@@ -110,10 +88,6 @@ def verify_G_isomorphism(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -
     rb.add("intertwines_coproducts", float(worst), tol)
 
     return rb.build()
-
-
-def fourier(a: FiniteHopfStarAlgebra, h: Functional, coords) -> Functional:
-    return Functional(fourier_matrix(a, h) @ np.asarray(coords))
 
 
 def verify_fourier(

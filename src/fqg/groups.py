@@ -21,12 +21,6 @@ class CayleyTable:
     identity_index: int
     name: str = "group"
 
-    def multiply(self, i: int, j: int) -> int:
-        return int(self.table[i, j])
-
-    def inverse(self, i: int) -> int:
-        return int(self.inverses()[i])
-
     def inverses(self) -> np.ndarray:
         return np.argmax(self.table == self.identity_index, axis=1)
 

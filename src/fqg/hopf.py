@@ -8,7 +8,7 @@ Coordinate conventions:
 - unit is the coordinate vector of the algebra unit; counit is a covector.
 - antipode[i, j] is the coefficient of e_j in the antipode of e_i, and
   star[i, j] the coefficient of e_j in (e_i)*; both matrices therefore have
-  the source index first.  ``apply_antipode``/``apply_star`` hide this.
+  the source index first, and act on coordinates through their transposes.
 
 This package restricts to the involutive case: the antipode squares to the
 identity and commutes with the involution, which is exactly the class where
@@ -67,16 +67,8 @@ class FiniteHopfStarAlgebra:
 
     # -- elementwise operations on coordinate vectors --------------------
 
-    def basis_element(self, i: int) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        v[i] = 1.0
-        return v
-
     def multiply(self, a, b) -> np.ndarray:
         return np.einsum("i,j,ijk->k", np.asarray(a), np.asarray(b), self.mult)
-
-    def apply_antipode(self, a) -> np.ndarray:
-        return self.antipode.T @ np.asarray(a)
 
     def apply_star(self, a) -> np.ndarray:
         return self.star.T @ np.conj(np.asarray(a))
@@ -88,9 +80,6 @@ class FiniteHopfStarAlgebra:
 
     def cocommutativity_defect(self) -> float:
         return frob(self.comult - self.comult.transpose(0, 2, 1))
-
-    def is_commutative(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.commutativity_defect() <= tol
 
     def structure_scale(self) -> float:
         return max(

@@ -500,9 +500,3 @@ def verify_dual_coproduct_identities(
     rb.add("image_in_doubled_span", remainders.max(), tol)
     return rb.build()
 
-
-def dual_subspace_commutativity_defect(wop: MultiplicativeUnitary) -> float:
-    """Largest commutator norm within the dual subspace basis."""
-    x = wop.slice_basis
-    products = x[:, None] @ x[None]
-    return float(np.linalg.norm(products - products.transpose(1, 0, 2, 3), axis=(2, 3)).max())

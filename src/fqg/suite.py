@@ -22,9 +22,9 @@ from .report import ReportBuilder, VerificationReport
 
 
 def _run(rows, tol: float, only) -> VerificationReport:
-    """The report of ``rows`` filtered by the globs ``only``, if any.  A row runs
-    when some glob's literal head (up to its first ``*``, ``?`` or ``[``) and its
-    prefix are prefixes of one another, a guard also when a later row runs."""
+    """The report of ``rows`` filtered by the globs ``only``, if any, keeping an abort.
+    A row runs when some glob's literal head (up to its first ``*``, ``?`` or ``[``)
+    and its prefix are prefixes of one another, a guard also when a later row runs."""
     heads = [re.split(r"[*?[]", pattern, maxsplit=1)[0] for pattern in only or ()]
     wanted = [not only or any(h.startswith(p) or p.startswith(h) for h in heads) for p, _, _ in rows]
     rb = ReportBuilder()
@@ -34,7 +34,9 @@ def _run(rows, tol: float, only) -> VerificationReport:
         try:
             result = stage()
         except VerificationError as exc:
-            rb.add(prefix + (abort or exc.check), np.nan, tol, f"aborted: {exc}")
+            ended = prefix + (abort or exc.check)
+            rb.add(ended, np.nan, tol, f"aborted: {exc}")
+            only = only and [*only, ended]  # a check name is a glob matching only itself
             break
         if isinstance(result, VerificationReport):
             rb.extend(prefix, result)
@@ -92,4 +94,6 @@ def action_suite(a: FiniteHopfStarAlgebra, k_group: CayleyTable, theta, tol: flo
             ("intertwiner/", lambda: actions.verify_action_intertwiner(data(), tol), None),
             ("commutation/", lambda: actions.verify_slice_commutativity(data(), tol, mode), None),
         ]
+    else:  # the failing checks ended the run, so they are reported whatever ``only`` selects
+        only = only and [*only, *("action/" + c.name for c in axioms.checks if not c.passed)]
     return _run(rows, tol, only)

@@ -372,7 +372,7 @@ def _rank_above(sigma, tol: float) -> int:
     return int(np.sum(sigma > tol * max(1.0, float(sigma.max()))))
 
 
-def numerical_rank(vectors, tol: float = 1e-9) -> int:
+def numerical_rank(vectors, tol: float) -> int:
     """Rank of the row span with singular values below tol*max(1, sigma_max) dropped."""
     a = np.stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
     return _rank_above(np.linalg.svd(a, compute_uv=False), tol)

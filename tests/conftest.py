@@ -1,9 +1,12 @@
 """Shared test helpers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from fqg import FiniteHopfStarAlgebra
+from fqg import CayleyTable, FiniteHopfStarAlgebra, MultiplicativeUnitary
+from fqg.tensors import span_basis
 
 
 def basis_change_matrix(n: int, seed: int) -> np.ndarray:
@@ -37,6 +40,73 @@ def change_basis(a: FiniteHopfStarAlgebra, seed: int) -> FiniteHopfStarAlgebra:
         star=np.conj(p).T @ a.star @ q.T,
         name=a.name,
     )
+
+
+def enumerate_group_automorphisms(cayley: CayleyTable) -> list[tuple[int, ...]]:
+    """All table-preserving bijections fixing the identity, by pruned search.
+
+    Returned in lexicographic order of the image tuples.
+    """
+    m = cayley.order
+    table = cayley.table
+    e = cayley.identity_index
+    found: list[tuple[int, ...]] = []
+    image = [-1] * m
+    used = [False] * m
+    image[e] = e
+    used[e] = True
+    positions = [i for i in range(m) if i != e]
+
+    def consistent(last: int) -> bool:
+        for a in range(m):
+            if image[a] < 0:
+                continue
+            for x, y in ((a, last), (last, a)):
+                z = table[x, y]
+                if image[z] >= 0 and image[z] != table[image[x], image[y]]:
+                    return False
+        return True
+
+    def search(depth: int) -> None:
+        if depth == len(positions):
+            found.append(tuple(image))
+            return
+        i = positions[depth]
+        for candidate in range(m):
+            if used[candidate]:
+                continue
+            image[i] = candidate
+            used[candidate] = True
+            if consistent(i):
+                search(depth + 1)
+            image[i] = -1
+            used[candidate] = False
+
+    search(0)
+    found.sort()
+    return found
+
+
+def identity_antipode_control(data) -> float:
+    """The strong right invariance residual of an action context with k^-1
+    replaced by k: max over k of |haar(theta_k(e_i) e_j) - haar(e_i theta_k(e_j))|,
+    a control that must break on noncommutative examples."""
+    pair = data.pair
+    return max(float(np.abs(t.T @ pair - pair @ t).max()) for t in data.theta)
+
+
+def dual_subspace_commutativity_defect(wop: MultiplicativeUnitary) -> float:
+    """Largest commutator norm within the dual subspace basis."""
+    x = wop.slice_basis
+    products = x[:, None] @ x[None]
+    return float(np.linalg.norm(products - products.transpose(1, 0, 2, 3), axis=(2, 3)).max())
+
+
+def deficient_dual_span(wop: MultiplicativeUnitary) -> MultiplicativeUnitary:
+    """``wop`` with its dual subspace factored from the slice basis with its
+    last element replaced by a copy of the first: rank n - 1."""
+    x = wop.slice_basis
+    return dataclasses.replace(wop, dual_span=span_basis(np.concatenate([x[:1], x[:-1]])))
 
 
 @pytest.fixture

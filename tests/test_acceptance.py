@@ -26,8 +26,6 @@ from fqg import (
 )
 from fqg.actions import (
     action_axioms_report,
-    enumerate_group_automorphisms,
-    strong_right_invariance_residual,
     verify_action_intertwiner,
     verify_slice_commutativity,
     verify_strong_right_invariance,
@@ -39,11 +37,16 @@ from fqg.groups import cyclic_group, symmetric_group_3
 from fqg.haar import haar_nullspace_dimension
 from fqg.multiplicative import (
     build_dual_subspace,
-    dual_subspace_commutativity_defect,
     verify_antipode_relation,
     verify_coproduct_implemented,
     verify_dual_coproduct_identities,
     verify_unitarity,
+)
+
+from conftest import (
+    dual_subspace_commutativity_defect,
+    enumerate_group_automorphisms,
+    identity_antipode_control,
 )
 
 PRESET_FAMILY = [
@@ -182,7 +185,7 @@ def test_06_strong_right_invariance():
         report = verify_strong_right_invariance(data)
         worst = max(worst, report.residual("strong_right_invariance"))
     _, _, _, data_s3 = _action_pipeline("ks3", "s3", "conjugation")
-    control = strong_right_invariance_residual(data_s3, "identity")
+    control = identity_antipode_control(data_s3)
     verdict(6, f"strong right invariance (max {worst:.1e}, control {control:.1e})",
             worst <= 1e-10 and control > 1e-3)
 

@@ -127,9 +127,9 @@ def _group_tensors_by_loop(cayley):
     inv_perm, point = np.zeros((m, m), dtype=complex), np.zeros(m, dtype=complex)
     for i in range(m):
         diag[i, i, i] = 1.0
-        inv_perm[i, cayley.inverse(i)] = 1.0
+        inv_perm[i, cayley.inverses()[i]] = 1.0
         for j in range(m):
-            conv[i, j, cayley.multiply(i, j)] = 1.0
+            conv[i, j, cayley.table[i, j]] = 1.0
     point[cayley.identity_index] = 1.0
     ones = np.ones(m, dtype=complex)
     group = dict(mult=conv, comult=diag, unit=point, counit=ones, antipode=inv_perm, star=inv_perm)

@@ -94,6 +94,32 @@ def test_verify_only_matching_nothing_exits_two(capsys):
     assert "--only matched no check" in err and "nope/*" in err and "pentagn/*" in err
 
 
+def test_only_past_an_abort_exits_one_with_the_abort(tmp_path, capsys):
+    # the input is well formed but has no Haar state: as in the full run, the
+    # report names the abort and exits 1; a glob that selects no stage exits 2
+    import dataclasses
+
+    from fqg import save_algebra
+
+    a = preset("kz3")
+    path = str(tmp_path / "kz3-doubled-comult.json")
+    save_algebra(dataclasses.replace(a, comult=2 * a.comult), path)
+    code, out, _ = run(capsys, ["verify", path, "--only", "pentagon/*", "--format", "json"])
+    assert code == 1
+    assert [c["name"] for c in json.loads(out)["checks"]] == ["haar/haar_exists"]
+    code, out, err = run(capsys, ["verify", path, "--only", "nope/*"])
+    assert code == 2 and out == "" and "--only matched no check" in err
+
+
+def test_only_on_failing_action_axioms_exits_one_with_them(capsys):
+    argv = ["action", "ks3", "--group", "z2", "--automorphisms", "inversion", "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    full = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+    code, out, _ = run(capsys, argv + ["--only", "commutation/*"])
+    assert code == 1
+    assert [c["name"] for c in json.loads(out)["checks"]] == full
+
+
 def test_verify_bad_tolerance_exits_two(capsys):
     code, _, err = run(capsys, ["verify", "kz2", "--tol", "-1"])
     assert code == 2

@@ -4,14 +4,10 @@ import numpy as np
 
 from fqg import (
     Functional,
-    G_map,
     build_dual,
     build_multiplicative_unitary,
     compute_haar,
-    convolve,
-    fourier,
     fourier_matrix,
-    functional_star,
     gns_construct,
     preset,
     preset_names,
@@ -20,6 +16,36 @@ from fqg import (
     verify_hopf_star_axioms,
 )
 from fqg.duality import verify_fourier_slice_identity
+
+
+# one functional at a time: the references for ``verify_G_isomorphism``, which
+# treats the whole dual basis at once, and for the Fourier transform
+
+
+def _convolve(a, phi, psi):
+    """Convolution product (phi psi)(x) = (phi (x) psi)(coproduct x)."""
+    coords = np.einsum("kij,i,j->k", a.comult, phi.coords, psi.coords)
+    return Functional(coords)
+
+
+def _functional_star(a, phi):
+    """The involution phi*(x) = conj(phi(antipode(x)*)) of the dual algebra:
+    the matrix antipode @ conj(star) of ``build_dual``'s star on conj(phi)."""
+    return Functional(a.antipode @ np.conj(a.star) @ np.conj(phi.coords))
+
+
+def _G_map(wop, phi):
+    """Slice the second leg of W with an algebra functional.
+
+    The functional acts on the algebra, so it is applied through the
+    expansion of W over left-multiplication operators; the result is a
+    member of the dual subspace.
+    """
+    return np.einsum("j,jpq->pq", phi.coords, wop.slice_basis)
+
+
+def _fourier(a, h, coords):
+    return Functional(fourier_matrix(a, h) @ np.asarray(coords))
 
 
 def unitary_of(name):
@@ -60,7 +86,7 @@ def test_dual_passes_axioms_and_classifies_commutativity():
         assert verify_hopf_star_axioms(dual).overall_pass
     assert build_dual(preset("fs3")).commutativity_defect() > 0.5  # noncommutative convolution
     assert build_dual(preset("ks3")).commutativity_defect() <= 1e-12
-    assert build_dual(preset("kz3")).is_commutative()
+    assert build_dual(preset("kz3")).commutativity_defect() <= 1e-12
 
 
 def test_convolution_matches_pointwise_product_for_z2():
@@ -68,21 +94,21 @@ def test_convolution_matches_pointwise_product_for_z2():
     # of the group algebra multiplies delta functions pointwise
     a = preset("kz2")
     f0, f1 = Functional([1.0, 0.0]), Functional([0.0, 1.0])
-    assert np.allclose(convolve(a, f0, f0).coords, [1.0, 0.0])
-    assert np.allclose(convolve(a, f0, f1).coords, [0.0, 0.0])
-    assert np.allclose(convolve(a, f1, f1).coords, [0.0, 1.0])
+    assert np.allclose(_convolve(a, f0, f0).coords, [1.0, 0.0])
+    assert np.allclose(_convolve(a, f0, f1).coords, [0.0, 0.0])
+    assert np.allclose(_convolve(a, f1, f1).coords, [0.0, 1.0])
 
 
 def test_G_of_counit_is_identity():
     for name in ("kz3", "fs3"):
         wop = unitary_of(name)
-        image = G_map(wop, Functional(wop.algebra.counit))
+        image = _G_map(wop, Functional(wop.algebra.counit))
         assert np.max(np.abs(image - np.eye(wop.dim))) <= 1e-12
 
 
 def test_G_on_dual_basis_of_z2():
     wop = unitary_of("kz2")
-    image = G_map(wop, Functional([0.0, 1.0]))
+    image = _G_map(wop, Functional([0.0, 1.0]))
     assert np.max(np.abs(image - np.diag([0.0, 1.0]))) <= 1e-13
 
 
@@ -93,11 +119,11 @@ def test_G_multiplicative_on_random_functionals():
     for _ in range(5):
         phi = Functional(rng.standard_normal(6) + 1j * rng.standard_normal(6))
         psi = Functional(rng.standard_normal(6) + 1j * rng.standard_normal(6))
-        lhs = G_map(wop, convolve(a, phi, psi))
-        rhs = G_map(wop, phi) @ G_map(wop, psi)
+        lhs = _G_map(wop, _convolve(a, phi, psi))
+        rhs = _G_map(wop, phi) @ _G_map(wop, psi)
         assert np.linalg.norm(lhs - rhs) <= 1e-11
-        star_lhs = G_map(wop, functional_star(a, phi))
-        assert np.linalg.norm(star_lhs - G_map(wop, phi).conj().T) <= 1e-11
+        star_lhs = _G_map(wop, _functional_star(a, phi))
+        assert np.linalg.norm(star_lhs - _G_map(wop, phi).conj().T) <= 1e-11
 
 
 def test_G_isomorphism_report():
@@ -111,13 +137,13 @@ def test_fourier_of_unit_is_haar():
     for name in ("kz3", "fs3"):
         a = preset(name)
         h = compute_haar(a)
-        assert np.max(np.abs(fourier(a, h, a.unit).coords - h.coords)) <= 1e-13
+        assert np.max(np.abs(_fourier(a, h, a.unit).coords - h.coords)) <= 1e-13
 
 
 def test_fourier_on_z2_group_algebra():
     a = preset("kz2")
     h = compute_haar(a)
-    image = fourier(a, h, [0.0, 1.0])  # haar(u_e u_g) = 0, haar(u_g u_g) = 1
+    image = _fourier(a, h, [0.0, 1.0])  # haar(u_e u_g) = 0, haar(u_g u_g) = 1
     assert np.max(np.abs(image.coords - np.array([0.0, 1.0]))) <= 1e-14
 
 
@@ -138,7 +164,7 @@ def test_fourier_slice_identity():
     assert report.overall_pass
     # both paths give the coordinate projection for the nontrivial element
     h = wop.gns.haar
-    lhs = G_map(wop, fourier(wop.algebra, h, [0.0, 1.0]))
+    lhs = _G_map(wop, _fourier(wop.algebra, h, [0.0, 1.0]))
     assert np.max(np.abs(lhs - np.diag([0.0, 1.0]))) <= 1e-13
     rep6 = verify_fourier_slice_identity(unitary_of("ks3"))
     assert rep6.max_residual() <= 1e-12
@@ -146,7 +172,7 @@ def test_fourier_slice_identity():
 
 def test_G_isomorphism_residuals_match_convolution_loops(basis_changed):
     # replacing the slice images by random matrices makes every defect O(1);
-    # the reference applies convolve and functional_star to each basis functional
+    # the reference applies _convolve and _functional_star to each basis functional
     from dataclasses import replace
 
     a = basis_changed(preset("ks3"), 6)
@@ -158,15 +184,15 @@ def test_G_isomorphism_residuals_match_convolution_loops(basis_changed):
     basis = [Functional(np.eye(n)[i]) for i in range(n)]
     expected = {
         "unit_of_dual_goes_to_identity": np.linalg.norm(
-            G_map(wop, Functional(a.counit)) - np.eye(n)
+            _G_map(wop, Functional(a.counit)) - np.eye(n)
         ),
         "multiplicative_for_convolution": max(
-            np.linalg.norm(G_map(wop, convolve(a, phi, psi)) - G_map(wop, phi) @ G_map(wop, psi))
+            np.linalg.norm(_G_map(wop, _convolve(a, phi, psi)) - _G_map(wop, phi) @ _G_map(wop, psi))
             for phi in basis
             for psi in basis
         ),
         "star_compatible": max(
-            np.linalg.norm(G_map(wop, functional_star(a, phi)) - G_map(wop, phi).conj().T)
+            np.linalg.norm(_G_map(wop, _functional_star(a, phi)) - _G_map(wop, phi).conj().T)
             for phi in basis
         ),
     }
@@ -183,7 +209,7 @@ def test_functional_star_matches_the_basis_element_loop(basis_changed):
         a = basis_changed(preset(name), 3)
         phi = Functional(rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim))
         expected = [
-            np.conj(phi(a.apply_star(a.apply_antipode(a.basis_element(j))))) for j in range(a.dim)
+            np.conj(phi(a.apply_star(a.antipode.T @ np.eye(a.dim)[j]))) for j in range(a.dim)
         ]
-        got = functional_star(a, phi).coords
+        got = _functional_star(a, phi).coords
         assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected))), name

@@ -11,8 +11,9 @@ from fqg import (
     preset,
     verify_hopf_star_axioms,
 )
-from fqg.actions import enumerate_group_automorphisms
 from fqg.builders import permutation_matrix
+
+from conftest import enumerate_group_automorphisms
 
 
 def trivial_algebra():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fqg import (
+    DimensionMismatch,
     NotInDualSubspace,
     TensorOperator,
     action_suite,
@@ -35,9 +36,10 @@ from fqg import (
 )
 from fqg import multiplicative
 from fqg.cli import main
-from fqg.multiplicative import dual_subspace_commutativity_defect
 from fqg.duality import fourier_matrix, verify_G_isomorphism, verify_fourier_slice_identity
 from fqg.tensors import SpanBasis, expand_in_leg, leg_distance, project_onto_span, span_basis
+
+from conftest import deficient_dual_span, dual_subspace_commutativity_defect
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -130,6 +132,12 @@ def test_pentagon_negative_control_swap():
     assert pentagon_residual(TensorOperator((2, 2), SWAP)) > 0.5
 
 
+def test_pentagon_rejects_legs_of_unequal_size():
+    with pytest.raises(DimensionMismatch) as raised:
+        pentagon_residual(TensorOperator((2, 3), np.eye(6)))
+    assert raised.value.check == "pentagon"
+
+
 def test_left_slices_span_the_algebra():
     rep_trivial = verify_left_slices_span(unitary_of("trivial"))
     assert rep_trivial.overall_pass
@@ -192,6 +200,21 @@ def test_dual_subspace_of_group_algebra_z2_is_diagonal_projections():
     assert np.max(np.abs(wop.slice_basis[1] - np.diag([0.0, 1.0]))) < 1e-13
     assert wop.slice_closure[2] <= 1e-12
     assert dual_subspace_commutativity_defect(wop) <= 1e-13
+
+
+def test_dual_subspace_guards_raise_with_their_check():
+    wop = unitary_of("ks3")
+    with pytest.raises(DimensionMismatch) as raised:
+        build_dual_subspace(deficient_dual_span(wop))
+    assert raised.value.check == "dual_subspace_dimension"
+    assert raised.value.residual == 5.0
+    # six random matrices span six dimensions, but not the right slices of W
+    rng = np.random.default_rng(2)
+    elsewhere = span_basis(rng.standard_normal((6, 6, 6)) + 1j * rng.standard_normal((6, 6, 6)))
+    with pytest.raises(DimensionMismatch) as raised:
+        build_dual_subspace(dataclasses.replace(wop, dual_span=elsewhere))
+    assert raised.value.check == "dual_subspace_membership"
+    assert raised.value.residual > 0.1
 
 
 def test_dual_subspace_dimensions_and_commutativity_classification():
@@ -616,7 +639,7 @@ def _context(wop, w):
 def test_antipode_relation_matches_kron_loop_on_defective_w(basis_changed):
     wop = _unitary(basis_changed(preset("fs3"), seed=5))
     a, lr = wop.algebra, wop.gns.left_regular
-    antipodes = [np.einsum("k,kab->ab", a.apply_antipode(a.basis_element(j)), lr) for j in range(a.dim)]
+    antipodes = [np.einsum("k,kab->ab", a.antipode.T @ np.eye(a.dim)[j], lr) for j in range(a.dim)]
     noise = _noise(np.random.default_rng(4), wop.w.entries.shape[0])
     for w in (wop.w.entries, wop.w.entries + 1e-3 * noise):
         ctx = _context(wop, w)

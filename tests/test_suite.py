@@ -14,6 +14,9 @@ from fqg import (
     pentagon_residual,
     preset,
 )
+from fqg.report import VerificationReport
+
+from conftest import deficient_dual_span
 
 
 def test_full_suite_passes_and_orders_stages():
@@ -182,20 +185,39 @@ FULL_PATTERNS = [
 ]
 
 
+def filtered_plus(full, pattern, ended):
+    """The checks of ``full`` that ``pattern`` matches or that are in ``ended``,
+    the checks that ended the run, in report order."""
+    names = {c.name for c in full.filtered([pattern]).checks} | {c.name for c in ended}
+    return VerificationReport(tuple(c for c in full.checks if c.name in names))
+
+
 @pytest.mark.parametrize("pattern", FULL_PATTERNS)
-@pytest.mark.parametrize("case", ["kz3", "ks3-basis-changed", "kz2-indefinite-gram", "kz3-tol-1e-20"])
+@pytest.mark.parametrize(
+    "case", ["kz3", "ks3-basis-changed", "kz2-indefinite-gram", "kz3-doubled-comult", "kz3-tol-1e-20"]
+)
 def test_full_suite_selection_equals_filtering(case, pattern, basis_changed):
     # --only runs only the rows it selects (and the guards before them), yet
-    # reports exactly what filtering the full report would
+    # reports what filtering the full report would, plus the check that ended
+    # the run: the abort at gns/ of kz2-indefinite-gram or at haar/ of
+    # kz3-doubled-comult (no Haar state), which every glob here but axioms/*
+    # and haar/* reaches
+    import dataclasses
+
     tol = 1e-20 if case == "kz3-tol-1e-20" else 1e-9
+    kz3 = preset("kz3")
     a = {
-        "kz3": preset("kz3"),
+        "kz3": kz3,
         "ks3-basis-changed": basis_changed(preset("ks3"), seed=303),
         "kz2-indefinite-gram": _indefinite_kz2(),
-        "kz3-tol-1e-20": preset("kz3"),
+        "kz3-doubled-comult": dataclasses.replace(kz3, comult=2 * kz3.comult),
+        "kz3-tol-1e-20": kz3,
     }[case]
-    selected = full_suite(a, tol, only=[pattern])
-    assert selected == full_suite(a, tol).filtered([pattern])
+    full = full_suite(a, tol)
+    aborts = case in ("kz2-indefinite-gram", "kz3-doubled-comult")
+    assert aborts == full.checks[-1].detail.startswith("aborted: ")
+    reached = aborts and pattern not in ("axioms/*", "haar/*")
+    assert full_suite(a, tol, only=[pattern]) == filtered_plus(full, pattern, full.checks[-1:] if reached else ())
 
 
 @pytest.mark.parametrize("pattern", ["action/*", "invariance/*", "commutation/*", "*w_expansion"])
@@ -203,12 +225,18 @@ def test_full_suite_selection_equals_filtering(case, pattern, basis_changed):
     "names", [("ks3", "s3", "conjugation"), ("ks3", "z2", "inversion")], ids=["conjugation", "failing"]
 )
 def test_action_suite_selection_equals_filtering(names, pattern):
+    # the filtered full report plus the checks that ended the run: failed
+    # axioms end it (ks3 with Z2 by inversion), whatever the glob selects
     from fqg import resolve_automorphisms
+    from fqg.actions import action_axioms_report
 
     a, k = preset(names[0]), group_preset(names[1])
     theta = resolve_automorphisms(a, k, names[2])
-    selected = action_suite(a, k, theta, only=[pattern])
-    assert selected == action_suite(a, k, theta).filtered([pattern])
+    full = action_suite(a, k, theta)
+    axioms_fail = not action_axioms_report(a, k, theta).overall_pass
+    assert axioms_fail == (names[1] == "z2")
+    ended = [c for c in full.checks if not c.passed] if axioms_fail else ()
+    assert action_suite(a, k, theta, only=[pattern]) == filtered_plus(full, pattern, ended)
 
 
 def test_only_skips_the_stages_it_does_not_select(monkeypatch):
@@ -234,6 +262,21 @@ def test_only_runs_the_guards_before_a_selected_stage():
     report = full_suite(_indefinite_kz2(), only=["fourier/*", "gns/*"])
     assert [c.name for c in report.checks] == ["gns/gram_positive"]
     assert report.checks[0].residual is None
+
+
+def test_an_abort_at_the_dual_subspace_is_reported_as_its_check(monkeypatch):
+    # a slice basis of rank n - 1 ends the run at the dual-subspace guard
+    import fqg.multiplicative as multiplicative_mod
+
+    build = multiplicative_mod.build_multiplicative_unitary
+    monkeypatch.setattr(
+        multiplicative_mod, "build_multiplicative_unitary", lambda a, gns: deficient_dual_span(build(a, gns))
+    )
+    report = full_suite(preset("kz3"))
+    last = report.checks[-1]
+    assert last.name == "dual_subspace/dual_subspace_dimension"
+    assert last.residual is None and last.detail.startswith("aborted: dual subspace has dimension 2")
+    assert [c.name for c in report.checks if not c.passed] == [last.name]
 
 
 def test_too_large_full_mode_is_refused_under_only(monkeypatch, capsys):

@@ -2,9 +2,12 @@
 
 ``perfbench/tracer.py`` looks each ``<module>.<function>`` up with ``getattr``
 and rebinds it, so a refactor that renames, removes or privatises one of
-them would break ``perfbench/run.py --trace 1``.
+them would break ``perfbench/run.py --trace 1``.  Conversely, a public
+function that nothing in ``src/fqg`` calls and the benchmark does not trace
+is dead code: its callers are tests or demos, which keep their own copy.
 """
 
+import ast
 import importlib
 import inspect
 import os
@@ -12,7 +15,9 @@ import sys
 
 import pytest
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+SRC = os.path.join(ROOT, "src", "fqg")
 sys.path.insert(0, PERFBENCH)
 
 import run  # noqa: E402
@@ -46,3 +51,27 @@ def test_the_tracer_sees_every_stage_the_suites_call():
     calls = tracer.aggregate(spans.spans)
     assert [n for n in traced if calls.get(n, {}).get("calls", 0) < 1] == []
     assert sorted(peaks.peak_bytes) == sorted(tracer.PEAK_STAGES)
+
+
+def test_every_public_function_is_called_in_src_or_traced():
+    # a name or attribute anywhere in src/fqg counts as a use; an import in
+    # __init__.py, a docstring or the function's own definition does not
+    defined, used = [], set()
+    for file_name in sorted(os.listdir(SRC)):
+        if not file_name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, file_name), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        module = file_name[:-3]
+        defined += [
+            (module, node.name) for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    traced = set(run.TRACE_FUNCTIONS + run.SELF_ONLY_FUNCTIONS + tracer.PEAK_STAGES)
+    unused = [f"{m}.{name}" for m, name in defined if name not in used and f"{m}.{name}" not in traced]
+    assert unused == []

@@ -20,8 +20,12 @@ with each ``--only`` pattern of ``ONLY_VERIFY``, at that tolerance and at
 preset and failing action with each pattern of ``ONLY_ACTION``.
 OUT.json maps each case to its exit code, stdout and stderr.  Run it once in
 each checkout, then ``compare``.  Where ``--only`` filters the finished
-report, the ``only/`` cases of one dump are the filtered full runs; where it
-selects the stages to run, they must match those byte for byte.
+report, the ``only/`` cases of one dump are the filtered full runs.  Where it
+selects the stages to run, they hold the same checks plus those that ended
+the run, which a filter drops: the abort of an ``only/aborting/`` case whose
+glob selects a stage past it, and the failing ``action/`` checks of an
+``only/failing/`` case whose glob does not match them.  Every other case must
+match byte for byte.
 
 ``compare`` exits 1 on any change of exit code, stderr, provenance, check
 names or order, tolerances, verdicts or details, and on a residual change in
