@@ -10,7 +10,6 @@ pentagon equation, and shows that the plain swap fails it badly.
 import numpy as np
 
 from fqg import (
-    TensorOperator,
     build_multiplicative_unitary,
     compute_haar,
     gns_construct,
@@ -31,19 +30,17 @@ gns = gns_construct(algebra, h)
 print(f"Gram matrix of <a, b> = haar(a* b):\n{gns.gram.real}")
 
 wop = build_multiplicative_unitary(algebra, gns)
-print(f"\nW (the controlled-not):\n{wop.w.entries.real}")
+print(f"\nW (the controlled-not):\n{wop.w.real}")
 
-print(f"\nunitarity defect |W* W - 1| = {np.linalg.norm(wop.w.entries.conj().T @ wop.w.entries - np.eye(4)):.2e}")
+print(f"\nunitarity defect |W* W - 1| = {np.linalg.norm(wop.w.conj().T @ wop.w - np.eye(4)):.2e}")
 print(f"pentagon defect |W23 W12 W23* - W12 W13| = {pentagon_residual(wop.w):.2e}")
 
 # the same two sides assembled as products of W placed on legs of three copies of C^2
-w, legs = wop.w.entries, (2, 2, 2)
+w, legs = wop.w, (2, 2, 2)
 lhs = leg_product([(w, [2, 3]), (w, [1, 2]), (w.conj().T, [2, 3])], legs)
 rhs = leg_product([(w, [1, 2]), (w, [1, 3])], legs)
 print(f"hand-assembled defect          = {np.linalg.norm(lhs - rhs):.2e}")
 
-swap = TensorOperator((2, 2), np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-))
+swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 print(f"\nnegative control: pentagon defect of the plain swap = {pentagon_residual(swap):.2f}")
 print("the swap is unitary but does not implement any coproduct")

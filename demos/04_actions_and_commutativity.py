@@ -63,7 +63,7 @@ for algebra_name, group_name, kind in (
     exchange = verify_action_intertwiner(data)
     print(f"exchange identity defect |(id x beta)W - (gamma x id)W|: "
           f"{exchange.residual('intertwiner_exchange'):.1e} "
-          f"on a {data.v.entries.shape[0]}-dimensional space")
+          f"on a {data.v.shape[0]}-dimensional space")
 
     commutation = verify_slice_commutativity(data)  # auto: full when small, sliced beyond
     for check in commutation.checks:

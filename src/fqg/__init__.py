@@ -86,6 +86,6 @@ from .multiplicative import (
 )
 from .report import Check, VerificationReport
 from .suite import action_suite, full_suite
-from .tensors import TensorOperator, embed_legs
+from .tensors import embed_legs
 
 __version__ = "0.1.0"

@@ -41,7 +41,6 @@ from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra, is_hopf_star_automorphism
 from .multiplicative import MultiplicativeUnitary, coproduct_operators
 from .report import ReportBuilder, VerificationReport
 from .tensors import (
-    TensorOperator,
     _rank_above,
     expand_in_leg,
     freeze,
@@ -142,7 +141,7 @@ class IntertwinerData:
       dual subspace, sum_k gamma_hat[k](x_j) (x) delta_k.
     - gamma_hat[k] is the conjugated automorphism acting on dual-subspace
       coordinates.
-    - v = (id (x) beta) W on legs [n, |K|, n].
+    - v = (id (x) beta) W, a read-only matrix on legs [n, |K|, n].
     - v_last_leg[j] are the coefficients of V over left multiplications in
       its last leg, with ``v_expansion_residual`` the unexplained part.
     """
@@ -155,26 +154,9 @@ class IntertwinerData:
     beta_ops: np.ndarray
     gamma_ops: np.ndarray
     gamma_hat: np.ndarray
-    v: TensorOperator
+    v: np.ndarray
     v_last_leg: np.ndarray
     v_expansion_residual: float
-
-
-def beta_matrix(data: IntertwinerData) -> np.ndarray:
-    """beta(e_i) = sum_k delta_k (x) theta_{k^-1}(e_i) as a coordinate map."""
-    return data.theta_inv.reshape(-1, data.wop.algebra.dim)
-
-
-def beta_matrix_antipode_form(data: IntertwinerData) -> np.ndarray:
-    """The equivalent antipode-sandwich form of beta.
-
-    Built independently as flip of (antipode (x) group-inversion) after the
-    coaction after the antipode; must agree with ``beta_matrix`` exactly
-    when the automorphisms commute with the antipode.
-    """
-    a = data.wop.algebra
-    s_op = a.antipode.T
-    return (s_op @ data.theta_inv @ s_op).reshape(-1, a.dim)
 
 
 def build_intertwiner_data(wop: MultiplicativeUnitary, group: CayleyTable, theta) -> IntertwinerData:
@@ -194,9 +176,8 @@ def build_intertwiner_data(wop: MultiplicativeUnitary, group: CayleyTable, theta
     gamma_ops = np.einsum("kij,ipq,kl->jpkql", gamma_hat, wop.slice_basis, eye)
     beta_ops = beta_ops.reshape(n, m * n, m * n)
     gamma_ops = gamma_ops.reshape(n, n * m, n * m)
-    v_mat = leg_product([(wop.slice_basis, [1]), (beta_ops, [2, 3])], (n, m, n))
-    v = TensorOperator((n, m, n), v_mat)
-    v_last, v_res = expand_in_leg(v_mat, (n * m, n), left_regular)
+    v = freeze(leg_product([(wop.slice_basis, [1]), (beta_ops, [2, 3])], (n, m, n)))
+    v_last, v_res = expand_in_leg(v, (n * m, n), left_regular)
     return IntertwinerData(
         group, theta, theta_inv, wop, pair, beta_ops, gamma_ops, gamma_hat, v, v_last, v_res
     )
@@ -241,18 +222,17 @@ def verify_strong_right_invariance(
 
 
 def verify_beta(data: IntertwinerData, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """beta is a unital *-homomorphism and agrees with its antipode-sandwich form."""
+    """beta is a unital *-homomorphism and agrees with its antipode-sandwich form
+    S^T theta_inv S^T (as a coordinate map, beta is ``theta_inv``); the two agree
+    exactly when the automorphisms commute with the antipode."""
     a = data.wop.algebra
+    s_op = a.antipode.T
     unit, mult, star = star_homomorphism_defects(data.beta_ops, a.mult, a.star, a.unit)
     rb = ReportBuilder()
     rb.add("beta_unital", unit, tol)
     rb.add("beta_multiplicative", float(mult.max()), tol)
     rb.add("beta_star_homomorphism", float(star.max()), tol)
-    rb.add(
-        "beta_antipode_form_agreement",
-        frob(beta_matrix(data) - beta_matrix_antipode_form(data)),
-        tol,
-    )
+    rb.add("beta_antipode_form_agreement", frob(data.theta_inv - s_op @ data.theta_inv @ s_op), tol)
     return rb.build()
 
 
@@ -279,12 +259,12 @@ def verify_action_intertwiner(data: IntertwinerData, tol: float = DEFAULT_TOL) -
     element, haar(b theta_k(a)) with haar(theta_{k^-1}(b) a); it is the
     scalar consequence obtained by slicing the exchange identity.
     """
-    pair = data.pair
+    pair, n, m = data.pair, data.wop.dim, data.group.order
     rb = ReportBuilder()
 
-    lhs = [(data.v.entries, [1, 2, 3])]
+    lhs = [(data.v, [1, 2, 3])]
     rhs = [(data.gamma_ops, [1, 2]), (data.wop.gns.left_regular, [3])]
-    rb.add("intertwiner_exchange", leg_distance(lhs, rhs, data.v.dims), tol)
+    rb.add("intertwiner_exchange", leg_distance(lhs, rhs, (n, m, n)), tol)
 
     # (k, j, i) -> haar(e_j theta_k(e_i)) against haar(theta_{k^-1}(e_j) e_i)
     swapped = data.theta_inv.transpose(0, 2, 1) @ pair
@@ -346,7 +326,7 @@ def verify_slice_commutativity(
     rb = ReportBuilder()
 
     if mode == "full":
-        v = data.v.entries
+        v = data.v
         rb.add(
             "five_leg_commutation",
             leg_distance(
@@ -368,7 +348,7 @@ def verify_slice_commutativity(
 
     # slice V in its outer legs with all matrix-unit vector functionals; the
     # middle-leg matrices obtained this way generate the image of beta's slices
-    t = data.v.entries.reshape(n, m, n, n, m, n)
+    t = data.v.reshape(n, m, n, n, m, n)
     generators = t.transpose(0, 3, 2, 5, 1, 4).reshape(n * n * n * n, m, m)
     norms = np.linalg.norm(generators.reshape(len(generators), -1), axis=1)
     keep = generators[norms > tol]

@@ -55,15 +55,16 @@ def verify_dual_algebra(a: FiniteHopfStarAlgebra, dual: FiniteHopfStarAlgebra,
     return rb.build()
 
 
-def verify_G_isomorphism(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """The slice map is a *-algebra isomorphism onto the dual subspace.
+def verify_G_isomorphism(wop: MultiplicativeUnitary, dual: FiniteHopfStarAlgebra,
+                         tol: float = DEFAULT_TOL) -> VerificationReport:
+    """The slice map is a *-algebra isomorphism from ``dual`` onto the dual subspace.
 
     Checks: unit goes to the identity, injectivity (full rank of the images
     of the dual basis), multiplicativity against convolution, compatibility
     with the involutions, and the exchange of the dual coproduct with the
     conjugation coproduct on the dual subspace.  The slice map sends the
     j-th dual-basis functional to ``slice_basis[j]``; products and adjoints
-    of functionals are those of ``build_dual``.
+    of functionals are those of ``dual``, which is ``build_dual(wop.algebra)``.
 
     ``intertwines_coproducts`` reads ``dual_coproduct_coords`` (computed on
     first read): dual-coproduct(x_i) is C_i over the orthonormal Q_a (x) Q_b
@@ -73,7 +74,6 @@ def verify_G_isomorphism(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -
     """
     a = wop.algebra
     n = a.dim
-    dual = build_dual(a)
     unit, mult, star = star_homomorphism_defects(wop.slice_basis, dual.mult, dual.star, dual.unit)
     rb = ReportBuilder()
     rb.add("unit_of_dual_goes_to_identity", unit, tol)
@@ -125,10 +125,10 @@ def verify_fourier_slice_identity(
     bra).  This guards the functional-application path of the
     implementation; each path is one einsum over all basis elements.
     """
-    a, gns = wop.algebra, wop.gns
+    a, gns, n = wop.algebra, wop.gns, wop.dim
     expansion_path = np.einsum("ji,jpq->ipq", fourier_matrix(a, gns.haar), wop.slice_basis)
     bra = (gns.to_onb @ a.unit).conj()
-    entrywise_path = np.einsum("r,prqs,si->ipq", bra, wop.w.as_legs(), gns.to_onb, optimize=True)
+    entrywise_path = np.einsum("r,prqs,si->ipq", bra, wop.w.reshape((n,) * 4), gns.to_onb, optimize=True)
     worst = np.linalg.norm(expansion_path - entrywise_path, axis=(1, 2)).max()
     rb = ReportBuilder()
     rb.add("fourier_slice_closed_form", float(worst), tol)

@@ -43,7 +43,7 @@ class ModeUnavailable(StructuralError):
 
 
 class NumericalFailure(StructuralError):
-    """A linear-algebra routine failed on the input (for example, no SVD convergence)."""
+    """Numerics failed on the input: no SVD convergence, say, or a tolerance that overflows."""
 
 
 class NoInvariantFunctional(VerificationError):

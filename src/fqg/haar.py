@@ -80,7 +80,7 @@ def compute_haar(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL) -> Function
     n = a.dim
     tol = max(tol, rounding_allowance(n))
     system = _invariance_system(a)
-    _, sigma, vh = np.linalg.svd(system)
+    _, sigma, vh = np.linalg.svd(system, full_matrices=False)
     null_dim = n - _rank_above(sigma, tol)
     if null_dim < 1:
         raise NoInvariantFunctional(

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra
 from .report import ReportBuilder, VerificationReport
 from .tensors import (
     SpanBasis,
-    TensorOperator,
     expand_in_leg,
     freeze,
     frob,
@@ -61,21 +61,22 @@ from .tensors import (
 class MultiplicativeUnitary:
     """W on two copies of the GNS space: the context every later stage shares.
 
-    ``slice_basis[j]`` is the right slice of W by the j-th dual-basis
-    functional of the algebra; these matrices span the dual subspace and
+    ``w`` is the read-only (n^2, n^2) matrix of W.  ``slice_basis[j]`` is the
+    right slice of W by the j-th dual-basis functional of the algebra; these
+    matrices span the dual subspace, and
     W = sum_j slice_basis[j] (x) left_regular[j] up to ``expansion_residual``.
     ``dual_span`` is the one SVD of the stacked slice basis: an orthonormal
     basis ``q`` of the dual subspace and the map from coordinates in ``q`` to
-    coordinates over ``slice_basis``.  The certificates the stages read are
-    cached properties, computed on first read: ``unitarity_defect``,
-    ``coproduct_defects``, ``pentagon_bound``, ``pentagon_exact``,
-    ``slice_closure``, ``dual_coproducts`` and ``dual_coproduct_coords``.  So
-    only a stage that reads ``dual_coproducts`` builds that n^5 stack, the n^8
-    exact pentagon runs at most once, and a context rebuilt by
-    ``dataclasses.replace`` computes its own.
+    coordinates over ``slice_basis``.  The certificates the stages read are cached properties,
+    computed on first read: ``unitarity_defect``, ``coproduct_defects``,
+    ``pentagon_bound``, ``pentagon_exact``, ``slice_closure``,
+    ``dual_coproducts`` and ``dual_coproduct_coords``.  So only a stage that
+    reads ``dual_coproducts`` builds that n^5 stack, the n^8 exact pentagon
+    runs at most once, and a context rebuilt by ``dataclasses.replace``
+    computes its own.
     """
 
-    w: TensorOperator
+    w: np.ndarray
     algebra: FiniteHopfStarAlgebra
     gns: GnsData
     slice_basis: np.ndarray
@@ -88,14 +89,14 @@ class MultiplicativeUnitary:
 
     @cached_property
     def unitarity_defect(self) -> float:  # one ||W*W - I||_F per context
-        w = self.w.entries
+        w = self.w
         return frob(w.conj().T @ w - np.eye(w.shape[0]))
 
     @cached_property
     def coproduct_defects(self) -> tuple[float, float]:
         """max_a ||W (L_a (x) 1) W* - coproduct(e_a)||_F, and
         ||(id (x) coproduct) W - W12 W13||_F (see ``verify_coproduct_implemented``)."""
-        n, w = self.dim, self.w.entries
+        n, w = self.dim, self.w
         deltas = coproduct_operators(self)
         # (L_a (x) 1) W* multiplies L_a into the first row leg of W*
         w_adj = w.conj().T.reshape(n, n**3)
@@ -136,7 +137,7 @@ class MultiplicativeUnitary:
     @cached_property
     def dual_coproducts(self) -> np.ndarray:
         """The dual coproducts W* (1 (x) x_j) W of the slice basis, (n, n^2, n^2)."""
-        return freeze(_dual_coproducts(self.w.entries, self.slice_basis))
+        return freeze(_dual_coproducts(self.w, self.slice_basis))
 
     @cached_property
     def dual_coproduct_coords(self) -> tuple[np.ndarray, np.ndarray]:
@@ -144,12 +145,12 @@ class MultiplicativeUnitary:
         return _doubled_span_coords(self, self.dual_coproducts)
 
 
-def _in_onb(gns: GnsData, t: np.ndarray) -> TensorOperator:
-    """The two-leg operator with algebra-coordinate entries t[p, k, i, j], in
-    orthonormal GNS coordinates."""
+def _in_onb(gns: GnsData, t: np.ndarray) -> np.ndarray:
+    """The (n^2, n^2) two-leg operator with algebra-coordinate entries
+    t[p, k, i, j], in orthonormal GNS coordinates; read-only."""
     n = gns.to_onb.shape[0]
     r, q = gns.to_onb, gns.onb_change
-    return TensorOperator((n, n), np.kron(r, r) @ t.reshape(n * n, n * n) @ np.kron(q, q))
+    return freeze(np.kron(r, r) @ t.reshape(n * n, n * n) @ np.kron(q, q))
 
 
 def build_multiplicative_unitary(
@@ -159,18 +160,18 @@ def build_multiplicative_unitary(
     the factorisation of the dual subspace."""
     n = a.dim
     w = _in_onb(gns, np.einsum("ipq,qjk->pkij", a.comult, a.mult, optimize=True))
-    coeffs, residual = expand_in_leg(w.entries, (n, n), gns.left_regular)
+    coeffs, residual = expand_in_leg(w, (n, n), gns.left_regular)
     coeffs = freeze(coeffs)
     return MultiplicativeUnitary(w, a, gns, coeffs, residual, span_basis(coeffs))
 
 
-def inverse_via_antipode(a: FiniteHopfStarAlgebra, gns: GnsData) -> TensorOperator:
+def inverse_via_antipode(a: FiniteHopfStarAlgebra, gns: GnsData) -> np.ndarray:
     """Matrix of a (x) b -> ((id (x) antipode) coproduct(a)) (1 (x) b)."""
     return _in_onb(gns, np.einsum("ipq,ql,ljk->pkij", a.comult, a.antipode, a.mult, optimize=True))
 
 
 def verify_unitarity(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> VerificationReport:
-    w = wop.w.entries
+    w = wop.w
     rb = ReportBuilder()
     rb.add("w_unitary_wstar_w", wop.unitarity_defect, tol)
     rb.add("w_unitary_w_wstar", frob(w @ w.conj().T - np.eye(w.shape[0])), tol)
@@ -180,31 +181,27 @@ def verify_unitarity(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> Ve
 def verify_inverse_via_antipode(
     wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
-    v = inverse_via_antipode(wop.algebra, wop.gns).entries
-    w = wop.w.entries
+    v, w = inverse_via_antipode(wop.algebra, wop.gns), wop.w
     rb = ReportBuilder()
     rb.add("w_inverse_composes", frob(v @ w - np.eye(w.shape[0])), tol)
     rb.add("w_inverse_is_adjoint", frob(v - w.conj().T), tol)
     return rb.build()
 
 
-def pentagon_residual(w: TensorOperator) -> float:
-    """Frobenius defect of W23 W12 W23* - W12 W13 on three legs."""
-    n1, n2 = w.dims
-    if n1 != n2:
+def pentagon_residual(w: np.ndarray) -> float:
+    """Frobenius defect of W23 W12 W23* - W12 W13 on three legs, for the (n^2, n^2) matrix W."""
+    n = isqrt(len(w))
+    if n * n != len(w):
         raise DimensionMismatch("pentagon requires equal leg dimensions", check="pentagon")
-    w_mat = w.entries
     return leg_distance(
-        [(w_mat, [2, 3]), (w_mat, [1, 2]), (w_mat.conj().T, [2, 3])],
-        [(w_mat, [1, 2]), (w_mat, [1, 3])],
-        (n1, n1, n1),
+        [(w, [2, 3]), (w, [1, 2]), (w.conj().T, [2, 3])], [(w, [1, 2]), (w, [1, 3])], (n, n, n)
     )
 
 
 def _allowance(wop: MultiplicativeUnitary, kron_side: float) -> float:
     """The rounding allowance derived in ``verify_pentagon``."""
     n, w2 = wop.dim, 1.0 + wop.unitarity_defect
-    return 4 * n * np.finfo(float).eps * w2 * (kron_side + w2 * np.sqrt(n) * frob(wop.w.entries))
+    return 4 * n * np.finfo(float).eps * w2 * (kron_side + w2 * np.sqrt(n) * frob(wop.w))
 
 
 def verify_pentagon(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -246,7 +243,7 @@ def verify_left_slices_span(
     a, gns = wop.algebra, wop.gns
     n = a.dim
     r = gns.to_onb
-    slices = np.einsum("pi,prqs,qj->ijrs", r.conj(), wop.w.as_legs(), r, optimize=True)
+    slices = np.einsum("pi,prqs,qj->ijrs", r.conj(), wop.w.reshape((n,) * 4), r, optimize=True)
     targets = np.einsum("ip,jpq,qrs->ijrs", gns.gram, a.comult, gns.left_regular, optimize=True)
     slices = slices.reshape(n * n, n, n)
     worst = np.linalg.norm(slices - targets.reshape(n * n, n, n), axis=(1, 2)).max()
@@ -281,7 +278,7 @@ def verify_coproduct_implemented(
 
 def require_w_expansion(wop: MultiplicativeUnitary, tol: float) -> None:
     """Raise ExpansionFailed unless W = sum_j slice_basis[j] (x) L_j holds."""
-    if wop.expansion_residual > max(tol, rounding_allowance(wop.dim)) * (1.0 + frob(wop.w.entries)):
+    if wop.expansion_residual > max(tol, rounding_allowance(wop.dim)) * (1.0 + frob(wop.w)):
         raise ExpansionFailed(
             f"W does not lie in the dual-subspace tensor algebra span "
             f"(residual {wop.expansion_residual:.3e})",
@@ -299,7 +296,7 @@ def verify_antipode_relation(
     require_w_expansion(wop, tol)
     antipodes = np.einsum("jk,kab->jab", a.antipode, wop.gns.left_regular)
     lhs = [(wop.slice_basis, [1]), (antipodes, [2])]
-    residual = leg_distance(lhs, [(wop.w.entries.conj().T, [1, 2])], (n, n))
+    residual = leg_distance(lhs, [(wop.w.conj().T, [1, 2])], (n, n))
     rb = ReportBuilder()
     rb.add("antipode_on_second_leg_of_w", residual, tol)
     return rb.build()
@@ -310,7 +307,6 @@ def build_dual_subspace(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) ->
     spans the n-dimensional dual subspace and every right slice of W lies in
     it; then report its dimension and closure, and the expansion of W over it."""
     n = wop.dim
-    w = wop.w
     require_w_expansion(wop, tol)
     rank = wop.dual_span.rank(tol)
     if rank != n:
@@ -321,10 +317,10 @@ def build_dual_subspace(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) ->
         )
     # every entrywise right slice must already lie in the span: slice (r, s)
     # is the leg-1 matrix W[(p, r), (q, s)] over (p, q)
-    all_slices = w.as_legs().transpose(1, 3, 0, 2).reshape(n * n, n, n)
+    all_slices = wop.w.reshape((n,) * 4).transpose(1, 3, 0, 2).reshape(n * n, n, n)
     slice_coords, residuals = project_onto_span(wop.dual_span.q, all_slices)
     worst_member = float(residuals.max())
-    if worst_member > max(tol, rounding_allowance(n)) * (1.0 + frob(w.entries)):
+    if worst_member > max(tol, rounding_allowance(n)) * (1.0 + frob(wop.w)):
         raise DimensionMismatch(
             f"a right slice escapes the dual subspace (residual {worst_member:.3e})",
             check="dual_subspace_membership",
@@ -354,7 +350,7 @@ def _dual_coproducts(w, xs) -> np.ndarray:
 
 def dual_coproduct(wop: MultiplicativeUnitary, x) -> np.ndarray:
     """W* (1 (x) x) W, the coproduct of the dual quantum group."""
-    return _dual_coproducts(wop.w.entries, np.asarray(x, dtype=complex)[None])[0]
+    return _dual_coproducts(wop.w, np.asarray(x, dtype=complex)[None])[0]
 
 
 def _doubled_span_coords(wop: MultiplicativeUnitary, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -374,7 +370,7 @@ def _doubled_span_coords(wop: MultiplicativeUnitary, ys) -> tuple[np.ndarray, np
 
 def dual_coproduct_checked(
     wop: MultiplicativeUnitary, x, tol: float = DEFAULT_TOL
-) -> tuple[TensorOperator, VerificationReport]:
+) -> tuple[np.ndarray, VerificationReport]:
     """Dual coproduct of ``x`` plus membership certificates.
 
     Raises NotInDualSubspace when ``x`` is not in the span of the right
@@ -394,14 +390,14 @@ def dual_coproduct_checked(
     res_y = float(_doubled_span_coords(wop, y)[1][0])
     rb = ReportBuilder()
     rb.add("dual_coproduct_in_doubled_span", res_y, tol * (1.0 + frob(y)))
-    return TensorOperator((n, n), y), rb.build()
+    return freeze(y), rb.build()
 
 
 def _exact_coassociativity(wop: MultiplicativeUnitary) -> float:
     """Largest coassociativity defect over the slice basis by leg contraction:
     (dual-coproduct (x) id) of dx conjugates legs 1,2; (id (x) dual-coproduct)
     conjugates legs 2,3 with dx placed on legs 1,3."""
-    n, w_mat = wop.dim, wop.w.entries
+    n, w_mat = wop.dim, wop.w
     w_adj = w_mat.conj().T
     return max(
         leg_distance([(w_adj, [1, 2]), (dx, [2, 3]), (w_mat, [1, 2])],
@@ -418,7 +414,7 @@ def _exact_multiplicativity(wop: MultiplicativeUnitary) -> float:
 
 def _exact_first_leg(wop: MultiplicativeUnitary) -> float:
     """Defect of (dual-coproduct (x) id) W = W13 W23 by leg contraction."""
-    n, w_mat = wop.dim, wop.w.entries
+    n, w_mat = wop.dim, wop.w
     lhs = [(wop.dual_coproducts, [1, 2]), (wop.gns.left_regular, [3])]
     return leg_distance(lhs, [(w_mat, [1, 3]), (w_mat, [2, 3])], (n, n, n))
 

@@ -6,6 +6,8 @@ import fnmatch
 import math
 from dataclasses import dataclass, field
 
+from .errors import NumericalFailure
+
 
 @dataclass(frozen=True)
 class Check:
@@ -84,18 +86,21 @@ class VerificationReport:
 
 class ReportBuilder:
     """Accumulates checks; by default a check passes iff residual <= tolerance.
-    A NaN residual (a check an aborted stage could not compute) never passes.
-    ``add`` and ``add_count`` return the builder, so calls chain."""
+    A NaN residual (a check an aborted stage could not compute) never passes;
+    a tolerance that is not finite, such as a scaled one that overflows, raises
+    NumericalFailure.  ``add`` and ``add_count`` return the builder, so calls chain."""
 
     def __init__(self):
         self._checks: list[Check] = []
 
     def add(self, name: str, residual: float, tolerance: float, detail: str = "") -> ReportBuilder:
-        residual = float(residual)
+        residual, tolerance = float(residual), float(tolerance)
+        if not math.isfinite(tolerance):  # inf passes any residual and is not valid JSON
+            raise NumericalFailure(f"tolerance {tolerance} of check {name!r} is not finite")
         if math.isnan(residual):
-            check = Check(name, None, float(tolerance), False, detail or "residual is NaN")
+            check = Check(name, None, tolerance, False, detail or "residual is NaN")
         else:
-            check = Check(name, residual, float(tolerance), residual <= tolerance, detail)
+            check = Check(name, residual, tolerance, residual <= tolerance, detail)
         self._checks.append(check)
         return self
 

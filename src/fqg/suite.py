@@ -66,7 +66,7 @@ def full_suite(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL, only=None) ->
         ("dual_coproduct/", lambda: multiplicative.verify_dual_coproduct_identities(wop(), tol), None),
         ("dual_algebra/", lambda: verify_hopf_star_axioms(dual(), tol), None),
         ("dual_algebra/", lambda: duality.verify_dual_algebra(a, dual(), tol), "haar"),
-        ("slice_isomorphism/", lambda: duality.verify_G_isomorphism(wop(), tol), None),
+        ("slice_isomorphism/", lambda: duality.verify_G_isomorphism(wop(), dual(), tol), None),
         ("fourier/", lambda: duality.verify_fourier(a, h(), tol), None),
         ("fourier/", lambda: duality.verify_fourier_slice_identity(wop(), tol), None),
     ), tol, only)

@@ -1,11 +1,13 @@
 """Complex operators on tensor products of small Hilbert spaces.
 
-Operators on one or two legs are dense matrices.  A product of operators
-placed on legs of a larger space (W23 W12 W23*, V234 V135, ...) is evaluated
-by ``leg_product`` and compared by ``leg_distance``: one einsum over the leg
-tensors, so no factor is expanded with identities.  A factor may be a stack
-of matrices; the stacks of one product share a summed index, so a Kronecker
-sum sum_j x_j (x) y_j is two stacked factors and is never built densely.
+Every operator is a dense (N, N) array, W and V included; its leg sizes
+come from the context that holds it, (n, n) for W and (n, |K|, n) for V.  A
+product of operators placed on legs of a larger space (W23 W12 W23*,
+V234 V135, ...) is evaluated by ``leg_product`` and compared by
+``leg_distance``: one einsum over the leg tensors, so no factor is expanded
+with identities.  A factor may be a stack of matrices; the stacks of one
+product share a summed index, so a Kronecker sum sum_j x_j (x) y_j is two
+stacked factors and is never built densely.
 ``leg_distance`` holds one tile of each side, cut over leg 1, at a time and
 subtracts the rhs tile into the lhs tile in the lhs tile's memory order; the
 tile size follows from the working set of a tile and ``TILE_BYTES``.
@@ -50,73 +52,35 @@ def freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class TensorOperator:
-    """A square operator on a tensor product, tagged with its leg dimensions.
+def embed_legs(x, placement, ambient) -> np.ndarray:
+    """Let the matrix ``x`` act on the named legs of the ambient space, identity elsewhere.
 
-    ``entries`` is (N, N) with N = prod(dims).
-    """
-
-    dims: tuple[int, ...]
-    entries: np.ndarray
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise StructuralError(f"leg dimensions must be positive, got {dims}")
-        entries = np.asarray(self.entries, dtype=complex)
-        n = prod(dims)
-        if entries.shape != (n, n):
-            raise StructuralError(
-                f"entries must be {n}x{n} for dims {dims}, got {entries.shape}"
-            )
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "entries", freeze(entries))
-
-    @property
-    def n_legs(self) -> int:
-        return len(self.dims)
-
-    def as_legs(self) -> np.ndarray:
-        """View the matrix as a 2k-axis array (row legs first, column legs last)."""
-        return self.entries.reshape(self.dims + self.dims)
-
-
-def embed_legs(x: TensorOperator, placement, ambient) -> TensorOperator:
-    """Let ``x`` act on the named legs of the ambient space, identity elsewhere.
-
-    ``placement`` lists 1-based ambient leg numbers, one per leg of ``x`` and
-    in the order of x's legs; e.g. embedding W on legs [1, 3] of a 3-leg
-    space produces the operator usually written W13.
+    ``placement`` lists 1-based ambient leg numbers in the order of x's legs,
+    which have the sizes of those ambient legs; e.g. embedding W on legs
+    [1, 3] of a 3-leg space produces the operator usually written W13.
     """
     placement = [int(p) for p in placement]
     ambient = tuple(int(d) for d in ambient)
     m = len(ambient)
-    if len(placement) != x.n_legs:
+    if len(set(placement)) != len(placement) or any(p < 1 or p > m for p in placement):
+        raise StructuralError(f"placement {placement} invalid for {m} legs")
+    x = np.asarray(x, dtype=complex)
+    k = prod(ambient[p - 1] for p in placement)
+    if x.shape != (k, k):
         raise StructuralError(
-            f"placement names {len(placement)} legs but operator has {x.n_legs}"
+            f"operator of shape {x.shape} cannot act on legs {placement} of dims {ambient}"
         )
-    if len(set(placement)) != len(placement):
-        raise StructuralError(f"repeated leg index in placement {placement}")
-    if any(p < 1 or p > m for p in placement):
-        raise StructuralError(f"placement {placement} out of range for {m} legs")
-    for t, p in enumerate(placement):
-        if x.dims[t] != ambient[p - 1]:
-            raise StructuralError(
-                f"leg {t + 1} of operator has dim {x.dims[t]} but ambient leg "
-                f"{p} has dim {ambient[p - 1]}"
-            )
     rest = [l for l in range(1, m + 1) if l not in placement]
     order = placement + rest
     rest_dim = prod(ambient[l - 1] for l in rest)
-    big = np.kron(x.entries, np.eye(rest_dim, dtype=complex))
+    big = np.kron(x, np.eye(rest_dim, dtype=complex))
     dims_in_order = tuple(ambient[l - 1] for l in order)
     tensor = big.reshape(dims_in_order + dims_in_order)
     # Current axis j carries ambient leg order[j]; sort legs back to 1..m.
     axes = sorted(range(m), key=lambda j: order[j])
     tensor = tensor.transpose([*axes, *(m + j for j in axes)])
     n = prod(ambient)
-    return TensorOperator(ambient, tensor.reshape(n, n))
+    return tensor.reshape(n, n)
 
 
 # leg_distance evaluates its two sides tile by tile over the leg-1 row and

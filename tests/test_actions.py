@@ -11,7 +11,6 @@ from fqg import (
     IntertwinerData,
     ModeUnavailable,
     StructuralError,
-    TensorOperator,
     action_suite,
     build_intertwiner_data,
     build_multiplicative_unitary,
@@ -39,8 +38,6 @@ from fqg.actions import (
     _generated_dimension,
     _span_rows,
     action_axioms_report,
-    beta_matrix,
-    beta_matrix_antipode_form,
 )
 from fqg.builders import parse_explicit_automorphisms, permutation_matrix
 from fqg.tensors import numerical_rank
@@ -234,15 +231,27 @@ def test_identity_antipode_negative_control():
     assert identity_antipode_control(data) > 1e-3
 
 
-def test_beta_matrix_entries():
+def beta_coordinate_map(data):
+    """beta(e_i) = sum_k delta_k (x) theta_{k^-1}(e_i) as a (|K| n, n) coordinate map."""
+    return data.theta_inv.reshape(-1, data.wop.dim)
+
+
+def beta_antipode_form(data):
+    """flip of (antipode (x) group-inversion) after the coaction after the
+    antipode, as a coordinate map: S^T theta_inv S^T, block by block."""
+    s_op = data.wop.algebra.antipode.T
+    return np.concatenate([s_op @ t @ s_op for t in data.theta_inv])
+
+
+def test_beta_coordinate_map_on_trivial_and_inversion_actions():
     # trivial group: beta(a) = delta_e (x) a
     a = preset("kz3")
     data = context(a, group_preset("z1"), np.eye(3)[None, :, :])
-    assert np.array_equal(beta_matrix(data), np.eye(3))
+    assert np.array_equal(beta_coordinate_map(data), np.eye(3))
 
     # order-two group acting by inversion: delta_0 (x) u_g + delta_1 (x) u_{-g}
     _, data = pipeline("kz3", "z2", "inversion")
-    beta = beta_matrix(data)
+    beta = beta_coordinate_map(data)
     inv = permutation_matrix([0, 2, 1])
     assert np.array_equal(beta[0:3, :], np.eye(3))
     assert np.array_equal(beta[3:6, :], inv)
@@ -254,7 +263,18 @@ def test_beta_checks_and_antipode_form_agreement():
         report = verify_beta(data)
         assert report.overall_pass, [c.name for c in report.checks if not c.passed]
         assert report.max_residual() <= 1e-12
-        assert np.max(np.abs(beta_matrix(data) - beta_matrix_antipode_form(data))) <= 1e-12
+        assert np.max(np.abs(beta_coordinate_map(data) - beta_antipode_form(data))) <= 1e-12
+
+
+def test_beta_antipode_form_agreement_reads_the_coordinate_maps():
+    # a random theta_inv does not commute with the antipode, so the check reads
+    # the O(1) distance between the two coordinate maps, which the block loop gives
+    _, data = basis_changed_pipeline("ks3", "s3", "conjugation", seed=3)
+    rng = np.random.default_rng(8)
+    bad = replace(data, theta_inv=rng.standard_normal(data.theta_inv.shape))
+    expected = np.linalg.norm(beta_coordinate_map(bad) - beta_antipode_form(bad))
+    got = verify_beta(bad).residual("beta_antipode_form_agreement")
+    assert expected > 1.0 and abs(got - expected) <= 1e-13 * expected
 
 
 def test_gamma_trivial_group_is_identity():
@@ -283,7 +303,7 @@ def test_gamma_checks_on_s3():
 def test_intertwiner_exchange_identity():
     for names, dim in ((("kz3", "z2", "inversion"), 18), (("ks3", "s3", "conjugation"), 216)):
         _, data = pipeline(*names)
-        assert data.v.entries.shape == (dim, dim)
+        assert data.v.shape == (dim, dim)
         report = verify_action_intertwiner(data)
         assert report.overall_pass
         assert report.residual("intertwiner_exchange") <= 1e-11
@@ -295,12 +315,12 @@ def test_v_and_exchange_residual_match_kron_loops():
     _, data = pipeline("ks3", "s3", "conjugation")
     wop = data.wop
     v_loop = sum(np.kron(x, b) for x, b in zip(wop.slice_basis, data.beta_ops))
-    assert np.max(np.abs(data.v.entries - v_loop)) <= 1e-13
+    assert np.max(np.abs(data.v - v_loop)) <= 1e-13
     rng = np.random.default_rng(6)
-    k = data.v.entries.shape[0]
-    v = TensorOperator(data.v.dims, rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    k = data.v.shape[0]
+    v = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     rhs = sum(np.kron(g, lr) for g, lr in zip(data.gamma_ops, wop.gns.left_regular))
-    expected = np.linalg.norm(v.entries - rhs)
+    expected = np.linalg.norm(v - rhs)
     got = verify_action_intertwiner(replace(data, v=v)).residual("intertwiner_exchange")
     assert expected > 1.0 and abs(got - expected) <= 1e-13 * expected
 
@@ -308,7 +328,7 @@ def test_v_and_exchange_residual_match_kron_loops():
 def test_intertwiner_trivial_group_reduces_to_w():
     a = preset("kz2")
     data = context(a, group_preset("z1"), np.eye(2)[None, :, :])
-    assert np.max(np.abs(data.v.entries - data.wop.w.entries)) <= 1e-13
+    assert np.max(np.abs(data.v - data.wop.w)) <= 1e-13
     assert verify_action_intertwiner(data).overall_pass
 
 
@@ -374,11 +394,11 @@ def test_full_mode_residuals_match_dense_on_non_commuting_v(monkeypatch, tile_by
     n, m = 3, 2
     rng = np.random.default_rng(4)
     k = n * m * n
-    v = TensorOperator((n, m, n), rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    v = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     report = verify_slice_commutativity(replace(data, v=v), mode="full")
 
     def placed(ambient, placement):
-        return embed_legs(v, placement, ambient).entries
+        return embed_legs(v, placement, ambient)
 
     five = (n, n, m, n, n)
     v234, v135 = placed(five, [2, 3, 4]), placed(five, [1, 3, 5])
@@ -564,7 +584,7 @@ def reference_generated_dimension(vectors, tol):
 def test_generated_dimension_matches_greedy_reference(names, expected):
     b, data = basis_changed_pipeline(*names, seed=3)
     n, m = b.dim, data.group.order
-    t = data.v.entries.reshape(n, m, n, n, m, n)
+    t = data.v.reshape(n, m, n, n, m, n)
     generators = t.transpose(0, 3, 2, 5, 1, 4).reshape(n ** 4, m, m)
     norms = np.linalg.norm(generators.reshape(len(generators), -1), axis=1)
     keep = generators[norms > 1e-9]  # diagonal matrices: C(K) is diagonal
@@ -607,7 +627,7 @@ def test_sliced_commutation_detects_non_commuting_v():
     _, data = pipeline("kz3", "z2", "inversion")
     k = 3 * 2 * 3
     rng = np.random.default_rng(11)
-    v = TensorOperator((3, 2, 3), rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    v = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     report = verify_slice_commutativity(replace(data, v=v), mode="sliced")
     assert report.residual("sliced_commutation") > 0.1
     assert not report.check("sliced_commutation").passed
@@ -646,6 +666,6 @@ def test_v_is_block_diagonal_in_its_middle_leg(names):
     # C(K) is diagonal, so the five-leg and sliced commutations hold by construction
     a, data = pipeline(*names)
     n, m = a.dim, data.group.order
-    blocks = data.v.entries.reshape(n, m, n, n, m, n).transpose(1, 4, 0, 2, 3, 5)
+    blocks = data.v.reshape(n, m, n, n, m, n).transpose(1, 4, 0, 2, 3, 5)
     assert not np.any(blocks[~np.eye(m, dtype=bool)])
     assert np.all(np.any(blocks[np.eye(m, dtype=bool)], axis=(1, 2, 3, 4)))

@@ -75,7 +75,7 @@ def test_group_and_function_algebra_have_different_unitaries():
     for name in ("kz2", "fz2"):
         a = preset(name)
         gns = gns_construct(a, compute_haar(a))
-        mats[name] = build_multiplicative_unitary(a, gns).w.entries
+        mats[name] = build_multiplicative_unitary(a, gns).w
     assert np.max(np.abs(mats["kz2"] - mats["fz2"])) > 0.5
 
 

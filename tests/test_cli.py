@@ -404,6 +404,19 @@ def test_non_finite_tolerance_exits_two(capsys, tol):
     assert "tolerance" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "kz3"], ["action", "kz3", "--group", "z2", "--automorphisms", "inversion"]],
+    ids=["verify", "action"],
+)
+def test_tolerance_that_overflows_when_scaled_exits_two(capsys, command, fmt):
+    # tol * structure_scale() is inf: it would pass any residual, and Infinity is not JSON
+    code, out, err = run(capsys, [*command, "--tol", "1e308", "--format", fmt])
+    assert code == 2 and out == ""
+    assert err.startswith("error: tolerance inf of check") and err.count("\n") == 1
+
+
 def test_linear_algebra_failure_exits_two(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

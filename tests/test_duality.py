@@ -128,7 +128,8 @@ def test_G_multiplicative_on_random_functionals():
 
 def test_G_isomorphism_report():
     for name in ("trivial", "kz4", "fz3", "ks3", "fs3"):
-        report = verify_G_isomorphism(unitary_of(name))
+        wop = unitary_of(name)
+        report = verify_G_isomorphism(wop, build_dual(wop.algebra))
         assert report.overall_pass, [c.name for c in report.checks if not c.passed]
         assert report.max_residual() <= 1e-11
 
@@ -196,7 +197,7 @@ def test_G_isomorphism_residuals_match_convolution_loops(basis_changed):
             for phi in basis
         ),
     }
-    report = verify_G_isomorphism(wop)
+    report = verify_G_isomorphism(wop, build_dual(a))
     for name, value in expected.items():
         assert value > 1.0
         assert abs(report.residual(name) - value) <= 1e-13 * value, name

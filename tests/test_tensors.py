@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fqg import StructuralError, TensorOperator, embed_legs
+from fqg import StructuralError, embed_legs
 import fqg.tensors as tensors_mod
 from fqg.tensors import leg_distance, leg_distance_bytes, leg_product
 
@@ -17,30 +17,28 @@ SWAP = np.array(
 
 def random_operator(rng, dims):
     n = int(np.prod(dims))
-    return TensorOperator(dims, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 def test_embed_identity_leg_is_big_identity():
-    x = TensorOperator((2,), np.eye(2))
-    out = embed_legs(x, [1], [2, 2])
-    assert np.array_equal(out.entries, np.eye(4))
+    out = embed_legs(np.eye(2), [1], [2, 2])
+    assert np.array_equal(out, np.eye(4))
 
 
 def test_embed_identity_permutation_returns_input():
     rng = np.random.default_rng(0)
     x = random_operator(rng, (2, 3))
     out = embed_legs(x, [1, 2], [2, 3])
-    assert np.array_equal(out.entries, x.entries)
+    assert np.array_equal(out, x)
 
 
 def test_embed_cnot_on_legs_1_3_matches_flip_conjugation():
     # Independent construction: (SWAP (x) 1)(1 (x) CNOT)(SWAP (x) 1) by
     # explicit 8x8 matrix arithmetic.
-    w = TensorOperator((2, 2), CNOT)
     swap_1 = np.kron(SWAP, np.eye(2))
     expected = swap_1 @ np.kron(np.eye(2), CNOT) @ swap_1
-    out = embed_legs(w, [1, 3], [2, 2, 2])
-    assert np.max(np.abs(out.entries - expected)) == 0.0
+    out = embed_legs(CNOT, [1, 3], [2, 2, 2])
+    assert np.max(np.abs(out - expected)) == 0.0
 
 
 def test_embed_respects_composition_and_adjoint():
@@ -48,12 +46,12 @@ def test_embed_respects_composition_and_adjoint():
     x = random_operator(rng, (2, 3))
     y = random_operator(rng, (2, 3))
     ambient = [2, 2, 3]
-    left = embed_legs(TensorOperator((2, 3), x.entries @ y.entries), [2, 3], ambient).entries
-    right = embed_legs(x, [2, 3], ambient).entries @ embed_legs(y, [2, 3], ambient).entries
-    scale = np.linalg.norm(x.entries) * np.linalg.norm(y.entries)
+    left = embed_legs(x @ y, [2, 3], ambient)
+    right = embed_legs(x, [2, 3], ambient) @ embed_legs(y, [2, 3], ambient)
+    scale = np.linalg.norm(x) * np.linalg.norm(y)
     assert np.linalg.norm(left - right) < 1e-13 * scale
-    adj = embed_legs(TensorOperator((2, 3), x.entries.conj().T), [2, 3], ambient)
-    assert np.array_equal(adj.entries, embed_legs(x, [2, 3], ambient).entries.conj().T)
+    adj = embed_legs(x.conj().T, [2, 3], ambient)
+    assert np.array_equal(adj, embed_legs(x, [2, 3], ambient).conj().T)
 
 
 def test_embed_disjoint_legs_commute():
@@ -61,8 +59,8 @@ def test_embed_disjoint_legs_commute():
     x = random_operator(rng, (2, 2))
     y = random_operator(rng, (2,))
     ambient = [2, 2, 2]
-    a = embed_legs(x, [2, 3], ambient).entries
-    b = embed_legs(y, [1], ambient).entries
+    a = embed_legs(x, [2, 3], ambient)
+    b = embed_legs(y, [1], ambient)
     assert np.linalg.norm(a @ b - b @ a) == 0.0
 
 
@@ -70,8 +68,8 @@ def test_embed_order_of_placement_matters():
     rng = np.random.default_rng(3)
     x = random_operator(rng, (2, 2))
     ambient = [2, 2]
-    straight = embed_legs(x, [1, 2], ambient).entries
-    swapped = embed_legs(x, [2, 1], ambient).entries
+    straight = embed_legs(x, [1, 2], ambient)
+    swapped = embed_legs(x, [2, 1], ambient)
     expected = SWAP @ straight @ SWAP
     assert np.max(np.abs(swapped - expected)) < 1e-14
 
@@ -80,13 +78,13 @@ def test_embed_five_legs_against_enumeration():
     rng = np.random.default_rng(7)
     x = random_operator(rng, (2, 3))
     ambient = [2, 2, 2, 3, 3]
-    out = embed_legs(x, [2, 5], ambient).entries
+    out = embed_legs(x, [2, 5], ambient)
 
     # independent oracle: walk every pair of multi-indices
     dims = ambient
     n = int(np.prod(dims))
     expected = np.zeros((n, n), dtype=complex)
-    xt = x.entries.reshape(2, 3, 2, 3)
+    xt = x.reshape(2, 3, 2, 3)
 
     def digits(flat):
         out = []
@@ -105,29 +103,40 @@ def test_embed_five_legs_against_enumeration():
 
     # trailing contiguous placement is a plain Kronecker factor
     y = random_operator(rng, (3, 3))
-    tail = embed_legs(y, [4, 5], ambient).entries
-    assert np.array_equal(tail, np.kron(np.eye(8), y.entries))
+    tail = embed_legs(y, [4, 5], ambient)
+    assert np.array_equal(tail, np.kron(np.eye(8), y))
 
 
 def test_embed_errors():
-    x = TensorOperator((2,), np.eye(2))
+    x = np.eye(2)
     with pytest.raises(StructuralError):
-        embed_legs(x, [1, 1], [2, 2])  # repeated index needs matching leg count first
+        embed_legs(x, [1, 1], [2, 2])  # repeated index
     with pytest.raises(StructuralError):
-        embed_legs(x, [3], [2, 2])
+        embed_legs(x, [3], [2, 2])  # out of range
     with pytest.raises(StructuralError):
-        embed_legs(x, [1], [3, 2])
+        embed_legs(x, [0], [2, 2])
     y = random_operator(np.random.default_rng(0), (2, 2))
     with pytest.raises(StructuralError):
         embed_legs(y, [1, 1], [2, 2])
+
+
+@pytest.mark.parametrize("shape,placement,ambient", [
+    ((2, 2), [1], [3, 2]),  # square, but leg 1 has size 3
+    ((4, 4), [1], [2, 2]),  # the size of two legs placed on one
+    ((2, 2), [1, 2], [2, 2]),  # the size of one leg placed on two
+    ((4, 6), [1, 2], [2, 2]),  # not square
+    ((4,), [1, 2], [2, 2]),  # not a matrix
+])
+def test_embed_rejects_a_matrix_whose_size_does_not_match_the_placed_legs(shape, placement, ambient):
+    with pytest.raises(StructuralError):
+        embed_legs(np.ones(shape), placement, ambient)
 
 
 def dense_product(factors, dims):
     """Oracle: embed every factor densely with embed_legs and multiply."""
     out = np.eye(int(np.prod(dims)), dtype=complex)
     for matrix, placement in factors:
-        leg_dims = tuple(dims[p - 1] for p in placement)
-        out = out @ embed_legs(TensorOperator(leg_dims, matrix), placement, dims).entries
+        out = out @ embed_legs(matrix, placement, dims)
     return out
 
 
@@ -321,7 +330,7 @@ def test_pentagon_residual_matches_dense_on_non_unitary_input():
     rng = np.random.default_rng(3)
     w = random_operator(rng, (3, 3))
     ambient = (3, 3, 3)
-    w12, w13, w23 = (embed_legs(w, p, ambient).entries for p in ([1, 2], [1, 3], [2, 3]))
+    w12, w13, w23 = (embed_legs(w, p, ambient) for p in ([1, 2], [1, 3], [2, 3]))
     expected = np.linalg.norm(w23 @ w12 @ w23.conj().T - w12 @ w13)
     assert expected > 1.0
     assert abs(pentagon_residual(w) - expected) <= 1e-13 * expected

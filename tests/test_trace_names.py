@@ -43,14 +43,23 @@ def test_the_tracer_sees_every_stage_the_suites_call():
     a, k = preset("kz3"), group_preset("z2")
     theta = resolve_automorphisms(a, k, "inversion")
     never_called = {"tensors.embed_legs", "multiplicative.dual_coproduct_checked"}
-    traced = [n for n in run.TRACE_FUNCTIONS + run.SELF_ONLY_FUNCTIONS if n not in never_called]
-    traced = [n for n in traced if not n.startswith("builders.")]  # the CLI's, not the suites'
-    with tracer.Tracer(traced) as spans, tracer.PeakTracker() as peaks:
+    traced = [n for n in run.TRACE_FUNCTIONS + run.SELF_ONLY_FUNCTIONS if not n.startswith("builders.")]
+    with tracer.Tracer(traced) as spans, tracer.PeakTracker() as peaks:  # builders: the CLI's
         assert full_suite(a).overall_pass
         assert action_suite(a, k, theta, mode="full").overall_pass
-    calls = tracer.aggregate(spans.spans)
-    assert [n for n in traced if calls.get(n, {}).get("calls", 0) < 1] == []
+    calls = {n: tracer.aggregate(spans.spans).get(n, {}).get("calls", 0) for n in traced}
+    assert [n for n in traced if n not in never_called and calls[n] < 1] == []
     assert sorted(peaks.peak_bytes) == sorted(tracer.PEAK_STAGES)
+    # the tracer reads ``.entries`` of each embed_legs result, which a plain array lacks
+    assert calls["tensors.embed_legs"] == 0
+
+
+def test_full_suite_builds_the_dual_once_and_the_double_dual_once():
+    from fqg import full_suite, preset
+
+    with tracer.Tracer(["duality.build_dual"]) as spans:
+        assert full_suite(preset("kz3")).overall_pass
+    assert tracer.aggregate(spans.spans)["duality.build_dual"]["calls"] == 2
 
 
 def test_every_public_function_is_called_in_src_or_traced():
