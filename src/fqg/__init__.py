@@ -35,15 +35,9 @@ from .duality import (
     verify_G_isomorphism,
 )
 from .errors import (
-    DimensionMismatch,
-    ExpansionFailed,
     FqgError,
     InvalidGroupTable,
     ModeUnavailable,
-    NoInvariantFunctional,
-    NonUniqueHaar,
-    NotInDualSubspace,
-    NotPositive,
     NumericalFailure,
     ParseError,
     SchemaVersionMismatch,

@@ -42,6 +42,7 @@ import numpy as np
 from . import builders
 from .duality import build_dual
 from .errors import NumericalFailure, StructuralError
+from .hopf import DEFAULT_TOL
 from .report import VerificationReport
 from .suite import action_suite, full_suite
 
@@ -130,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="residual tolerance")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument(
             "--only", action="append", default=None,

@@ -1,4 +1,4 @@
-"""Exception hierarchy separating malformed input from failed mathematics."""
+"""Exceptions: a StructuralError subclass per kind of malformed input, one VerificationError."""
 
 
 class FqgError(Exception):
@@ -12,14 +12,13 @@ class StructuralError(FqgError):
 class VerificationError(FqgError):
     """Well-formed input that fails a mathematical requirement (CLI exit 1).
 
-    ``check`` names the failed condition; ``residual`` carries the offending
-    defect size when one is available.
+    ``check`` names the guard that failed; the suite reports the abort under
+    that name, and the message states the offending value.
     """
 
-    def __init__(self, message, check="", residual=None):
+    def __init__(self, message, check):
         super().__init__(message)
         self.check = check
-        self.residual = residual
 
 
 class InvalidGroupTable(StructuralError):
@@ -44,27 +43,3 @@ class ModeUnavailable(StructuralError):
 
 class NumericalFailure(StructuralError):
     """Numerics failed on the input: no SVD convergence, say, or a tolerance that overflows."""
-
-
-class NoInvariantFunctional(VerificationError):
-    """The bi-invariance system has no normalized solution."""
-
-
-class NonUniqueHaar(VerificationError):
-    """The bi-invariance system has more than one solution ray."""
-
-
-class NotPositive(VerificationError):
-    """Gram matrix of the Haar scalar product is not positive definite."""
-
-
-class ExpansionFailed(VerificationError):
-    """An operator does not lie in the span it is required to lie in."""
-
-
-class NotInDualSubspace(VerificationError):
-    """A matrix is not a member of the dual subspace within tolerance."""
-
-
-class DimensionMismatch(VerificationError):
-    """The dual subspace does not have the dimension of the algebra."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoInvariantFunctional, NonUniqueHaar, NotPositive, StructuralError
+from .errors import StructuralError, VerificationError
 from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra
 from .report import ReportBuilder, VerificationReport
 from .tensors import _rank_above, freeze, frob, rounding_allowance, star_homomorphism_defects
@@ -72,10 +72,10 @@ def verify_haar(a: FiniteHopfStarAlgebra, h: Functional, tol: float = DEFAULT_TO
 def compute_haar(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL) -> Functional:
     """Solve for the unique normalized bi-invariant functional.
 
-    Raises NoInvariantFunctional when the invariance system admits no
-    normalized solution and NonUniqueHaar when the solution ray is not
-    unique (either way the input is not a finite quantum group).  Every
-    comparison uses at least the rounding allowance of dimension n.
+    Raises VerificationError (check ``haar_exists``, ``haar_unique`` or
+    ``haar_normalized``) unless the invariance system has exactly one solution
+    ray and it is not zero on the unit, as for every finite quantum group.
+    Every comparison uses at least the rounding allowance of dimension n.
     """
     n = a.dim
     tol = max(tol, rounding_allowance(n))
@@ -83,29 +83,26 @@ def compute_haar(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL) -> Function
     _, sigma, vh = np.linalg.svd(system, full_matrices=False)
     null_dim = n - _rank_above(sigma, tol)
     if null_dim < 1:
-        raise NoInvariantFunctional(
+        raise VerificationError(
             "invariance system has only the zero solution", check="haar_exists"
         )
     if null_dim > 1:
-        raise NonUniqueHaar(
-            f"invariance system has a {null_dim}-dimensional solution space",
-            check="haar_unique",
-            residual=float(null_dim),
+        raise VerificationError(
+            f"invariance system has a {null_dim}-dimensional solution space", check="haar_unique"
         )
     v = np.conj(vh[-1])
     normalization = complex(v @ a.unit)
     if abs(normalization) <= tol:
-        raise NoInvariantFunctional(
+        raise VerificationError(
             "invariant functional cannot be normalized (vanishes on the unit)",
             check="haar_normalized",
         )
     h = Functional(v / normalization)
     residual = frob(system @ h.coords)
     if residual > tol * a.structure_scale() * 10.0:
-        raise NoInvariantFunctional(
+        raise VerificationError(
             f"normalized solution violates invariance (residual {residual:.3e})",
             check="haar_exists",
-            residual=residual,
         )
     return h
 
@@ -134,9 +131,10 @@ class GnsData:
 def gns_construct(a: FiniteHopfStarAlgebra, h: Functional, tol: float = DEFAULT_TOL) -> GnsData:
     """Gram matrix, orthonormalization and left regular representation.
 
-    Raises NotPositive when the Gram matrix is not positive definite, i.e.
-    when the functional is not faithful and positive.  Both comparisons use
-    at least the rounding allowance of dimension n.
+    Raises VerificationError (check ``gram_hermitian`` or ``gram_positive``)
+    when the Gram matrix is not positive definite, i.e. when the functional is
+    not faithful and positive.  Both comparisons use at least the rounding
+    allowance of dimension n.
     """
     n = a.dim
     if h.dim != n:
@@ -145,20 +143,17 @@ def gns_construct(a: FiniteHopfStarAlgebra, h: Functional, tol: float = DEFAULT_
     gram = np.einsum("il,ljk,k->ij", a.star, a.mult, h.coords, optimize=True)
     herm_defect = frob(gram - gram.conj().T)
     if herm_defect > tol * max(1.0, frob(gram)):
-        raise NotPositive(
-            f"Gram matrix is not Hermitian (defect {herm_defect:.3e})",
-            check="gram_hermitian",
-            residual=herm_defect,
+        raise VerificationError(
+            f"Gram matrix is not Hermitian (defect {herm_defect:.3e})", check="gram_hermitian"
         )
     gram_h = (gram + gram.conj().T) / 2.0
     eig_min = float(np.linalg.eigvalsh(gram_h)[0])
     threshold = tol * max(1.0, float(np.linalg.norm(gram_h, 2)))
     if eig_min <= threshold:
-        raise NotPositive(
+        raise VerificationError(
             f"Gram matrix has smallest eigenvalue {eig_min:.3e}; "
             "the functional is not faithful and positive",
             check="gram_positive",
-            residual=eig_min,
         )
     lower = np.linalg.cholesky(gram_h)
     to_onb = lower.conj().T  # gram = to_onb^H to_onb

@@ -40,7 +40,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import DimensionMismatch, ExpansionFailed, NotInDualSubspace
+from .errors import StructuralError, VerificationError
 from .haar import GnsData
 from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra
 from .report import ReportBuilder, VerificationReport
@@ -192,7 +192,7 @@ def pentagon_residual(w: np.ndarray) -> float:
     """Frobenius defect of W23 W12 W23* - W12 W13 on three legs, for the (n^2, n^2) matrix W."""
     n = isqrt(len(w))
     if n * n != len(w):
-        raise DimensionMismatch("pentagon requires equal leg dimensions", check="pentagon")
+        raise StructuralError("pentagon requires equal leg dimensions")
     return leg_distance(
         [(w, [2, 3]), (w, [1, 2]), (w.conj().T, [2, 3])], [(w, [1, 2]), (w, [1, 3])], (n, n, n)
     )
@@ -277,13 +277,12 @@ def verify_coproduct_implemented(
 
 
 def require_w_expansion(wop: MultiplicativeUnitary, tol: float) -> None:
-    """Raise ExpansionFailed unless W = sum_j slice_basis[j] (x) L_j holds."""
+    """Raise VerificationError unless W = sum_j slice_basis[j] (x) L_j holds."""
     if wop.expansion_residual > max(tol, rounding_allowance(wop.dim)) * (1.0 + frob(wop.w)):
-        raise ExpansionFailed(
+        raise VerificationError(
             f"W does not lie in the dual-subspace tensor algebra span "
             f"(residual {wop.expansion_residual:.3e})",
             check="w_expansion",
-            residual=wop.expansion_residual,
         )
 
 
@@ -303,17 +302,15 @@ def verify_antipode_relation(
 
 
 def build_dual_subspace(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Raise ExpansionFailed or DimensionMismatch unless ``wop.slice_basis``
-    spans the n-dimensional dual subspace and every right slice of W lies in
-    it; then report its dimension and closure, and the expansion of W over it."""
+    """Raise VerificationError unless ``wop.slice_basis`` spans the
+    n-dimensional dual subspace and every right slice of W lies in it; then
+    report its dimension and closure, and the expansion of W over it."""
     n = wop.dim
     require_w_expansion(wop, tol)
     rank = wop.dual_span.rank(tol)
     if rank != n:
-        raise DimensionMismatch(
-            f"dual subspace has dimension {rank}, expected {n}",
-            check="dual_subspace_dimension",
-            residual=float(rank),
+        raise VerificationError(
+            f"dual subspace has dimension {rank}, expected {n}", check="dual_subspace_dimension"
         )
     # every entrywise right slice must already lie in the span: slice (r, s)
     # is the leg-1 matrix W[(p, r), (q, s)] over (p, q)
@@ -321,15 +318,13 @@ def build_dual_subspace(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) ->
     slice_coords, residuals = project_onto_span(wop.dual_span.q, all_slices)
     worst_member = float(residuals.max())
     if worst_member > max(tol, rounding_allowance(n)) * (1.0 + frob(wop.w)):
-        raise DimensionMismatch(
+        raise VerificationError(
             f"a right slice escapes the dual subspace (residual {worst_member:.3e})",
             check="dual_subspace_membership",
-            residual=worst_member,
         )
     if numerical_rank(slice_coords, tol) != n:
-        raise DimensionMismatch(
-            "right slices of W do not span an n-dimensional space",
-            check="dual_subspace_dimension",
+        raise VerificationError(
+            "right slices of W do not span an n-dimensional space", check="dual_subspace_dimension"
         )
     rb = ReportBuilder().add_count("dimension", rank, n)
     rb.add("closed_under_product_and_adjoint", wop.slice_closure[2], tol)
@@ -373,7 +368,7 @@ def dual_coproduct_checked(
 ) -> tuple[np.ndarray, VerificationReport]:
     """Dual coproduct of ``x`` plus membership certificates.
 
-    Raises NotInDualSubspace when ``x`` is not in the span of the right
+    Raises VerificationError when ``x`` is not in the span of the right
     slices; reports whether the image lies in the doubled span.
     """
     x = np.asarray(x, dtype=complex)
@@ -381,10 +376,9 @@ def dual_coproduct_checked(
     _, residuals = project_onto_span(wop.dual_span.q, x)
     res_x = float(residuals[0])
     if res_x > max(tol, rounding_allowance(n)) * (1.0 + frob(x)):
-        raise NotInDualSubspace(
+        raise VerificationError(
             f"matrix is not in the dual subspace (residual {res_x:.3e})",
             check="dual_subspace_membership",
-            residual=res_x,
         )
     y = dual_coproduct(wop, x)
     res_y = float(_doubled_span_coords(wop, y)[1][0])

@@ -23,15 +23,6 @@ class Check:
     passed: bool
     detail: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -49,7 +40,8 @@ class VerificationReport:
 
     def residual(self, name: str) -> float:
         r = self.check(name).residual
-        assert r is not None, f"check {name!r} has no residual"
+        if r is None:
+            raise ValueError(f"check {name!r} has no residual")
         return r
 
     def filtered(self, patterns) -> VerificationReport:
@@ -66,7 +58,7 @@ class VerificationReport:
 
     def as_dict(self) -> dict:
         return {
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": [dict(vars(c)) for c in self.checks],  # asdict deep-copies each value
             "overall_pass": self.overall_pass,
         }
 
@@ -85,22 +77,21 @@ class VerificationReport:
 
 
 class ReportBuilder:
-    """Accumulates checks; by default a check passes iff residual <= tolerance.
-    A NaN residual (a check an aborted stage could not compute) never passes;
-    a tolerance that is not finite, such as a scaled one that overflows, raises
-    NumericalFailure.  ``add`` and ``add_count`` return the builder, so calls chain."""
+    """Accumulates checks; a check passes iff residual <= tolerance < inf, so
+    neither a NaN residual (a check an aborted stage could not compute) nor a
+    tolerance that is not finite ever passes.  ``extend`` raises NumericalFailure
+    on such a tolerance, say a scaled one that overflows, since inf is not JSON.
+    ``add`` and ``add_count`` return the builder, so calls chain."""
 
     def __init__(self):
         self._checks: list[Check] = []
 
     def add(self, name: str, residual: float, tolerance: float, detail: str = "") -> ReportBuilder:
         residual, tolerance = float(residual), float(tolerance)
-        if not math.isfinite(tolerance):  # inf passes any residual and is not valid JSON
-            raise NumericalFailure(f"tolerance {tolerance} of check {name!r} is not finite")
         if math.isnan(residual):
             check = Check(name, None, tolerance, False, detail or "residual is NaN")
         else:
-            check = Check(name, residual, tolerance, residual <= tolerance, detail)
+            check = Check(name, residual, tolerance, residual <= tolerance < math.inf, detail)
         self._checks.append(check)
         return self
 
@@ -112,7 +103,10 @@ class ReportBuilder:
     def extend(self, prefix: str, report: VerificationReport) -> None:
         """Append every check of ``report`` with ``prefix`` before its name."""
         for c in report.checks:
-            self._checks.append(Check(prefix + c.name, c.residual, c.tolerance, c.passed, c.detail))
+            name = prefix + c.name
+            if not math.isfinite(c.tolerance):
+                raise NumericalFailure(f"tolerance {c.tolerance} of check {name!r} is not finite")
+            self._checks.append(Check(name, c.residual, c.tolerance, c.passed, c.detail))
 
     def build(self) -> VerificationReport:
         return VerificationReport(tuple(self._checks))

@@ -8,9 +8,7 @@ import pytest
 from fqg import (
     FiniteHopfStarAlgebra,
     Functional,
-    NoInvariantFunctional,
-    NonUniqueHaar,
-    NotPositive,
+    VerificationError,
     compute_haar,
     cyclic_group,
     gns_construct,
@@ -72,8 +70,9 @@ def test_no_invariant_functional_when_coproduct_vanishes():
         antipode=a.antipode,
         star=a.star,
     )
-    with pytest.raises(NoInvariantFunctional):
+    with pytest.raises(VerificationError, match="only the zero solution") as raised:
         compute_haar(broken)
+    assert raised.value.check == "haar_exists"
 
 
 def test_non_unique_haar_detected():
@@ -88,8 +87,9 @@ def test_non_unique_haar_detected():
         antipode=a.antipode,
         star=a.star,
     )
-    with pytest.raises(NonUniqueHaar):
+    with pytest.raises(VerificationError, match="2-dimensional solution space") as raised:
         compute_haar(degenerate)
+    assert raised.value.check == "haar_unique"
 
 
 def test_gram_matrices_of_group_and_function_algebras():
@@ -147,8 +147,9 @@ def test_not_positive_star_is_rejected():
         star=np.diag([1.0, -1.0]),
     )
     h = compute_haar(indefinite)
-    with pytest.raises(NotPositive):
+    with pytest.raises(VerificationError, match="smallest eigenvalue -1.000e") as raised:
         gns_construct(indefinite, h)
+    assert raised.value.check == "gram_positive"
 
 
 def test_left_regular_matches_per_element_products(basis_changed):

@@ -13,6 +13,7 @@ from fqg import (
     group_preset,
     pentagon_residual,
     preset,
+    verify_hopf_star_axioms,
 )
 from fqg.report import VerificationReport
 
@@ -139,6 +140,24 @@ def test_report_filter_and_lookup():
     assert 0.0 < report.residual("pentagon/pentagon") <= 1e-14
     a = preset("trivial")
     assert pentagon_residual(build_multiplicative_unitary(a, gns_construct(a, compute_haar(a))).w) == 0.0
+
+
+def test_residual_of_an_aborted_check_raises_naming_it():
+    # kz3 with its coproduct zeroed has no Haar state, so its abort has no residual
+    import dataclasses
+
+    kz3 = preset("kz3")
+    report = full_suite(dataclasses.replace(kz3, comult=np.zeros_like(kz3.comult)))
+    assert report.checks[-1].name == "haar/haar_exists"
+    with pytest.raises(ValueError, match="check 'haar/haar_exists' has no residual"):
+        report.residual("haar/haar_exists")
+
+
+def test_a_stage_report_never_passes_a_tolerance_that_overflows():
+    # 1e308 * structure_scale() is inf; the suites refuse it, a stage called alone fails it
+    report = verify_hopf_star_axioms(preset("kz3"), 1e308)
+    assert report.check("associativity").tolerance == np.inf
+    assert not report.check("associativity").passed
 
 
 @pytest.mark.parametrize("name", ["ks3", "fs3", "kz4", "fz5", "dual:ks3"])
