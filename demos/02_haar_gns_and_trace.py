@@ -1,9 +1,11 @@
-"""Haar states across the preset catalog, and how the solver certifies them.
+"""Haar states across the preset catalog, and the checks that certify them.
 
 For a group algebra the Haar state is the indicator of the identity; for a
-function algebra it is the uniform measure.  The solver does not know this:
-it assembles the bi-invariance system, finds its one-dimensional nullspace,
-normalizes, and then certifies positivity through the Gram matrix.
+function algebra it is the uniform measure.  Both are the closed form
+h(a) = Tr(L_a)/n, the normalised trace of the left regular representation,
+which knows nothing of the coproduct.  The checks certify it: the
+bi-invariance system has a one-dimensional nullspace that h lies in, and the
+Gram matrix of h is positive.
 """
 
 import numpy as np
@@ -18,10 +20,10 @@ for name in ("kz3", "fz3", "ks3", "fs3", "dual:fs3"):
     h = compute_haar(algebra)
     gns = gns_construct(algebra, h)
     trace = verify_trace(algebra, h)
-    print(f"{name:9s} haar = {np.round(h.coords.real, 4)}")
+    print(f"{name:9s} haar = Tr(L_a)/n = {np.round(h.coords.real, 4)}")
     print(
-        f"          nullspace dim {haar_nullspace_dimension(algebra)}, "
-        f"invariance defect {haar_invariance_residual(algebra, h):.1e}, "
+        f"          invariance nullspace dim {haar_nullspace_dimension(algebra)}, "
+        f"invariance defect of Tr(L_a)/n {haar_invariance_residual(algebra, h):.1e}, "
         f"smallest Gram eigenvalue {gns.smallest_gram_eigenvalue():.4f}, "
         f"trace defect {trace.max_residual():.1e}"
     )

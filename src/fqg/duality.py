@@ -39,9 +39,9 @@ def build_dual(a: FiniteHopfStarAlgebra) -> FiniteHopfStarAlgebra:
 
 def verify_dual_algebra(a: FiniteHopfStarAlgebra, dual: FiniteHopfStarAlgebra,
                         tol: float = DEFAULT_TOL) -> VerificationReport:
-    """``dual`` has a Haar state with a positive Gram matrix, raising as
-    ``compute_haar`` and ``gns_construct`` do, and its dual is ``a``."""
-    dual_h = compute_haar(dual, tol)
+    """The closed-form Haar state of ``dual`` is invariant with a positive Gram
+    matrix, raising as ``gns_construct`` does, and the dual of ``dual`` is ``a``."""
+    dual_h = compute_haar(dual)
     gns_construct(dual, dual_h, tol)
     rb = ReportBuilder()
     rb.add("haar_invariance", haar_invariance_residual(dual, dual_h), tol * dual.structure_scale())

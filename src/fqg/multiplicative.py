@@ -226,7 +226,7 @@ def verify_pentagon(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> Ver
     to the exact n^8 ``pentagon_residual`` (``wop.pentagon_exact``).
     """
     rb = ReportBuilder()
-    _add_bounded(rb, "pentagon", wop.pentagon_bound, tol, lambda w: w.pentagon_exact, wop)
+    _add_bounded(rb, "pentagon", wop.pentagon_bound, tol, lambda w, _: (w.pentagon_exact, False), wop)
     return rb.build()
 
 
@@ -387,23 +387,35 @@ def dual_coproduct_checked(
     return freeze(y), rb.build()
 
 
-def _exact_coassociativity(wop: MultiplicativeUnitary) -> float:
-    """Largest coassociativity defect over the slice basis by leg contraction:
-    (dual-coproduct (x) id) of dx conjugates legs 1,2; (id (x) dual-coproduct)
-    conjugates legs 2,3 with dx placed on legs 1,3."""
+def _stop_above(defects, tol: float) -> tuple[float, bool]:
+    """The largest of ``defects``, or the first above ``tol`` (or NaN) and True:
+    one such defect proves the failure, so the walk stops there."""
+    worst = 0.0
+    for defect in defects:
+        if not defect <= tol:
+            return defect, True
+        worst = max(worst, defect)
+    return worst, False
+
+
+def _exact_coassociativity(wop: MultiplicativeUnitary, tol: float) -> tuple[float, bool]:
+    """Coassociativity defects over the slice basis by leg contraction, walked by
+    ``_stop_above``: (dual-coproduct (x) id) of dx conjugates legs 1,2;
+    (id (x) dual-coproduct) conjugates legs 2,3 with dx placed on legs 1,3."""
     n, w_mat = wop.dim, wop.w
     w_adj = w_mat.conj().T
-    return max(
+    return _stop_above((
         leg_distance([(w_adj, [1, 2]), (dx, [2, 3]), (w_mat, [1, 2])],
                      [(w_adj, [2, 3]), (dx, [1, 3]), (w_mat, [2, 3])], (n, n, n))
         for dx in wop.dual_coproducts
-    )
+    ), tol)
 
 
-def _exact_multiplicativity(wop: MultiplicativeUnitary) -> float:
-    """Largest multiplicativity defect over pairs of slice-basis elements."""
+def _exact_multiplicativity(wop: MultiplicativeUnitary, tol: float) -> tuple[float, bool]:
+    """Multiplicativity defects over pairs of slice-basis elements, walked by ``_stop_above``."""
     pairs = list(zip(wop.slice_basis, wop.dual_coproducts))
-    return max(frob(dual_coproduct(wop, x @ y) - dx @ dy) for x, dx in pairs for y, dy in pairs)
+    defects = (frob(dual_coproduct(wop, x @ y) - dx @ dy) for x, dx in pairs for y, dy in pairs)
+    return _stop_above(defects, tol)
 
 
 def _exact_first_leg(wop: MultiplicativeUnitary) -> float:
@@ -414,11 +426,14 @@ def _exact_first_leg(wop: MultiplicativeUnitary) -> float:
 
 
 def _add_bounded(rb: ReportBuilder, name: str, bound: float, tol: float, exact, wop) -> None:
-    """Report ``bound`` if it is within ``tol``, else the value of ``exact(wop)``."""
+    """Report ``bound`` if it is within ``tol``, else the residual of
+    ``exact(wop, tol)``, which also says whether its walk stopped above ``tol``."""
     if bound <= tol:
         rb.add(name, bound, tol, "certified upper bound on the residual")
-    else:
-        rb.add(name, exact(wop), tol, f"exact contraction; certified bound {bound:.3e} exceeds tol")
+        return
+    residual, stopped = exact(wop, tol)
+    how = "exact contraction stopped above tol" if stopped else "exact contraction"
+    rb.add(name, residual, tol, f"{how}; certified bound {bound:.3e} exceeds tol")
 
 
 def verify_dual_coproduct_identities(
@@ -454,7 +469,10 @@ def verify_dual_coproduct_identities(
     + (2 ||T||_2 (sum_j ||R_j||^2)^1/2 + e) ||C|| + 2 sqrt(n) w2 ||R_j||.  The
     multiplicativity defect W*(1 (x) x)(I - WW*)(1 (x) y)W is at most
     w2 max_j ||x_j||_2^2 (w2 - 1 + 4 n^2 eps).  A bound above ``tol``, or NaN,
-    gives way to the exact contraction, so no verdict rests on the slack.
+    gives way to the exact contraction, so no verdict rests on the slack.  The
+    exact coassociativity and multiplicativity walk their elements and pairs
+    and stop at the first defect above ``tol``: it proves the failure, and it
+    lies in (tol, exact maximum].  A walk that would pass never stops.
     """
     n, u = wop.dim, wop.unitarity_defect
     w2 = 1.0 + u
@@ -466,7 +484,8 @@ def verify_dual_coproduct_identities(
     first_leg += np.sqrt(n) * (u * (w2 ** 1.5 + w2) + w2 * wop.expansion_residual)
     first_leg += _allowance(wop, frob(images) * lr_norm)
     rb = ReportBuilder()
-    _add_bounded(rb, "dual_coproduct_on_first_leg_of_w", first_leg, tol, _exact_first_leg, wop)
+    _add_bounded(rb, "dual_coproduct_on_first_leg_of_w", first_leg, tol,
+                 lambda w, _: (_exact_first_leg(w), False), wop)
     rounding = rounding_allowance(n)
     coeffs, remainders = wop.dual_coproduct_coords
     t = wop.dual_span.to_coords

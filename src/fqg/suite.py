@@ -2,9 +2,10 @@
 
 Each suite is a table of rows ``(prefix, stage, abort)`` that ``_run`` runs in
 order, reporting each stage's checks under ``prefix``.  A stage that raises a
-VerificationError (no Haar state, Gram not positive, ...) ends the run with the
-failed check ``prefix + (abort or exc.check)``.  A guard row (``abort`` not
-None) runs before any later row that runs; all context is in cached closures.
+VerificationError (Gram not positive, W outside the dual subspace, ...) ends
+the run with the failed check ``prefix + (abort or exc.check)``.  A guard row
+(``abort`` not None) runs before any later row that runs; all costly context
+is in cached closures.
 """
 
 from __future__ import annotations
@@ -46,15 +47,15 @@ def _run(rows, tol: float, only) -> VerificationReport:
 
 def full_suite(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL, only=None) -> VerificationReport:
     """Axioms, Haar, GNS, trace, the full unitary suite, duality and Fourier."""
-    h = cache(lambda: haar.compute_haar(a, tol))
-    gns = cache(lambda: haar.gns_construct(a, h(), tol))
+    h = haar.compute_haar(a)
+    gns = cache(lambda: haar.gns_construct(a, h, tol))
     wop = cache(lambda: multiplicative.build_multiplicative_unitary(a, gns()))
     dual = cache(lambda: duality.build_dual(a))
     return _run((
         ("axioms/", lambda: verify_hopf_star_axioms(a, tol), None),
-        ("haar/", lambda: haar.verify_haar(a, h(), tol), ""),
+        ("haar/", lambda: haar.verify_haar(a, h, tol), None),
         ("gns/", lambda: haar.verify_gns(a, gns(), tol), ""),
-        ("trace/", lambda: haar.verify_trace(a, h(), tol), None),
+        ("trace/", lambda: haar.verify_trace(a, h, tol), None),
         ("unitary/", lambda: multiplicative.verify_unitarity(wop(), tol), None),
         ("unitary/", lambda: multiplicative.verify_inverse_via_antipode(wop(), tol), None),
         ("pentagon/", lambda: multiplicative.verify_pentagon(wop(), tol), None),
@@ -67,7 +68,7 @@ def full_suite(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL, only=None) ->
         ("dual_algebra/", lambda: verify_hopf_star_axioms(dual(), tol), None),
         ("dual_algebra/", lambda: duality.verify_dual_algebra(a, dual(), tol), "haar"),
         ("slice_isomorphism/", lambda: duality.verify_G_isomorphism(wop(), dual(), tol), None),
-        ("fourier/", lambda: duality.verify_fourier(a, h(), tol), None),
+        ("fourier/", lambda: duality.verify_fourier(a, h, tol), None),
         ("fourier/", lambda: duality.verify_fourier_slice_identity(wop(), tol), None),
     ), tol, only)
 
@@ -80,7 +81,7 @@ def action_suite(a: FiniteHopfStarAlgebra, k_group: CayleyTable, theta, tol: flo
     rows = [("action/", lambda: axioms, None)]
     if axioms.overall_pass:
         mode = actions.commutation_mode(a.dim, k_group.order, mode)
-        gns = cache(lambda: haar.gns_construct(a, haar.compute_haar(a, tol), tol))
+        gns = cache(lambda: haar.gns_construct(a, haar.compute_haar(a), tol))
         data = cache(lambda: actions.build_intertwiner_data(
             multiplicative.build_multiplicative_unitary(a, gns()), k_group, theta))
         rows += [

@@ -5,8 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fqg import CayleyTable, FiniteHopfStarAlgebra, MultiplicativeUnitary
-from fqg.tensors import span_basis
+from fqg import DEFAULT_TOL, CayleyTable, FiniteHopfStarAlgebra, Functional, MultiplicativeUnitary
+from fqg.haar import _invariance_system
+from fqg.tensors import _rank_above, rounding_allowance, span_basis
 
 
 def basis_change_matrix(n: int, seed: int) -> np.ndarray:
@@ -40,6 +41,16 @@ def change_basis(a: FiniteHopfStarAlgebra, seed: int) -> FiniteHopfStarAlgebra:
         star=np.conj(p).T @ a.star @ q.T,
         name=a.name,
     )
+
+
+def haar_by_invariance_solve(a: FiniteHopfStarAlgebra) -> Functional:
+    """The Haar state solved for: the normalized one-dimensional nullspace of
+    the invariance system, by SVD, which the closed form Tr(L_a)/n replaces."""
+    n = a.dim
+    _, sigma, vh = np.linalg.svd(_invariance_system(a), full_matrices=False)
+    assert n - _rank_above(sigma, max(DEFAULT_TOL, rounding_allowance(n))) == 1
+    v = np.conj(vh[-1])
+    return Functional(v / (v @ a.unit))
 
 
 def enumerate_group_automorphisms(cayley: CayleyTable) -> list[tuple[int, ...]]:

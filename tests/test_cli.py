@@ -95,18 +95,19 @@ def test_verify_only_matching_nothing_exits_two(capsys):
 
 
 def test_only_past_an_abort_exits_one_with_the_abort(tmp_path, capsys):
-    # the input is well formed but has no Haar state: as in the full run, the
-    # report names the abort and exits 1; a glob that selects no stage exits 2
+    # the input is well formed but its Gram matrix is not positive: as in the
+    # full run, the report names the abort and exits 1; a glob that selects no
+    # stage exits 2
     import dataclasses
 
     from fqg import save_algebra
 
     a = preset("kz3")
-    path = str(tmp_path / "kz3-doubled-comult.json")
-    save_algebra(dataclasses.replace(a, comult=2 * a.comult), path)
+    path = str(tmp_path / "kz3-negated-star.json")
+    save_algebra(dataclasses.replace(a, star=-a.star), path)
     code, out, _ = run(capsys, ["verify", path, "--only", "pentagon/*", "--format", "json"])
     assert code == 1
-    assert [c["name"] for c in json.loads(out)["checks"]] == ["haar/haar_exists"]
+    assert [c["name"] for c in json.loads(out)["checks"]] == ["gns/gram_positive"]
     code, out, err = run(capsys, ["verify", path, "--only", "nope/*"])
     assert code == 2 and out == "" and "--only matched no check" in err
 

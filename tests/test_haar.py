@@ -1,5 +1,6 @@
-"""Haar state solve, GNS data, trace property."""
+"""Closed-form Haar state, its certificates, GNS data, trace property."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,14 +12,18 @@ from fqg import (
     VerificationError,
     compute_haar,
     cyclic_group,
+    full_suite,
     gns_construct,
     group_algebra,
     haar_invariance_residual,
     preset,
+    preset_names,
     verify_gns,
     verify_trace,
 )
 from fqg.haar import haar_nullspace_dimension
+
+from conftest import haar_by_invariance_solve
 
 
 def test_haar_group_algebra_is_identity_indicator():
@@ -58,38 +63,56 @@ def test_perturbed_functional_fails_invariance_but_still_traces():
     assert verify_trace(a, perturbed).overall_pass
 
 
+def _failed(report):
+    return [c.name for c in report.checks if not c.passed]
+
+
 def test_no_invariant_functional_when_coproduct_vanishes():
+    # with Delta = 0 the invariance system reads h(e_i) 1 = 0, so only the zero
+    # functional solves it: the trace state fails invariance and the nullspace
+    # is 0-dimensional, both as named checks
     a = preset("kz2")
-    broken = FiniteHopfStarAlgebra(
-        dim=2,
-        basis_labels=a.basis_labels,
-        mult=a.mult,
-        comult=np.zeros((2, 2, 2)),
-        unit=a.unit,
-        counit=a.counit,
-        antipode=a.antipode,
-        star=a.star,
-    )
-    with pytest.raises(VerificationError, match="only the zero solution") as raised:
-        compute_haar(broken)
-    assert raised.value.check == "haar_exists"
+    broken = dataclasses.replace(a, comult=np.zeros((2, 2, 2)))
+    assert haar_nullspace_dimension(broken) == 0
+    report = full_suite(broken)
+    assert {"haar/invariance", "haar/nullspace_dimension"} <= set(_failed(report))
+    assert report.check("haar/invariance").residual == pytest.approx(np.sqrt(2.0))
 
 
 def test_non_unique_haar_detected():
+    # with Delta = 0 and unit = 0 the invariance system is zero: every
+    # functional is invariant, so invariance passes while the nullspace
+    # certificate reads 2 and h(1) = 0 fails the normalization
     a = preset("kz2")
-    degenerate = FiniteHopfStarAlgebra(
-        dim=2,
-        basis_labels=a.basis_labels,
-        mult=a.mult,
-        comult=np.zeros((2, 2, 2)),
-        unit=np.zeros(2),
-        counit=a.counit,
-        antipode=a.antipode,
-        star=a.star,
-    )
-    with pytest.raises(VerificationError, match="2-dimensional solution space") as raised:
-        compute_haar(degenerate)
-    assert raised.value.check == "haar_unique"
+    degenerate = dataclasses.replace(a, comult=np.zeros((2, 2, 2)), unit=np.zeros(2))
+    assert haar_nullspace_dimension(degenerate) == 2
+    report = full_suite(degenerate)
+    assert report.check("haar/invariance").residual == 0.0
+    assert {"haar/nullspace_dimension", "gns/haar_normalized"} <= set(_failed(report))
+
+
+@pytest.mark.parametrize("name", [*preset_names(), *(f"dual:{p}" for p in preset_names())])
+def test_closed_form_matches_the_invariance_solve(name, basis_changed):
+    # Tr(L_a)/n against the normalized nullspace vector of the invariance
+    # system, as given and in three random bases
+    for a in (preset(name), *(basis_changed(preset(name), seed) for seed in (1, 2, 3))):
+        gap = np.max(np.abs(compute_haar(a).coords - haar_by_invariance_solve(a).coords))
+        assert gap <= 1e-14
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-2])
+@pytest.mark.parametrize("name", ["ks3", "fs3", "kz4"])
+def test_comult_noise_fails_haar_invariance_by_name(name, scale, basis_changed):
+    # the closed form is not solved from the invariance system, so a coproduct
+    # defect shows as a failing haar/invariance of about its size, and the run
+    # goes on to report every later stage up to the dual's Gram guard
+    for a in (preset(name), basis_changed(preset(name), seed=1)):
+        noise = np.random.default_rng(0).standard_normal(a.comult.shape)
+        report = full_suite(dataclasses.replace(a, comult=a.comult + scale * noise))
+        assert {"haar/invariance", "haar/nullspace_dimension"} <= set(_failed(report))
+        assert scale < report.residual("haar/invariance") < 100 * scale
+        assert len(report.checks) == 67
+        assert report.checks[-1].name == "dual_algebra/haar"
 
 
 def test_gram_matrices_of_group_and_function_algebras():
@@ -164,8 +187,9 @@ def test_left_regular_matches_per_element_products(basis_changed):
 
 
 def test_compute_haar_builds_no_square_factor_of_its_system(basis_changed):
-    # the invariance system is (2 n^2, n); its full SVD would hold a (2 n^2)^2
-    # unitary, 21 MB at n = 24, of which the solve reads nothing
+    # the closed form reads the diagonals of the L_a only; a solve of the
+    # (2 n^2, n) invariance system by full SVD would hold a (2 n^2)^2 unitary,
+    # 21 MB at n = 24
     a = basis_changed(group_algebra(cyclic_group(24)), 1)
     tracemalloc.start()
     try:

@@ -315,30 +315,37 @@ def test_shared_projector_matches_pair_basis_lstsq_oracle(name, basis_changed, m
 BOUNDED = ("dual_coproduct_coassociative", "dual_coproduct_multiplicative")
 
 
-def _oracle_coassociativity(wop):
-    """The per-element leg contraction that the coassociativity bound replaces."""
+def _coassociativity_defects(wop):
+    """The per-element leg contractions that the coassociativity bound replaces."""
     n = wop.dim
     w_mat = wop.w
     w_adj = w_mat.conj().T
-    worst = 0.0
+    defects = []
     for dx in wop.dual_coproducts:
         first = [(w_adj, [1, 2]), (dx, [2, 3]), (w_mat, [1, 2])]
         second = [(w_adj, [2, 3]), (dx, [1, 3]), (w_mat, [2, 3])]
-        worst = max(worst, leg_distance(first, second, (n, n, n)))
-    return worst
+        defects.append(leg_distance(first, second, (n, n, n)))
+    return defects
 
 
-def _oracle_multiplicativity(wop):
+def _multiplicativity_defects(wop):
     """The pairwise loop that the multiplicativity bound replaces."""
-    worst = 0.0
+    defects = []
     for x, dx in zip(wop.slice_basis, wop.dual_coproducts):
         for y, dy in zip(wop.slice_basis, wop.dual_coproducts):
-            worst = max(worst, np.linalg.norm(dual_coproduct(wop, x @ y) - dx @ dy))
-    return worst
+            defects.append(np.linalg.norm(dual_coproduct(wop, x @ y) - dx @ dy))
+    return defects
 
 
 def _oracles(wop):
-    return [_oracle_coassociativity(wop), _oracle_multiplicativity(wop)]
+    return [max(_coassociativity_defects(wop)), max(_multiplicativity_defects(wop))]
+
+
+def _first_above(wop, tol):
+    """The defect of the first element (or pair) above ``tol`` of each walk, in
+    the suite's order, or None where no defect exceeds ``tol``."""
+    walks = (_coassociativity_defects(wop), _multiplicativity_defects(wop))
+    return [next((d for d in defects if d > tol), None) for defects in walks]
 
 
 def _bounds(wop):
@@ -407,30 +414,38 @@ def test_coassociativity_bound_is_exact_for_a_quasigroup_unitary():
 
 
 def test_dual_coproduct_bound_above_tol_reports_exact_contraction(basis_changed):
+    # the exact walk stops at the first element above tol, whose defect proves
+    # the failure and lies between tol and the exact maximum
     wop = _unitary(basis_changed(preset("kz3"), seed=7))
     bad = _with_w(wop, list(_defects(wop, seed=13))[-1])
     report = verify_dual_coproduct_identities(bad)
-    for name, exact in zip(BOUNDED, _oracles(bad)):
+    for name, first, exact in zip(BOUNDED, _first_above(bad, 1e-9), _oracles(bad)):
         check = report.check(name)
-        assert check.detail.startswith("exact contraction; certified bound")
+        assert check.detail.startswith("exact contraction stopped above tol; certified bound")
         assert not check.passed
-        assert check.residual == pytest.approx(exact, rel=1e-13, abs=0)
+        assert check.residual == pytest.approx(first, rel=1e-13, abs=0)
+        assert 1e-9 < check.residual <= exact
 
 
 def test_cli_reports_exact_contraction_below_the_rounding_allowance(tmp_path, basis_changed, capsys):
     # at tol 1e-15 the dual subspace is still accepted, but both bounds, which
-    # include a rounding allowance of order n^2 eps, exceed the tolerance
+    # include a rounding allowance of order n^2 eps, exceed the tolerance; an
+    # exact walk reports the first defect above it, or its maximum if none is
     path = tmp_path / "kz3b.json"
     save_algebra(basis_changed(preset("kz3"), seed=3), str(path))
     code = main(["verify", str(path), "--tol", "1e-15", "--format", "json"])
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-    oracles = _oracles(_unitary(load_algebra(str(path))))
+    wop = _unitary(load_algebra(str(path)))
     assert code == 1
-    for name, exact in zip(BOUNDED, oracles):
+    for name, first, exact in zip(BOUNDED, _first_above(wop, 1e-15), _oracles(wop)):
         check = checks["dual_coproduct/" + name]
-        assert check["detail"].startswith("exact contraction; certified bound")
-        assert check["residual"] == pytest.approx(exact, rel=1e-13, abs=0)
-        assert exact > 0.0
+        stopped = "exact contraction stopped above tol; " if first else "exact contraction; "
+        assert check["detail"].startswith(stopped + "certified bound")
+        assert check["residual"] == pytest.approx(first or exact, rel=1e-13, abs=0)
+        assert check["passed"] == (first is None)
+        assert 0.0 < check["residual"] <= exact
+    # at kz3 seed 3 coassociativity stops above tol, multiplicativity passes
+    assert [first is None for first in _first_above(wop, 1e-15)] == [False, True]
 
 
 # -- certified bounds for the pentagon and (dual-coproduct (x) id) W = W13 W23

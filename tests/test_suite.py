@@ -143,14 +143,16 @@ def test_report_filter_and_lookup():
 
 
 def test_residual_of_an_aborted_check_raises_naming_it():
-    # kz3 with its coproduct zeroed has no Haar state, so its abort has no residual
+    # kz3 with its coproduct zeroed has W = 0, whose right slices span nothing,
+    # so the run ends at the dual-subspace guard, and that abort has no residual
     import dataclasses
 
     kz3 = preset("kz3")
     report = full_suite(dataclasses.replace(kz3, comult=np.zeros_like(kz3.comult)))
-    assert report.checks[-1].name == "haar/haar_exists"
-    with pytest.raises(ValueError, match="check 'haar/haar_exists' has no residual"):
-        report.residual("haar/haar_exists")
+    name = "dual_subspace/dual_subspace_dimension"
+    assert report.checks[-1].name == name
+    with pytest.raises(ValueError, match=f"check '{name}' has no residual"):
+        report.residual(name)
 
 
 def test_a_stage_report_never_passes_a_tolerance_that_overflows():
@@ -218,9 +220,9 @@ def filtered_plus(full, pattern, ended):
 def test_full_suite_selection_equals_filtering(case, pattern, basis_changed):
     # --only runs only the rows it selects (and the guards before them), yet
     # reports what filtering the full report would, plus the check that ended
-    # the run: the abort at gns/ of kz2-indefinite-gram or at haar/ of
-    # kz3-doubled-comult (no Haar state), which every glob here but axioms/*
-    # and haar/* reaches
+    # the run: the abort at gns/ of kz2-indefinite-gram, which every glob here
+    # but axioms/* and haar/* reaches; kz3-doubled-comult fails checks
+    # without an abort
     import dataclasses
 
     tol = 1e-20 if case == "kz3-tol-1e-20" else 1e-9
@@ -233,8 +235,9 @@ def test_full_suite_selection_equals_filtering(case, pattern, basis_changed):
         "kz3-tol-1e-20": kz3,
     }[case]
     full = full_suite(a, tol)
-    aborts = case in ("kz2-indefinite-gram", "kz3-doubled-comult")
+    aborts = case == "kz2-indefinite-gram"
     assert aborts == full.checks[-1].detail.startswith("aborted: ")
+    assert full.overall_pass == (case in ("kz3", "ks3-basis-changed"))
     reached = aborts and pattern not in ("axioms/*", "haar/*")
     assert full_suite(a, tol, only=[pattern]) == filtered_plus(full, pattern, full.checks[-1:] if reached else ())
 

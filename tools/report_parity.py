@@ -15,8 +15,9 @@ preset but ``trivial`` and its dual the coassociativity and multiplicativity
 checks, report their exact contractions.  It also runs every preset verify
 with each ``--only`` pattern of ``ONLY_VERIFY``, at that tolerance and at
 ``1e-20``, where the checks at rounding level fail; three changed copies of
-``kz3`` whose runs abort at ``haar/``, ``gns/`` and ``dual_algebra/haar``
-(``ABORTING``), alone and with each pattern of ``ONLY_VERIFY``; and every
+``kz3`` (``ABORTING``), two of whose runs abort at ``gns/`` and
+``dual_algebra/haar`` while the third fails checks without an abort, alone
+and with each pattern of ``ONLY_VERIFY``; and every
 preset and failing action with each pattern of ``ONLY_ACTION``.
 OUT.json maps each case to its exit code, stdout and stderr.  Run it once in
 each checkout, then ``compare``.  Where ``--only`` filters the finished
@@ -73,8 +74,9 @@ FAILING_ACTIONS = (
     ("dual:kz2", "z2", "inversion"),
 )
 
-# kz3 with one structure tensor changed, by file name: no Haar state, a Gram
-# matrix that is not positive, and a dual algebra without a Haar state
+# kz3 with one structure tensor changed, by file name: a coproduct that fails
+# Haar invariance and later checks without an abort, a Gram matrix that is not
+# positive, and a dual algebra whose Gram matrix is not positive
 ABORTING = {
     "kz3-doubled-comult.json": lambda a: dataclasses.replace(a, comult=2 * a.comult),
     "kz3-negated-star.json": lambda a: dataclasses.replace(a, star=-a.star),
