@@ -42,7 +42,6 @@ from .multiplicative import MultiplicativeUnitary, coproduct_operators
 from .report import ReportBuilder, VerificationReport
 from .tensors import (
     _rank_above,
-    expand_in_leg,
     freeze,
     frob,
     leg_distance,
@@ -142,8 +141,8 @@ class IntertwinerData:
     - gamma_hat[k] is the conjugated automorphism acting on dual-subspace
       coordinates.
     - v = (id (x) beta) W, a read-only matrix on legs [n, |K|, n].
-    - v_last_leg[j] are the coefficients of V over left multiplications in
-      its last leg, with ``v_expansion_residual`` the unexplained part.
+    - v_last_leg[i] = sum_{j,k} theta_inv[k, i, j] x_j (x) E_kk, so that
+      V = sum_i v_last_leg[i] (x) L_i up to ``v_expansion_residual``, measured.
     """
 
     group: CayleyTable
@@ -171,15 +170,15 @@ def build_intertwiner_data(wop: MultiplicativeUnitary, group: CayleyTable, theta
     pair = fourier_matrix(wop.algebra, wop.gns.haar)
     gamma_hat = pair @ theta @ np.linalg.inv(pair)
 
-    eye = np.eye(m)
-    beta_ops = np.einsum("kij,iab,kl->jkalb", theta_inv, left_regular, eye)
-    gamma_ops = np.einsum("kij,ipq,kl->jpkql", gamma_hat, wop.slice_basis, eye)
-    beta_ops = beta_ops.reshape(n, m * n, m * n)
-    gamma_ops = gamma_ops.reshape(n, n * m, n * m)
-    v = freeze(leg_product([(wop.slice_basis, [1]), (beta_ops, [2, 3])], (n, m, n)))
-    v_last, v_res = expand_in_leg(v, (n * m, n), left_regular)
+    eye, xs = np.eye(m), wop.slice_basis
+    beta_ops = np.einsum("kij,iab,kl->jkalb", theta_inv, left_regular, eye).reshape(n, m * n, m * n)
+    gamma_ops = np.einsum("kij,ipq,kl->jpkql", gamma_hat, xs, eye).reshape(n, n * m, n * m)
+    v = freeze(leg_product([(xs, [1]), (beta_ops, [2, 3])], (n, m, n)))
+    v_last = np.einsum("kij,jpq,kl->ipkql", theta_inv, xs, eye).reshape(n, n * m, n * m)
+    t = np.tensordot(v_last, left_regular, (0, 0)).transpose(0, 2, 1, 3)
+    t -= v.reshape(t.shape)
     return IntertwinerData(
-        group, theta, theta_inv, wop, pair, beta_ops, gamma_ops, gamma_hat, v, v_last, v_res
+        group, theta, theta_inv, wop, pair, beta_ops, gamma_ops, gamma_hat, v, v_last, frob(t)
     )
 
 

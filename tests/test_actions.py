@@ -40,7 +40,7 @@ from fqg.actions import (
     action_axioms_report,
 )
 from fqg.builders import parse_explicit_automorphisms, permutation_matrix
-from fqg.tensors import numerical_rank
+from fqg.tensors import expand_in_leg, numerical_rank
 
 from conftest import (
     basis_change_matrix,
@@ -669,3 +669,24 @@ def test_v_is_block_diagonal_in_its_middle_leg(names):
     blocks = data.v.reshape(n, m, n, n, m, n).transpose(1, 4, 0, 2, 3, 5)
     assert not np.any(blocks[~np.eye(m, dtype=bool)])
     assert np.all(np.any(blocks[np.eye(m, dtype=bool)], axis=(1, 2, 3, 4)))
+
+
+@pytest.mark.parametrize("names", [("kz6", "z2", "inversion"), ("ks3", "s3", "conjugation")])
+def test_v_last_leg_matches_the_least_squares_fit(names):
+    # sum_{j,k} theta_inv[k, i, j] x_j (x) E_kk against the fit of V over the L_i that it replaced
+    a, data = pipeline(*names)
+    n, m = a.dim, data.group.order
+    coeffs, residual = expand_in_leg(data.v, (n * m, n), data.wop.gns.left_regular)
+    assert np.linalg.norm(data.v_last_leg - coeffs) <= 1e-14 * np.linalg.norm(coeffs)
+    assert residual <= 1e-13 and data.v_expansion_residual <= 1e-13
+
+
+def test_v_expansion_residual_is_the_distance_of_v_from_its_expansion(monkeypatch):
+    _, data = pipeline("ks3", "s3", "conjugation")
+    v = data.v + 1e-3 * np.random.default_rng(8).standard_normal(data.v.shape)
+    monkeypatch.setattr(fqg.actions, "leg_product", lambda factors, dims: v)
+    bad = build_intertwiner_data(data.wop, data.group, data.theta)
+    assert np.array_equal(bad.v_last_leg, data.v_last_leg)
+    kron_sum = sum(np.kron(c, lr) for c, lr in zip(bad.v_last_leg, data.wop.gns.left_regular))
+    expected = np.linalg.norm(v - kron_sum)
+    assert expected > 1e-3 and abs(bad.v_expansion_residual - expected) <= 1e-13 * expected

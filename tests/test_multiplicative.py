@@ -669,6 +669,42 @@ def test_antipode_relation_matches_kron_loop_on_defective_w(basis_changed):
     assert expected > 1e-4
 
 
+@pytest.mark.parametrize("name", [p for name in preset_names() for p in (name, f"dual:{name}")])
+def test_closed_form_slice_basis_matches_the_least_squares_fit(name, basis_changed):
+    # x_j = R comult[:, :, j]^T R^-1 against the fit of W over the L_j that it replaced
+    for a in (preset(name), basis_changed(preset(name), 1)):
+        wop = _unitary(a)
+        coeffs, residual = expand_in_leg(wop.w, (a.dim, a.dim), wop.gns.left_regular)
+        assert np.linalg.norm(wop.slice_basis - coeffs) <= 1e-14 * np.linalg.norm(coeffs)
+        assert residual <= 1e-13 and wop.expansion_residual <= 1e-13
+
+
+def test_expansion_residual_is_the_distance_of_w_from_its_expansion(monkeypatch):
+    # x_j come from the structure constants, not from W: a W built with noise keeps
+    # them, and the residual is the distance of that W from sum_j x_j (x) L_j
+    wop = unitary_of("ks3")
+    w = wop.w + 1e-3 * _noise(np.random.default_rng(8), wop.w.shape[0])
+    monkeypatch.setattr(multiplicative, "_in_onb", lambda gns, t: w)
+    bad = build_multiplicative_unitary(wop.algebra, wop.gns)
+    assert np.array_equal(bad.slice_basis, wop.slice_basis)
+    kron_sum = sum(np.kron(x, lr) for x, lr in zip(bad.slice_basis, wop.gns.left_regular))
+    expected = np.linalg.norm(w - kron_sum)
+    assert expected > 1e-3 and abs(bad.expansion_residual - expected) <= 1e-13 * expected
+
+
+def test_defective_w_fails_named_checks_instead_of_the_expansion_guard(basis_changed):
+    # W + noise leaves the span of x_j (x) L_j: the antipode relation is reported
+    # as a failing check, and the right slices escape the dual subspace
+    wop = _unitary(basis_changed(preset("fs3"), seed=5))
+    bad = _context(wop, wop.w + 1e-3 * _noise(np.random.default_rng(4), wop.w.shape[0]))
+    assert bad.expansion_residual > 1e-3
+    check = verify_antipode_relation(bad).check("antipode_on_second_leg_of_w")
+    assert not check.passed and check.residual > 1e-3
+    with pytest.raises(VerificationError) as raised:
+        build_dual_subspace(bad)
+    assert raised.value.check == "dual_subspace_membership"
+
+
 def test_dual_coproduct_star_check_fails_on_defective_w(basis_changed):
     # the adjoints of the slices of a defective W leave their span, so the
     # image of x_j* written over the slice basis is not the adjoint of the image of x_j
