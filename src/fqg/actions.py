@@ -21,11 +21,11 @@ context of the action on W, which ``build_intertwiner_data`` builds once and
 every action stage reads, called as ``(data, tol)``.  The stages verify
 invariance of the Haar state and its strong form, the exchange identity
 (id (x) beta) W = (gamma (x) id) W together with its sliced consequence, and
-the commutation V234 V135 = V135 V234 on five legs (checked in full when
-small, through slice families otherwise), whose slices show the algebra
-generated by the slices of beta is commutative.  For a classical K,
-C(K) is diagonal, so V is block-diagonal in its middle leg and both
-commutations hold by construction.
+the commutation V234 V135 = V135 V234 on five legs (checked in full, from
+V's middle-leg blocks, when small, through slice families otherwise), whose
+slices show the algebra generated by the slices of beta is commutative.
+For a classical K, C(K) is diagonal, so V is block-diagonal in its middle
+leg and both commutations hold by construction.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .tensors import (
     _rank_above,
     freeze,
     frob,
+    kron_sum_distance,
     leg_distance,
     leg_distance_bytes,
     leg_product,
@@ -175,10 +176,9 @@ def build_intertwiner_data(wop: MultiplicativeUnitary, group: CayleyTable, theta
     gamma_ops = np.einsum("kij,ipq,kl->jpkql", gamma_hat, xs, eye).reshape(n, n * m, n * m)
     v = freeze(leg_product([(xs, [1]), (beta_ops, [2, 3])], (n, m, n)))
     v_last = np.einsum("kij,jpq,kl->ipkql", theta_inv, xs, eye).reshape(n, n * m, n * m)
-    t = np.tensordot(v_last, left_regular, (0, 0)).transpose(0, 2, 1, 3)
-    t -= v.reshape(t.shape)
+    residual = kron_sum_distance(v_last, left_regular, v)
     return IntertwinerData(
-        group, theta, theta_inv, wop, pair, beta_ops, gamma_ops, gamma_hat, v, v_last, frob(t)
+        group, theta, theta_inv, wop, pair, beta_ops, gamma_ops, gamma_hat, v, v_last, residual
     )
 
 
@@ -273,15 +273,21 @@ def verify_action_intertwiner(data: IntertwinerData, tol: float = DEFAULT_TOL) -
 
 
 def full_mode_bytes(n: int, m: int) -> int:
-    """Estimated peak bytes of full mode for algebra dimension n and group order m.
+    """Estimated peak bytes of the arrays of full mode for algebra dimension
+    n and group order m.
 
-    The tiles of the five-leg commutator, each side a product of two copies
-    of V (the four-leg expansions have smaller tiles); plus V, the stack of
-    its slice generators and the operand copies einsum makes, each at most
-    the size of V (3 * 16 * (n^2 m)^2), and the stacks of dual coproducts
-    and coproducts of the basis (2 * 16 * n^5).
+    The larger of the tiles of the two four-leg expansions, each side a
+    product of two factors, and the two (m, K, K) slices of the five-leg
+    kernel, K = min(n^4, m^2) (``_five_leg_commutator_norm``); plus V, the
+    stack of its slice generators and the copies einsum and the QR of V's
+    middle-leg blocks make, each at most the size of V (3 * 16 * (n^2 m)^2),
+    and the stacks of dual coproducts and coproducts of the basis
+    (2 * 16 * n^5).  Python objects and the report are not counted, so below
+    about 100 kB the figure is not an upper bound.
     """
-    return leg_distance_bytes((n, n, m, n, n), 2) + 3 * 16 * (n * n * m) ** 2 + 2 * 16 * n ** 5
+    k = min(n ** 4, m * m)
+    four_leg = max(leg_distance_bytes((n, n, m, n), 2), leg_distance_bytes((n, m, n, n), 2))
+    return max(four_leg, 2 * 16 * m * k * k) + 3 * 16 * (n * n * m) ** 2 + 2 * 16 * n ** 5
 
 
 def commutation_mode(n: int, m: int, mode: str) -> str:
@@ -303,16 +309,18 @@ def verify_slice_commutativity(
 ) -> VerificationReport:
     """Commutation of V234 with V135, fully or through slice families.
 
-    mode="full" contracts two copies of V placed on legs [2, 3, 4] and
-    [1, 3, 5] of the five-leg space, block by block over leg 1 when large
-    (``tensors.leg_distance``), and also checks the two coproduct expansions
-    of V used to derive the commutation.  mode="sliced" checks the equivalent
-    scalar-slice family instead: the slices of V by matrix units of its outer
-    legs are matrices in C(K), and the commutators of an orthonormal basis of
-    their span must vanish (commutativity extends bilinearly, so a basis is
-    enough).  ``commutation_mode`` resolves "auto" and refuses a "full" too large.
-    C(K) is diagonal, so V is block-diagonal in its middle leg: both commutations hold by
-    construction and become informative only with a non-commutative coefficient algebra.
+    mode="full" measures V234 V135 - V135 V234 exactly from the m^2
+    middle-leg blocks of V (``_five_leg_commutator_norm``), forming no
+    five-leg operator, and checks the two four-leg coproduct expansions of V
+    used to derive the commutation (``tensors.leg_distance``).  mode="sliced"
+    checks the equivalent scalar-slice family instead: the slices of V by
+    matrix units of its outer legs are matrices in C(K), and the commutators
+    of an orthonormal basis of their span must vanish (commutativity extends
+    bilinearly, so a basis is enough).  ``commutation_mode`` resolves "auto"
+    and refuses a "full" too large.  C(K) is diagonal, so V is block-diagonal
+    in its middle leg: both commutations hold by construction (the full one
+    reads exactly 0.0) and become informative only with a non-commutative
+    coefficient algebra.
 
     Every mode ends with ``beta_slices_generate``: those slices, closed
     under matrix products, span an algebra whose dimension equals the number
@@ -328,9 +336,7 @@ def verify_slice_commutativity(
         v = data.v
         rb.add(
             "five_leg_commutation",
-            leg_distance(
-                [(v, [2, 3, 4]), (v, [1, 3, 5])], [(v, [1, 3, 5]), (v, [2, 3, 4])], (n, n, m, n, n)
-            ),
+            _five_leg_commutator_norm(v, n, m),
             tol,
             detail=f"five-leg dimension {dim5}",
         )
@@ -379,6 +385,35 @@ def verify_slice_commutativity(
         ),
     )
     return rb.build()
+
+
+def _five_leg_commutator_norm(v, n: int, m: int) -> float:
+    """||V234 V135 - V135 V234||_F for V on legs [n, m, n], from V's middle-leg blocks.
+
+    Write V = sum_{c,e} X^{ce} (x) E_ce, with E_ce a matrix unit on the middle
+    leg and X^{ce} an operator on the outer legs.  Then
+    V234 V135 - V135 V234 = sum_{c,d} E_cd (x) sum_e (X^{ed}_15 X^{ce}_24 - X^{ce}_15 X^{ed}_24).
+    Permuting legs and rearranging A (x) B into vec(A) vec(B)^T (Van Loan and
+    Pitsianis) keep the Frobenius norm, so its square is
+    sum_{c,d} ||sum_e (x^{ed} x^{ce T} - x^{ce} x^{ed T})||_F^2 with
+    x^{ce} = vec X^{ce}, the columns of the (n^4, m^2) matrix G.  With G = QR
+    and Q's columns orthonormal, the columns r^{ce} of R (K = min(n^4, m^2)
+    rows) may replace the x^{ce}.  The sum is taken one c at a time: the work
+    is O(n^4 m^4 + m^3 K^2), which is O(n^4 m^4) for m <= n, and the memory
+    beyond G and the QR's working copy of it (each the size of V), or beyond
+    R (at most that size) in the loop, is two (m, K, K) slices.  No block of
+    V is assumed zero.
+    """
+    g = v.reshape(n, m, n, n, m, n).transpose(0, 2, 3, 5, 1, 4).reshape(n ** 4, m * m)
+    r = np.linalg.qr(g, mode="r").reshape(-1, m, m)
+    del g  # only R and two slices of t stay live in the loop
+    squares = 0.0
+    for c in range(m):
+        # t[p, d, q] = sum_e r^{ed}_p r^{ce}_q; the second term is its transpose in (p, q)
+        t = r.transpose(0, 2, 1) @ r[:, c].T
+        t = t - t.transpose(2, 1, 0)
+        squares += np.vdot(t, t).real
+    return float(np.sqrt(squares))
 
 
 def _span_rows(vectors, tol: float) -> np.ndarray:

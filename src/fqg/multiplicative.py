@@ -12,7 +12,8 @@ entrywise would not be meaningful since they act on the algebra, not on
 Hilbert-space coordinates.  Vector functionals on Hilbert-space coordinates
 are applied entrywise: the slices of W by a whole family of them are one
 einsum over W's leg tensor.  Sums over the expansion, such as
-(id (x) antipode) W, enter ``leg_distance`` as stacked leg factors.
+(id (x) coproduct) W, enter ``leg_distance`` as stacked leg factors; a
+two-leg one, such as (id (x) antipode) W, is measured by ``kron_sum_distance``.
 
 ``build_multiplicative_unitary`` reads this expansion off the structure
 constants, x_j = R comult[:, :, j]^T R^-1, and factors the stacked x_j by one
@@ -48,6 +49,7 @@ from .tensors import (
     SpanBasis,
     freeze,
     frob,
+    kron_sum_distance,
     leg_distance,
     numerical_rank,
     project_onto_span,
@@ -162,9 +164,8 @@ def build_multiplicative_unitary(
     W = sum_j x_j (x) L_j with x_j = R X_j R^-1; the residual measures the rounding."""
     xs = freeze(gns.to_onb @ a.comult.transpose(2, 1, 0) @ gns.onb_change)
     w = _in_onb(gns, np.einsum("ipq,qjk->pkij", a.comult, a.mult, optimize=True))
-    t = np.tensordot(xs, gns.left_regular, (0, 0)).transpose(0, 2, 1, 3)  # rows (p, a), cols (q, b)
-    t -= w.reshape(t.shape)
-    return MultiplicativeUnitary(w, a, gns, xs, frob(t), span_basis(xs))
+    residual = kron_sum_distance(xs, gns.left_regular, w)
+    return MultiplicativeUnitary(w, a, gns, xs, residual, span_basis(xs))
 
 
 def inverse_via_antipode(a: FiniteHopfStarAlgebra, gns: GnsData) -> np.ndarray:
@@ -283,10 +284,8 @@ def verify_antipode_relation(
 ) -> VerificationReport:
     """(id (x) antipode) W = W*, the antipode transported to the second leg:
     sum_j x_j (x) L(S(e_j)) against W*, with L(S(e_j)) = sum_k S[j, k] L_k."""
-    a, n = wop.algebra, wop.dim
-    antipodes = np.einsum("jk,kab->jab", a.antipode, wop.gns.left_regular)
-    lhs = [(wop.slice_basis, [1]), (antipodes, [2])]
-    residual = leg_distance(lhs, [(wop.w.conj().T, [1, 2])], (n, n))
+    antipodes = np.einsum("jk,kab->jab", wop.algebra.antipode, wop.gns.left_regular)
+    residual = kron_sum_distance(wop.slice_basis, antipodes, wop.w.conj().T)
     rb = ReportBuilder()
     rb.add("antipode_on_second_leg_of_w", residual, tol)
     return rb.build()

@@ -3,11 +3,13 @@
 Every operator is a dense (N, N) array, W and V included; its leg sizes
 come from the context that holds it, (n, n) for W and (n, |K|, n) for V.  A
 product of operators placed on legs of a larger space (W23 W12 W23*,
-V234 V135, ...) is evaluated by ``leg_product`` and compared by
+V134 V234, ...) is evaluated by ``leg_product`` and compared by
 ``leg_distance``: one einsum over the leg tensors, so no factor is expanded
 with identities.  A factor may be a stack of matrices; the stacks of one
 product share a summed index, so a Kronecker sum sum_j x_j (x) y_j is two
-stacked factors and is never built densely.
+stacked factors and is never built densely there; ``kron_sum_distance``
+measures a two-leg Kronecker sum against a matrix through one temporary of
+that matrix's size.
 ``leg_distance`` holds one tile of each side, cut over leg 1, at a time and
 subtracts the rhs tile into the lhs tile in the lhs tile's memory order; the
 tile size follows from the working set of a tile and ``TILE_BYTES``.
@@ -238,6 +240,15 @@ def leg_distance(lhs, rhs, dims) -> float:
             np.subtract(into, rhs_tile(i, j).transpose(order), out=into)
             total += frob(diff) ** 2
     return float(np.sqrt(total))
+
+
+def kron_sum_distance(xs, ys, target) -> float:
+    """||sum_j xs[j] (x) ys[j] - target||_F for stacks xs (K, a, a) and ys
+    (K, b, b) and an (ab, ab) ``target``: one tensordot temporary the size of
+    target, from which target is subtracted in place."""
+    t = np.tensordot(xs, ys, (0, 0)).transpose(0, 2, 1, 3)  # rows (p, r), cols (q, s)
+    t -= np.asarray(target).reshape(t.shape)
+    return frob(t)
 
 
 @dataclass(frozen=True)

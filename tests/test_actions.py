@@ -35,6 +35,7 @@ from fqg import (
     verify_strong_right_invariance,
 )
 from fqg.actions import (
+    _five_leg_commutator_norm,
     _generated_dimension,
     _span_rows,
     action_axioms_report,
@@ -419,17 +420,92 @@ def test_full_mode_residuals_match_dense_on_non_commuting_v(monkeypatch, tile_by
         assert abs(report.residual(name) - value) <= 1e-13 * value, name
 
 
+def _dense_five_leg_commutator_norm(v, n, m):  # oracle: both products as (n^4 m)^2 matrices
+    five = (n, n, m, n, n)
+    v234, v135 = embed_legs(v, [2, 3, 4], five), embed_legs(v, [1, 3, 5], five)
+    return np.linalg.norm(v234 @ v135 - v135 @ v234)
+
+
+def _v_from_middle_leg_blocks(x):
+    """V = sum_{c,e} X^{ce} (x) E_ce on legs [n, m, n], from x[c, e] = X^{ce} as (n, n, n, n)."""
+    m, n = x.shape[0], x.shape[2]
+    return x.transpose(2, 0, 3, 4, 1, 5).reshape(n * m * n, n * m * n)
+
+
+def _random_blocks(rng, n, m):
+    shape = (m, m, n, n, n, n)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n, m", [(1, 3), (2, 1), (2, 2), (3, 2), (2, 3)])
+def test_five_leg_commutator_norm_matches_dense(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    k = n * m * n
+    v = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    got, expected = _five_leg_commutator_norm(v, n, m), _dense_five_leg_commutator_norm(v, n, m)
+    if n == 1 or m == 1:  # then V234 and V135 commute; the dense oracle reads rounding
+        assert got == 0.0 and expected <= 1e-13 * np.linalg.norm(v) ** 2
+    else:
+        assert expected > 1.0 and abs(got - expected) <= 1e-13 * expected
+
+
+def test_five_leg_commutator_norm_of_block_diagonal_v_is_exact():
+    n, m = 3, 3
+    x = _random_blocks(np.random.default_rng(7), n, m)
+    x[~np.eye(m, dtype=bool)] = 0.0  # V = sum_c X^{cc} (x) E_cc
+    assert _five_leg_commutator_norm(_v_from_middle_leg_blocks(x), n, m) == 0.0
+
+
+def test_five_leg_commutator_norm_sees_one_off_diagonal_block():
+    n, m = 2, 3
+    x = _random_blocks(np.random.default_rng(8), n, m)
+    off_diagonal = ~np.eye(m, dtype=bool)
+    off_diagonal[0, 2] = False  # keep X^{02} alone off the diagonal
+    x[off_diagonal] = 0.0
+    v = _v_from_middle_leg_blocks(x)
+    got, expected = _five_leg_commutator_norm(v, n, m), _dense_five_leg_commutator_norm(v, n, m)
+    assert expected > 1.0 and abs(got - expected) <= 1e-13 * expected
+
+
 def test_full_mode_bytes_estimate():
     from fqg.actions import FULL_MODE_BYTES, full_mode_bytes
 
-    # ks3 with S3: the five-leg commutator, one tile per leg-1 index pair
-    assert full_mode_bytes(6, 6) == 3 * 16 * 1296 ** 2 + 3 * 16 * 216 ** 2 + 2 * 16 * 6 ** 5
-    # kz6 with Z2: one leg-1 index pair per tile (two would need 36 MB)
+    # ks3 with S3: the four-leg expansions (1296 dims), two leg-1 indices per tile
+    assert full_mode_bytes(6, 6) == 3 * 16 * 432 ** 2 + 3 * 16 * 216 ** 2 + 2 * 16 * 6 ** 5
+    # kz6 with Z2: the four-leg space (432 dims) is one tile
     assert full_mode_bytes(6, 2) == 3 * 16 * 432 ** 2 + 3 * 16 * 72 ** 2 + 2 * 16 * 6 ** 5
-    # kz3 with Z2: the five-leg space is one tile
-    assert full_mode_bytes(3, 2) == 3 * 16 * 162 ** 2 + 3 * 16 * 18 ** 2 + 2 * 16 * 3 ** 5
+    # kz3 with Z2: the four-leg space (54 dims) is one tile
+    assert full_mode_bytes(3, 2) == 3 * 16 * 54 ** 2 + 3 * 16 * 18 ** 2 + 2 * 16 * 3 ** 5
     assert full_mode_bytes(8, 4) < FULL_MODE_BYTES
-    assert full_mode_bytes(16, 8) > FULL_MODE_BYTES
+    assert full_mode_bytes(16, 8) < FULL_MODE_BYTES < full_mode_bytes(16, 16)
+
+
+def test_full_mode_bytes_counts_the_five_leg_kernel_when_the_group_outgrows_the_algebra():
+    from fqg.actions import FULL_MODE_BYTES, full_mode_bytes
+
+    # kz4 with a group of order 32: R has K = min(4^4, 32^2) = 256 rows, and the
+    # kernel's two (32, 256, 256) slices outweigh the four-leg tiles
+    assert full_mode_bytes(4, 32) == 2 * 16 * 32 * 256 ** 2 + 3 * 16 * 512 ** 2 + 2 * 16 * 4 ** 5
+    # kz6 with a group of order 64 stays refused
+    assert full_mode_bytes(6, 64) > FULL_MODE_BYTES
+
+
+def test_five_leg_kernel_memory_within_its_share_of_the_estimate():
+    import tracemalloc
+
+    n, m, k = 3, 16, 81  # m > n, and R has K = min(n^4, m^2) = 81 rows
+    dim = n * m * n
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    tracemalloc.start()
+    try:
+        _five_leg_commutator_norm(v, n, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slices = 2 * 16 * m * k * k
+    # full_mode_bytes counts the two slices and two V-sized copies besides V
+    assert slices <= peak <= slices + 2 * v.nbytes
 
 
 def test_full_mode_peak_memory_within_estimate():
@@ -437,15 +513,22 @@ def test_full_mode_peak_memory_within_estimate():
 
     from fqg.actions import full_mode_bytes
 
-    _, data = pipeline("kz6", "z2", "inversion")
-    tracemalloc.start()
-    try:
-        report = verify_slice_commutativity(data, mode="full")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.overall_pass
-    assert full_mode_bytes(6, 2) / 2 <= peak <= full_mode_bytes(6, 2)
+    identity_on_kz3 = np.repeat(np.eye(3)[None], 16, axis=0)
+    cases = [
+        (pipeline("kz6", "z2", "inversion")[1], 6, 2),
+        (pipeline("ks3", "s3", "conjugation")[1], 6, 6),
+        # a group larger than the algebra
+        (context(preset("kz3"), cyclic_group(16), identity_on_kz3), 3, 16),
+    ]
+    for data, n, m in cases:
+        tracemalloc.start()
+        try:
+            report = verify_slice_commutativity(data, mode="full")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.overall_pass
+        assert full_mode_bytes(n, m) / 2 <= peak <= full_mode_bytes(n, m), (n, m)
 
 
 def test_mode_name_validated():
