@@ -34,17 +34,7 @@ from .duality import (
     verify_fourier,
     verify_G_isomorphism,
 )
-from .errors import (
-    FqgError,
-    InvalidGroupTable,
-    ModeUnavailable,
-    NumericalFailure,
-    ParseError,
-    SchemaVersionMismatch,
-    StructuralError,
-    UnknownPreset,
-    VerificationError,
-)
+from .errors import StructuralError, VerificationError
 from .groups import CayleyTable, cayley_from_table, cyclic_group, group_preset, symmetric_group_3
 from .haar import (
     Functional,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModeUnavailable, StructuralError
+from .errors import StructuralError
 from .groups import CayleyTable
 from .haar import fourier_matrix
 from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra, is_hopf_star_automorphism
@@ -293,14 +293,14 @@ def full_mode_bytes(n: int, m: int) -> int:
 def commutation_mode(n: int, m: int, mode: str) -> str:
     """``mode`` resolved to "full" or "sliced" at algebra dimension n and group
     order m: "auto" picks "full" for five-leg dimension up to 10^3.  Raises
-    ModeUnavailable, before anything is allocated, when full mode would need
+    StructuralError, before anything is allocated, when full mode would need
     over FULL_MODE_BYTES (``full_mode_bytes``)."""
     if mode == "auto":
         mode = "full" if n * n * m * n * n <= AUTO_FULL_THRESHOLD else "sliced"
     if mode not in ("full", "sliced"):
         raise StructuralError(f"mode must be 'auto', 'full' or 'sliced', got {mode!r}")
     if mode == "full" and (need := full_mode_bytes(n, m)) > FULL_MODE_BYTES:
-        raise ModeUnavailable(f"full mode needs about {need} bytes > {FULL_MODE_BYTES}; use sliced mode")
+        raise StructuralError(f"full mode needs about {need} bytes > {FULL_MODE_BYTES}; use sliced mode")
     return mode
 
 

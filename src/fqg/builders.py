@@ -34,7 +34,7 @@ import os
 import numpy as np
 
 from .duality import build_dual
-from .errors import ParseError, SchemaVersionMismatch, StructuralError, UnknownPreset
+from .errors import StructuralError
 from .groups import (
     _GROUP_PRESETS, CayleyTable, cayley_from_table, cyclic_group, group_preset, symmetric_group_3,
 )
@@ -103,7 +103,7 @@ def preset(name: str) -> FiniteHopfStarAlgebra:
     try:
         builder = _PRESET_BUILDERS[name]
     except KeyError:
-        raise UnknownPreset(
+        raise StructuralError(
             f"unknown preset {name!r}; known: {', '.join(preset_names())} and dual:<preset>"
         ) from None
     return builder()
@@ -167,19 +167,19 @@ def algebra_to_json(a: FiniteHopfStarAlgebra) -> str:
 def read_json(path):
     """The parsed contents of the JSON file at ``path``.
 
-    Raises ParseError when the file cannot be read, is not UTF-8, is not
+    Raises StructuralError when the file cannot be read, is not UTF-8, is not
     valid JSON or nests too deeply for the parser."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+        raise StructuralError(f"{path} is not valid JSON: {exc}") from exc
     # after the clause above: both are ValueErrors, and so is open()'s
     # refusal of a path holding a NUL character
     except (OSError, ValueError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise StructuralError(f"cannot read {path}: {exc}") from exc
     except RecursionError as exc:
-        raise ParseError(f"{path} nests too deeply to parse: {exc}") from exc
+        raise StructuralError(f"{path} nests too deeply to parse: {exc}") from exc
 
 
 def save_algebra(a: FiniteHopfStarAlgebra, path) -> None:
@@ -199,36 +199,36 @@ def _dense_from_sparse(entries, shape, field: str) -> np.ndarray:
     n_index = len(shape)
     seen = set()
     if not isinstance(entries, list):
-        raise ParseError(f"field {field!r} must be a list of entries")
+        raise StructuralError(f"field {field!r} must be a list of entries")
     for pos, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != n_index + 2:
-            raise ParseError(
+            raise StructuralError(
                 f"field {field!r} entry {pos} must have {n_index} indices plus re, im"
             )
         idx = entry[:n_index]
         if not all(_json_int(i) for i in idx):
-            raise ParseError(f"field {field!r} entry {pos} has non-integer indices")
+            raise StructuralError(f"field {field!r} entry {pos} has non-integer indices")
         value = _finite_complex(entry[n_index:], f"field {field!r} entry {pos}")
         if any(i < 0 or i >= s for i, s in zip(idx, shape)):
-            raise ParseError(f"field {field!r} entry {pos} index out of range for shape {shape}")
+            raise StructuralError(f"field {field!r} entry {pos} index out of range for shape {shape}")
         key = tuple(idx)
         if key in seen:
-            raise ParseError(f"field {field!r} has duplicate entry for index {key}")
+            raise StructuralError(f"field {field!r} has duplicate entry for index {key}")
         seen.add(key)
         array[key] = value
     return array
 
 
 def _finite_complex(pair, where: str) -> complex:
-    """The complex number [re, im]; non-numeric or non-finite parts raise ParseError."""
+    """The complex number [re, im]; non-numeric or non-finite parts raise StructuralError."""
     if not all(_json_int(v) or isinstance(v, float) for v in pair):
-        raise ParseError(f"{where} has non-numeric values")
+        raise StructuralError(f"{where} has non-numeric values")
     try:
         finite = all(math.isfinite(v) for v in pair)
     except OverflowError:  # an integer beyond the float range
         finite = False
     if not finite:
-        raise ParseError(f"{where} has a non-finite value")
+        raise StructuralError(f"{where} has a non-finite value")
     return complex(float(pair[0]), float(pair[1]))
 
 
@@ -240,21 +240,21 @@ _ALGEBRA_KEYS = {
 
 def _checked_object(data, keys, what: str) -> dict:
     """``data`` if it is a JSON object with exactly the fields ``keys`` and
-    format_version 1; raises ParseError or SchemaVersionMismatch otherwise."""
+    format_version 1; raises StructuralError otherwise."""
     if not isinstance(data, dict):
-        raise ParseError(f"{what} must contain a JSON object")
+        raise StructuralError(f"{what} must contain a JSON object")
     unknown = set(data) - keys
     if unknown:
-        raise ParseError(f"unknown field(s) in {what}: {sorted(unknown)}")
+        raise StructuralError(f"unknown field(s) in {what}: {sorted(unknown)}")
     missing = keys - set(data)
     if missing:
-        raise ParseError(f"missing field(s) in {what}: {sorted(missing)}")
+        raise StructuralError(f"missing field(s) in {what}: {sorted(missing)}")
     if isinstance(data["format_version"], bool):
-        raise ParseError(
+        raise StructuralError(
             f"field 'format_version' in {what} must be a number, got {data['format_version']!r}"
         )
     if data["format_version"] != FORMAT_VERSION:
-        raise SchemaVersionMismatch(
+        raise StructuralError(
             f"{what} has format_version {data['format_version']!r}, expected {FORMAT_VERSION}"
         )
     return data
@@ -264,10 +264,10 @@ def algebra_from_json_dict(data: dict) -> FiniteHopfStarAlgebra:
     data = _checked_object(data, _ALGEBRA_KEYS, "algebra file")
     n = data["dim"]
     if not _json_int(n) or n < 1:
-        raise ParseError(f"field 'dim' must be a positive integer, got {n!r}")
+        raise StructuralError(f"field 'dim' must be a positive integer, got {n!r}")
     basis = data["basis"]
     if not isinstance(basis, list) or len(basis) != n:
-        raise ParseError(f"field 'basis' must list {n} labels")
+        raise StructuralError(f"field 'basis' must list {n} labels")
     return FiniteHopfStarAlgebra(
         dim=n,
         basis_labels=tuple(str(s) for s in basis),
@@ -318,18 +318,18 @@ def resolve_group(spec) -> CayleyTable:
     if isinstance(spec, dict):
         unknown = set(spec) - {"table", "labels", "name"}
         if unknown:
-            raise ParseError(f"unknown field(s) in inline group: {sorted(unknown)}")
+            raise StructuralError(f"unknown field(s) in inline group: {sorted(unknown)}")
         if "table" not in spec:
-            raise ParseError("inline group needs a 'table' field")
+            raise StructuralError("inline group needs a 'table' field")
         if not isinstance(spec.get("labels", []), list):
-            raise ParseError("inline group field 'labels' must be a list")
+            raise StructuralError("inline group field 'labels' must be a list")
         rows = spec["table"] if isinstance(spec["table"], list) else []
         if any(isinstance(v, bool) for row in rows if isinstance(row, list) for v in row):
-            raise ParseError("inline group field 'table' must hold integers, not true or false")
+            raise StructuralError("inline group field 'table' must hold integers, not true or false")
         return cayley_from_table(
             spec["table"], labels=spec.get("labels"), name=spec.get("name", "custom")
         )
-    raise ParseError(f"group must be a preset name or an inline table, got {type(spec).__name__}")
+    raise StructuralError(f"group must be a preset name or an inline table, got {type(spec).__name__}")
 
 
 def permutation_matrix(perm) -> np.ndarray:
@@ -378,18 +378,18 @@ _THETA_PRESETS = {"inversion": inversion_theta, "conjugation": conjugation_theta
 def parse_explicit_automorphisms(entries, order: int, dim: int) -> np.ndarray:
     """List of per-element matrices with [re, im] pairs into a complex stack."""
     if not isinstance(entries, list) or len(entries) != order:
-        raise ParseError(f"automorphism list must have one matrix per group element ({order})")
+        raise StructuralError(f"automorphism list must have one matrix per group element ({order})")
     theta = np.zeros((order, dim, dim), dtype=complex)
     for k, matrix in enumerate(entries):
         if not isinstance(matrix, list) or len(matrix) != dim:
-            raise ParseError(f"automorphism {k} must be a {dim}x{dim} matrix")
+            raise StructuralError(f"automorphism {k} must be a {dim}x{dim} matrix")
         for r, row in enumerate(matrix):
             if not isinstance(row, list) or len(row) != dim:
-                raise ParseError(f"automorphism {k} row {r} must have {dim} entries")
+                raise StructuralError(f"automorphism {k} row {r} must have {dim} entries")
             for c, value in enumerate(row):
                 where = f"automorphism {k} entry ({r}, {c})"
                 if not isinstance(value, list) or len(value) != 2:
-                    raise ParseError(f"{where} must be an [re, im] pair")
+                    raise StructuralError(f"{where} must be an [re, im] pair")
                 theta[k, r, c] = _finite_complex(value, where)
     return theta
 
@@ -400,12 +400,12 @@ def resolve_automorphisms(
     """The theta stack of an action spec's "automorphisms": the preset
     "inversion" or "conjugation", or a list of per-element matrices of
     [re, im] pairs (``parse_explicit_automorphisms``); any other value raises
-    ParseError."""
+    StructuralError."""
     if isinstance(spec, list):
         return parse_explicit_automorphisms(spec, k_group.order, algebra.dim)
     if isinstance(spec, str) and spec in _THETA_PRESETS:
         return _THETA_PRESETS[spec](algebra, k_group)
-    raise ParseError(
+    raise StructuralError(
         "'automorphisms' must be 'inversion', 'conjugation' or a list of "
         f"per-element matrices, got {spec!r}"
     )
@@ -418,5 +418,5 @@ def action_spec_from_json_dict(data) -> dict:
     """Validate the parsed contents of an action-spec file and return them."""
     data = _checked_object(data, _ACTION_KEYS, "action spec")
     if not isinstance(data["algebra"], str):
-        raise ParseError("action spec field 'algebra' must be a preset name or a path")
+        raise StructuralError("action spec field 'algebra' must be a preset name or a path")
     return data

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import builders
 from .duality import build_dual
-from .errors import NumericalFailure, StructuralError
+from .errors import StructuralError
 from .hopf import DEFAULT_TOL
 from .report import VerificationReport
 from .suite import action_suite, full_suite
@@ -185,9 +185,9 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise"):
             return args.func(args)
     except np.linalg.LinAlgError as exc:
-        error = NumericalFailure(f"linear algebra failed on this input: {exc}")
+        error = StructuralError(f"linear algebra failed on this input: {exc}")
     except FloatingPointError as exc:
-        error = NumericalFailure(f"floating-point arithmetic failed on this input: {exc}")
+        error = StructuralError(f"floating-point arithmetic failed on this input: {exc}")
     except MemoryError as exc:
         error = StructuralError(f"input too large to allocate: {exc}")
     except (StructuralError, OSError) as exc:

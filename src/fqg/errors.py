@@ -1,15 +1,12 @@
-"""Exceptions: a StructuralError subclass per kind of malformed input, one VerificationError."""
+"""Exceptions: StructuralError for malformed input, VerificationError for a failed guard."""
 
 
-class FqgError(Exception):
-    """Base class for all errors raised by this package."""
+class StructuralError(Exception):
+    """Malformed input: wrong shapes, bad files, unknown names, numerics that
+    fail on the input (CLI exit 2); the message names the field or entry at fault."""
 
 
-class StructuralError(FqgError):
-    """Malformed input: wrong shapes, bad files, unknown names (CLI exit 2)."""
-
-
-class VerificationError(FqgError):
+class VerificationError(Exception):
     """Well-formed input that fails a mathematical requirement (CLI exit 1).
 
     ``check`` names the guard that failed; the suite reports the abort under
@@ -19,27 +16,3 @@ class VerificationError(FqgError):
     def __init__(self, message, check):
         super().__init__(message)
         self.check = check
-
-
-class InvalidGroupTable(StructuralError):
-    """Multiplication table is not a group (not a Latin square, no identity, ...)."""
-
-
-class UnknownPreset(StructuralError):
-    """Requested preset name does not exist."""
-
-
-class ParseError(StructuralError):
-    """File does not conform to the serialization schema."""
-
-
-class SchemaVersionMismatch(StructuralError):
-    """File declares a format_version this package does not read."""
-
-
-class ModeUnavailable(StructuralError):
-    """Requested verification mode exceeds its size bound."""
-
-
-class NumericalFailure(StructuralError):
-    """Numerics failed on the input: no SVD convergence, say, or a tolerance that overflows."""

@@ -7,7 +7,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import InvalidGroupTable, UnknownPreset
+from .errors import StructuralError
 from .tensors import freeze
 
 
@@ -26,41 +26,41 @@ class CayleyTable:
 
 
 def cayley_from_table(table, labels=None, name: str = "group") -> CayleyTable:
-    """Validate a multiplication table and wrap it; raises InvalidGroupTable."""
+    """Validate a multiplication table and wrap it; raises StructuralError."""
     try:
         table = np.array(table)  # a copy: the caller keeps theirs writable
     except ValueError as exc:  # ragged rows
-        raise InvalidGroupTable(f"table must be square and nonempty: {exc}") from None
+        raise StructuralError(f"table must be square and nonempty: {exc}") from None
     if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] == 0:
-        raise InvalidGroupTable(f"table must be square and nonempty, got shape {table.shape}")
+        raise StructuralError(f"table must be square and nonempty, got shape {table.shape}")
     if table.dtype.kind not in "iu":
-        raise InvalidGroupTable(f"table entries must be integers, got dtype {table.dtype}")
+        raise StructuralError(f"table entries must be integers, got dtype {table.dtype}")
     m = table.shape[0]
     if table.min() < 0 or table.max() >= m:
-        raise InvalidGroupTable("table entries must be element indices")
+        raise StructuralError("table entries must be element indices")
     ref = set(range(m))
     for i in range(m):
         if set(table[i, :].tolist()) != ref or set(table[:, i].tolist()) != ref:
-            raise InvalidGroupTable(f"row/column {i} is not a permutation (not a Latin square)")
+            raise StructuralError(f"row/column {i} is not a permutation (not a Latin square)")
     # a Latin square has an inverse for every element once it has an identity
     arange = np.arange(m)
     identities = np.flatnonzero((table == arange).all(axis=1) & (table.T == arange).all(axis=1))
     if identities.size == 0:
-        raise InvalidGroupTable("no identity element")
+        raise StructuralError("no identity element")
     identity = int(identities[0])
     for i in range(m):  # (ij)k against i(jk) over all (j, k), one m x m slice per i
         failures = np.argwhere(table[table[i]] != table[i][table])
         if failures.size:
-            raise InvalidGroupTable("associativity fails at (%d, %d, %d)" % (i, *failures[0]))
+            raise StructuralError("associativity fails at (%d, %d, %d)" % (i, *failures[0]))
     labels = tuple(str(s) for s in (range(m) if labels is None else labels))
     if len(labels) != m:
-        raise InvalidGroupTable(f"{len(labels)} labels for {m} elements")
+        raise StructuralError(f"{len(labels)} labels for {m} elements")
     return CayleyTable(m, freeze(table), labels, identity, name)
 
 
 def cyclic_group(n: int) -> CayleyTable:
     if n < 1:
-        raise InvalidGroupTable("cyclic group order must be >= 1")
+        raise StructuralError("cyclic group order must be >= 1")
     table = np.add.outer(np.arange(n), np.arange(n)) % n
     return cayley_from_table(table, labels=[str(i) for i in range(n)], name=f"z{n}")
 
@@ -93,7 +93,7 @@ def group_preset(name: str) -> CayleyTable:
     try:
         builder = _GROUP_PRESETS[name]
     except KeyError:
-        raise UnknownPreset(
+        raise StructuralError(
             f"unknown group preset {name!r}; known: {sorted(_GROUP_PRESETS)}"
         ) from None
     return builder()

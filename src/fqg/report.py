@@ -6,7 +6,7 @@ import fnmatch
 import math
 from dataclasses import dataclass, field
 
-from .errors import NumericalFailure
+from .errors import StructuralError
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class VerificationReport:
 class ReportBuilder:
     """Accumulates checks; a check passes iff residual <= tolerance < inf, so
     neither a NaN residual (a check an aborted stage could not compute) nor a
-    tolerance that is not finite ever passes.  ``extend`` raises NumericalFailure
+    tolerance that is not finite ever passes.  ``extend`` raises StructuralError
     on such a tolerance, say a scaled one that overflows, since inf is not JSON.
     ``add`` and ``add_count`` return the builder, so calls chain."""
 
@@ -105,7 +105,7 @@ class ReportBuilder:
         for c in report.checks:
             name = prefix + c.name
             if not math.isfinite(c.tolerance):
-                raise NumericalFailure(f"tolerance {c.tolerance} of check {name!r} is not finite")
+                raise StructuralError(f"tolerance {c.tolerance} of check {name!r} is not finite")
             self._checks.append(Check(name, c.residual, c.tolerance, c.passed, c.detail))
 
     def build(self) -> VerificationReport:

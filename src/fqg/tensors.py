@@ -279,7 +279,7 @@ class SpanBasis:
 
 def span_basis(basis_mats) -> SpanBasis:
     """Factor the span of ``basis_mats`` once (see SpanBasis)."""
-    a = np.stack([np.asarray(b, dtype=complex).reshape(-1) for b in basis_mats], axis=1)
+    a = np.asarray(basis_mats, dtype=complex).reshape(len(basis_mats), -1).T
     u, sigma, vh = np.linalg.svd(a, full_matrices=False)
     keep = sigma > np.finfo(float).eps * max(a.shape) * sigma[0]
     to_coords = vh[keep].conj().T / sigma[keep]
@@ -349,5 +349,5 @@ def _rank_above(sigma, tol: float) -> int:
 
 def numerical_rank(vectors, tol: float) -> int:
     """Rank of the row span with singular values below tol*max(1, sigma_max) dropped."""
-    a = np.stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
+    a = np.asarray(vectors, dtype=complex).reshape(len(vectors), -1)
     return _rank_above(np.linalg.svd(a, compute_uv=False), tol)

@@ -9,7 +9,6 @@ import pytest
 import fqg
 from fqg import (
     IntertwinerData,
-    ModeUnavailable,
     StructuralError,
     action_suite,
     build_intertwiner_data,
@@ -375,7 +374,7 @@ def test_full_mode_unavailable_above_limit(monkeypatch):
 
     _, data = pipeline("kz3", "z2", "inversion")
     monkeypatch.setattr(actions_mod, "FULL_MODE_BYTES", 100)
-    with pytest.raises(ModeUnavailable):
+    with pytest.raises(StructuralError, match="full mode needs about"):
         verify_slice_commutativity(data, mode="full")
 
 

@@ -6,10 +6,7 @@ import numpy as np
 import pytest
 
 from fqg import (
-    InvalidGroupTable,
-    ParseError,
-    SchemaVersionMismatch,
-    UnknownPreset,
+    StructuralError,
     build_dual,
     build_multiplicative_unitary,
     cayley_from_table,
@@ -31,7 +28,9 @@ from fqg.builders import (
     resolve_algebra,
     resolve_group,
 )
+from fqg.actions import commutation_mode
 from fqg.groups import cyclic_group, symmetric_group_3
+from fqg.report import ReportBuilder
 
 ALL_PRESETS = [
     "trivial",
@@ -99,11 +98,11 @@ def test_dual_concrete_is_involutive():
 
 
 def test_unknown_preset():
-    with pytest.raises(UnknownPreset):
+    with pytest.raises(StructuralError, match="unknown preset 'kz9'"):
         preset("kz9")
-    with pytest.raises(UnknownPreset):
+    with pytest.raises(StructuralError, match="unknown preset 'nope'"):
         preset("dual:nope")
-    with pytest.raises(UnknownPreset):
+    with pytest.raises(StructuralError, match="unknown preset 'not-a-preset'"):
         resolve_algebra("not-a-preset")
 
 
@@ -230,13 +229,13 @@ def test_load_rejects_unknown_and_missing_fields(tmp_path):
     data = json.loads(algebra_to_json(preset("kz2")))
     data["extra"] = 1
     path.write_text(json.dumps(data))
-    with pytest.raises(ParseError, match="extra"):
+    with pytest.raises(StructuralError, match="unknown field.*extra"):
         load_algebra(path)
 
     del data["extra"]
     del data["star"]
     path.write_text(json.dumps(data))
-    with pytest.raises(ParseError, match="star"):
+    with pytest.raises(StructuralError, match="missing field.*star"):
         load_algebra(path)
 
 
@@ -245,22 +244,22 @@ def test_load_rejects_bad_entries(tmp_path):
     data = json.loads(algebra_to_json(preset("kz2")))
     data["mult"] = [[0, 0, 0.5, 1.0, 0.0]]  # non-integer index
     path.write_text(json.dumps(data))
-    with pytest.raises(ParseError, match="mult"):
+    with pytest.raises(StructuralError, match="mult"):
         load_algebra(path)
 
     data["mult"] = [[0, 0, 5, 1.0, 0.0]]  # out of range
     path.write_text(json.dumps(data))
-    with pytest.raises(ParseError, match="mult"):
+    with pytest.raises(StructuralError, match="mult"):
         load_algebra(path)
 
     data["mult"] = [[0, 0, 1.0, 0.0]]  # wrong arity for a 3-index tensor
     path.write_text(json.dumps(data))
-    with pytest.raises(ParseError, match="mult"):
+    with pytest.raises(StructuralError, match="mult"):
         load_algebra(path)
 
     data["mult"] = [[0, 0, 0, 1.0, 0.0], [0, 0, 0, 2.0, 0.0]]  # duplicate
     path.write_text(json.dumps(data))
-    with pytest.raises(ParseError, match="duplicate"):
+    with pytest.raises(StructuralError, match="duplicate"):
         load_algebra(path)
 
 
@@ -269,36 +268,36 @@ def test_load_rejects_version_mismatch(tmp_path):
     data = json.loads(algebra_to_json(preset("kz2")))
     data["format_version"] = 2
     path.write_text(json.dumps(data))
-    with pytest.raises(SchemaVersionMismatch):
+    with pytest.raises(StructuralError, match="format_version 2, expected 1"):
         load_algebra(path)
 
 
 def test_load_rejects_non_json(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("not json {")
-    with pytest.raises(ParseError):
+    with pytest.raises(StructuralError, match="is not valid JSON"):
         load_algebra(path)
-    with pytest.raises(ParseError):
+    with pytest.raises(StructuralError, match="cannot read"):
         resolve_algebra(str(tmp_path / "missing.json"))
 
 
 def test_resolve_group_inline_and_errors():
     z2 = resolve_group({"table": [[0, 1], [1, 0]]})
     assert z2.order == 2
-    with pytest.raises(InvalidGroupTable):
-        resolve_group({"table": [[0, 0], [1, 1]]})  # not a Latin square
-    with pytest.raises(InvalidGroupTable):
+    with pytest.raises(StructuralError, match="not a Latin square"):
+        resolve_group({"table": [[0, 0], [1, 1]]})
+    with pytest.raises(StructuralError, match="no identity element"):
         # an idempotent quasigroup: every row is a permutation, no identity
         cayley_from_table([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
     for bad in ([[0, 1], [1, float("nan")]], [[0, 1.5], [1, 0]]):
-        with pytest.raises(InvalidGroupTable):
+        with pytest.raises(StructuralError, match="table entries must be integers"):
             resolve_group({"table": bad})
-    with pytest.raises(ParseError):
+    with pytest.raises(StructuralError, match="unknown field.*inline group"):
         resolve_group({"table": [[0]], "bogus": 1})
-    with pytest.raises(ParseError):
+    with pytest.raises(StructuralError, match="preset name or an inline table"):
         resolve_group(42)
     assert group_preset("s3").order == 6
-    with pytest.raises(UnknownPreset):
+    with pytest.raises(StructuralError, match="unknown group preset 's4'"):
         group_preset("s4")
 
 
@@ -311,13 +310,13 @@ def test_nonassociative_latin_square_rejected():
         [3, 4, 1, 2, 0],
         [4, 2, 0, 1, 3],
     ]
-    with pytest.raises(InvalidGroupTable):
+    with pytest.raises(StructuralError, match="associativity fails"):
         cayley_from_table(table)
 
 
 def test_empty_inline_table_is_reported_by_shape():
     # np.asarray([]) is float, so the shape must be checked before the dtype
-    with pytest.raises(InvalidGroupTable, match="table must be square and nonempty"):
+    with pytest.raises(StructuralError, match="table must be square and nonempty"):
         resolve_group({"table": []})
 
 
@@ -328,3 +327,41 @@ def test_cayley_from_table_copies_the_caller_table():
     assert not group.table.flags.writeable
     table[0, 0] = 1  # the group keeps its own table
     assert group.table[0, 0] == 0
+
+
+def _write_and_load(tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    return load_algebra(path)
+
+
+def _version_2_file(tmp_path):
+    data = json.loads(algebra_to_json(preset("kz2")))
+    data["format_version"] = 2
+    return _write_and_load(tmp_path, json.dumps(data))
+
+
+def _extend_with_infinite_tolerance(_):
+    report = ReportBuilder().add("x", 0.0, float("inf")).build()
+    ReportBuilder().extend("stage/", report)
+
+
+@pytest.mark.parametrize(
+    "make,fragment",
+    [
+        (lambda _: preset("kz9"), "unknown preset 'kz9'"),
+        (lambda _: group_preset("s4"), "unknown group preset 's4'"),
+        (lambda tmp_path: _write_and_load(tmp_path, "not json {"), "is not valid JSON"),
+        (_version_2_file, "format_version 2, expected 1"),
+        (lambda _: cayley_from_table([[0, 0], [1, 1]]), "not a Latin square"),
+        (lambda _: commutation_mode(6, 64, "full"), "full mode needs about"),
+        (_extend_with_infinite_tolerance, "tolerance inf of check 'stage/x' is not finite"),
+    ],
+    ids=["algebra_preset", "group_preset", "not_json", "format_version", "latin_square",
+         "full_mode", "infinite_tolerance"],
+)
+def test_every_malformed_input_raises_exactly_structural_error(tmp_path, make, fragment):
+    # one class for every malformed input: the message, not a subclass, names the fault
+    with pytest.raises(StructuralError, match=fragment) as info:
+        make(tmp_path)
+    assert type(info.value) is StructuralError
