@@ -22,8 +22,9 @@ every action stage reads, called as ``(data, tol)``.  The stages verify
 invariance of the Haar state and its strong form, the exchange identity
 (id (x) beta) W = (gamma (x) id) W together with its sliced consequence, and
 the commutation V234 V135 = V135 V234 on five legs (checked in full, from
-V's middle-leg blocks, when small, through slice families otherwise), whose
-slices show the algebra generated by the slices of beta is commutative.
+V's middle-leg blocks and with certified bounds on the four-leg expansions
+of V, when small, through slice families otherwise), whose slices show the
+algebra generated by the slices of beta is commutative.
 For a classical K, C(K) is diagonal, so V is block-diagonal in its middle
 leg and both commutations hold by construction.
 """
@@ -31,6 +32,7 @@ leg and both commutations hold by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +40,8 @@ from .errors import StructuralError
 from .groups import CayleyTable
 from .haar import fourier_matrix
 from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra, is_hopf_star_automorphism
-from .multiplicative import MultiplicativeUnitary, coproduct_operators
+from .multiplicative import MultiplicativeUnitary, coproduct_expansion_bound, coproduct_operators
+from .multiplicative import _add_bounded, _allowance, _gram, _kron_gram_square
 from .report import ReportBuilder, VerificationReport
 from .tensors import (
     _rank_above,
@@ -143,7 +146,7 @@ class IntertwinerData:
       coordinates.
     - v = (id (x) beta) W, a read-only matrix on legs [n, |K|, n].
     - v_last_leg[i] = sum_{j,k} theta_inv[k, i, j] x_j (x) E_kk, so that
-      V = sum_i v_last_leg[i] (x) L_i up to ``v_expansion_residual``, measured.
+      V = sum_i v_last_leg[i] (x) L_i up to ``v_expansion_residual``, measured from v.
     """
 
     group: CayleyTable
@@ -156,7 +159,10 @@ class IntertwinerData:
     gamma_hat: np.ndarray
     v: np.ndarray
     v_last_leg: np.ndarray
-    v_expansion_residual: float
+
+    @cached_property
+    def v_expansion_residual(self) -> float:
+        return kron_sum_distance(self.v_last_leg, self.wop.gns.left_regular, self.v)
 
 
 def build_intertwiner_data(wop: MultiplicativeUnitary, group: CayleyTable, theta) -> IntertwinerData:
@@ -176,9 +182,8 @@ def build_intertwiner_data(wop: MultiplicativeUnitary, group: CayleyTable, theta
     gamma_ops = np.einsum("kij,ipq,kl->jpkql", gamma_hat, xs, eye).reshape(n, n * m, n * m)
     v = freeze(leg_product([(xs, [1]), (beta_ops, [2, 3])], (n, m, n)))
     v_last = np.einsum("kij,jpq,kl->ipkql", theta_inv, xs, eye).reshape(n, n * m, n * m)
-    residual = kron_sum_distance(v_last, left_regular, v)
     return IntertwinerData(
-        group, theta, theta_inv, wop, pair, beta_ops, gamma_ops, gamma_hat, v, v_last, residual
+        group, theta, theta_inv, wop, pair, beta_ops, gamma_ops, gamma_hat, v, v_last
     )
 
 
@@ -276,18 +281,20 @@ def full_mode_bytes(n: int, m: int) -> int:
     """Estimated peak bytes of the arrays of full mode for algebra dimension
     n and group order m.
 
-    The larger of the tiles of the two four-leg expansions, each side a
-    product of two factors, and the two (m, K, K) slices of the five-leg
-    kernel, K = min(n^4, m^2) (``_five_leg_commutator_norm``); plus V, the
-    stack of its slice generators and the copies einsum and the QR of V's
-    middle-leg blocks make, each at most the size of V (3 * 16 * (n^2 m)^2),
-    and the stacks of dual coproducts and coproducts of the basis
-    (2 * 16 * n^5).  Python objects and the report are not counted, so below
-    about 100 kB the figure is not an upper bound.
+    The largest of the tiles of the two four-leg expansions (each side a
+    product of two factors; only a bound above the tolerance contracts them),
+    the arrays of their Gram forms (three (n, n, nm, nm), three (n, n^2, n^2))
+    and the two (m, K, K) slices of the five-leg kernel, K = min(n^4, m^2)
+    (``_five_leg_commutator_norm``); plus V, the stack of its slice generators
+    and the copies einsum and the QR of V's middle-leg blocks make, each at
+    most the size of V (3 * 16 * (n^2 m)^2), and the stacks of dual coproducts
+    and coproducts of the basis (2 * 16 * n^5).  Python objects and the report
+    are not counted, so below about 100 kB the figure is not an upper bound.
     """
     k = min(n ** 4, m * m)
     four_leg = max(leg_distance_bytes((n, n, m, n), 2), leg_distance_bytes((n, m, n, n), 2))
-    return max(four_leg, 2 * 16 * m * k * k) + 3 * 16 * (n * n * m) ** 2 + 2 * 16 * n ** 5
+    gram = 3 * 16 * (n * n * m) ** 2 + 3 * 16 * n ** 5
+    return max(four_leg, gram, 2 * 16 * m * k * k) + 3 * 16 * (n * n * m) ** 2 + 2 * 16 * n ** 5
 
 
 def commutation_mode(n: int, m: int, mode: str) -> str:
@@ -311,16 +318,18 @@ def verify_slice_commutativity(
 
     mode="full" measures V234 V135 - V135 V234 exactly from the m^2
     middle-leg blocks of V (``_five_leg_commutator_norm``), forming no
-    five-leg operator, and checks the two four-leg coproduct expansions of V
-    used to derive the commutation (``tensors.leg_distance``).  mode="sliced"
-    checks the equivalent scalar-slice family instead: the slices of V by
-    matrix units of its outer legs are matrices in C(K), and the commutators
-    of an orthonormal basis of their span must vanish (commutativity extends
-    bilinearly, so a basis is enough).  ``commutation_mode`` resolves "auto"
-    and refuses a "full" too large.  C(K) is diagonal, so V is block-diagonal
-    in its middle leg: both commutations hold by construction (the full one
-    reads exactly 0.0) and become informative only with a non-commutative
-    coefficient algebra.
+    five-leg operator, and reports the two four-leg coproduct expansions of V
+    used to derive the commutation as certified bounds from Gram forms over
+    V's leg factors (``_dual_expansion_bound``, ``coproduct_expansion_bound``),
+    each with its exact contraction (``tensors.leg_distance``) as fallback.
+    mode="sliced" checks the equivalent scalar-slice family instead: the
+    slices of V by matrix units of its outer legs are matrices in C(K), and
+    the commutators of an orthonormal basis of their span must vanish
+    (commutativity extends bilinearly, so a basis is enough).
+    ``commutation_mode`` resolves "auto" and refuses a "full" too large.
+    C(K) is diagonal, so V is block-diagonal in its middle leg: both
+    commutations hold by construction (the full one reads exactly 0.0) and
+    become informative only with a non-commutative coefficient algebra.
 
     Every mode ends with ``beta_slices_generate``: those slices, closed
     under matrix products, span an algebra whose dimension equals the number
@@ -341,15 +350,17 @@ def verify_slice_commutativity(
             detail=f"five-leg dimension {dim5}",
         )
 
-        # dual-coproduct expansion: (dual-coproduct (x) id (x) id) V = V134 V234
+        # the four-leg expansions as certified bounds, each with its exact contraction
+        # as fallback; ||V||_2^2 <= 1 + ||V*V - I||_F
+        v2 = 1.0 + frob(v.conj().T @ v - np.eye(len(v)))
         lhs = [(wop.dual_coproducts, [1, 2]), (data.beta_ops, [3, 4])]
-        rhs = [(v, [1, 3, 4]), (v, [2, 3, 4])]
-        rb.add("dual_coproduct_expansion_of_v", leg_distance(lhs, rhs, (n, n, m, n)), tol)
-
-        # coproduct expansion: (id (x) id (x) coproduct) V = V123 V124
-        lhs = [(data.v_last_leg, [1, 2]), (coproduct_operators(wop), [3, 4])]
-        rhs = [(v, [1, 2, 3]), (v, [1, 2, 4])]
-        rb.add("coproduct_expansion_of_v", leg_distance(lhs, rhs, (n, m, n, n)), tol)
+        bound = _dual_expansion_bound(data, v2)
+        _add_bounded(rb, "dual_coproduct_expansion_of_v", bound, tol, lambda *_: (
+            leg_distance(lhs, [(v, [1, 3, 4]), (v, [2, 3, 4])], (n, n, m, n)), False), data)
+        bound = coproduct_expansion_bound(data.v_last_leg, v, data.v_expansion_residual, v2, wop)
+        _add_bounded(rb, "coproduct_expansion_of_v", bound, tol, lambda *_: (leg_distance(
+            [(data.v_last_leg, [1, 2]), (coproduct_operators(wop), [3, 4])],
+            [(v, [1, 2, 3]), (v, [1, 2, 4])], (n, m, n, n)), False), data)
 
     # slice V in its outer legs with all matrix-unit vector functionals; the
     # middle-leg matrices obtained this way generate the image of beta's slices
@@ -385,6 +396,38 @@ def verify_slice_commutativity(
         ),
     )
     return rb.build()
+
+
+def _dual_expansion_bound(data: IntertwinerData, v2: float) -> float:
+    """Certified upper bound on ||(dual-coproduct (x) id (x) id) V - V134 V234||_F,
+    v2 >= ||V||_2^2, for V = sum_j x_j (x) beta_j + E' (slice basis x_j, beta_j
+    = beta(e_j)).  With P_l = dual-coproduct(x_l) - sum_jk mult[j, k, l] x_j (x) x_k
+    and F_jk = beta_j beta_k - sum_l mult[j, k, l] beta_l, differences of small
+    matrices, the left side minus sum_jk x_j (x) x_k (x) beta_j beta_k is
+    sum_l P_l (x) beta_l - sum_jk (x_j (x) x_k) (x) F_jk.  Its square is
+    a + b - 2 Re c, a = sum <P_l, P_l'> <beta_l, beta_l'>, b = sum <F_jk, F_j'k'>
+    Gx_jj' Gx_kk' (Gx the Gram matrix of the x_j), c = sum <P_l, x_j (x) x_k>
+    <beta_l, F_jk>, read off X conj(P_l) X^T with P_l regrouped as in
+    ``_doubled_span_coords``.  Against cancellation 4 k eps (a* + b*) is added,
+    k = max(n^2, nm), a* = ||P||^2 ||Gbeta||_2 >= a, b* = ||F||^2 ||Gx||_2^2 >= b;
+    e' = ||E'||_F, measured from V, and the allowance enter as in
+    ``coproduct_expansion_bound``, with Kronecker side ||Delta-hat||_F ||B||_2.
+    """
+    wop, betas, v = data.wop, data.beta_ops, data.v
+    n, xs, mult = wop.dim, wop.slice_basis, wop.algebra.mult
+    flat, images = xs.reshape(n, -1), wop.dual_coproducts
+    # P_l regrouped, (p, r), (q, s) -> (p, q), (r, s); sum_jk mult[j, k, l] vec x_j vec x_k^T
+    p = images.reshape((n,) * 5).transpose(0, 1, 3, 2, 4).reshape(n, n * n, n * n)
+    p = p - np.tensordot(np.tensordot(mult, flat, (0, 0)), flat, (0, 0))
+    f = betas[:, None] @ betas[None] - np.tensordot(mult, betas, (2, 0))
+    gx, gb = _gram(xs), _gram(betas)
+    a, b = float(np.vdot(p, gb @ p.reshape(n, -1)).real), _kron_gram_square(f, gx, gx)
+    h = flat @ p.conj() @ flat.T  # h[l, j, k] = <P_l, x_j (x) x_k>
+    c = np.sum(h.reshape(n, -1) * (betas.reshape(n, -1).conj() @ f.reshape(n * n, -1).T))
+    top = frob(p) ** 2 * np.linalg.norm(gb, 2) + frob(f) ** 2 * np.linalg.norm(gx, 2) ** 2
+    square = a + b - 2 * c.real + 4 * max(n * n, betas.shape[1]) * np.finfo(float).eps * top
+    kron_side = frob(images) * np.linalg.norm(betas.reshape(n, -1), 2)
+    return float(np.sqrt(abs(square)) + _allowance(n, v, v2, kron_side, kron_sum_distance(xs, betas, v)))
 
 
 def _five_leg_commutator_norm(v, n: int, m: int) -> float:

@@ -11,9 +11,8 @@ element and the x_j span the dual subspace; applying such functionals
 entrywise would not be meaningful since they act on the algebra, not on
 Hilbert-space coordinates.  Vector functionals on Hilbert-space coordinates
 are applied entrywise: the slices of W by a whole family of them are one
-einsum over W's leg tensor.  Sums over the expansion, such as
-(id (x) coproduct) W, enter ``leg_distance`` as stacked leg factors; a
-two-leg one, such as (id (x) antipode) W, is measured by ``kron_sum_distance``.
+einsum over W's leg tensor.  A two-leg sum over the expansion, such as
+(id (x) antipode) W, is measured by ``kron_sum_distance``.
 
 ``build_multiplicative_unitary`` reads this expansion off the structure
 constants, x_j = R comult[:, :, j]^T R^-1, and factors the stacked x_j by one
@@ -25,12 +24,15 @@ coproduct in the doubled span (its distance from {Q X Q^T} after regrouping
 the legs), so no pair basis is ever built.  What depends on W and the x_j
 alone is computed on first read (see ``MultiplicativeUnitary``).
 
-The pentagon, (dual-coproduct (x) id) W = W13 W23, and coassociativity and
-multiplicativity of the dual coproduct are reported as certified upper bounds
-built from certificates the context caches (see ``verify_pentagon`` and
-``verify_dual_coproduct_identities``); a bound above the tolerance gives way
-to the exact contraction.  The guards that end a stage have the floor
-4 n^2 eps, so a tolerance below rounding is reported as failing checks.
+The pentagon, (id (x) coproduct) W = W12 W13 (a Gram form over W's leg
+factors, ``coproduct_expansion_bound``), (dual-coproduct (x) id) W = W13 W23,
+and coassociativity and multiplicativity of the dual coproduct are reported
+as certified upper bounds built from certificates the context caches (see
+``verify_pentagon`` and ``verify_dual_coproduct_identities``); a bound above
+the tolerance gives way to the exact contraction (``leg_distance``), so a
+passing run contracts no three-leg product.  The guards that end a stage
+have the floor 4 n^2 eps, so a tolerance below rounding is reported as
+failing checks.
 """
 
 from __future__ import annotations
@@ -65,28 +67,29 @@ class MultiplicativeUnitary:
     ``w`` is the read-only (n^2, n^2) matrix of W.  ``slice_basis[j]`` is the
     right slice of W by the j-th dual-basis functional of the algebra; these
     matrices span the dual subspace, and W = sum_j slice_basis[j] (x)
-    left_regular[j] up to the measured distance ``expansion_residual``.
+    left_regular[j] up to ``expansion_residual``, measured from ``w``.
     ``dual_span`` is the one SVD of the stacked slice basis: an orthonormal
     basis ``q`` of the dual subspace and the map from coordinates in ``q`` to
-    coordinates over ``slice_basis``.  The certificates the stages read are cached properties,
-    computed on first read: ``unitarity_defect``, ``coproduct_defects``,
-    ``pentagon_bound``, ``pentagon_exact``, ``slice_closure``,
-    ``dual_coproducts`` and ``dual_coproduct_coords``.  So only a stage that
-    reads ``dual_coproducts`` builds that n^5 stack, the n^8 exact pentagon
-    runs at most once, and a context rebuilt by ``dataclasses.replace``
-    computes its own.
+    coordinates over ``slice_basis``.  Every certificate the stages read is a
+    cached property, computed on first read (the exact fallbacks
+    ``second_leg_exact`` and ``pentagon_exact`` too): only a stage that reads
+    ``dual_coproducts`` builds that n^5 stack, an exact contraction runs at
+    most once, and a context rebuilt by ``dataclasses.replace`` computes its own.
     """
 
     w: np.ndarray
     algebra: FiniteHopfStarAlgebra
     gns: GnsData
     slice_basis: np.ndarray
-    expansion_residual: float
     dual_span: SpanBasis
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+    @cached_property
+    def expansion_residual(self) -> float:  # ||W - sum_j x_j (x) L_j||_F, from this context's W
+        return kron_sum_distance(self.slice_basis, self.gns.left_regular, self.w)
 
     @cached_property
     def unitarity_defect(self) -> float:  # one ||W*W - I||_F per context
@@ -95,31 +98,38 @@ class MultiplicativeUnitary:
 
     @cached_property
     def coproduct_defects(self) -> tuple[float, float]:
-        """max_a ||W (L_a (x) 1) W* - coproduct(e_a)||_F, and
-        ||(id (x) coproduct) W - W12 W13||_F (see ``verify_coproduct_implemented``)."""
-        n, w = self.dim, self.w
-        deltas = coproduct_operators(self)
+        """max_a ||W (L_a (x) 1) W* - coproduct(e_a)||_F, and the certified upper bound
+        on ||(id (x) coproduct) W - W12 W13||_F (see ``verify_coproduct_implemented``)."""
+        n, w, lr = self.dim, self.w, self.gns.left_regular
         # (L_a (x) 1) W* multiplies L_a into the first row leg of W*
         w_adj = w.conj().T.reshape(n, n**3)
         conjugation = np.max([
-            frob(w @ (l_a @ w_adj).reshape(n * n, n * n) - delta_a)
-            for l_a, delta_a in zip(self.gns.left_regular, deltas)
+            frob(w @ (l_a @ w_adj).reshape(n * n, n * n) - _coproduct_operator(c_a, lr))
+            for l_a, c_a in zip(lr, self.algebra.comult)
         ])
-        lhs = [(self.slice_basis, [1]), (deltas, [2, 3])]
-        rhs = [(w, [1, 2]), (w, [1, 3])]
-        return float(conjugation), leg_distance(lhs, rhs, (n, n, n))
+        e, w2 = self.expansion_residual, 1.0 + self.unitarity_defect
+        return float(conjugation), coproduct_expansion_bound(self.slice_basis, w, e, w2, self)
+
+    @cached_property
+    def second_leg_exact(self) -> float:  # the exact contraction behind its bound
+        n, w = self.dim, self.w
+        lhs = [(self.slice_basis, [1]), (coproduct_operators(self), [2, 3])]
+        return leg_distance(lhs, [(w, [1, 2]), (w, [1, 3])], (n, n, n))
+
+    @cached_property
+    def coproduct_gram(self) -> tuple[np.ndarray, float]:  # G_pr = tr(L_p* L_r), ||coproduct||_F
+        g = _gram(self.gns.left_regular)
+        return g, float(np.sqrt(abs(_kron_gram_square(self.algebra.comult.transpose(1, 2, 0), g, g))))
 
     @cached_property
     def pentagon_bound(self) -> float:
         """The certified upper bound on the pentagon defect derived in ``verify_pentagon``."""
-        n, lr, c = self.dim, self.gns.left_regular, self.algebra.comult
+        n, w2 = self.dim, 1.0 + self.unitarity_defect
         conjugation, second_leg = self.coproduct_defects
         x_norm = np.linalg.norm(self.slice_basis.reshape(n, -1), 2)
-        gram = np.einsum("pab,rab->pr", lr.conj(), lr)  # ||Delta||_F^2 is a form in comult over it
-        delta_norm = np.sqrt(abs(np.einsum("jpq,pr,qs,jrs->", c.conj(), gram, gram, c, optimize=True)))
-        bound = second_leg + _allowance(self, x_norm * delta_norm)
+        bound = second_leg + _allowance(n, self.w, w2, x_norm * self.coproduct_gram[1])
         bound += x_norm * np.sqrt(n) * conjugation
-        return float(bound + np.sqrt(n) * (1.0 + self.unitarity_defect) * self.expansion_residual)
+        return float(bound + np.sqrt(n) * w2 * self.expansion_residual)
 
     @cached_property
     def pentagon_exact(self) -> float:
@@ -161,11 +171,11 @@ def build_multiplicative_unitary(
     constants, and the factorisation of the dual subspace.  The tensor below is
     sum_j X_j (x) mult[j]^T with X_j[p, i] = comult[i, p, j]; ``_in_onb``
     conjugates both legs by R = ``to_onb`` and L_j = R mult[j]^T R^-1, so
-    W = sum_j x_j (x) L_j with x_j = R X_j R^-1; the residual measures the rounding."""
+    W = sum_j x_j (x) L_j with x_j = R X_j R^-1, up to the rounding that
+    ``expansion_residual`` measures."""
     xs = freeze(gns.to_onb @ a.comult.transpose(2, 1, 0) @ gns.onb_change)
     w = _in_onb(gns, np.einsum("ipq,qjk->pkij", a.comult, a.mult, optimize=True))
-    residual = kron_sum_distance(xs, gns.left_regular, w)
-    return MultiplicativeUnitary(w, a, gns, xs, residual, span_basis(xs))
+    return MultiplicativeUnitary(w, a, gns, xs, span_basis(xs))
 
 
 def inverse_via_antipode(a: FiniteHopfStarAlgebra, gns: GnsData) -> np.ndarray:
@@ -201,10 +211,13 @@ def pentagon_residual(w: np.ndarray) -> float:
     )
 
 
-def _allowance(wop: MultiplicativeUnitary, kron_side: float) -> float:
-    """The rounding allowance derived in ``verify_pentagon``."""
-    n, w2 = wop.dim, 1.0 + wop.unitarity_defect
-    return 4 * n * np.finfo(float).eps * w2 * (kron_side + w2 * np.sqrt(n) * frob(wop.w))
+def _allowance(n: int, u, u2: float, kron_side: float, e: float = 0.0) -> float:
+    """The rounding allowance derived in ``verify_pentagon`` for an operator U on
+    legs [d, n], u2 >= ||U||_2^2, whose sums have length k <= max(n^2, d); plus,
+    for an expansion residual e, the part in E of ``coproduct_expansion_bound``."""
+    k = max(n * n, len(u) // n)
+    rounding = 4 * np.sqrt(k) * np.finfo(float).eps * u2 * (kron_side + u2 * np.sqrt(n) * frob(u))
+    return float(rounding + np.sqrt(n) * e * (2 * np.sqrt(u2) + e))
 
 
 def verify_pentagon(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -213,10 +226,10 @@ def verify_pentagon(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> Ver
     With W = sum_j x_j (x) L_j + E (||E||_F = ``expansion_residual``) and
     D_j = W (L_j (x) 1) W* - coproduct(e_j), the defect is
     [sum_j x_j (x) coproduct(e_j) - W12 W13] + sum_j x_j (x) D_j + W23 E12 W23*.
-    The first term is ``coproduct_on_second_leg_of_w``; the second regroups
-    to X^T D over the flattened x_j and D_j, so it is at most
-    ||X||_2 sqrt(n) max_j ||D_j|| (``conjugation_over_basis``); the third is
-    at most w2 sqrt(n) ||E||_F, as ||W||_2^2 <= w2 = 1 + ||W*W - I||_F.
+    The first term is at most the bound ``coproduct_on_second_leg_of_w``
+    reports; the second regroups to X^T D over the flattened x_j and D_j, so
+    it is at most ||X||_2 sqrt(n) max_j ||D_j|| (``conjugation_over_basis``);
+    the third at most w2 sqrt(n) ||E||_F, as ||W||_2^2 <= w2 = 1 + ||W*W - I||_F.
 
     Each input is a sum over indices of length k <= n^2, so its rounding is
     of order 4 sqrt(k) eps = 4 n eps (the probabilistic bound of Higham and
@@ -260,22 +273,66 @@ def verify_left_slices_span(
 
 def coproduct_operators(wop: MultiplicativeUnitary) -> np.ndarray:
     """Left multiplication by coproduct(e_j) on the doubled GNS space for
-    every basis element e_j, shape (n, n^2, n^2)."""
-    lr = wop.gns.left_regular
+    every basis element e_j, shape (n, n^2, n^2), filled one element at a
+    time so that only one stack is held."""
+    n, lr = wop.dim, wop.gns.left_regular
+    stack = np.empty((n, n * n, n * n), dtype=complex)
+    for c_a, delta in zip(wop.algebra.comult, stack):
+        delta[...] = _coproduct_operator(c_a, lr)
+    return stack
+
+
+def _coproduct_operator(c_a, lr) -> np.ndarray:
+    """sum_pq c_a[p, q] L_p (x) L_q by two tensordots, which plan no einsum path."""
+    t = np.tensordot(np.tensordot(c_a, lr, (0, 0)), lr, (0, 0))  # (a, c, b, d)
+    return t.transpose(0, 2, 1, 3).reshape(len(c_a) ** 2, -1)
+
+
+def _gram(stack) -> np.ndarray:  # G_pr = tr(A_p* A_r) over a stack of matrices A_p
+    return np.tensordot(stack.conj(), stack, ((1, 2), (1, 2)))
+
+
+def _kron_gram_square(m, g, h) -> float:
+    """||sum_pq m[p, q] (x) A_p (x) B_q||_F^2 = sum_pqrs <m_pq, m_rs> g_pr h_qs for
+    the Gram matrices g of the A_p and h of the B_q: two products, no Kronecker factor."""
+    t = (g @ m.reshape(len(g), -1)).reshape(len(g), len(h), -1)  # sum_r g_pr m_rs
+    return float(np.vdot(m, h @ t).real)
+
+
+def coproduct_expansion_bound(ys, u, e: float, u2: float, wop: MultiplicativeUnitary) -> float:
+    """Certified upper bound on ||sum_l y_l (x) coproduct(e_l) - U12 U13||_F for U
+    on legs [d, n], U = X + E, X = sum_l y_l (x) L_l over the (n, d, d) stack
+    ``ys`` (W: the slice basis, d = n; V: ``v_last_leg``, d = nm), e = ||E||_F
+    measured from U and u2 >= ||U||_2^2.
+
+    X12 X13 = sum_pq y_p y_q (x) L_p (x) L_q, so the left side minus X12 X13 is
+    sum_pq M_pq (x) L_p (x) L_q with M_pq = sum_l comult[l, p, q] y_l - y_p y_q,
+    a difference of (d, d) matrices, whose square is the Gram form
+    sum <M_pq, M_rs> G_pr G_qs, G_pr = tr(L_p* L_r): O(n^2 d^3 + n^3 d^2) work.
+    U12 U13 - X12 X13 = E12 U13 + X12 E13, ||E12||_F = sqrt(n) e and
+    ||X||_2 <= sqrt(u2) + e add sqrt(n) e (2 sqrt(u2) + e); the Gram form
+    alone reads rounding, so the allowance of ``verify_pentagon`` is added
+    with Kronecker side ||Y||_2 ||Delta||_F (both in ``_allowance``).
+    """
     n = wop.dim
-    t = np.einsum("jpq,pac,qbd->jabcd", wop.algebra.comult, lr, lr, optimize=True)
-    return t.reshape(n, n * n, n * n)
+    gram, delta_norm = wop.coproduct_gram
+    m = np.tensordot(wop.algebra.comult, ys, (0, 0)) - ys[:, None] @ ys[None]
+    square, y_norm = _kron_gram_square(m, gram, gram), np.linalg.norm(ys.reshape(n, -1), 2)
+    return float(np.sqrt(abs(square)) + _allowance(n, u, u2, y_norm * delta_norm, e))
 
 
 def verify_coproduct_implemented(
     wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
     """W (L_a (x) 1) W* equals left multiplication by coproduct(a) for every
-    basis element a; plus (id (x) coproduct) W = W12 W13 (``wop.coproduct_defects``)."""
+    basis element a, built one at a time; (id (x) coproduct) W = W12 W13 as the
+    bound of ``coproduct_expansion_bound`` (``wop.coproduct_defects``), which
+    above ``tol``, or NaN, gives way to the exact ``wop.second_leg_exact``."""
     conjugation, second_leg = wop.coproduct_defects
     rb = ReportBuilder()
     rb.add("conjugation_over_basis", conjugation, tol)
-    rb.add("coproduct_on_second_leg_of_w", second_leg, tol)
+    _add_bounded(rb, "coproduct_on_second_leg_of_w", second_leg, tol,
+                 lambda w, _: (w.second_leg_exact, False), wop)
     return rb.build()
 
 
@@ -471,7 +528,7 @@ def verify_dual_coproduct_identities(
     lr_norm = np.linalg.norm(wop.gns.left_regular.reshape(n, -1), 2)
     first_leg = w2 * pentagon
     first_leg += np.sqrt(n) * (u * (w2 ** 1.5 + w2) + w2 * wop.expansion_residual)
-    first_leg += _allowance(wop, frob(images) * lr_norm)
+    first_leg += _allowance(n, wop.w, w2, frob(images) * lr_norm)
     rb = ReportBuilder()
     _add_bounded(rb, "dual_coproduct_on_first_leg_of_w", first_leg, tol,
                  lambda w, _: (_exact_first_leg(w), False), wop)

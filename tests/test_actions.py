@@ -519,15 +519,146 @@ def test_full_mode_peak_memory_within_estimate():
         # a group larger than the algebra
         (context(preset("kz3"), cyclic_group(16), identity_on_kz3), 3, 16),
     ]
-    for data, n, m in cases:
+    rng = np.random.default_rng(0)
+
+    def traced_peak(data):
         tracemalloc.start()
         try:
             report = verify_slice_commutativity(data, mode="full")
-            peak = tracemalloc.get_traced_memory()[1]
+            return report, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    for data, n, m in cases:
+        # a passing run certifies both four-leg expansions from their Gram forms
+        report, peak = traced_peak(data)
         assert report.overall_pass
+        assert peak <= full_mode_bytes(n, m), (n, m)
+        # a random V, block-diagonal in its middle leg as a classical group's
+        # is, fails both bounds and so contracts the four-leg tiles the estimate counts
+        d = len(data.v)
+        v = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))).reshape(n, m, n, n, m, n)
+        v *= np.eye(m)[None, :, None, None, :, None]
+        report, peak = traced_peak(replace(data, v=v.reshape(d, d)))
+        failed = {c.name for c in report.checks if not c.passed}
+        assert {"dual_coproduct_expansion_of_v", "coproduct_expansion_of_v"} <= failed
         assert full_mode_bytes(n, m) / 2 <= peak <= full_mode_bytes(n, m), (n, m)
+
+
+# -- certified bounds on the four-leg expansions of V
+
+EXPANSIONS = ("dual_coproduct_expansion_of_v", "coproduct_expansion_of_v")
+CERTIFIED = "certified upper bound on the residual"
+
+
+def _expansion_oracles(data):
+    """The two four-leg contractions that the expansion bounds replace."""
+    from fqg.multiplicative import coproduct_operators
+    from fqg.tensors import leg_distance
+
+    wop, v = data.wop, data.v
+    n, m = wop.dim, data.group.order
+    dual = leg_distance([(wop.dual_coproducts, [1, 2]), (data.beta_ops, [3, 4])],
+                        [(v, [1, 3, 4]), (v, [2, 3, 4])], (n, n, m, n))
+    second = leg_distance([(data.v_last_leg, [1, 2]), (coproduct_operators(wop), [3, 4])],
+                          [(v, [1, 2, 3]), (v, [1, 2, 4])], (n, m, n, n))
+    return [dual, second]
+
+
+def _expansion_checks(data, tol=1e6):  # above every bound met here; float max would overflow
+    # the tolerances the stage scales
+    report = verify_slice_commutativity(data, tol, mode="full")
+    return [report.check(name) for name in EXPANSIONS]
+
+
+def _v_defects(data, seed):
+    """A random unitary in place of V, then V plus complex noise at four scales."""
+    rng = np.random.default_rng(seed)
+    d = len(data.v)
+
+    def noise():
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    yield np.linalg.qr(noise())[0]
+    for scale in (1e-8, 1e-6, 1e-4, 1e-3):
+        yield data.v + scale * noise()
+
+
+@pytest.mark.parametrize("names", [("kz3", "z2", "inversion"), ("ks3", "s3", "conjugation")])
+def test_v_expansion_bounds_dominate_exact_contraction(names):
+    for data in (pipeline(*names)[1], basis_changed_pipeline(*names, seed=7)[1]):
+        for check, exact in zip(_expansion_checks(data), _expansion_oracles(data)):
+            assert check.detail == CERTIFIED
+            assert exact <= check.residual <= 1e-11
+        report = verify_slice_commutativity(data, mode="full")
+        assert [report.residual(name) for name in EXPANSIONS] == [
+            c.residual for c in _expansion_checks(data)
+        ]
+
+
+@pytest.mark.parametrize("names", [("kz3", "z2", "inversion"), ("ks3", "s3", "conjugation")])
+def test_v_expansion_bounds_on_injected_defects_are_tight(names):
+    # the bounds measure E' from the V they read, so a V swapped in by
+    # dataclasses.replace is bounded through its own expansion residual
+    _, data = basis_changed_pipeline(*names, seed=7)
+    for v in _v_defects(data, seed=13):
+        bad = replace(data, v=v)
+        for check, exact in zip(_expansion_checks(bad), _expansion_oracles(bad)):
+            assert check.detail == CERTIFIED
+            assert exact <= check.residual <= 50 * exact
+
+
+@pytest.mark.parametrize("names", [("kz3", "z2", "inversion"), ("ks3", "s3", "conjugation")])
+def test_dual_expansion_gram_form_is_exact_for_v_equal_to_its_expansion(names):
+    # perturbed x_j and beta_j with V = sum_j x_j (x) beta_j: both families of
+    # the Gram form are of order 1e-3, and the form, cross term included, must
+    # reproduce the exact contraction, not merely bound it
+    _, data = basis_changed_pipeline(*names, seed=7)
+    rng = np.random.default_rng(1)
+    xs = data.wop.slice_basis + 1e-3 * rng.standard_normal(data.wop.slice_basis.shape)
+    betas = data.beta_ops + 1e-3 * rng.standard_normal(data.beta_ops.shape)
+    d = len(data.v)
+    v = np.einsum("jpq,jrs->prqs", xs, betas).reshape(d, d)
+    bad = replace(data, wop=replace(data.wop, slice_basis=xs), beta_ops=betas, v=v)
+    check, exact = _expansion_checks(bad)[0], _expansion_oracles(bad)[0]
+    assert exact > 1e-2
+    assert exact <= check.residual <= exact * (1 + 1e-9)
+
+
+def test_v_expansion_bounds_above_tol_report_exact_contraction():
+    _, data = basis_changed_pipeline("kz3", "z2", "inversion", seed=7)
+    bad = replace(data, v=list(_v_defects(data, seed=13))[1])  # noise of 1e-8
+    for check, exact in zip(_expansion_checks(bad, tol=1e-9), _expansion_oracles(bad)):
+        assert check.detail.startswith("exact contraction; certified bound")
+        assert not check.passed
+        assert check.residual == pytest.approx(exact, rel=1e-13, abs=0)
+
+
+def test_replaced_v_measures_its_own_expansion_residual():
+    a, data = pipeline("ks3", "s3", "conjugation")
+    assert data.v_expansion_residual <= 1e-13  # cached on the original context
+    v = data.v + 1e-3 * np.random.default_rng(5).standard_normal(data.v.shape)
+    bad = replace(data, v=v)
+    kron_sum = sum(np.kron(c, lr) for c, lr in zip(data.v_last_leg, data.wop.gns.left_regular))
+    assert bad.v_expansion_residual == pytest.approx(np.linalg.norm(v - kron_sum), rel=1e-12)
+
+
+def test_passing_full_mode_builds_no_coproduct_stack(monkeypatch):
+    import fqg.actions as actions_mod
+    import fqg.multiplicative as multiplicative_mod
+
+    calls = []
+    for owner, name in ((actions_mod, "coproduct_operators"), (actions_mod, "leg_distance"),
+                        (multiplicative_mod, "coproduct_operators")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, f=original, n=name: calls.append(n) or f(*args))
+    _, data = basis_changed_pipeline("ks3", "s3", "conjugation", seed=7)
+    assert verify_slice_commutativity(data, mode="full").overall_pass
+    assert calls == []
+    a, k_group = preset("kz3"), group_preset("z2")
+    theta = resolve_automorphisms(a, k_group, "inversion")
+    assert action_suite(a, k_group, theta, mode="full").overall_pass
+    assert "coproduct_operators" not in calls
 
 
 def test_mode_name_validated():

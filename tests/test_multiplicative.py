@@ -510,7 +510,7 @@ def test_pentagon_bound_covers_a_defect_only_in_the_conjugation_stack():
     w = sum(np.kron(np.diag(np.eye(3)[g]), lr[-g % 3]) for g in range(3))
     bad = _context(wop, w)
     assert bad.expansion_residual <= 1e-14
-    assert bad.coproduct_defects[1] <= 1e-14  # coproduct_on_second_leg_of_w
+    assert bad.second_leg_exact <= 1e-14  # coproduct_on_second_leg_of_w
     (check, _), (exact, _) = _leg_checks(bad), _leg_oracles(bad)
     assert exact > 1.0
     assert exact <= check.residual <= exact * np.sqrt(1.5) * (1 + 1e-12)
@@ -565,6 +565,81 @@ def test_full_suite_reports_every_bounded_check_as_certified(name, basis_changed
             "dual_coproduct/dual_coproduct_multiplicative",
         ):
             assert report.check(check).detail == CERTIFIED, check
+
+
+# -- the certified bound on (id (x) coproduct) W = W12 W13
+
+SECOND_LEG = "coproduct_on_second_leg_of_w"
+
+
+def _oracle_second_leg(wop):
+    """The three-leg contraction that the second-leg bound replaces."""
+    n, w = wop.dim, wop.w
+    lhs = [(wop.slice_basis, [1]), (multiplicative.coproduct_operators(wop), [2, 3])]
+    return leg_distance(lhs, [(w, [1, 2]), (w, [1, 3])], (n, n, n))
+
+
+def _second_leg(wop, tol=np.finfo(float).max):
+    return verify_coproduct_implemented(wop, tol).check(SECOND_LEG)
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_second_leg_bound_dominates_exact_contraction(name, basis_changed):
+    for a in (preset(name), basis_changed(preset(name), seed=5)):
+        wop = _unitary(a)
+        check = _second_leg(wop)
+        assert check.detail == CERTIFIED
+        assert _oracle_second_leg(wop) <= check.residual <= 1e-11
+        assert verify_coproduct_implemented(wop).residual(SECOND_LEG) == check.residual
+
+
+@pytest.mark.parametrize("name", ["kz3", "kz5", "ks3"])
+def test_second_leg_bound_on_injected_defects_is_tight(name, basis_changed):
+    # a context rebuilt around the defective W, and one that keeps the slice
+    # basis of the valid W: each measures its expansion residual from its own W
+    wop = _unitary(basis_changed(preset(name), seed=7))
+    for w in _defects(wop, seed=13):
+        for bad in (_context(wop, w), _with_w(wop, w)):
+            check, exact = _second_leg(bad), _oracle_second_leg(bad)
+            assert check.detail == CERTIFIED
+            assert exact <= check.residual <= 50 * exact
+
+
+@pytest.mark.parametrize("name", ["kz3", "ks3"])
+def test_second_leg_gram_form_is_exact_for_w_equal_to_its_expansion(name, basis_changed):
+    # with E = 0 the bound is the Gram form plus rounding: perturbed x_j give a
+    # defect of order 1e-2 that the Gram form must reproduce, not merely bound
+    wop = _unitary(basis_changed(preset(name), seed=7))
+    n, rng = wop.dim, np.random.default_rng(1)
+    xs = wop.slice_basis + 1e-3 * (rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n)))
+    w = np.einsum("jpq,jrs->prqs", xs, wop.gns.left_regular).reshape(n * n, n * n)
+    bad = multiplicative.MultiplicativeUnitary(w, wop.algebra, wop.gns, xs, span_basis(xs))
+    exact = _oracle_second_leg(bad)
+    assert exact > 1e-2
+    assert exact <= _second_leg(bad).residual <= exact * (1 + 1e-9)
+
+
+def test_second_leg_bound_above_tol_reports_exact_contraction(basis_changed):
+    wop = _unitary(basis_changed(preset("kz3"), seed=7))
+    bad = _with_w(wop, list(_defects(wop, seed=13))[1])  # noise of 1e-8
+    check = verify_coproduct_implemented(bad).check(SECOND_LEG)
+    assert check.detail.startswith("exact contraction; certified bound")
+    assert not check.passed
+    assert check.residual == pytest.approx(_oracle_second_leg(bad), rel=1e-13, abs=0)
+
+
+def test_replaced_w_measures_its_own_expansion_residual(basis_changed):
+    # a W swapped in by dataclasses.replace cannot certify with the residual
+    # cached for the W it replaced: the pentagon and second-leg bounds fail over
+    wop = _unitary(basis_changed(preset("ks3"), seed=5))
+    assert wop.expansion_residual <= 1e-13 and verify_pentagon(wop).overall_pass
+    w = wop.w + 1e-3 * _noise(np.random.default_rng(3), wop.w.shape[0])
+    bad = _with_w(wop, w)
+    kron_sum = sum(np.kron(x, lr) for x, lr in zip(wop.slice_basis, wop.gns.left_regular))
+    assert bad.expansion_residual == pytest.approx(np.linalg.norm(w - kron_sum), rel=1e-12)
+    for check in (verify_pentagon(bad).check("pentagon"), _second_leg(bad, tol=1e-9)):
+        assert check.detail.startswith("exact contraction; certified bound")
+        assert not check.passed
 
 
 def test_unitarity_defect_is_computed_once_per_context(basis_changed):
@@ -647,12 +722,11 @@ def _noise(rng, d):
 
 def _context(wop, w):
     """The pipeline context of ``wop`` rebuilt around ``w`` in place of W: its
-    slice basis and expansion come from ``w``."""
+    slice basis is the least-squares fit of ``w``, and the context measures
+    its expansion residual from ``w``."""
     n = wop.dim
-    coeffs, residual = expand_in_leg(w, (n, n), wop.gns.left_regular)
-    return multiplicative.MultiplicativeUnitary(
-        w, wop.algebra, wop.gns, coeffs, residual, span_basis(coeffs)
-    )
+    coeffs, _ = expand_in_leg(w, (n, n), wop.gns.left_regular)
+    return multiplicative.MultiplicativeUnitary(w, wop.algebra, wop.gns, coeffs, span_basis(coeffs))
 
 
 def test_antipode_relation_matches_kron_loop_on_defective_w(basis_changed):
@@ -774,26 +848,34 @@ def test_full_suite_projects_onto_the_dual_span_twice(monkeypatch):
 
 
 def test_coproduct_and_pentagon_certificates_are_computed_once_per_context(monkeypatch):
+    # the second-leg identity is certified from its Gram form once, so a passing
+    # run builds no stack of coproduct operators and contracts no leg product
     operators = _counting(monkeypatch, multiplicative, "coproduct_operators")
     contractions = _counting(monkeypatch, multiplicative, "leg_distance")
+    bounds = _counting(monkeypatch, multiplicative, "coproduct_expansion_bound")
     wop = unitary_of("ks3")
     assert verify_coproduct_implemented(wop).overall_pass
     assert verify_pentagon(wop).overall_pass
     assert verify_dual_coproduct_identities(wop).overall_pass
-    assert len(operators) == 1 and len(contractions) == 1
+    assert len(operators) == 0 and len(contractions) == 0 and len(bounds) == 1
+    assert full_suite(preset("ks3")).overall_pass
+    assert len(operators) == 0 and len(contractions) == 0 and len(bounds) == 2
 
 
 def test_nan_in_the_last_coproduct_operator_fails_the_conjugation_check(monkeypatch):
     # a NaN after the first element must reach the maximum over the basis
-    original = multiplicative.coproduct_operators
+    original, built = multiplicative._coproduct_operator, []
 
-    def planted(wop):
-        deltas = original(wop)
-        deltas[-1, 0, 0] = np.nan
-        return deltas
+    def planted(c_a, lr):
+        delta = original(c_a, lr)
+        built.append(delta)
+        if len(built) == len(lr):
+            delta[0, 0] = np.nan
+        return delta
 
-    monkeypatch.setattr(multiplicative, "coproduct_operators", planted)
+    monkeypatch.setattr(multiplicative, "_coproduct_operator", planted)
     check = verify_coproduct_implemented(unitary_of("ks3")).check("conjugation_over_basis")
+    assert len(built) == 6
     assert check.residual is None and not check.passed
 
 

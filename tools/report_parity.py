@@ -10,15 +10,17 @@ temporary directory, and runs each case, plus a fixed list of preset actions,
 five actions that fail their axioms or are refused (``FAILING_ACTIONS``, one
 with a list of matrices written beside the inputs) and ``verify <preset>
 --tol 1e-15`` for every preset and its dual, through ``fqg.cli.main`` in
-process.  At that tolerance the pentagon and first-leg checks, and on every
-preset but ``trivial`` and its dual the coassociativity and multiplicativity
-checks, report their exact contractions.  It also runs every preset verify
-with each ``--only`` pattern of ``ONLY_VERIFY``, at that tolerance and at
-``1e-20``, where the checks at rounding level fail; three changed copies of
-``kz3`` (``ABORTING``), two of whose runs abort at ``gns/`` and
-``dual_algebra/haar`` while the third fails checks without an abort, alone
-and with each pattern of ``ONLY_VERIFY``; and every
-preset and failing action with each pattern of ``ONLY_ACTION``.
+process.  At that tolerance the pentagon, ``coproduct_on_second_leg_of_w``
+and first-leg checks, and on every preset but ``trivial`` and its dual the
+coassociativity and multiplicativity checks, report their exact
+contractions; the action cases run at the default tolerance, where the two
+four-leg expansions of V report their certified bounds.  It also runs every
+preset verify with each ``--only`` pattern of ``ONLY_VERIFY``, at that
+tolerance and at ``1e-20``, where the checks at rounding level fail; three
+changed copies of ``kz3`` (``ABORTING``), two of whose runs abort at
+``gns/`` and ``dual_algebra/haar`` while the third fails checks without an
+abort, alone and with each pattern of ``ONLY_VERIFY``; and every preset and
+failing action with each pattern of ``ONLY_ACTION``.
 OUT.json maps each case to its exit code, stdout and stderr.  Run it once in
 each checkout, then ``compare``.  Where ``--only`` filters the finished
 report, the ``only/`` cases of one dump are the filtered full runs.  Where it
