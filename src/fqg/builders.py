@@ -27,6 +27,7 @@ one place theta is made.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -195,11 +196,24 @@ def _json_int(value) -> bool:
 
 
 def _dense_from_sparse(entries, shape, field: str) -> np.ndarray:
-    array = np.zeros(shape, dtype=complex)
-    n_index = len(shape)
-    seen = set()
+    """The dense array of ``entries``, [indices..., re, im] each: one pass checks
+    their lengths and types, numpy their ranges, duplicates and finiteness; on a
+    fault, or an integer beyond int64 or float range, the walk names the first one."""
     if not isinstance(entries, list):
         raise StructuralError(f"field {field!r} must be a list of entries")
+    array, n_index, seen = np.zeros(shape, dtype=complex), len(shape), set()
+    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {n_index + 2}:
+        columns = list(zip(*entries)) or [()] * (n_index + 2)
+        types = [set(map(type, column)) for column in columns]
+        if all(t <= {int} for t in types[:-2]) and all(t <= {int, float} for t in types[-2:]):
+            with contextlib.suppress(OverflowError):
+                idx = np.array(columns[:-2], dtype=np.int64).reshape(n_index, -1)
+                re, im = np.array(columns[-2:], dtype=float).reshape(2, -1)
+                if np.all((idx >= 0) & (idx < np.array(shape)[:, None])) and np.isfinite([re, im]).all():
+                    keys = np.sort(np.ravel_multi_index(idx, shape))  # np.unique would import numpy.ma
+                    if not np.any(keys[1:] == keys[:-1]):
+                        array.real[tuple(idx)], array.imag[tuple(idx)] = re, im  # signed zeros too
+                        return array
     for pos, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != n_index + 2:
             raise StructuralError(

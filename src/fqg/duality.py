@@ -16,7 +16,7 @@ import numpy as np
 
 from .haar import Functional, compute_haar, fourier_matrix, gns_construct, haar_invariance_residual
 from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra
-from .multiplicative import MultiplicativeUnitary
+from .multiplicative import MultiplicativeUnitary, _add_bounded
 from .report import ReportBuilder, VerificationReport
 from .tensors import frob, star_homomorphism_defects
 
@@ -66,9 +66,10 @@ def verify_G_isomorphism(wop: MultiplicativeUnitary, dual: FiniteHopfStarAlgebra
     j-th dual-basis functional to ``slice_basis[j]``; products and adjoints
     of functionals are those of ``dual``, which is ``build_dual(wop.algebra)``.
 
-    ``intertwines_coproducts`` reads ``dual_coproduct_coords`` (computed on
-    first read): dual-coproduct(x_i) is C_i over the orthonormal Q_a (x) Q_b
-    plus a part of norm r_i orthogonal to them.  With R = Q* X, the x_p over Q,
+    ``intertwines_coproducts`` reports the certified bound r_i of
+    ``dual_coproduct_bounds``; above ``tol``, or NaN, the exact distance:
+    dual-coproduct(x_i) is C_i over the orthonormal Q_a (x) Q_b plus a part of
+    norm r_i orthogonal to them (``dual_coproduct_coords``).  With R = Q* X,
     sum_pq m_pqi x_p (x) x_q = sum_ab (R m_i R^T)_ab Q_a (x) Q_b (m_pqi: e_i in
     e_p e_q), so their distance is exactly sqrt(||C_i - R m_i R^T||_F^2 + r_i^2).
     """
@@ -81,12 +82,15 @@ def verify_G_isomorphism(wop: MultiplicativeUnitary, dual: FiniteHopfStarAlgebra
     rb.add("multiplicative_for_convolution", float(mult.max()), tol)
     rb.add("star_compatible", float(star.max()), tol)
 
-    coeffs, remainders = wop.dual_coproduct_coords
-    r = wop.dual_span.q.conj().T @ wop.slice_basis.reshape(n, -1).T
-    pairs = r @ a.mult.transpose(2, 0, 1) @ r.T
-    worst = np.sqrt(np.linalg.norm(coeffs - pairs, axis=(1, 2)) ** 2 + remainders ** 2).max()
-    rb.add("intertwines_coproducts", float(worst), tol)
+    def exact(w, _):
+        coeffs, remainders = w.dual_coproduct_coords
+        r = w.dual_span.q.conj().T @ w.slice_basis.reshape(n, -1).T
+        pairs = r @ a.mult.transpose(2, 0, 1) @ r.T
+        worst = np.sqrt(np.linalg.norm(coeffs - pairs, axis=(1, 2)) ** 2 + remainders ** 2).max()
+        return float(worst), False
 
+    bound = float(wop.dual_coproduct_bounds[1].max())
+    _add_bounded(rb, "intertwines_coproducts", bound, tol, exact, wop)
     return rb.build()
 
 

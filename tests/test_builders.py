@@ -21,6 +21,7 @@ from fqg import (
 )
 from fqg.builders import (
     _sparse_entries,
+    algebra_from_json_dict,
     algebra_to_json,
     algebra_to_json_dict,
     function_algebra,
@@ -261,6 +262,58 @@ def test_load_rejects_bad_entries(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(StructuralError, match="duplicate"):
         load_algebra(path)
+
+
+def _dense_z10_data():
+    # the group algebra of Z10 in a random basis: every mult entry is nonzero
+    from conftest import change_basis
+
+    data = json.loads(algebra_to_json(change_basis(group_algebra(cyclic_group(10)), 1)))
+    assert len(data["mult"]) == 1000
+    return data
+
+
+BAD_SHAPE = "field 'mult' entry 999 must have 3 indices plus re, im"
+BAD_INDEX = "field 'mult' entry 999 has non-integer indices"
+OUT_OF_RANGE = "field 'mult' entry 999 index out of range for shape (10, 10, 10)"
+
+
+@pytest.mark.parametrize("entry,message", [
+    ("x", BAD_SHAPE),
+    ([9, 9, 9, 1.0], BAD_SHAPE),
+    ([9, 9, True, 1.0, 0.0], BAD_INDEX),
+    ([9, 9, 1.0, 1.0, 0.0], BAD_INDEX),
+    ([9, 9, 9, "1", 0.0], "field 'mult' entry 999 has non-numeric values"),
+    ([9, 9, 9, float("nan"), 0.0], "field 'mult' entry 999 has a non-finite value"),
+    ([9, 9, 9, 1.0, 10 ** 400], "field 'mult' entry 999 has a non-finite value"),
+    ([9, 9, 10 ** 400, 1.0, 0.0], OUT_OF_RANGE),
+    ([9, 9, -1, 1.0, 0.0], OUT_OF_RANGE),
+    ([9, 9, 10, 1.0, 0.0], OUT_OF_RANGE),
+    ([0, 0, 0, 1.0, 0.0], "field 'mult' has duplicate entry for index (0, 0, 0)"),
+], ids=["not_a_list", "wrong_length", "true_index", "float_index", "string_value", "nan",
+        "huge_value", "huge_index", "negative_index", "index_out_of_range", "duplicate"])
+def test_bulk_parse_names_a_fault_in_the_last_of_1000_entries(entry, message):
+    # the bulk check finds the fault, and the entry walk names it as before
+    data = _dense_z10_data()
+    data["mult"][-1] = entry
+    with pytest.raises(StructuralError) as info:
+        algebra_from_json_dict(data)
+    assert str(info.value) == message
+
+
+def test_bulk_parse_matches_the_entry_loop():
+    from fqg.builders import _dense_from_sparse
+
+    data = _dense_z10_data()
+    for field, shape in (("mult", (10,) * 3), ("comult", (10,) * 3), ("star", (10, 10)), ("unit", (10,))):
+        expected = np.zeros(shape, dtype=complex)
+        for *idx, re, im in data[field]:
+            expected[tuple(idx)] = complex(re, im)
+        assert np.array_equal(_dense_from_sparse(data[field], shape, field), expected)
+    assert np.array_equal(_dense_from_sparse([], (2, 2), "star"), np.zeros((2, 2)))
+    # negative zeros survive, as they do in the walk (and in the provenance hash)
+    parsed = _dense_from_sparse([[0, 0, -1.0, -0.0], [1, 1, -0.0, 2]], (2, 2), "star")
+    assert np.signbit(parsed[0, 0].imag) and np.signbit(parsed[1, 1].real)
 
 
 def test_load_rejects_version_mismatch(tmp_path):

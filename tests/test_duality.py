@@ -16,6 +16,7 @@ from fqg import (
     verify_hopf_star_axioms,
 )
 from fqg.duality import verify_fourier_slice_identity
+from fqg.tensors import span_basis
 
 
 # one functional at a time: the references for ``verify_G_isomorphism``, which
@@ -214,3 +215,24 @@ def test_functional_star_matches_the_basis_element_loop(basis_changed):
         ]
         got = _functional_star(a, phi).coords
         assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected))), name
+
+
+def test_intertwines_coproducts_is_certified_and_falls_back_to_the_exact_distance(basis_changed):
+    # a valid context reports the certified bound; slice images that are not the
+    # slices of W make the bound exceed tol, and the exact distance is reported
+    from dataclasses import replace
+
+    a = basis_changed(preset("ks3"), 6)
+    wop = build_multiplicative_unitary(a, gns_construct(a, compute_haar(a)))
+    check = verify_G_isomorphism(wop, build_dual(a)).check("intertwines_coproducts")
+    assert check.detail == "certified upper bound on the residual" and check.residual <= 1e-12
+    rng = np.random.default_rng(8)
+    images = wop.slice_basis + 1e-4 * rng.standard_normal(wop.slice_basis.shape)
+    bad = replace(wop, slice_basis=images, dual_span=span_basis(images))
+    check = verify_G_isomorphism(bad, build_dual(a)).check("intertwines_coproducts")
+    coeffs, remainders = bad.dual_coproduct_coords
+    r = bad.dual_span.q.conj().T @ images.reshape(a.dim, -1).T
+    pairs = r @ a.mult.transpose(2, 0, 1) @ r.T
+    exact = np.sqrt(np.linalg.norm(coeffs - pairs, axis=(1, 2)) ** 2 + remainders ** 2).max()
+    assert check.detail.startswith("exact contraction; certified bound") and not check.passed
+    assert check.residual == exact
