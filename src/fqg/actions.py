@@ -420,7 +420,7 @@ def _dual_expansion_bound(data: IntertwinerData, v2: float) -> float:
     p = images.reshape((n,) * 5).transpose(0, 1, 3, 2, 4).reshape(n, n * n, n * n)
     p = p - np.tensordot(np.tensordot(mult, flat, (0, 0)), flat, (0, 0))
     f = betas[:, None] @ betas[None] - np.tensordot(mult, betas, (2, 0))
-    gx, gb = _gram(xs), _gram(betas)
+    gx, gb = wop.grams[1], _gram(betas)
     a, b = float(np.vdot(p, gb @ p.reshape(n, -1)).real), _kron_gram_square(f, gx, gx)
     h = flat @ p.conj() @ flat.T  # h[l, j, k] = <P_l, x_j (x) x_k>
     c = np.sum(h.reshape(n, -1) * (betas.reshape(n, -1).conj() @ f.reshape(n * n, -1).T))

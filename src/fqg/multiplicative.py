@@ -70,11 +70,9 @@ class MultiplicativeUnitary:
     ``dual_span`` is the one SVD of the stacked slice basis: an orthonormal
     basis ``q`` of the dual subspace and the map from coordinates in ``q`` to
     coordinates over ``slice_basis``.  Every certificate the stages read is a
-    cached property, computed on first read (the exact fallbacks
-    ``conjugation_exact``, ``second_leg_exact`` and ``pentagon_exact`` too):
-    only an exact fallback reads ``dual_coproducts`` and builds that n^5 stack,
-    an exact contraction runs at most once, and a context rebuilt by
-    ``dataclasses.replace`` computes its own.
+    cached property, computed on first read, the exact fallbacks (``*_exact``)
+    too: only an exact fallback reads ``dual_coproducts`` and builds that n^5
+    stack, and a context rebuilt by ``dataclasses.replace`` computes its own.
     """
 
     w: np.ndarray
@@ -104,11 +102,18 @@ class MultiplicativeUnitary:
         return _norm2(xs), *each
 
     @cached_property
+    def grams(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """G_pr = tr(L_p* L_r), Gx_pr = tr(x_p* x_r) and ||sum_a coproduct(e_a) (x) e_a||_F."""
+        g = _gram(self.gns.left_regular)
+        delta = _kron_gram_square(self.algebra.comult.transpose(1, 2, 0), g, g)
+        return g, _gram(self.slice_basis), float(np.sqrt(abs(delta)))
+
+    @cached_property
     def coproduct_defects(self) -> tuple[float, float, float]:
         """Bounds on (sum_a ||F_a||_F^2)^1/2 and on the conjugation defect, both
         derived in ``verify_coproduct_implemented``, and on the second-leg defect."""
         n, a, xs, lr = self.dim, self.algebra, self.slice_basis, self.gns.left_regular
-        gram = self.coproduct_gram[0]
+        gram = self.grams[0]
         delta_norms = _pair_norms(a.comult, gram)  # ||coproduct(e_a)||_F
         # T[a, p, j, s] = sum_q comult[a, p, q] mult[q, j, s] at [a, s, p, j]
         gram_part = _kron_defect_norms(self, xs[None] @ lr[:, None],
@@ -135,11 +140,6 @@ class MultiplicativeUnitary:
         return leg_distance(lhs, [(w, [1, 2]), (w, [1, 3])], (n, n, n))
 
     @cached_property
-    def coproduct_gram(self) -> tuple[np.ndarray, float]:  # G_pr = tr(L_p* L_r), ||coproduct||_F
-        g = _gram(self.gns.left_regular)
-        return g, float(np.sqrt(abs(_kron_gram_square(self.algebra.comult.transpose(1, 2, 0), g, g))))
-
-    @cached_property
     def pentagon_bound(self) -> float:
         """The certified upper bound on the pentagon defect derived in ``verify_pentagon``."""
         n, u, e = self.dim, self.unitarity_defect, self.expansion_residual
@@ -151,8 +151,7 @@ class MultiplicativeUnitary:
         return float(bound + _allowance(n, self.w, w2, 0.0))
 
     @cached_property
-    def pentagon_exact(self) -> float:
-        """The exact n^8 pentagon defect, ``pentagon_residual(w)``."""
+    def pentagon_exact(self) -> float:  # the exact n^8 pentagon defect, ``pentagon_residual(w)``
         return pentagon_residual(self.w)
 
     @cached_property
@@ -169,7 +168,7 @@ class MultiplicativeUnitary:
         """pi_l >= ||dual-coproduct(x_l) - Y_l||_F and r_l >= the distance of
         dual-coproduct(x_l) from the Q_a (x) Q_b (``verify_dual_coproduct_identities``)."""
         n, a, xs, lr = self.dim, self.algebra, self.slice_basis, self.gns.left_regular
-        c, gx, m = self.slice_closure[0], _gram(xs), a.mult.transpose(2, 0, 1)  # m[l] = mult[:, :, l]
+        c, gx, m = self.slice_closure[0], self.grams[1], a.mult.transpose(2, 0, 1)  # m[l] = mult[:, :, l]
         # U[l, p, s, k] = sum_j c[s, j, p] mult[j, k, l]
         gram_part = _kron_defect_norms(self, xs[:, None] @ lr[None],
                                        c.transpose(2, 0, 1)[None] @ m[:, None], gx)
@@ -287,14 +286,11 @@ def verify_left_slices_span(
     The slice of W by the vector functional T -> <e_i, T e_j> on its first
     leg (GNS vectors of the basis, antilinear in the bra) is left
     multiplication by (haar (x) id)((e_i* (x) 1) coproduct(e_j)); all n^2
-    slices, and all their targets, are one einsum each.  With R = ``to_onb``,
-    slice (i, j) is sum_k (R* x_k R)_ij L_k plus a slice of E; the L_k have the
-    row Gram matrix G^T, G = ``_gram(L)``, so the ranks are those of C V and
-    [C; I] V, V V* = G^T (``_slice_rows``), moved by at most ||R||_2^2 ||E||_F
-    (Weyl); a count that shift may change falls back to ``numerical_rank``.
+    slices, and all their targets, are one einsum each.  The ranks are
+    certified from the slices' coefficients over the L_k (``_slice_rows``); a
+    count that their shift may change falls back to ``numerical_rank``.
     """
-    a, gns = wop.algebra, wop.gns
-    n = a.dim
+    a, gns, n = wop.algebra, wop.gns, wop.dim
     r = gns.to_onb
     slices = np.einsum("pi,prqs,qj->ijrs", r.conj(), wop.w.reshape((n,) * 4), r, optimize=True)
     targets = np.einsum("ip,jpq,qrs->ijrs", gns.gram, a.comult, gns.left_regular, optimize=True)
@@ -312,10 +308,14 @@ def verify_left_slices_span(
 
 
 def _slice_rows(wop: MultiplicativeUnitary) -> tuple[np.ndarray, np.ndarray, float]:
-    """C V and [C; I] V of ``verify_left_slices_span``, and the shift of their singular values."""
+    """With R = ``to_onb``, slice (i, j) is sum_k C[(i, j), k] L_k plus a slice of E,
+    C[(i, j), k] = (R* x_k R)_ij.  The L_k have the row Gram matrix G^T, G =
+    ``grams[0]``, so the slices' singular values are those of C V, V V* = G^T, and
+    those of their union with the L_k are those of [C; I] V, each moved by at most
+    ||R||_2^2 ||E||_F (Weyl): C V, [C; I] V and that shift, with rounding."""
     n, r = wop.dim, wop.gns.to_onb
     c = (r.conj().T @ wop.slice_basis @ r).transpose(1, 2, 0).reshape(n * n, n)
-    lam, v = np.linalg.eigh(_gram(wop.gns.left_regular).T)
+    lam, v = np.linalg.eigh(wop.grams[0].T)
     root = v * np.sqrt(np.clip(lam, 0.0, None))
     shift = wop.expansion_residual + 4 * n * np.finfo(float).eps * frob(wop.w)
     shift *= np.linalg.norm(r, 2) ** 2
@@ -387,18 +387,18 @@ def _lx_gram_form(wop: MultiplicativeUnitary, a, b) -> float:
     """(sum a[p, q, p', q'] b[q, j, q', j'] <L_p x_j, L_p' x_j'>)^1/2, by three (n^2, n^2)
     products: for a = sum_k conj(C_k) (x) C_k and b the Gram tensor of B_qj (or a, b
     swapped), (sum_k ||sum_pqj C_k[p, q] L_p x_j (x) B_qj||_F^2)^1/2."""
-    n = wop.dim
-    a, b = _pairs(a), _pairs(b)
-    a = a @ b
-    lx = _lx_stack(wop)
-    return float(np.sqrt(abs(np.vdot(_pairs((lx @ lx.conj().T).reshape((n,) * 4)), a).real)))
+    a, lx = _pairs(a) @ _pairs(b), _lx_stack(wop)
+    return float(np.sqrt(abs(np.vdot(_pairs((lx @ lx.conj().T).reshape((wop.dim,) * 4)), a).real)))
 
 
 def _sandwich_bounds(wop: MultiplicativeUnitary, a, spill: float, stack, l2, b_frob):
-    """For F_k = W A_k - B_k W (or A_k W - W B_k), A_k = S_k (x) 1 (or 1 (x) S_k),
-    ||S_k||_2 <= l2, ||B_k||_F = b_frob and ||F_k||_F <= a_k + spill_k + e (||S_k||_2 + ||B_k||_2),
-    ||spill_k|| <= spill: bounds on ||(||F_k||_F)_k|| and on each W A_k W* - B_k
-    (or W* A_k W - B_k) of ``verify_coproduct_implemented``."""
+    """Bounds on ||(||F_k||_F)_k|| and on each W A_k W* - B_k (or W* A_k W - B_k)
+    for F_k = W A_k - B_k W (or A_k W - W B_k), A_k = S_k (x) 1 (or 1 (x) S_k),
+    ||S_k||_2 <= l2, ||B_k||_F = b_frob, ||F_k||_F <= a_k + spill + e (||S_k||_2 +
+    ||B_k||_2).  With u = ||W*W - I||_F = ||WW* - I||_F, w2 = 1 + u and s =
+    sqrt(1 - u) <= W's smallest singular value: W A W* - B = (F + W A (W*W - I))
+    W^-1 is at most (||F|| + sqrt(w2) ||A||_2 u) / s, and at most w2 ||A||_F +
+    ||B||_F; B W = W A - F bounds ||B||_2 by (sqrt(w2) ||A||_2 + a) / (s - e)."""
     n, u, e = wop.dim, wop.unitarity_defect, wop.expansion_residual
     w2, s = 1.0 + u, np.sqrt(max(1.0 - u, 0.0))
     a_frob = np.sqrt(n) * np.linalg.norm(stack, axis=(1, 2))
@@ -432,8 +432,7 @@ def coproduct_expansion_bound(ys, u, e: float, u2: float, wop: MultiplicativeUni
     alone reads rounding, so the allowance of ``verify_pentagon`` is added
     with Kronecker side ||Y||_2 ||Delta||_F (both in ``_allowance``).
     """
-    n = wop.dim
-    gram, delta_norm = wop.coproduct_gram
+    n, (gram, _, delta_norm) = wop.dim, wop.grams
     m = np.tensordot(wop.algebra.comult, ys, (0, 0)) - ys[:, None] @ ys[None]
     square, y_norm = _kron_gram_square(m, gram, gram), np.linalg.norm(ys.reshape(n, -1), 2)
     return float(np.sqrt(abs(square)) + _allowance(n, u, u2, y_norm * delta_norm, e))
@@ -449,13 +448,10 @@ def verify_coproduct_implemented(
     With W = X + E and L_q L_j = sum_s mult[q, j, s] L_s + rho_qj, F_a = W A - B W
     (A = L_a (x) 1, B = coproduct(e_a)) is sum_s D_as (x) L_s (``_kron_defect_norms``,
     D_as = x_s L_a - sum_pjq comult[a, p, q] mult[q, j, s] L_p x_j), minus
-    sum_pqj comult[a, p, q] L_p x_j (x) rho_qj (``_lx_gram_form``), plus E A - B E.
-    ``_sandwich_bounds`` (u = ||W*W - I||_F = ||WW* - I||_F, w2 = 1 + u, s =
-    sqrt(1 - u)): W A W* - B = (F_a + W A (W*W - I)) W^-1, at most (f_a + sqrt(w2)
-    ||A||_2 u) / s; B W = W A - F_a bounds ||B||_2 by (sqrt(w2) ||A||_2 + a) / (s - e)
-    when ||F_a|| <= a + e ||B||_2, and ||B||_F always; ||W A W*|| + ||B|| bounds it
-    too.  Added is the allowance of ``verify_pentagon`` with Kronecker side ||X||_2
-    ||B||_F.  One (n^2, n^2) x (n^2, n^2) product: n^6 time and n^4 memory, not n^7.
+    sum_pqj comult[a, p, q] L_p x_j (x) rho_qj (``_lx_gram_form``), plus E A - B E;
+    ``_sandwich_bounds`` turns that into the bound, plus the allowance of
+    ``verify_pentagon`` with Kronecker side ||X||_2 ||B||_F.  One (n^2, n^2) x
+    (n^2, n^2) product: n^6 time and n^4 memory, not n^7.
     """
     _, conjugation, second_leg = wop.coproduct_defects
     rb = ReportBuilder()
@@ -601,6 +597,15 @@ def _exact_first_leg(wop: MultiplicativeUnitary) -> float:
     return leg_distance(lhs, [(w_mat, [1, 3]), (w_mat, [2, 3])], (n, n, n))
 
 
+def _exact_star(wop: MultiplicativeUnitary, _) -> tuple[float, bool]:
+    """max_j ||sum_k c_jk dual-coproduct(x_k) - dual-coproduct(x_j)*||_F over the stack:
+    |conj(a) - b^T| = |a - b*| entrywise, one element of sum_k c_jk images[k] at a time."""
+    images = wop.dual_coproducts
+    flat = images.reshape(len(images), -1)
+    star = [frob(np.conj(c @ flat) - image.T.ravel()) for c, image in zip(wop.slice_closure[1], images)]
+    return float(np.max(star)), False
+
+
 def _add_bounded(rb: ReportBuilder, name: str, bound: float, tol: float, exact, wop) -> None:
     """Report ``bound`` if it is within ``tol``, else the residual of
     ``exact(wop, tol)``, which also says whether its walk stopped above ``tol``."""
@@ -617,39 +622,41 @@ def verify_dual_coproduct_identities(
 ) -> VerificationReport:
     """Global laws of the dual coproduct on the slice basis: (dual-coproduct (x)
     id) W = W13 W23, coassociativity, the *-homomorphism property,
-    multiplicativity, and images in the doubled span.  Each is a certified
-    bound for any W (w2 = 1 + u >= ||W||_2^2, u = ||W*W - I||_F = ||WW* - I||_F);
-    above ``tol``, or NaN, the exact computation over ``dual_coproducts``.  The
-    exact coassociativity and multiplicativity walks stop at the first defect
-    above ``tol``, in (tol, exact maximum]; a walk that would pass never stops.
+    multiplicativity and images in the doubled span, each a certified bound for
+    any W (w2 = 1 + u >= ||W||_2^2, u = ||W*W - I||_F = ||WW* - I||_F); above
+    ``tol``, or NaN, the exact computation over ``dual_coproducts``, whose
+    coassociativity and multiplicativity walks stop at the first defect above
+    ``tol``, in (tol, exact maximum]; a walk that would pass never stops.
 
     pi_l >= ||P_l||, P_l = dual-coproduct(x_l) - Y_l, Y_l = sum_jk m_l[j, k] x_j
     (x) x_k, m_l = mult[:, :, l] (``dual_coproduct_bounds``): with x_s x_j = sum_p
     c[s, j, p] x_p + r_sj (``slice_closure``), (1 (x) x_l) W - W Y_l = sum_p x_p
     (x) D_lp - sum_sjk m_l[j, k] r_sj (x) L_s x_k + (1 (x) x_l) E - E Y_l, D_lp =
-    x_l L_p - sum_sjk c[s, j, p] m_l[j, k] L_s x_k; P_l = W^-1 (that + (WW* - I)
-    (1 (x) x_l) W) as in ``verify_coproduct_implemented``, A = 1 (x) x_l, B = Y_l,
-    plus 4 n eps w2 (||X||_2 ||Y_l||_F + w2 sqrt(n) ||x_l||_F) for rounding.
+    x_l L_p - sum_sjk c[s, j, p] m_l[j, k] L_s x_k; ``_sandwich_bounds`` with A =
+    1 (x) x_l, B = Y_l, plus 4 n eps w2 (||X||_2 ||Y_l||_F + w2 sqrt(n) ||x_l||_F).
+    With R = Q* X and d_j = x_j - Q R_j, Y_l = sum_ab (R m_l R^T)_ab Q_a (x) Q_b +
+    sum_jk m_l[j, k] (d_j (x) x_k + Q R_j (x) d_k), so r_l = pi_l + 2 ||m_l||_2
+    ||X||_2 ||d||_F bounds the distance from the Q_a (x) Q_b, which
+    ``image_in_doubled_span`` and ``intertwines_coproducts`` report.
 
-    First leg: W12* W23 W12 - W13 W23 = W12* (pentagon defect) W23 + W12* W23
-    W12 (I - W23* W23) + (W12* W12 - I) W13 W23 and the left side is W12* (W23 -
-    E23) W12, so the defect is at most w2 P + sqrt(n) u (w2^3/2 + w2) + sqrt(n)
-    w2 ||E||_F, P the pentagon residual reported, plus the allowance with
-    Kronecker side w2 sqrt(n) ||X||_F ||L||_2 >= ||Delta-hat||_F ||L||_2.
-    Coassociativity on Y_l is sum_abc A_abc x_a (x) x_b (x) x_c, A the
-    associativity defect of mult at e_l (a Gram form); the P_j add 2 ||m_l||_2
-    ||X||_2 ||pi|| + 2 sqrt(n) w2 pi_l, and 2 n w2^2 ||x_l||_F bounds it too.
-    Multiplicativity, W*(1 (x) x)(I - WW*)(1 (x) y)W, is at most w2 max_j
-    ||x_j||_2^2 (w2 - 1 + 4 n^2 eps).  With R = Q* X, d_j = x_j - Q R_j, Y_l =
-    sum_ab (R m_l R^T)_ab Q_a (x) Q_b + sum_jk m_l[j, k] (d_j (x) x_k + Q R_j (x)
-    d_k): r_l = pi_l + 2 ||m_l||_2 ||X||_2 ||d||_F bounds the distance from the
-    Q_a (x) Q_b that ``image_in_doubled_span`` and ``intertwines_coproducts`` report.
-
-    The *-homomorphism check writes x_j* = sum_k c_jk x_k + s_j (``slice_closure``)
-    and compares sum_k c_jk dual-coproduct(x_k) with dual-coproduct(x_j)*;
-    dual-coproduct(x*) itself would prove nothing, being the adjoint of
-    dual-coproduct(x) for every W.  The difference is W*(1 (x) s_j)W, at most
-    w2 sqrt(n) ||s_j||_F: it fails when the slice span is not closed under adjoint.
+    First leg: the left side is W12* (W23 - E23) W12, and W12* W23 W12 - W13 W23
+    = W12* (pentagon defect) W23 + W12* W23 W12 (I - W23* W23) + (W12* W12 - I)
+    W13 W23, so the defect is at most w2 P + sqrt(n) u (w2^3/2 + w2) + sqrt(n) w2
+    ||E||_F, P the pentagon residual reported, plus the allowance with Kronecker
+    side w2 sqrt(n) ||X||_F ||L||_2 >= ||Delta-hat||_F ||L||_2.  Coassociativity
+    on Y_l is sum_abc A_abc x_a (x) x_b (x) x_c, A the associativity defect of
+    mult at e_l (a Gram form); the P_j add 2 ||m_l||_2 ||X||_2 ||pi|| + 2 sqrt(n)
+    w2 pi_l, and 2 n w2^2 ||x_l||_F caps it.  Where the cap binds, or the bound
+    exceeds ``tol``, the coefficients C_l of ``dual_coproduct_coords`` bound it
+    too, exactly for a unitary W whose dual coproducts keep to the doubled span:
+    with C^a for Q_a through T = ``dual_span.to_coords`` and e = 4 n^2 eps w2, by
+    ||sum_a C_lak C^a_ij - sum_b C_lib C^b_jk|| + (2 ||T||_2 ||r|| + e) ||C_l|| +
+    2 sqrt(n) w2 r_l.  Multiplicativity, W*(1 (x) x)(I - WW*)(1 (x) y)W, is at
+    most w2 max_j ||x_j||_2^2 (w2 - 1 + 4 n^2 eps).  For the *-homomorphism law,
+    x_j* = sum_k c_jk x_k + s_j (``slice_closure``) and sum_k c_jk
+    dual-coproduct(x_k) - dual-coproduct(x_j)* = W*(1 (x) s_j)W, at most w2
+    sqrt(n) ||s_j||_F: it fails when the slice span is not closed under adjoint
+    (dual-coproduct(x*) would prove nothing, being dual-coproduct(x)* for any W).
     """
     n, u, xs = wop.dim, wop.unitarity_defect, wop.slice_basis
     w2, (x_norm, x2, _, m_norms) = 1.0 + u, wop.spectral_norms
@@ -661,7 +668,7 @@ def verify_dual_coproduct_identities(
                  lambda w, _: (_exact_first_leg(w), False), wop)
     rounding = rounding_allowance(n)
     pi, remainders = wop.dual_coproduct_bounds
-    m, gx, x_frob = wop.algebra.mult, _gram(xs), np.linalg.norm(xs, axis=(1, 2))
+    m, gx, x_frob = wop.algebra.mult, wop.grams[1], np.linalg.norm(xs, axis=(1, 2))
     # (e_a e_b) e_c - e_a (e_b e_c) at e_l, at [l, a, b, c]; its Gram form over a, c, then b
     assoc = np.tensordot(m, m, (2, 0)).transpose(3, 0, 1, 2)
     assoc -= np.tensordot(m, m, (2, 1)).transpose(3, 2, 0, 1)
@@ -669,27 +676,25 @@ def verify_dual_coproduct_identities(
     g = (gx @ g.reshape(n * n, n, n)).reshape(assoc.shape)
     coassoc = np.sqrt(np.abs(np.sum(assoc.conj() * g, axis=(1, 2, 3)).real))
     coassoc += 2 * (x_norm * m_norms * frob(pi) + np.sqrt(n) * w2 * pi)
-    coassoc = np.max(np.minimum(coassoc, 2 * w2 ** 2 * n * x_frob))
+    cap = 2 * w2 ** 2 * n * x_frob
+    if not np.all(coassoc < np.minimum(cap, tol)):
+        coeffs, r = wop.dual_coproduct_coords
+        t = wop.dual_span.to_coords
+        up = np.einsum("ja,jcd->acd", t, coeffs).reshape(t.shape[1], -1)  # C^a over (c, d)
+        slack = 2 * np.linalg.norm(t, 2) * np.linalg.norm(r) + rounding * w2
+        coassoc = np.minimum(coassoc, [frob((up.T @ c).ravel() - (c @ up).ravel()) + slack * frob(c)
+                                       + 2 * np.sqrt(n) * w2 * r_l for c, r_l in zip(coeffs, r)])
     mult = w2 * x2.max() ** 2 * (w2 - 1 + rounding)
     # sum_k c_jk dual-coproduct(x_k) - dual-coproduct(x_j)* = W* (1 (x) s_j) W
     c = wop.slice_closure[1]
     star = np.linalg.norm(c @ xs.reshape(n, -1) - xs.conj().transpose(0, 2, 1).reshape(n, -1), axis=1)
     star += 4 * n * np.finfo(float).eps * w2 * (np.linalg.norm(c, axis=1) * frob(xs) + x_frob)
     star *= w2 * np.sqrt(n)
-    _add_bounded(rb, "dual_coproduct_coassociative", coassoc, tol, _exact_coassociativity, wop)
+    _add_bounded(rb, "dual_coproduct_coassociative", float(np.max(np.minimum(coassoc, cap))), tol,
+                 _exact_coassociativity, wop)
     _add_bounded(rb, "dual_coproduct_star_homomorphism", float(star.max()), tol, _exact_star, wop)
     _add_bounded(rb, "dual_coproduct_multiplicative", mult, tol, _exact_multiplicativity, wop)
     _add_bounded(rb, "image_in_doubled_span", float(remainders.max()), tol,
                  lambda w, _: (float(w.dual_coproduct_coords[1].max()), False), wop)
     return rb.build()
 
-
-def _exact_star(wop: MultiplicativeUnitary, _) -> tuple[float, bool]:
-    """max_j ||sum_k c_jk dual-coproduct(x_k) - dual-coproduct(x_j)*||_F over the stack."""
-    images = wop.dual_coproducts
-    # |conj(a) - b^T| = |a - b*| entrywise; one element of sum_k c_jk images[k] at a time
-    flat = images.reshape(len(images), -1)
-    return float(np.max([
-        frob(np.conj(c @ flat) - image.T.ravel())
-        for c, image in zip(wop.slice_closure[1], images)
-    ])), False

@@ -12,10 +12,10 @@ with a list of matrices written beside the inputs) and ``verify <preset>
 --tol 1e-15`` for every preset and its dual, through ``fqg.cli.main`` in
 process.  At that tolerance every certified bound of ``fqg verify`` reports
 its exact computation: the pentagon, ``conjugation_over_basis``,
-``coproduct_on_second_leg_of_w``, the first-leg, coassociativity,
-star-homomorphism and doubled-span checks of the dual coproduct,
-``intertwines_coproducts``, and multiplicativity on every preset but
-``trivial`` and its dual.  The action cases run at the default tolerance,
+``coproduct_on_second_leg_of_w``, the first-leg, star-homomorphism and
+doubled-span checks of the dual coproduct, ``intertwines_coproducts``, and
+coassociativity and multiplicativity on every preset but ``trivial`` and its
+dual.  The action cases run at the default tolerance,
 where the two four-leg expansions of V report their certified bounds.  It
 also runs every preset verify with each ``--only`` pattern of ``ONLY_VERIFY``, at that
 tolerance and at ``1e-20``, where the checks at rounding level fail; three
