@@ -311,9 +311,12 @@ def test_bulk_parse_matches_the_entry_loop():
             expected[tuple(idx)] = complex(re, im)
         assert np.array_equal(_dense_from_sparse(data[field], shape, field), expected)
     assert np.array_equal(_dense_from_sparse([], (2, 2), "star"), np.zeros((2, 2)))
-    # negative zeros survive, as they do in the walk (and in the provenance hash)
-    parsed = _dense_from_sparse([[0, 0, -1.0, -0.0], [1, 1, -0.0, 2]], (2, 2), "star")
-    assert np.signbit(parsed[0, 0].imag) and np.signbit(parsed[1, 1].real)
+    # negative zeros survive, in the walk (up to ten entries) and in the bulk
+    # path (and so in the provenance hash)
+    for k in (2, 16):
+        entries = [[i, i, -1.0, -0.0] for i in range(k - 1)] + [[k - 1, k - 1, -0.0, 2]]
+        parsed = _dense_from_sparse(entries, (k, k), "star")
+        assert np.signbit(parsed[0, 0].imag) and np.signbit(parsed[k - 1, k - 1].real)
 
 
 def test_load_rejects_version_mismatch(tmp_path):
