@@ -434,7 +434,8 @@ def coproduct_expansion_bound(ys, u, e: float, u2: float, wop: MultiplicativeUni
     """
     n, (gram, _, delta_norm) = wop.dim, wop.grams
     m = np.tensordot(wop.algebra.comult, ys, (0, 0)) - ys[:, None] @ ys[None]
-    square, y_norm = _kron_gram_square(m, gram, gram), np.linalg.norm(ys.reshape(n, -1), 2)
+    y_norm = wop.spectral_norms[0] if ys is wop.slice_basis else _norm2(ys)
+    square = _kron_gram_square(m, gram, gram)
     return float(np.sqrt(abs(square)) + _allowance(n, u, u2, y_norm * delta_norm, e))
 
 

@@ -149,6 +149,28 @@ def test_verify_gns_report_passes_on_presets():
         assert report.overall_pass, [c.name for c in report.checks if not c.passed]
 
 
+def _positive_on_squares_loop(a, h):
+    """haar_positive_on_squares one seeded element at a time: the reference."""
+    rng, worst = np.random.default_rng(7), 0.0
+    for _ in range(16):
+        v = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
+        value = h(a.multiply(a.apply_star(v), v))
+        worst = max(worst, -value.real, abs(value.imag))
+    return worst
+
+
+@pytest.mark.parametrize("name", [*preset_names(), *(f"dual:{p}" for p in preset_names())])
+def test_positive_on_squares_equals_the_loop_over_its_draws(name, basis_changed):
+    # the batched products are the loop's with a leading row index: equal
+    # values, also for a functional that is far from positive
+    for a in (preset(name), basis_changed(preset(name), seed=1)):
+        gns = gns_construct(a, compute_haar(a))
+        skewed = Functional([1, 1j] @ np.random.default_rng(2).standard_normal((2, a.dim)))
+        for h in (gns.haar, skewed):
+            report = verify_gns(a, dataclasses.replace(gns, haar=h))
+            assert report.residual("haar_positive_on_squares") == _positive_on_squares_loop(a, h)
+
+
 def test_trace_property():
     assert verify_trace(preset("fz2"), compute_haar(preset("fz2"))).max_residual() == 0.0
     a = preset("ks3")

@@ -1,5 +1,8 @@
 """Axiom suite and automorphism recognition on structure-constant algebras."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from fqg import (
     group_algebra,
     is_hopf_star_automorphism,
     preset,
+    preset_names,
     verify_hopf_star_axioms,
 )
 from fqg.builders import permutation_matrix
@@ -166,3 +170,118 @@ def test_the_algebra_copies_the_caller_arrays():
         assert given[f].flags.writeable, f
         assert not getattr(built, f).flags.writeable, f
         assert getattr(built, f) is not given[f], f
+
+
+# -- the matrix-product kernels against reference einsum forms ------------------
+
+
+def _axiom_oracles(a):
+    """Every residual of ``verify_hopf_star_axioms`` in its einsum form, by check name."""
+    mult, comult, eye, s_op, star_cols = a.mult, a.comult, np.eye(a.dim), a.antipode.T, a.star.T
+    frob = np.linalg.norm
+    target = np.outer(a.counit, a.unit)
+    return {
+        "associativity": frob(np.einsum("ijp,pkl->ijkl", mult, mult, optimize=True)
+                              - np.einsum("jkq,iql->ijkl", mult, mult, optimize=True)),
+        "unit_law_left": frob(np.einsum("p,pil->il", a.unit, mult) - eye),
+        "unit_law_right": frob(np.einsum("p,ipl->il", a.unit, mult) - eye),
+        "coassociativity": frob(np.einsum("ipc,pab->iabc", comult, comult, optimize=True)
+                                - np.einsum("iaq,qbc->iabc", comult, comult, optimize=True)),
+        "counit_law_left": frob(np.einsum("ijk,j->ik", comult, a.counit) - eye),
+        "counit_law_right": frob(np.einsum("ijk,k->ij", comult, a.counit) - eye),
+        "comult_unital": frob(np.einsum("i,ijk->jk", a.unit, comult) - np.outer(a.unit, a.unit)),
+        "comult_multiplicative": frob(
+            np.einsum("ijl,lab->ijab", mult, comult, optimize=True)
+            - np.einsum("ipq,jrs,pra,qsb->ijab", comult, comult, mult, mult, optimize=True)),
+        "comult_star": frob(np.einsum("il,lab->iab", a.star, comult) - np.einsum(
+            "ipq,pa,qb->iab", np.conj(comult), a.star, a.star, optimize=True)),
+        "counit_unital": abs(complex(a.counit @ a.unit) - 1.0),
+        "counit_multiplicative": frob(np.einsum("ijk,k->ij", mult, a.counit)
+                                      - np.outer(a.counit, a.counit)),
+        "counit_star": frob(a.star @ a.counit - np.conj(a.counit)),
+        "star_involutive": frob(np.conj(a.star) @ a.star - eye),
+        "star_antimultiplicative": frob(
+            np.einsum("ijk,kl->ijl", np.conj(mult), a.star, optimize=True)
+            - np.einsum("jp,iq,pql->ijl", a.star, a.star, mult, optimize=True)),
+        "antipode_law_left": frob(np.einsum(
+            "iab,ap,pbl->il", comult, a.antipode, mult, optimize=True) - target),
+        "antipode_law_right": frob(np.einsum(
+            "iab,bq,aql->il", comult, a.antipode, mult, optimize=True) - target),
+        "antipode_involutive": frob(s_op @ s_op - eye),
+        "antipode_star_commute": frob(s_op @ star_cols - star_cols @ np.conj(s_op)),
+    }
+
+
+def _automorphism_oracles(a, t, tol):
+    """Every residual of ``is_hopf_star_automorphism`` in its einsum form, by check name."""
+    frob = np.linalg.norm
+    s_op, star_cols = a.antipode.T, a.star.T
+    tol_eff = tol * max(a.structure_scale(), frob(t))
+    return {
+        "invertible": max(0.0, tol_eff - float(np.linalg.svd(t, compute_uv=False)[-1])),
+        "multiplicative": frob(np.einsum("ijm,km->ijk", a.mult, t, optimize=True)
+                               - np.einsum("pi,qj,pqk->ijk", t, t, a.mult, optimize=True)),
+        "comultiplicative": frob(np.einsum("mi,mab->iab", t, a.comult, optimize=True)
+                                 - np.einsum("ipq,ap,bq->iab", a.comult, t, t, optimize=True)),
+        "unit_preserved": frob(t @ a.unit - a.unit),
+        "counit_preserved": frob(a.counit @ t - a.counit),
+        "star_equivariant": frob(t @ star_cols - star_cols @ np.conj(t)),
+        "antipode_equivariant": frob(s_op @ t - t @ s_op),
+    }
+
+
+def _assert_matches(report, oracles, tol):
+    assert [c.name for c in report.checks] == list(oracles)
+    for c in report.checks:
+        assert abs(c.residual - oracles[c.name]) <= 1e-13 * max(1.0, c.tolerance / tol), c.name
+
+
+def _near_identity(n, seed, size=1e-2):
+    rng = np.random.default_rng(seed)
+    return np.eye(n) + size * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+@pytest.mark.parametrize("name", [*preset_names(), *(f"dual:{p}" for p in preset_names())])
+def test_axiom_and_automorphism_kernels_match_their_einsum_forms(name, basis_changed):
+    given = preset(name)
+    for a in (given, *(basis_changed(given, seed) for seed in (1, 2, 3))):
+        _assert_matches(verify_hopf_star_axioms(a), _axiom_oracles(a), 1e-9)
+        for t in (np.eye(a.dim), _near_identity(a.dim, 5)):
+            _assert_matches(is_hopf_star_automorphism(a, t), _automorphism_oracles(a, t, 1e-9), 1e-9)
+
+
+def test_kernels_match_their_einsum_forms_on_a_defect_in_each_structure_tensor(basis_changed):
+    # noise on one structure tensor at a time; together the six defects move
+    # every residual far from rounding, and a singular t moves ``invertible``
+    a = basis_changed(preset("ks3"), 1)
+    rng = np.random.default_rng(3)
+    largest = {}
+    for field in ("mult", "comult", "unit", "counit", "antipode", "star"):
+        value = getattr(a, field)
+        noise = rng.standard_normal(value.shape) + 1j * rng.standard_normal(value.shape)
+        bad = dataclasses.replace(a, **{field: value + 1e-2 * noise})
+        reports = [(verify_hopf_star_axioms(bad), _axiom_oracles(bad), 1e-9)]
+        for t in (_near_identity(6, 7), np.diag([1.0] * 5 + [0.0])):
+            reports.append((is_hopf_star_automorphism(bad, t, 1e-4),
+                            _automorphism_oracles(bad, t, 1e-4), 1e-4))
+        for report, oracles, tol in reports:
+            _assert_matches(report, oracles, tol)
+            for c in report.checks:
+                largest[c.name] = max(largest.get(c.name, 0.0), c.residual)
+    assert len(largest) == 25
+    assert min(largest.values()) > 1e-5, min(largest, key=largest.get)
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_axioms_hold_at_most_three_n4_arrays(n, basis_changed):
+    # both sides of an n^4 law, or the two n^5 halves of comult_multiplicative
+    # and their product; the einsum forms held ten
+    a = basis_changed(group_algebra(cyclic_group(n)), 1)
+    tracemalloc.start()
+    try:
+        report = verify_hopf_star_axioms(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.overall_pass
+    assert peak <= 3.5 * 16 * n ** 4

@@ -50,6 +50,15 @@ def test_residual_change_passes_only_on_an_allowed_check(tmp_path, capsys):
     assert _compare(tmp_path, _run(BASE), _run(moved)) == 1
 
 
+def test_allow_takes_globs_and_reports_the_change_against_the_tolerance(tmp_path, capsys):
+    moved = [BASE[0], _check(ALLOWED, 5e-15)]
+    assert _compare(tmp_path, _run(BASE), _run(moved), allow=["slice_isomorphism/*", "axioms/*"]) == 0
+    out = capsys.readouterr().out
+    assert f"largest residual change of {ALLOWED}: 3.000e-15 (3.000e-06 of its tolerance)" in out
+    assert "largest residual change of axioms/*: 0.000e+00" in out
+    assert _compare(tmp_path, _run(BASE), _run(moved), allow=["pentagon/*"]) == 1
+
+
 @pytest.mark.parametrize(
     "changed",
     [

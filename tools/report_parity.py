@@ -34,9 +34,10 @@ match byte for byte.
 
 ``compare`` exits 1 on any change of exit code, stderr, provenance, check
 names or order, tolerances, verdicts or details, and on a residual change in
-a check not named by ``--allow`` (a full check name such as
-``slice_isomorphism/intertwines_coproducts``).  It prints the largest
-residual change of each allowed check.  Every case runs with
+a check not matched by ``--allow`` (a check name such as
+``slice_isomorphism/intertwines_coproducts``, or an fnmatch glob such as
+``'axioms/*'``).  It prints the largest residual change of each allowed check,
+absolute and as a fraction of that check's tolerance.  Every case runs with
 ``--format json``, so stdout that differs is compared field by field.
 """
 
@@ -45,6 +46,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import fnmatch
 import io
 import json
 import os
@@ -158,8 +160,9 @@ def dump(path: str) -> int:
 
 
 def _report_differences(case: str, a: dict, b: dict, allow, largest: dict) -> list[str]:
-    """What differs between two runs of ``case``; residual changes of allowed
-    checks go into ``largest`` instead."""
+    """What differs between two runs of ``case``; residual changes of checks
+    matched by a glob of ``allow`` go into ``largest`` as (absolute, relative to
+    the tolerance) instead."""
     problems = [f"{case}: {key} differs" for key in ("exit", "stderr") if a[key] != b[key]]
     if a["stdout"] == b["stdout"]:
         return problems
@@ -179,9 +182,12 @@ def _report_differences(case: str, a: dict, b: dict, allow, largest: dict) -> li
                 problems.append(f"{case}: {name} {key} {ca[key]!r} -> {cb[key]!r}")
         if ca["residual"] == cb["residual"]:
             continue
-        if name in allow and None not in (ca["residual"], cb["residual"]):
+        allowed = any(fnmatch.fnmatchcase(name, pattern) for pattern in allow)
+        if allowed and None not in (ca["residual"], cb["residual"]):
             change = abs(cb["residual"] - ca["residual"])
-            largest[name] = max(largest.get(name, 0.0), change)
+            relative = change / cb["tolerance"] if cb["tolerance"] else float("inf")
+            old = largest.get(name, (0.0, 0.0))
+            largest[name] = (max(old[0], change), max(old[1], relative))
         else:
             problems.append(f"{case}: {name} residual {ca['residual']!r} -> {cb['residual']!r}")
     return problems
@@ -193,14 +199,17 @@ def compare(path_a: str, path_b: str, allow) -> int:
     with open(path_b, encoding="utf-8") as fh:
         dump_b = json.load(fh)
     problems = [f"{case}: present in one dump only" for case in sorted(set(dump_a) ^ set(dump_b))]
-    largest: dict[str, float] = {}
+    largest: dict[str, tuple[float, float]] = {}
     identical = 0
     for case in sorted(set(dump_a) & set(dump_b)):
         identical += dump_a[case] == dump_b[case]
         problems += _report_differences(case, dump_a[case], dump_b[case], set(allow), largest)
     print(f"{identical} of {len(dump_a)} outputs byte-identical")
-    for name in sorted(allow):
-        print(f"largest residual change of {name}: {largest.get(name, 0.0):.3e}")
+    for pattern in sorted(allow):
+        if not any(fnmatch.fnmatchcase(name, pattern) for name in largest):
+            print(f"largest residual change of {pattern}: 0.000e+00")
+    for name, (change, relative) in sorted(largest.items()):
+        print(f"largest residual change of {name}: {change:.3e} ({relative:.3e} of its tolerance)")
     for problem in problems:
         print(problem)
     return 1 if problems else 0
@@ -214,7 +223,7 @@ def main(argv=None) -> int:
     p_compare = sub.add_parser("compare", help="compare two dumps")
     p_compare.add_argument("a")
     p_compare.add_argument("b")
-    p_compare.add_argument("--allow", action="append", default=[], metavar="CHECK")
+    p_compare.add_argument("--allow", action="append", default=[], metavar="GLOB")
     args = parser.parse_args(argv)
     if args.command == "dump":
         return dump(args.output)
