@@ -13,6 +13,7 @@ from fqg import (
     build_multiplicative_unitary,
     compute_haar,
     gns_construct,
+    orthonormal_algebra,
     pentagon_residual,
     preset,
 )
@@ -29,7 +30,8 @@ print(f"Haar state on the basis: {h.coords.real}")
 gns = gns_construct(algebra, h)
 print(f"Gram matrix of <a, b> = haar(a* b):\n{gns.gram.real}")
 
-wop = build_multiplicative_unitary(algebra, gns)
+# the algebra rewritten in its Haar-orthonormal basis (here the basis already is)
+wop = build_multiplicative_unitary(orthonormal_algebra(algebra, gns))
 print(f"\nW (the controlled-not):\n{wop.w.real}")
 
 print(f"\nunitarity defect |W* W - 1| = {np.linalg.norm(wop.w.conj().T @ wop.w - np.eye(4)):.2e}")

@@ -17,14 +17,19 @@ from fqg import (
     dual_coproduct,
     fourier_matrix,
     gns_construct,
+    orthonormal_algebra,
     preset,
 )
 
 np.set_printoptions(precision=3, suppress=True, linewidth=120)
 
-algebra = preset("kz2")
-gns = gns_construct(algebra, compute_haar(algebra))
-wop = build_multiplicative_unitary(algebra, gns)
+
+def unitary(a):
+    """W of ``a``, built from ``a`` rewritten in its Haar-orthonormal basis."""
+    return build_multiplicative_unitary(orthonormal_algebra(a, gns_construct(a, compute_haar(a))))
+
+
+wop = unitary(preset("kz2"))
 
 build_dual_subspace(wop)  # raises unless the slice basis spans the dual subspace
 print("right-slice basis of the dual subspace of kz2:")
@@ -52,10 +57,7 @@ for name in ("kz3", "ks3", "fs3"):
 
 print("\ncommutativity of the dual subspace classifies the primal coproduct:")
 for name in ("ks3", "fs3"):
-    w = build_multiplicative_unitary(
-        preset(name), gns_construct(preset(name), compute_haar(preset(name)))
-    )
-    x = w.slice_basis
+    x = unitary(preset(name)).slice_basis
     products = x[:, None] @ x[None]  # products[i, j] = x_i x_j
     commutator = np.linalg.norm(products - products.transpose(1, 0, 2, 3), axis=(2, 3)).max()
     print(f"  {name}: largest commutator in the dual subspace = {commutator:.3f}")
@@ -69,6 +71,6 @@ print(f"condition number {np.linalg.cond(f3):.2f}")
 print(f"image of the unit is the Haar state: {np.allclose(f3 @ a3.unit, h3.coords)}")
 
 # the slice map sends a functional phi to sum_j phi_j x_j over the slice basis
-w3 = build_multiplicative_unitary(a3, gns_construct(a3, h3))
-counit_slice = np.einsum("j,jpq->pq", a3.counit, w3.slice_basis)
+w3 = unitary(a3)
+counit_slice = np.einsum("j,jpq->pq", w3.algebra.counit, w3.slice_basis)
 print(f"slice image of the counit is the identity: {np.allclose(counit_slice, np.eye(3))}")

@@ -19,6 +19,7 @@ from fqg import (
     compute_haar,
     gns_construct,
     group_preset,
+    orthonormal_algebra,
     preset,
     resolve_automorphisms,
 )
@@ -51,8 +52,10 @@ for algebra_name, group_name, kind in (
     assert axioms.overall_pass, axioms.format_text()  # theta is a homomorphism into Aut(A)
     print(f"action axioms: {len(axioms.checks)} checks pass")
 
-    wop = build_multiplicative_unitary(algebra, gns_construct(algebra, compute_haar(algebra)))
-    data = build_intertwiner_data(wop, k_group, theta)
+    gns = gns_construct(algebra, compute_haar(algebra))
+    wop = build_multiplicative_unitary(orthonormal_algebra(algebra, gns))
+    # W acts on the Haar-orthonormal basis, so theta_k moves there as R theta_k R^-1
+    data = build_intertwiner_data(wop, k_group, gns.to_onb @ theta @ gns.onb_change)
 
     invariance = verify_strong_right_invariance(data)
     print(f"strong right invariance defect: {invariance.max_residual():.1e}")

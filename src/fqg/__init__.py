@@ -43,6 +43,7 @@ from .haar import (
     fourier_matrix,
     gns_construct,
     haar_invariance_residual,
+    orthonormal_algebra,
     verify_gns,
     verify_trace,
 )

@@ -133,7 +133,7 @@ class IntertwinerData:
     every action stage reads it.
 
     - wop is the multiplicative unitary the action acts on; its algebra is
-      ``wop.algebra`` and its Haar state ``wop.gns.haar``.
+      ``wop.algebra`` and its Haar state ``wop.haar``.
     - group is the acting group K; theta[k] is the automorphism of k as an
       (n, n) coordinate matrix, and theta_inv[k] = theta[k^-1].  Both are
       read-only.
@@ -162,7 +162,7 @@ class IntertwinerData:
 
     @cached_property
     def v_expansion_residual(self) -> float:
-        return kron_sum_distance(self.v_last_leg, self.wop.gns.left_regular, self.v)
+        return kron_sum_distance(self.v_last_leg, self.wop.left_regular, self.v)
 
 
 def build_intertwiner_data(wop: MultiplicativeUnitary, group: CayleyTable, theta) -> IntertwinerData:
@@ -172,9 +172,9 @@ def build_intertwiner_data(wop: MultiplicativeUnitary, group: CayleyTable, theta
     V = (id (x) beta) W."""
     theta = freeze(np.array(theta, dtype=complex))  # a copy: the caller keeps theirs writable
     theta_inv = freeze(theta[group.inverses()])
-    left_regular = wop.gns.left_regular
+    left_regular = wop.left_regular
     n, m = wop.algebra.dim, group.order
-    pair = fourier_matrix(wop.algebra, wop.gns.haar)
+    pair = fourier_matrix(wop.algebra, wop.haar)
     gamma_hat = pair @ theta @ np.linalg.inv(pair)
 
     eye, xs = np.eye(m), wop.slice_basis
@@ -192,7 +192,7 @@ def build_intertwiner_data(wop: MultiplicativeUnitary, group: CayleyTable, theta
 
 def verify_haar_invariance(data: IntertwinerData, tol: float = DEFAULT_TOL) -> VerificationReport:
     """haar(theta_k(a)) = haar(a) for every group element and basis element."""
-    h = data.wop.gns.haar.coords
+    h = data.wop.haar.coords
     worst = float(np.max(np.abs(h @ data.theta - h)))
     rb = ReportBuilder()
     rb.add("haar_invariant_under_action", worst, tol)
@@ -267,7 +267,7 @@ def verify_action_intertwiner(data: IntertwinerData, tol: float = DEFAULT_TOL) -
     rb = ReportBuilder()
 
     lhs = [(data.v, [1, 2, 3])]
-    rhs = [(data.gamma_ops, [1, 2]), (data.wop.gns.left_regular, [3])]
+    rhs = [(data.gamma_ops, [1, 2]), (data.wop.left_regular, [3])]
     rb.add("intertwiner_exchange", leg_distance(lhs, rhs, (n, m, n)), tol)
 
     # (k, j, i) -> haar(e_j theta_k(e_i)) against haar(theta_{k^-1}(e_j) e_i)

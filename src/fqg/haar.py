@@ -82,7 +82,8 @@ def compute_haar(a: FiniteHopfStarAlgebra) -> Functional:
 
 @dataclass(frozen=True)
 class GnsData:
-    """The Haar scalar product and the left regular representation.
+    """The Haar scalar product and the left regular representation, which the
+    ``gns/`` stage checks and ``orthonormal_algebra`` uses to change basis.
 
     - gram[i, j] = haar((e_i)* e_j), Hermitian positive definite.
     - onb_change Q satisfies Q^H gram Q = identity; its columns are an
@@ -134,6 +135,23 @@ def gns_construct(a: FiniteHopfStarAlgebra, h: Functional, tol: float = DEFAULT_
     # mult[i].T is the matrix of x -> e_i x on coordinate vectors
     left_regular = to_onb @ a.mult.transpose(0, 2, 1) @ onb_change
     return GnsData(h, freeze(gram), freeze(onb_change), freeze(to_onb), freeze(left_regular))
+
+
+def orthonormal_algebra(a: FiniteHopfStarAlgebra, gns: GnsData) -> FiniteHopfStarAlgebra:
+    """``a`` in the GNS-orthonormal basis f_b = sum_i P[i, b] e_i, P = ``gns.onb_change``:
+    the similarity by P and P^-1 = ``gns.to_onb``, mult[a, b, c] = sum P[i, a] P[j, b]
+    mult[i, j, k] P^-1[c, k] and so on, each a product over an unfolding (``hopf``).
+    Its Gram matrix is the identity up to ||P^H gram P - I||_F, which
+    ``onb_change_orthonormalizes`` reports, so mult[j]^T is left multiplication by
+    f_j, and comult[:, :, j]^T the j-th slice of W, on orthonormal coordinates."""
+    n, p, q = a.dim, gns.onb_change, gns.to_onb
+    # P^T on the first index of mult and of comult, as one product over their unfoldings
+    m, c = (p.T @ np.stack([a.mult, a.comult]).reshape(2, n, n * n)).reshape(2, n, n, n)
+    return FiniteHopfStarAlgebra(
+        dim=n, basis_labels=tuple(f"f{i}" for i in range(n)), name=a.name,
+        mult=p.T @ m @ q.T, comult=q @ c @ q.T, unit=q @ a.unit, counit=a.counit @ p,
+        antipode=p.T @ a.antipode @ q.T, star=p.conj().T @ a.star @ q.T,
+    )
 
 
 def verify_gns(a: FiniteHopfStarAlgebra, gns: GnsData, tol: float = DEFAULT_TOL) -> VerificationReport:

@@ -69,14 +69,6 @@ class FiniteHopfStarAlgebra:
                              ("counit", (n,)), ("antipode", (n, n)), ("star", (n, n))):
             object.__setattr__(self, field, _frozen_complex(getattr(self, field), shape, field))
 
-    # -- elementwise operations on coordinate vectors --------------------
-
-    def multiply(self, a, b) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", np.asarray(a), np.asarray(b), self.mult)
-
-    def apply_star(self, a) -> np.ndarray:
-        return self.star.T @ np.conj(np.asarray(a))
-
     # -- coarse structure queries ----------------------------------------
 
     def commutativity_defect(self) -> float:

@@ -1,7 +1,9 @@
 """The multiplicative unitary of a finite quantum group and its identity suite.
 
-W is the matrix of a (x) b -> coproduct(a) (1 (x) b) in orthonormal GNS
-coordinates.  It is unitary, satisfies the pentagon equation
+W is the matrix of a (x) b -> coproduct(a) (1 (x) b) for an algebra whose
+basis the suite has made orthonormal for the Haar scalar product
+(``haar.orthonormal_algebra``), so its coordinates are those of the GNS space
+and no stage changes basis.  It is unitary, satisfies the pentagon equation
 W23 W12 W23* = W12 W13, implements the coproduct by conjugation, carries the
 antipode as (id (x) S) W = W*, and its right slices span the dual algebra.
 
@@ -10,14 +12,15 @@ W = sum_j x_j (x) L_j, where L_j is left multiplication by the j-th basis
 element and the x_j span the dual subspace; applying such functionals
 entrywise would not be meaningful since they act on the algebra, not on
 Hilbert-space coordinates.  Vector functionals on Hilbert-space coordinates
-are applied entrywise: the slices of W by a whole family of them are one
-einsum over W's leg tensor.  A two-leg sum over the expansion, such as
+are applied entrywise: the slices of W by the matrix units are one
+transpose of W's leg tensor.  A two-leg sum over the expansion, such as
 (id (x) antipode) W, is measured by ``kron_sum_distance``.
 
 ``build_multiplicative_unitary`` reads this expansion off the structure
-constants, x_j = R comult[:, :, j]^T R^-1, and factors the stacked x_j by one
-SVD (``MultiplicativeUnitary.dual_span``): an orthonormal basis Q of the dual
-subspace plus the map from Q-coordinates to coordinates over the x_j.  It
+constants, x_j = comult[:, :, j]^T and L_j = mult[j]^T, and factors the
+stacked x_j by one SVD (``MultiplicativeUnitary.dual_span``): an orthonormal
+basis Q of the dual subspace plus the map from Q-coordinates to coordinates
+over the x_j.  It
 answers every dual-subspace question: the dimension, membership of a matrix,
 the coordinates of products and adjoints (closure), and membership of a dual
 coproduct in the doubled span (its distance from {Q X Q^T} after regrouping
@@ -43,7 +46,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import StructuralError, VerificationError
-from .haar import GnsData
+from .haar import Functional, compute_haar
 from .hopf import DEFAULT_TOL, FiniteHopfStarAlgebra
 from .report import ReportBuilder, VerificationReport
 from .tensors import (
@@ -63,10 +66,11 @@ from .tensors import (
 class MultiplicativeUnitary:
     """W on two copies of the GNS space: the context every later stage shares.
 
-    ``w`` is the read-only (n^2, n^2) matrix of W.  ``slice_basis[j]`` is the
-    right slice of W by the j-th dual-basis functional of the algebra; these
-    matrices span the dual subspace, and W = sum_j slice_basis[j] (x)
-    left_regular[j] up to ``expansion_residual``, measured from ``w``.
+    ``w`` is the read-only (n^2, n^2) matrix of W for an ``algebra`` whose basis is
+    orthonormal for its Haar state ``haar``, and ``left_regular[j]`` = mult[j]^T.
+    ``slice_basis[j]`` is the right slice of W by the j-th dual-basis functional of
+    the algebra; these matrices span the dual subspace, and W = sum_j
+    slice_basis[j] (x) left_regular[j] up to ``expansion_residual``, measured from ``w``.
     ``dual_span`` is the one SVD of the stacked slice basis: an orthonormal
     basis ``q`` of the dual subspace and the map from coordinates in ``q`` to
     coordinates over ``slice_basis``.  Every certificate the stages read is a
@@ -77,7 +81,6 @@ class MultiplicativeUnitary:
 
     w: np.ndarray
     algebra: FiniteHopfStarAlgebra
-    gns: GnsData
     slice_basis: np.ndarray
     dual_span: SpanBasis
 
@@ -86,8 +89,16 @@ class MultiplicativeUnitary:
         return self.algebra.dim
 
     @cached_property
+    def left_regular(self) -> np.ndarray:  # L_j = mult[j]^T, left multiplication by e_j
+        return freeze(self.algebra.mult.transpose(0, 2, 1))
+
+    @cached_property
+    def haar(self) -> Functional:
+        return compute_haar(self.algebra)
+
+    @cached_property
     def expansion_residual(self) -> float:  # ||W - sum_j x_j (x) L_j||_F, from this context's W
-        return kron_sum_distance(self.slice_basis, self.gns.left_regular, self.w)
+        return kron_sum_distance(self.slice_basis, self.left_regular, self.w)
 
     @cached_property
     def unitarity_defect(self) -> float:  # one ||W*W - I||_F per context
@@ -98,13 +109,13 @@ class MultiplicativeUnitary:
     def spectral_norms(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         """||X||_2 over the flattened x_j, and each ||x_j||_2, ||L_j||_2 and ||mult[:, :, j]||_2."""
         xs, mult = self.slice_basis, self.algebra.mult.transpose(2, 0, 1)
-        each = np.linalg.svd(np.stack([xs, self.gns.left_regular, mult]), compute_uv=False)[..., 0]
+        each = np.linalg.svd(np.stack([xs, self.left_regular, mult]), compute_uv=False)[..., 0]
         return _norm2(xs), *each
 
     @cached_property
     def grams(self) -> tuple[np.ndarray, np.ndarray, float]:
         """G_pr = tr(L_p* L_r), Gx_pr = tr(x_p* x_r) and ||sum_a coproduct(e_a) (x) e_a||_F."""
-        g = _gram(self.gns.left_regular)
+        g = _gram(self.left_regular)
         delta = _kron_gram_square(self.algebra.comult.transpose(1, 2, 0), g, g)
         return g, _gram(self.slice_basis), float(np.sqrt(abs(delta)))
 
@@ -112,7 +123,7 @@ class MultiplicativeUnitary:
     def coproduct_defects(self) -> tuple[float, float, float]:
         """Bounds on (sum_a ||F_a||_F^2)^1/2 and on the conjugation defect, both
         derived in ``verify_coproduct_implemented``, and on the second-leg defect."""
-        n, a, xs, lr = self.dim, self.algebra, self.slice_basis, self.gns.left_regular
+        n, a, xs, lr = self.dim, self.algebra, self.slice_basis, self.left_regular
         gram = self.grams[0]
         delta_norms = _pair_norms(a.comult, gram)  # ||coproduct(e_a)||_F
         # T[a, p, j, s] = sum_q comult[a, p, q] mult[q, j, s] at [a, s, p, j]
@@ -128,7 +139,7 @@ class MultiplicativeUnitary:
 
     @cached_property
     def conjugation_exact(self) -> float:  # the loop behind the conjugation bound
-        n, w, lr = self.dim, self.w, self.gns.left_regular
+        n, w, lr = self.dim, self.w, self.left_regular
         w_adj = w.conj().T.reshape(n, n**3)  # (L_a (x) 1) W* multiplies L_a into its first row leg
         return float(np.max([frob(w @ (l_a @ w_adj).reshape(n * n, n * n) - _coproduct_operator(c_a, lr))
                              for l_a, c_a in zip(lr, self.algebra.comult)]))
@@ -167,7 +178,7 @@ class MultiplicativeUnitary:
     def dual_coproduct_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """pi_l >= ||dual-coproduct(x_l) - Y_l||_F and r_l >= the distance of
         dual-coproduct(x_l) from the Q_a (x) Q_b (``verify_dual_coproduct_identities``)."""
-        n, a, xs, lr = self.dim, self.algebra, self.slice_basis, self.gns.left_regular
+        n, a, xs, lr = self.dim, self.algebra, self.slice_basis, self.left_regular
         c, gx, m = self.slice_closure[0], self.grams[1], a.mult.transpose(2, 0, 1)  # m[l] = mult[:, :, l]
         # U[l, p, s, k] = sum_j c[s, j, p] mult[j, k, l]
         gram_part = _kron_defect_norms(self, xs[:, None] @ lr[None],
@@ -193,31 +204,28 @@ class MultiplicativeUnitary:
         return _doubled_span_coords(self, self.dual_coproducts)
 
 
-def _in_onb(gns: GnsData, t: np.ndarray) -> np.ndarray:
-    """The (n^2, n^2) two-leg operator with algebra-coordinate entries
-    t[p, k, i, j], in orthonormal GNS coordinates; read-only."""
-    n = gns.to_onb.shape[0]
-    r, q = gns.to_onb, gns.onb_change
-    return freeze(np.kron(r, r) @ t.reshape(n * n, n * n) @ np.kron(q, q))
+def _two_leg(c, mult) -> np.ndarray:
+    """The read-only (n^2, n^2) matrix of e_i (x) e_j -> sum_pq c[i, p, q] e_p (x)
+    e_q e_j, entry [(p, k), (i, j)] = sum_q c[i, p, q] mult[q, j, k]: one product."""
+    n = len(c)
+    t = (c.reshape(n * n, n) @ mult.reshape(n, n * n)).reshape(n, n, n, n)  # [i, p, j, k]
+    return freeze(t.transpose(1, 3, 0, 2).reshape(n * n, n * n))
 
 
-def build_multiplicative_unitary(
-    a: FiniteHopfStarAlgebra, gns: GnsData
-) -> MultiplicativeUnitary:
-    """W in orthonormal coordinates, its expansion read off the structure
-    constants, and the factorisation of the dual subspace.  The tensor below is
-    sum_j X_j (x) mult[j]^T with X_j[p, i] = comult[i, p, j]; ``_in_onb``
-    conjugates both legs by R = ``to_onb`` and L_j = R mult[j]^T R^-1, so
-    W = sum_j x_j (x) L_j with x_j = R X_j R^-1, up to the rounding that
+def build_multiplicative_unitary(b: FiniteHopfStarAlgebra) -> MultiplicativeUnitary:
+    """W of ``b``, whose basis is orthonormal for its Haar state
+    (``haar.orthonormal_algebra``), its expansion read off the structure
+    constants, and the factorisation of the dual subspace: W = sum_j x_j (x) L_j
+    with x_j[p, i] = comult[i, p, j] and L_j = mult[j]^T, up to the rounding that
     ``expansion_residual`` measures."""
-    xs = freeze(gns.to_onb @ a.comult.transpose(2, 1, 0) @ gns.onb_change)
-    w = _in_onb(gns, np.einsum("ipq,qjk->pkij", a.comult, a.mult, optimize=True))
-    return MultiplicativeUnitary(w, a, gns, xs, span_basis(xs))
+    xs = freeze(b.comult.transpose(2, 1, 0))
+    return MultiplicativeUnitary(_two_leg(b.comult, b.mult), b, xs, span_basis(xs))
 
 
-def inverse_via_antipode(a: FiniteHopfStarAlgebra, gns: GnsData) -> np.ndarray:
-    """Matrix of a (x) b -> ((id (x) antipode) coproduct(a)) (1 (x) b)."""
-    return _in_onb(gns, np.einsum("ipq,ql,ljk->pkij", a.comult, a.antipode, a.mult, optimize=True))
+def inverse_via_antipode(b: FiniteHopfStarAlgebra) -> np.ndarray:
+    """Matrix of a (x) c -> ((id (x) antipode) coproduct(a)) (1 (x) c) for ``b``
+    in an orthonormal basis, as ``build_multiplicative_unitary`` reads it."""
+    return _two_leg(b.comult @ b.antipode, b.mult)
 
 
 def verify_unitarity(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -231,7 +239,7 @@ def verify_unitarity(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> Ve
 def verify_inverse_via_antipode(
     wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
-    v, w = inverse_via_antipode(wop.algebra, wop.gns), wop.w
+    v, w = inverse_via_antipode(wop.algebra), wop.w
     rb = ReportBuilder()
     rb.add("w_inverse_composes", frob(v @ w - np.eye(w.shape[0])), tol)
     rb.add("w_inverse_is_adjoint", frob(v - w.conj().T), tol)
@@ -285,16 +293,15 @@ def verify_left_slices_span(
 
     The slice of W by the vector functional T -> <e_i, T e_j> on its first
     leg (GNS vectors of the basis, antilinear in the bra) is left
-    multiplication by (haar (x) id)((e_i* (x) 1) coproduct(e_j)); all n^2
-    slices, and all their targets, are one einsum each.  The ranks are
+    multiplication by (haar (x) id)((e_i* (x) 1) coproduct(e_j)) = sum_q
+    comult[j, i, q] L_q, the basis being orthonormal; all n^2 slices are a
+    transpose of W, and all their targets one product.  The ranks are
     certified from the slices' coefficients over the L_k (``_slice_rows``); a
     count that their shift may change falls back to ``numerical_rank``.
     """
-    a, gns, n = wop.algebra, wop.gns, wop.dim
-    r = gns.to_onb
-    slices = np.einsum("pi,prqs,qj->ijrs", r.conj(), wop.w.reshape((n,) * 4), r, optimize=True)
-    targets = np.einsum("ip,jpq,qrs->ijrs", gns.gram, a.comult, gns.left_regular, optimize=True)
-    slices = slices.reshape(n * n, n, n)
+    n = wop.dim
+    slices = wop.w.reshape((n,) * 4).transpose(0, 2, 1, 3).reshape(n * n, n, n)
+    targets = wop.algebra.comult.transpose(1, 0, 2).reshape(n * n, n) @ wop.left_regular.reshape(n, -1)
     worst = np.linalg.norm(slices - targets.reshape(n * n, n, n), axis=(1, 2)).max()
     rows, union, shift = _slice_rows(wop)
     rank, union_rank = _certified_rank(rows, shift, tol), _certified_rank(union, shift, tol)
@@ -302,23 +309,22 @@ def verify_left_slices_span(
     rb.add("left_slice_acts_by_left_multiplication", float(worst), tol)
     rb.add_count("left_slice_span_dimension", numerical_rank(slices, tol) if rank is None else rank, n)
     if union_rank is None:
-        union_rank = numerical_rank(np.concatenate([slices, gns.left_regular]), tol)
+        union_rank = numerical_rank(np.concatenate([slices, wop.left_regular]), tol)
     rb.add_count("left_slices_span_represented_algebra", union_rank, n)
     return rb.build()
 
 
 def _slice_rows(wop: MultiplicativeUnitary) -> tuple[np.ndarray, np.ndarray, float]:
-    """With R = ``to_onb``, slice (i, j) is sum_k C[(i, j), k] L_k plus a slice of E,
-    C[(i, j), k] = (R* x_k R)_ij.  The L_k have the row Gram matrix G^T, G =
-    ``grams[0]``, so the slices' singular values are those of C V, V V* = G^T, and
-    those of their union with the L_k are those of [C; I] V, each moved by at most
-    ||R||_2^2 ||E||_F (Weyl): C V, [C; I] V and that shift, with rounding."""
-    n, r = wop.dim, wop.gns.to_onb
-    c = (r.conj().T @ wop.slice_basis @ r).transpose(1, 2, 0).reshape(n * n, n)
+    """Slice (i, j) is sum_k C[(i, j), k] L_k plus a slice of E, C[(i, j), k] =
+    (x_k)_ij.  The L_k have the row Gram matrix G^T, G = ``grams[0]``, so the
+    slices' singular values are those of C V, V V* = G^T, and those of their
+    union with the L_k are those of [C; I] V, each moved by at most ||E||_F
+    (Weyl): C V, [C; I] V and that shift, with rounding."""
+    n = wop.dim
+    c = wop.slice_basis.transpose(1, 2, 0).reshape(n * n, n)
     lam, v = np.linalg.eigh(wop.grams[0].T)
     root = v * np.sqrt(np.clip(lam, 0.0, None))
     shift = wop.expansion_residual + 4 * n * np.finfo(float).eps * frob(wop.w)
-    shift *= np.linalg.norm(r, 2) ** 2
     return c @ root, np.concatenate([c, np.eye(n)]) @ root, float(shift)
 
 
@@ -338,7 +344,7 @@ def coproduct_operators(wop: MultiplicativeUnitary) -> np.ndarray:
     """Left multiplication by coproduct(e_j) on the doubled GNS space for
     every basis element e_j, shape (n, n^2, n^2), filled one element at a
     time so that only one stack is held."""
-    n, lr = wop.dim, wop.gns.left_regular
+    n, lr = wop.dim, wop.left_regular
     stack = np.empty((n, n * n, n * n), dtype=complex)
     for c_a, delta in zip(wop.algebra.comult, stack):
         delta[...] = _coproduct_operator(c_a, lr)
@@ -366,7 +372,7 @@ def _pair_norms(m, g) -> np.ndarray:
 
 def _lx_stack(wop: MultiplicativeUnitary) -> np.ndarray:  # L_p x_j at row (p, j)
     n = wop.dim
-    return (wop.gns.left_regular[:, None] @ wop.slice_basis[None]).reshape(n * n, n * n)
+    return (wop.left_regular[:, None] @ wop.slice_basis[None]).reshape(n * n, n * n)
 
 
 def _kron_defect_norms(wop: MultiplicativeUnitary, first, coeffs, gram) -> np.ndarray:
@@ -468,7 +474,7 @@ def verify_antipode_relation(
 ) -> VerificationReport:
     """(id (x) antipode) W = W*, the antipode transported to the second leg:
     sum_j x_j (x) L(S(e_j)) against W*, with L(S(e_j)) = sum_k S[j, k] L_k."""
-    antipodes = np.einsum("jk,kab->jab", wop.algebra.antipode, wop.gns.left_regular)
+    antipodes = np.einsum("jk,kab->jab", wop.algebra.antipode, wop.left_regular)
     residual = kron_sum_distance(wop.slice_basis, antipodes, wop.w.conj().T)
     rb = ReportBuilder()
     rb.add("antipode_on_second_leg_of_w", residual, tol)
@@ -594,7 +600,7 @@ def _exact_multiplicativity(wop: MultiplicativeUnitary, tol: float) -> tuple[flo
 def _exact_first_leg(wop: MultiplicativeUnitary) -> float:
     """Defect of (dual-coproduct (x) id) W = W13 W23 by leg contraction."""
     n, w_mat = wop.dim, wop.w
-    lhs = [(wop.dual_coproducts, [1, 2]), (wop.gns.left_regular, [3])]
+    lhs = [(wop.dual_coproducts, [1, 2]), (wop.left_regular, [3])]
     return leg_distance(lhs, [(w_mat, [1, 3]), (w_mat, [2, 3])], (n, n, n))
 
 
@@ -663,7 +669,7 @@ def verify_dual_coproduct_identities(
     w2, (x_norm, x2, _, m_norms) = 1.0 + u, wop.spectral_norms
     pentagon = wop.pentagon_bound if wop.pentagon_bound <= tol else wop.pentagon_exact
     first_leg = w2 * pentagon + np.sqrt(n) * (u * (w2 ** 1.5 + w2) + w2 * wop.expansion_residual)
-    first_leg += _allowance(n, wop.w, w2, w2 * np.sqrt(n) * frob(xs) * _norm2(wop.gns.left_regular))
+    first_leg += _allowance(n, wop.w, w2, w2 * np.sqrt(n) * frob(xs) * _norm2(wop.left_regular))
     rb = ReportBuilder()
     _add_bounded(rb, "dual_coproduct_on_first_leg_of_w", first_leg, tol,
                  lambda w, _: (_exact_first_leg(w), False), wop)

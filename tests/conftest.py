@@ -5,7 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fqg import DEFAULT_TOL, CayleyTable, FiniteHopfStarAlgebra, Functional, MultiplicativeUnitary
+from fqg import (
+    DEFAULT_TOL,
+    CayleyTable,
+    FiniteHopfStarAlgebra,
+    Functional,
+    MultiplicativeUnitary,
+    build_intertwiner_data,
+    build_multiplicative_unitary,
+    compute_haar,
+    gns_construct,
+    orthonormal_algebra,
+)
 from fqg.haar import _invariance_system
 from fqg.tensors import _rank_above, rounding_allowance, span_basis
 
@@ -22,13 +33,26 @@ def basis_change_matrix(n: int, seed: int) -> np.ndarray:
     return (unitary() * rng.uniform(1.0, 4.0, size=n)) @ unitary().conj().T
 
 
-def change_basis(a: FiniteHopfStarAlgebra, seed: int) -> FiniteHopfStarAlgebra:
-    """``a`` in the basis f_b = sum_i P[i, b] e_i for P = basis_change_matrix(n, seed).
+def kappa_basis_change(n: int, kappa: float, seed: int) -> np.ndarray:
+    """A seeded random complex P = U diag(s) V* with Haar-random unitaries U, V
+    and s geometric over [1, kappa], so its condition number is kappa (n > 1)."""
+    rng = np.random.default_rng(seed)
+
+    def unitary():
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return q
+
+    return (unitary() * np.geomspace(1.0, kappa, n)) @ unitary().conj().T
+
+
+def change_basis(a: FiniteHopfStarAlgebra, seed, p=None) -> FiniteHopfStarAlgebra:
+    """``a`` in the basis f_b = sum_i P[i, b] e_i for P = basis_change_matrix(n, seed),
+    or for the matrix ``p`` if given.
 
     With Q = P^-1, old coordinates are P y; an automorphism theta becomes Q theta P.
     """
     n = a.dim
-    p = basis_change_matrix(n, seed)
+    p = basis_change_matrix(n, seed) if p is None else p
     q = np.linalg.inv(p)
     return FiniteHopfStarAlgebra(
         dim=n,
@@ -41,6 +65,29 @@ def change_basis(a: FiniteHopfStarAlgebra, seed: int) -> FiniteHopfStarAlgebra:
         star=np.conj(p).T @ a.star @ q.T,
         name=a.name,
     )
+
+
+def multiply(a: FiniteHopfStarAlgebra, x, y) -> np.ndarray:
+    """The coordinates of the product of the elements with coordinates ``x`` and ``y``."""
+    return np.einsum("i,j,ijk->k", np.asarray(x), np.asarray(y), a.mult)
+
+
+def apply_star(a: FiniteHopfStarAlgebra, x) -> np.ndarray:
+    """The coordinates of the adjoint of the element with coordinates ``x``."""
+    return a.star.T @ np.conj(np.asarray(x))
+
+
+def orthonormal_unitary(a: FiniteHopfStarAlgebra) -> MultiplicativeUnitary:
+    """W of ``a`` as the suites build it: from ``a`` rewritten in its GNS-orthonormal basis."""
+    return build_multiplicative_unitary(orthonormal_algebra(a, gns_construct(a, compute_haar(a))))
+
+
+def orthonormal_context(a: FiniteHopfStarAlgebra, k: CayleyTable, theta):
+    """The context of an action on W as ``action_suite`` builds it: W of ``a`` in
+    its GNS-orthonormal basis, and theta_k moved there as R theta_k R^-1."""
+    gns = gns_construct(a, compute_haar(a))
+    wop = build_multiplicative_unitary(orthonormal_algebra(a, gns))
+    return build_intertwiner_data(wop, k, gns.to_onb @ np.asarray(theta) @ gns.onb_change)
 
 
 def haar_by_invariance_solve(a: FiniteHopfStarAlgebra) -> Functional:

@@ -11,8 +11,6 @@ import numpy as np
 
 from fqg import (
     build_dual,
-    build_intertwiner_data,
-    build_multiplicative_unitary,
     compute_haar,
     gns_construct,
     group_algebra,
@@ -46,6 +44,8 @@ from conftest import (
     dual_subspace_commutativity_defect,
     enumerate_group_automorphisms,
     identity_antipode_control,
+    orthonormal_context,
+    orthonormal_unitary,
 )
 
 PRESET_FAMILY = [
@@ -61,9 +61,7 @@ _UNITARY_CACHE = {}
 
 def unitary_of(name):
     if name not in _UNITARY_CACHE:
-        a = preset(name)
-        gns = gns_construct(a, compute_haar(a))
-        _UNITARY_CACHE[name] = build_multiplicative_unitary(a, gns)
+        _UNITARY_CACHE[name] = orthonormal_unitary(preset(name))
     return _UNITARY_CACHE[name]
 
 
@@ -150,7 +148,7 @@ def test_05_duality_and_slice_isomorphism():
         wop = unitary_of(name)
         dual_space = build_dual_subspace(wop)
         ok &= wop.slice_basis.shape[0] == wop.dim
-        report = verify_G_isomorphism(wop, build_dual(wop.algebra))
+        report = verify_G_isomorphism(wop)
         worst = max(worst, report.residual("multiplicative_for_convolution"))
         worst = max(worst, report.residual("star_compatible"))
     for name in ("kz3", "fs3", "ks3"):
@@ -170,9 +168,8 @@ def _action_pipeline(algebra_name, group_name, kind):
     k = group_preset(group_name)
     theta = resolve_automorphisms(a, k, kind)
     assert action_axioms_report(a, k, theta).overall_pass
-    wop = unitary_of(algebra_name)
-    data = build_intertwiner_data(wop, k, theta)
-    return a, theta, wop, data
+    data = orthonormal_context(a, k, theta)
+    return a, theta, data.wop, data
 
 
 def test_06_strong_right_invariance():

@@ -12,13 +12,11 @@ from fqg import (
     StructuralError,
     action_suite,
     build_intertwiner_data,
-    build_multiplicative_unitary,
     cayley_from_table,
     compute_haar,
     conjugation_theta,
     cyclic_group,
     embed_legs,
-    gns_construct,
     group_algebra,
     group_preset,
     inversion_theta,
@@ -47,6 +45,9 @@ from conftest import (
     change_basis,
     enumerate_group_automorphisms,
     identity_antipode_control,
+    multiply,
+    orthonormal_context,
+    orthonormal_unitary,
 )
 
 
@@ -96,8 +97,7 @@ def action_on(algebra_name, group_name, kind):
 def context(a, k, theta):
     """The action's context on W, built only when its axioms hold."""
     assert action_axioms_report(a, k, theta).overall_pass
-    wop = build_multiplicative_unitary(a, gns_construct(a, compute_haar(a)))
-    return build_intertwiner_data(wop, k, theta)
+    return orthonormal_context(a, k, theta)
 
 
 def pipeline(algebra_name, group_name, kind):
@@ -204,13 +204,13 @@ def test_haar_invariance():
 
 def test_strong_right_invariance_direct_oracle():
     # evaluate both sides of the invariance identity from the Cayley data
-    a, data = pipeline("kz3", "z2", "inversion")
-    h, e = data.wop.gns.haar, np.eye(3)
+    _, data = pipeline("kz3", "z2", "inversion")
+    a, h, e = data.wop.algebra, data.wop.haar, np.eye(3)
     for k in range(data.group.order):
         for i in range(3):
             for j in range(3):
-                lhs = h(a.multiply(data.theta[k] @ e[i], e[j]))
-                rhs = h(a.multiply(e[i], data.theta_inv[k] @ e[j]))
+                lhs = h(multiply(a, data.theta[k] @ e[i], e[j]))
+                rhs = h(multiply(a, e[i], data.theta_inv[k] @ e[j]))
                 assert abs(lhs - rhs) <= 1e-13
     report = verify_strong_right_invariance(data)
     assert report.overall_pass
@@ -319,7 +319,7 @@ def test_v_and_exchange_residual_match_kron_loops():
     rng = np.random.default_rng(6)
     k = data.v.shape[0]
     v = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-    rhs = sum(np.kron(g, lr) for g, lr in zip(data.gamma_ops, wop.gns.left_regular))
+    rhs = sum(np.kron(g, lr) for g, lr in zip(data.gamma_ops, wop.left_regular))
     expected = np.linalg.norm(v - rhs)
     got = verify_action_intertwiner(replace(data, v=v)).residual("intertwiner_exchange")
     assert expected > 1.0 and abs(got - expected) <= 1e-13 * expected
@@ -639,7 +639,7 @@ def test_replaced_v_measures_its_own_expansion_residual():
     assert data.v_expansion_residual <= 1e-13  # cached on the original context
     v = data.v + 1e-3 * np.random.default_rng(5).standard_normal(data.v.shape)
     bad = replace(data, v=v)
-    kron_sum = sum(np.kron(c, lr) for c, lr in zip(data.v_last_leg, data.wop.gns.left_regular))
+    kron_sum = sum(np.kron(c, lr) for c, lr in zip(data.v_last_leg, data.wop.left_regular))
     assert bad.v_expansion_residual == pytest.approx(np.linalg.norm(v - kron_sum), rel=1e-12)
 
 
@@ -707,8 +707,7 @@ def test_invariance_checks_match_per_element_loops():
     theta[k.identity_index] = np.eye(6)
     theta[1][:, 0] = 0.0
     h = compute_haar(a)
-    wop = build_multiplicative_unitary(a, gns_construct(a, h))
-    data = build_intertwiner_data(wop, k, theta)
+    data = build_intertwiner_data(orthonormal_unitary(a), k, theta)  # ks3's basis is orthonormal
     pair = np.einsum("pqk,k->pq", a.mult, h.coords)
     inv = [data.theta_inv[j] for j in range(6)]
     phi1, phi2 = np.zeros((36, 36), dtype=complex), np.zeros((36, 36), dtype=complex)
@@ -753,7 +752,7 @@ def test_operator_stacks_match_per_element_construction():
         for k in range(m):
             img = data.theta_inv[k] @ np.eye(n)[j]
             beta[k * n:(k + 1) * n, k * n:(k + 1) * n] = np.einsum(
-                "i,ikl->kl", img, wop.gns.left_regular
+                "i,ikl->kl", img, wop.left_regular
             )
             unit_k = np.zeros((m, m))
             unit_k[k, k] = 1.0
@@ -889,7 +888,7 @@ def test_v_last_leg_matches_the_least_squares_fit(names):
     # sum_{j,k} theta_inv[k, i, j] x_j (x) E_kk against the fit of V over the L_i that it replaced
     a, data = pipeline(*names)
     n, m = a.dim, data.group.order
-    coeffs, residual = expand_in_leg(data.v, (n * m, n), data.wop.gns.left_regular)
+    coeffs, residual = expand_in_leg(data.v, (n * m, n), data.wop.left_regular)
     assert np.linalg.norm(data.v_last_leg - coeffs) <= 1e-14 * np.linalg.norm(coeffs)
     assert residual <= 1e-13 and data.v_expansion_residual <= 1e-13
 
@@ -900,6 +899,6 @@ def test_v_expansion_residual_is_the_distance_of_v_from_its_expansion(monkeypatc
     monkeypatch.setattr(fqg.actions, "leg_product", lambda factors, dims: v)
     bad = build_intertwiner_data(data.wop, data.group, data.theta)
     assert np.array_equal(bad.v_last_leg, data.v_last_leg)
-    kron_sum = sum(np.kron(c, lr) for c, lr in zip(bad.v_last_leg, data.wop.gns.left_regular))
+    kron_sum = sum(np.kron(c, lr) for c, lr in zip(bad.v_last_leg, data.wop.left_regular))
     expected = np.linalg.norm(v - kron_sum)
     assert expected > 1e-3 and abs(bad.v_expansion_residual - expected) <= 1e-13 * expected

@@ -8,10 +8,7 @@ import pytest
 from fqg import (
     StructuralError,
     build_dual,
-    build_multiplicative_unitary,
     cayley_from_table,
-    compute_haar,
-    gns_construct,
     group_preset,
     load_algebra,
     preset,
@@ -32,6 +29,8 @@ from fqg.builders import (
 from fqg.actions import commutation_mode
 from fqg.groups import cyclic_group, symmetric_group_3
 from fqg.report import ReportBuilder
+
+from conftest import orthonormal_unitary
 
 ALL_PRESETS = [
     "trivial",
@@ -73,9 +72,7 @@ def test_group_algebra_is_cocommutative_function_algebra_commutative():
 def test_group_and_function_algebra_have_different_unitaries():
     mats = {}
     for name in ("kz2", "fz2"):
-        a = preset(name)
-        gns = gns_construct(a, compute_haar(a))
-        mats[name] = build_multiplicative_unitary(a, gns).w
+        mats[name] = orthonormal_unitary(preset(name)).w
     assert np.max(np.abs(mats["kz2"] - mats["fz2"])) > 0.5
 
 

@@ -5,10 +5,8 @@ import numpy as np
 from fqg import (
     Functional,
     build_dual,
-    build_multiplicative_unitary,
     compute_haar,
     fourier_matrix,
-    gns_construct,
     preset,
     preset_names,
     verify_fourier,
@@ -17,6 +15,8 @@ from fqg import (
 )
 from fqg.duality import verify_fourier_slice_identity
 from fqg.tensors import span_basis
+
+from conftest import apply_star, orthonormal_unitary
 
 
 # one functional at a time: the references for ``verify_G_isomorphism``, which
@@ -50,9 +50,7 @@ def _fourier(a, h, coords):
 
 
 def unitary_of(name):
-    a = preset(name)
-    gns = gns_construct(a, compute_haar(a))
-    return build_multiplicative_unitary(a, gns)
+    return orthonormal_unitary(preset(name))
 
 
 def tensors_equal(a, b):
@@ -130,7 +128,7 @@ def test_G_multiplicative_on_random_functionals():
 def test_G_isomorphism_report():
     for name in ("trivial", "kz4", "fz3", "ks3", "fs3"):
         wop = unitary_of(name)
-        report = verify_G_isomorphism(wop, build_dual(wop.algebra))
+        report = verify_G_isomorphism(wop)
         assert report.overall_pass, [c.name for c in report.checks if not c.passed]
         assert report.max_residual() <= 1e-11
 
@@ -165,7 +163,7 @@ def test_fourier_slice_identity():
     report = verify_fourier_slice_identity(wop)
     assert report.overall_pass
     # both paths give the coordinate projection for the nontrivial element
-    h = wop.gns.haar
+    h = wop.haar
     lhs = _G_map(wop, _fourier(wop.algebra, h, [0.0, 1.0]))
     assert np.max(np.abs(lhs - np.diag([0.0, 1.0]))) <= 1e-13
     rep6 = verify_fourier_slice_identity(unitary_of("ks3"))
@@ -178,11 +176,11 @@ def test_G_isomorphism_residuals_match_convolution_loops(basis_changed):
     from dataclasses import replace
 
     a = basis_changed(preset("ks3"), 6)
-    gns = gns_construct(a, compute_haar(a))
     n = a.dim
     rng = np.random.default_rng(8)
     images = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
-    wop = replace(build_multiplicative_unitary(a, gns), slice_basis=images)
+    wop = replace(orthonormal_unitary(a), slice_basis=images)
+    a = wop.algebra  # the slice map starts from the dual of the orthonormal algebra
     basis = [Functional(np.eye(n)[i]) for i in range(n)]
     expected = {
         "unit_of_dual_goes_to_identity": np.linalg.norm(
@@ -198,7 +196,7 @@ def test_G_isomorphism_residuals_match_convolution_loops(basis_changed):
             for phi in basis
         ),
     }
-    report = verify_G_isomorphism(wop, build_dual(a))
+    report = verify_G_isomorphism(wop)
     for name, value in expected.items():
         assert value > 1.0
         assert abs(report.residual(name) - value) <= 1e-13 * value, name
@@ -211,7 +209,7 @@ def test_functional_star_matches_the_basis_element_loop(basis_changed):
         a = basis_changed(preset(name), 3)
         phi = Functional(rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim))
         expected = [
-            np.conj(phi(a.apply_star(a.antipode.T @ np.eye(a.dim)[j]))) for j in range(a.dim)
+            np.conj(phi(apply_star(a, a.antipode.T @ np.eye(a.dim)[j]))) for j in range(a.dim)
         ]
         got = _functional_star(a, phi).coords
         assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected))), name
@@ -222,14 +220,14 @@ def test_intertwines_coproducts_is_certified_and_falls_back_to_the_exact_distanc
     # slices of W make the bound exceed tol, and the exact distance is reported
     from dataclasses import replace
 
-    a = basis_changed(preset("ks3"), 6)
-    wop = build_multiplicative_unitary(a, gns_construct(a, compute_haar(a)))
-    check = verify_G_isomorphism(wop, build_dual(a)).check("intertwines_coproducts")
+    wop = orthonormal_unitary(basis_changed(preset("ks3"), 6))
+    a = wop.algebra
+    check = verify_G_isomorphism(wop).check("intertwines_coproducts")
     assert check.detail == "certified upper bound on the residual" and check.residual <= 1e-12
     rng = np.random.default_rng(8)
     images = wop.slice_basis + 1e-4 * rng.standard_normal(wop.slice_basis.shape)
     bad = replace(wop, slice_basis=images, dual_span=span_basis(images))
-    check = verify_G_isomorphism(bad, build_dual(a)).check("intertwines_coproducts")
+    check = verify_G_isomorphism(bad).check("intertwines_coproducts")
     coeffs, remainders = bad.dual_coproduct_coords
     r = bad.dual_span.q.conj().T @ images.reshape(a.dim, -1).T
     pairs = r @ a.mult.transpose(2, 0, 1) @ r.T
