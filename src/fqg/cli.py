@@ -23,8 +23,11 @@ floating-point overflow that fails on the input in a stage that runs, a
 ``--mode full`` too large to run, or an input too large to allocate).
 
 Reports are deterministic: the same input and configuration produce
-byte-identical output (there are no timestamps; the provenance block hashes
-the input).
+byte-identical output (no timestamps).  The provenance sha256 hashes
+``json.dumps([format_version, name, dim, basis_labels])``, the six structure arrays as
+C-order little-endian complex128 bytes with each zero entry as +0, and for an action the
+C-order bytes of the group table and theta.  It changed once, from a hash of the text of
+``algebra_to_json``, and tells two inputs apart exactly when that text does.
 """
 
 from __future__ import annotations
@@ -51,10 +54,12 @@ EXIT_CHECKS_FAILED = 1
 EXIT_STRUCTURAL = 2
 
 
-def _provenance(args, algebra, *arrays) -> dict:
-    """The report's provenance block; sha256 hashes ``algebra_to_json`` of the
-    algebra, then the C-order bytes of ``arrays`` (action: group table, theta)."""
-    digest = hashlib.sha256(builders.algebra_to_json(algebra).encode("utf-8"))
+def _provenance(args, a, *arrays) -> dict:
+    """The report's provenance block; see the module docstring for its sha256."""
+    header = json.dumps([builders.FORMAT_VERSION, a.name, a.dim, a.basis_labels])
+    digest = hashlib.sha256(header.encode())
+    for x in (a.mult, a.comult, a.unit, a.counit, a.antipode, a.star):
+        digest.update(np.where(x == 0, 0, x).astype("<c16", copy=False).tobytes())
     for array in arrays:
         digest.update(array.tobytes())
     return {
@@ -70,8 +75,7 @@ def _emit(report: VerificationReport, provenance: dict, fmt: str, only) -> int:
     if only and not report.checks:  # a mistyped glob must not pass vacuously
         raise StructuralError(f"--only matched no check: {', '.join(only)}")
     if fmt == "json":
-        payload = {"provenance": provenance, **report.as_dict()}
-        print(json.dumps(payload, indent=2))
+        print(report.format_json(provenance))
     else:
         print(f"input: {_printable(provenance['input'])}  tolerance: {provenance['tolerance']:g}")
         print(report.format_text())

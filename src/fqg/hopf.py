@@ -78,8 +78,10 @@ class FiniteHopfStarAlgebra:
         return frob(self.comult - self.comult.transpose(0, 2, 1))
 
     def structure_scale(self) -> float:
-        tensors = (self.mult, self.comult, self.unit, self.counit, self.antipode, self.star)
-        return max(1.0, *(frob(x) for x in tensors))
+        if "_scale" not in self.__dict__:  # computed once: the tensors are read-only
+            tensors = (self.mult, self.comult, self.unit, self.counit, self.antipode, self.star)
+            object.__setattr__(self, "_scale", max(1.0, *(frob(x) for x in tensors)))
+        return self._scale
 
 
 def _defect(x: np.ndarray, y) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import fnmatch
 import math
 from dataclasses import dataclass, field
+from json import dumps
 
 from .errors import StructuralError
 
@@ -56,11 +57,19 @@ class VerificationReport:
         finite = [c.residual for c in self.checks if c.residual is not None]
         return max(finite) if finite else 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "checks": [dict(vars(c)) for c in self.checks],  # asdict deep-copies each value
-            "overall_pass": self.overall_pass,
-        }
+    def format_json(self, provenance: dict) -> str:
+        """``json.dumps`` at ``indent=2`` of ``provenance`` and the checks, byte for byte, by the
+        C encoder: the numbers of all checks in one call, split at ", ", which no number holds."""
+        numbers = dumps([[c.residual, c.tolerance, c.passed] for c in self.checks])[2:-2]
+        checks = ",\n".join(
+            f'    {{\n      "name": {dumps(c.name)},\n      "residual": {r},\n      "tolerance": {t},'
+            f'\n      "passed": {p},\n      "detail": {dumps(c.detail)}\n    }}'
+            for c, (r, t, p) in zip(self.checks, (row.split(", ") for row in numbers.split("], [")))
+        )
+        head = ",\n".join(f"    {dumps(k)}: {dumps(v)}" for k, v in provenance.items())
+        checks = f"[\n{checks}\n  ]" if checks else "[]"
+        return (f'{{\n  "provenance": {{\n{head}\n  }},\n  "checks": {checks},\n'
+                f'  "overall_pass": {dumps(self.overall_pass)}\n}}')
 
     def format_text(self) -> str:
         lines = []

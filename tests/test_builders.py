@@ -176,8 +176,8 @@ def test_sparse_entries_match_the_entry_loop():
 
 
 def test_algebra_to_json_equals_the_indented_encoder():
-    # the provenance sha256 hashes this text and save_algebra writes it, so it
-    # must stay byte-identical to json.dumps(..., indent=2)
+    # save_algebra writes this text, so it must stay byte-identical to
+    # json.dumps(..., indent=2); the provenance sha256 no longer reads it
     from dataclasses import replace
 
     from conftest import change_basis

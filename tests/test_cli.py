@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report formats, determinism."""
 
+import argparse
 import json
 import warnings
 
@@ -658,3 +659,114 @@ def test_a_file_named_like_a_preset_does_not_shadow_it(tmp_path, capsys, monkeyp
     assert code == 0
     code, _, _ = run(capsys, ["verify", "kz3", "--only", "haar/*"])
     assert code == 0
+
+
+def _sha256(algebra, *arrays) -> str:
+    args = argparse.Namespace(input="x", tol=1e-9)
+    return cli._provenance(args, algebra, *arrays)["sha256"]
+
+
+def test_the_hash_partitions_inputs_as_the_canonical_text_does(tmp_path):
+    # sha256 is equal for two algebras exactly when algebra_to_json is: the
+    # hash stopped reading that text, but identifies the same inputs
+    from dataclasses import replace
+
+    from conftest import change_basis
+    from fqg.builders import load_algebra, preset_names, save_algebra
+    from fqg.duality import build_dual
+
+    algebras = [preset(name) for name in preset_names()]
+    algebras += [build_dual(a) for a in algebras]
+    algebras += [change_basis(a, 5) for a in algebras]
+    for i, a in enumerate(list(algebras)):  # each beside the file save_algebra wrote for it
+        save_algebra(a, tmp_path / f"{i}.json")
+        loaded = load_algebra(tmp_path / f"{i}.json")
+        assert _sha256(loaded) == _sha256(a), a.name
+        algebras.append(loaded)
+    kz3 = preset("kz3")
+    signed_zero, signed_one = np.array(kz3.mult), np.array(kz3.mult)
+    assert signed_zero[0, 0, 1] == 0 and signed_one[0, 0, 0] == 1
+    signed_zero[0, 0, 1] = complex(-0.0, -0.0)  # a zero entry: omitted from the text
+    signed_one[0, 0, 0] = complex(1.0, -0.0)  # a nonzero entry: written as [.., 1.0, -0.0]
+    same = replace(kz3, mult=signed_zero)
+    assert _sha256(same) == _sha256(kz3) and algebra_to_json(same) == algebra_to_json(kz3)
+    variants = {
+        "signed one": replace(kz3, mult=signed_one),
+        "renamed": replace(kz3, name="kz3 "),
+        "relabelled": replace(kz3, basis_labels=("u_0", "u_2", "u_1")),
+    }
+    for what, a in variants.items():
+        assert _sha256(a) != _sha256(kz3), what
+    algebras += [same, *variants.values()]
+    texts = [algebra_to_json(a) for a in algebras]
+    hashes = [_sha256(a) for a in algebras]
+    assert len(set(zip(texts, hashes))) == len(set(texts)) == len(set(hashes))
+
+
+def test_the_action_hash_reads_the_group_table_and_theta():
+    from fqg.builders import inversion_theta
+    from fqg.groups import cyclic_group
+
+    kz3, z2 = preset("kz3"), cyclic_group(2)
+    theta = inversion_theta(kz3, z2)
+    identity = np.stack([np.eye(3, dtype=complex)] * 2)
+    base = _sha256(kz3, z2.table, theta)
+    assert base == _sha256(kz3, z2.table.copy(), theta.copy())
+    assert base != _sha256(kz3, z2.table, identity)
+    assert base != _sha256(kz3, z2.table[::-1].copy(), theta)
+    assert base != _sha256(kz3)
+
+
+def _indented(report, provenance) -> str:
+    payload = {
+        "provenance": provenance,
+        "checks": [vars(c) for c in report.checks],
+        "overall_pass": report.overall_pass,
+    }
+    return json.dumps(payload, indent=2)
+
+
+def test_format_json_is_the_indented_encoder_byte_for_byte():
+    from dataclasses import replace
+
+    from fqg.builders import inversion_theta, preset_names
+    from fqg.duality import build_dual
+    from fqg.groups import cyclic_group
+    from fqg.report import ReportBuilder
+    from fqg.suite import action_suite, full_suite
+
+    provenance = {"input": "kz3", "sha256": "0" * 64, "tolerance": 1e-9, "mode": None,
+                  "format_version": 1}
+    algebras = [preset(name) for name in preset_names()]
+    algebras += [build_dual(a) for a in algebras]
+    kz3 = preset("kz3")
+    aborted = full_suite(replace(kz3, star=-kz3.star))
+    assert any(c.residual is None and c.detail.startswith("aborted: ") for c in aborted.checks)
+    reports = [full_suite(a, tol=tol) for a in algebras for tol in (1e-9, 1e-20)]
+    reports += [aborted, full_suite(kz3, only=["haar/*", "*w_expansion"])]
+    reports.append(ReportBuilder().add("infinite", float("inf"), 1.0, "a, b").build())
+    for report in reports:
+        assert report.format_json(provenance) == _indented(report, provenance)
+    z2 = cyclic_group(2)
+    action = action_suite(kz3, z2, inversion_theta(kz3, z2), mode="full")
+    for path in ('k"z\\3\x1b[1m.json', "é/☃\ud800.json"):
+        full = {**provenance, "input": path, "mode": "full"}
+        assert action.format_json(full) == _indented(action, full)
+
+
+def test_the_run_path_does_not_reencode_the_algebra(tmp_path, capsys, monkeypatch):
+    from fqg import builders
+
+    (tmp_path / "kz3.json").write_text(algebra_to_json(preset("kz3")))
+    inversion = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
+    matrices = [[[[float(x), 0.0] for x in row] for row in t] for t in (np.eye(3), inversion)]
+    spec = {"format_version": 1, "algebra": "kz3.json", "group": "z2", "automorphisms": matrices}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+
+    def refuse(_):
+        raise AssertionError("algebra_to_json on the run path")
+
+    monkeypatch.setattr(builders, "algebra_to_json", refuse)
+    for argv in (["verify", str(tmp_path / "kz3.json")], ["action", str(tmp_path / "spec.json")]):
+        code, _, err = run(capsys, [*argv, "--format", "json"])
+        assert code == 0, err

@@ -285,3 +285,20 @@ def test_axioms_hold_at_most_three_n4_arrays(n, basis_changed):
         tracemalloc.stop()
     assert report.overall_pass
     assert peak <= 3.5 * 16 * n ** 4
+
+
+def test_structure_scale_is_computed_once_per_algebra(monkeypatch):
+    from fqg import hopf
+    from fqg.tensors import frob
+
+    a = preset("ks3")
+    fields = ("mult", "comult", "unit", "counit", "antipode", "star")
+    expected = max(1.0, *(frob(getattr(a, f)) for f in fields))
+    calls = []
+    monkeypatch.setattr(hopf, "frob", lambda x: calls.append(x) or frob(x))
+    assert a.structure_scale() == a.structure_scale() == expected
+    assert len(calls) == 6
+    # replace builds a new algebra, whose scale is its own
+    scaled = dataclasses.replace(a, comult=10 * a.comult)
+    assert scaled.structure_scale() == frob(10 * a.comult) > expected
+    assert len(calls) == 12
