@@ -17,7 +17,7 @@ from fqg import (
     pentagon_residual,
     preset,
 )
-from fqg.tensors import leg_product
+from fqg.tensors import leg_distance
 
 np.set_printoptions(precision=3, suppress=True, linewidth=120)
 
@@ -39,9 +39,9 @@ print(f"pentagon defect |W23 W12 W23* - W12 W13| = {pentagon_residual(wop.w):.2e
 
 # the same two sides assembled as products of W placed on legs of three copies of C^2
 w, legs = wop.w, (2, 2, 2)
-lhs = leg_product([(w, [2, 3]), (w, [1, 2]), (w.conj().T, [2, 3])], legs)
-rhs = leg_product([(w, [1, 2]), (w, [1, 3])], legs)
-print(f"hand-assembled defect          = {np.linalg.norm(lhs - rhs):.2e}")
+lhs = [(w, [2, 3]), (w, [1, 2]), (w.conj().T, [2, 3])]
+rhs = [(w, [1, 2]), (w, [1, 3])]
+print(f"hand-assembled defect          = {leg_distance(lhs, rhs, legs):.2e}")
 
 swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 print(f"\nnegative control: pentagon defect of the plain swap = {pentagon_residual(swap):.2f}")

@@ -47,11 +47,10 @@ from .tensors import (
     _rank_above,
     freeze,
     frob,
+    kron_sum,
     kron_sum_distance,
     leg_distance,
     leg_distance_bytes,
-    leg_product,
-    span_basis,
     star_homomorphism_defects,
 )
 
@@ -180,7 +179,7 @@ def build_intertwiner_data(wop: MultiplicativeUnitary, group: CayleyTable, theta
     eye, xs = np.eye(m), wop.slice_basis
     beta_ops = np.einsum("kij,iab,kl->jkalb", theta_inv, left_regular, eye).reshape(n, m * n, m * n)
     gamma_ops = np.einsum("kij,ipq,kl->jpkql", gamma_hat, xs, eye).reshape(n, n * m, n * m)
-    v = freeze(leg_product([(xs, [1]), (beta_ops, [2, 3])], (n, m, n)))
+    v = freeze(kron_sum(xs, beta_ops))
     v_last = np.einsum("kij,jpq,kl->ipkql", theta_inv, xs, eye).reshape(n, n * m, n * m)
     return IntertwinerData(
         group, theta, theta_inv, wop, pair, beta_ops, gamma_ops, gamma_hat, v, v_last
@@ -263,12 +262,9 @@ def verify_action_intertwiner(data: IntertwinerData, tol: float = DEFAULT_TOL) -
     element, haar(b theta_k(a)) with haar(theta_{k^-1}(b) a); it is the
     scalar consequence obtained by slicing the exchange identity.
     """
-    pair, n, m = data.pair, data.wop.dim, data.group.order
+    pair = data.pair
     rb = ReportBuilder()
-
-    lhs = [(data.v, [1, 2, 3])]
-    rhs = [(data.gamma_ops, [1, 2]), (data.wop.left_regular, [3])]
-    rb.add("intertwiner_exchange", leg_distance(lhs, rhs, (n, m, n)), tol)
+    rb.add("intertwiner_exchange", kron_sum_distance(data.gamma_ops, data.wop.left_regular, data.v), tol)
 
     # (k, j, i) -> haar(e_j theta_k(e_i)) against haar(theta_{k^-1}(e_j) e_i)
     swapped = data.theta_inv.transpose(0, 2, 1) @ pair
@@ -286,10 +282,11 @@ def full_mode_bytes(n: int, m: int) -> int:
     the arrays of their Gram forms (three (n, n, nm, nm), three (n, n^2, n^2))
     and the two (m, K, K) slices of the five-leg kernel, K = min(n^4, m^2)
     (``_five_leg_commutator_norm``); plus V, the stack of its slice generators
-    and the copies einsum and the QR of V's middle-leg blocks make, each at
-    most the size of V (3 * 16 * (n^2 m)^2), and the stacks of dual coproducts
-    and coproducts of the basis (2 * 16 * n^5).  Python objects and the report
-    are not counted, so below about 100 kB the figure is not an upper bound.
+    and the copies that building V and the QR of V's middle-leg blocks make,
+    each at most the size of V (3 * 16 * (n^2 m)^2), and the stacks of dual
+    coproducts and coproducts of the basis (2 * 16 * n^5).  Python objects and
+    the report are not counted, so below about 100 kB the figure is not an
+    upper bound.
     """
     k = min(n ** 4, m * m)
     four_leg = max(leg_distance_bytes((n, n, m, n), 2), leg_distance_bytes((n, m, n, n), 2))
@@ -464,8 +461,8 @@ def _span_rows(vectors, tol: float) -> np.ndarray:
     threshold of ``numerical_rank``."""
     if len(vectors) == 0:
         return np.zeros((0, vectors.shape[1]), dtype=complex)
-    span = span_basis(vectors)
-    return span.q[:, :span.rank(tol)].T
+    _, sigma, vh = np.linalg.svd(vectors, full_matrices=False)
+    return vh[:_rank_above(sigma, tol)]
 
 
 def _generated_dimension(basis, products, tol: float) -> int:

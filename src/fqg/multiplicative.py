@@ -13,8 +13,9 @@ element and the x_j span the dual subspace; applying such functionals
 entrywise would not be meaningful since they act on the algebra, not on
 Hilbert-space coordinates.  Vector functionals on Hilbert-space coordinates
 are applied entrywise: the slices of W by the matrix units are one
-transpose of W's leg tensor.  A two-leg sum over the expansion, such as
-(id (x) antipode) W, is measured by ``kron_sum_distance``.
+transpose of W's leg tensor.  A two-leg sum over the expansion, W itself,
+(id (x) antipode) W or coproduct(e_a), is built by ``kron_sum`` and measured
+by ``kron_sum_distance``.
 
 ``build_multiplicative_unitary`` reads this expansion off the structure
 constants, x_j = comult[:, :, j]^T and L_j = mult[j]^T, and factors the
@@ -53,6 +54,7 @@ from .tensors import (
     SpanBasis,
     freeze,
     frob,
+    kron_sum,
     kron_sum_distance,
     leg_distance,
     numerical_rank,
@@ -141,8 +143,9 @@ class MultiplicativeUnitary:
     def conjugation_exact(self) -> float:  # the loop behind the conjugation bound
         n, w, lr = self.dim, self.w, self.left_regular
         w_adj = w.conj().T.reshape(n, n**3)  # (L_a (x) 1) W* multiplies L_a into its first row leg
-        return float(np.max([frob(w @ (l_a @ w_adj).reshape(n * n, n * n) - _coproduct_operator(c_a, lr))
-                             for l_a, c_a in zip(lr, self.algebra.comult)]))
+        deltas = (kron_sum(np.tensordot(c_a, lr, (0, 0)), lr) for c_a in self.algebra.comult)
+        return float(np.max([frob(w @ (l_a @ w_adj).reshape(n * n, n * n) - delta)
+                             for l_a, delta in zip(lr, deltas)]))
 
     @cached_property
     def second_leg_exact(self) -> float:  # the exact contraction behind its bound
@@ -204,14 +207,6 @@ class MultiplicativeUnitary:
         return _doubled_span_coords(self, self.dual_coproducts)
 
 
-def _two_leg(c, mult) -> np.ndarray:
-    """The read-only (n^2, n^2) matrix of e_i (x) e_j -> sum_pq c[i, p, q] e_p (x)
-    e_q e_j, entry [(p, k), (i, j)] = sum_q c[i, p, q] mult[q, j, k]: one product."""
-    n = len(c)
-    t = (c.reshape(n * n, n) @ mult.reshape(n, n * n)).reshape(n, n, n, n)  # [i, p, j, k]
-    return freeze(t.transpose(1, 3, 0, 2).reshape(n * n, n * n))
-
-
 def build_multiplicative_unitary(b: FiniteHopfStarAlgebra) -> MultiplicativeUnitary:
     """W of ``b``, whose basis is orthonormal for its Haar state
     (``haar.orthonormal_algebra``), its expansion read off the structure
@@ -219,13 +214,14 @@ def build_multiplicative_unitary(b: FiniteHopfStarAlgebra) -> MultiplicativeUnit
     with x_j[p, i] = comult[i, p, j] and L_j = mult[j]^T, up to the rounding that
     ``expansion_residual`` measures."""
     xs = freeze(b.comult.transpose(2, 1, 0))
-    return MultiplicativeUnitary(_two_leg(b.comult, b.mult), b, xs, span_basis(xs))
+    return MultiplicativeUnitary(freeze(kron_sum(xs, b.mult.transpose(0, 2, 1))), b, xs, span_basis(xs))
 
 
 def inverse_via_antipode(b: FiniteHopfStarAlgebra) -> np.ndarray:
     """Matrix of a (x) c -> ((id (x) antipode) coproduct(a)) (1 (x) c) for ``b``
-    in an orthonormal basis, as ``build_multiplicative_unitary`` reads it."""
-    return _two_leg(b.comult @ b.antipode, b.mult)
+    in an orthonormal basis, as ``build_multiplicative_unitary`` reads it:
+    sum_j x_j (x) L_j with comult @ antipode in place of comult."""
+    return kron_sum((b.comult @ b.antipode).transpose(2, 1, 0), b.mult.transpose(0, 2, 1))
 
 
 def verify_unitarity(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -343,18 +339,12 @@ def _certified_rank(rows, shift: float, tol: float) -> int | None:
 def coproduct_operators(wop: MultiplicativeUnitary) -> np.ndarray:
     """Left multiplication by coproduct(e_j) on the doubled GNS space for
     every basis element e_j, shape (n, n^2, n^2), filled one element at a
-    time so that only one stack is held."""
+    time so that only one stack is held: sum_q (sum_p comult[j, p, q] L_p) (x) L_q."""
     n, lr = wop.dim, wop.left_regular
     stack = np.empty((n, n * n, n * n), dtype=complex)
     for c_a, delta in zip(wop.algebra.comult, stack):
-        delta[...] = _coproduct_operator(c_a, lr)
+        delta[...] = kron_sum(np.tensordot(c_a, lr, (0, 0)), lr)
     return stack
-
-
-def _coproduct_operator(c_a, lr) -> np.ndarray:
-    """sum_pq c_a[p, q] L_p (x) L_q by two tensordots, which plan no einsum path."""
-    t = np.tensordot(np.tensordot(c_a, lr, (0, 0)), lr, (0, 0))  # (a, c, b, d)
-    return t.transpose(0, 2, 1, 3).reshape(len(c_a) ** 2, -1)
 
 
 def _gram(stack) -> np.ndarray:  # G_pr = tr(A_p* A_r) over a stack of matrices A_p (or A_pq)

@@ -2,14 +2,13 @@
 
 Every operator is a dense (N, N) array, W and V included; its leg sizes
 come from the context that holds it, (n, n) for W and (n, |K|, n) for V.  A
-product of operators placed on legs of a larger space (W23 W12 W23*,
-V134 V234, ...) is evaluated by ``leg_product`` and compared by
-``leg_distance``: one einsum over the leg tensors, so no factor is expanded
-with identities.  A factor may be a stack of matrices; the stacks of one
-product share a summed index, so a Kronecker sum sum_j x_j (x) y_j is two
-stacked factors and is never built densely there; ``kron_sum_distance``
-measures a two-leg Kronecker sum against a matrix through one temporary of
-that matrix's size.
+two-leg Kronecker sum sum_j x_j (x) y_j, the form of W, V and every
+coproduct(e_a), is built by ``kron_sum`` and measured against a matrix by
+``kron_sum_distance``, each through one tensordot over j.  Only the exact
+fallbacks compare products of operators placed on legs of a larger space
+(W23 W12 W23*, V134 V234, ...), by ``leg_distance``: one einsum over the leg
+tensors, so no factor is expanded with identities.  A factor may be a stack
+of matrices; the stacks of one product share a summed index.
 ``leg_distance`` holds one tile of each side, cut over leg 1, at a time and
 subtracts the rhs tile into the lhs tile in the lhs tile's memory order; the
 tile size follows from the working set of a tile and ``TILE_BYTES``.
@@ -197,32 +196,20 @@ def _leg1_tiles(factors, dims, t):
     return tile
 
 
-def leg_product(factors, dims) -> np.ndarray:
-    """The N x N matrix of a product of operators placed on legs of ``dims``.
-
-    ``factors`` lists ``(matrix, placement)`` pairs, leftmost first, as for
-    ``embed_legs``; e.g. ``[(w, [2, 3]), (w, [1, 2])]`` is W23 W12.  A factor
-    may be a stack of matrices summed over a shared index (see
-    ``_contraction``).  One einsum over the leg tensors; no factor is
-    expanded with identities.
-    """
-    dims = tuple(int(d) for d in dims)
-    n = prod(dims)
-    return _leg1_tiles(factors, dims, dims[0])(0, 0).reshape(n, n)
-
-
 def leg_distance(lhs, rhs, dims) -> float:
     """Frobenius distance between two products of operators placed on legs.
 
-    ``lhs`` and ``rhs`` are factor lists as for ``leg_product``.  Each side
-    is contracted tile by tile over ranges of the leg-1 row and column index,
-    the rhs tile is subtracted into the lhs tile, walking both in the lhs
-    tile's memory order, and the squared norms of the differences are
-    summed.  Tiles are as large as ``TILE_BYTES`` allows: one tile for a
-    small space, down to a single leg-1 index pair (N^2 / d1^2 entries per
-    side) for a large one.  The budget is kept small because the rhs tile is
-    read in an axis order foreign to it, which is fast only while a tile
-    fits in cache and TLB reach.
+    ``lhs`` and ``rhs`` list ``(matrix, placement)`` pairs, leftmost first, as
+    for ``embed_legs``; e.g. ``[(w, [2, 3]), (w, [1, 2])]`` is W23 W12, and a
+    factor may be a stack of matrices summed over a shared index (see
+    ``_contraction``).  Each side is contracted tile by tile over ranges of
+    the leg-1 row and column index, the rhs tile is subtracted into the lhs
+    tile, walking both in the lhs tile's memory order, and the squared norms
+    of the differences are summed.  Tiles are as large as ``TILE_BYTES``
+    allows: one tile for a small space, down to a single leg-1 index pair
+    (N^2 / d1^2 entries per side) for a large one.  The budget is kept small
+    because the rhs tile is read in an axis order foreign to it, which is
+    fast only while a tile fits in cache and TLB reach.
     """
     dims = tuple(int(d) for d in dims)
     t = _tile(dims, max(len(lhs), len(rhs)))
@@ -242,11 +229,17 @@ def leg_distance(lhs, rhs, dims) -> float:
     return float(np.sqrt(total))
 
 
-def kron_sum_distance(xs, ys, target) -> float:
-    """||sum_j xs[j] (x) ys[j] - target||_F for stacks xs (K, a, a) and ys
-    (K, b, b) and an (ab, ab) ``target``: one tensordot temporary the size of
-    target, from which target is subtracted in place."""
+def kron_sum(xs, ys) -> np.ndarray:
+    """sum_j xs[j] (x) ys[j] for stacks xs (K, a, a) and ys (K, b, b), as an
+    (ab, ab) matrix: one tensordot over j."""
     t = np.tensordot(xs, ys, (0, 0)).transpose(0, 2, 1, 3)  # rows (p, r), cols (q, s)
+    return t.reshape(t.shape[0] * t.shape[1], -1)
+
+
+def kron_sum_distance(xs, ys, target) -> float:
+    """||kron_sum(xs, ys) - target||_F for an (ab, ab) ``target``, through the
+    one tensordot temporary, from which target is subtracted in place."""
+    t = np.tensordot(xs, ys, (0, 0)).transpose(0, 2, 1, 3)
     t -= np.asarray(target).reshape(t.shape)
     return frob(t)
 

@@ -644,21 +644,27 @@ def test_replaced_v_measures_its_own_expansion_residual():
 
 
 def test_passing_full_mode_builds_no_coproduct_stack(monkeypatch):
+    # a passing action suite, full or sliced, builds no stack of coproduct
+    # operators and contracts no leg product: the tile engine is for exact fallbacks
     import fqg.actions as actions_mod
     import fqg.multiplicative as multiplicative_mod
 
     calls = []
-    for owner, name in ((actions_mod, "coproduct_operators"), (actions_mod, "leg_distance"),
-                        (multiplicative_mod, "coproduct_operators")):
-        original = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *args, f=original, n=name: calls.append(n) or f(*args))
+    for owner in (actions_mod, multiplicative_mod):
+        for name in ("coproduct_operators", "leg_distance"):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, f=original, n=name: calls.append(n) or f(*args))
     _, data = basis_changed_pipeline("ks3", "s3", "conjugation", seed=7)
     assert verify_slice_commutativity(data, mode="full").overall_pass
     assert calls == []
-    a, k_group = preset("kz3"), group_preset("z2")
-    theta = resolve_automorphisms(a, k_group, "inversion")
-    assert action_suite(a, k_group, theta, mode="full").overall_pass
-    assert "coproduct_operators" not in calls
+    kz3, z2, ks3, s3 = preset("kz3"), group_preset("z2"), preset("ks3"), group_preset("s3")
+    p = basis_change_matrix(ks3.dim, 7)
+    suites = [(kz3, z2, resolve_automorphisms(kz3, z2, "inversion")),
+              (change_basis(ks3, 7), s3, np.linalg.inv(p) @ resolve_automorphisms(ks3, s3, "conjugation") @ p)]
+    for a, k_group, theta in suites:
+        for mode in ("full", "sliced"):
+            assert action_suite(a, k_group, theta, mode=mode).overall_pass
+    assert calls == []
 
 
 def test_mode_name_validated():
@@ -896,7 +902,7 @@ def test_v_last_leg_matches_the_least_squares_fit(names):
 def test_v_expansion_residual_is_the_distance_of_v_from_its_expansion(monkeypatch):
     _, data = pipeline("ks3", "s3", "conjugation")
     v = data.v + 1e-3 * np.random.default_rng(8).standard_normal(data.v.shape)
-    monkeypatch.setattr(fqg.actions, "leg_product", lambda factors, dims: v)
+    monkeypatch.setattr(fqg.actions, "kron_sum", lambda xs, ys: v)
     bad = build_intertwiner_data(data.wop, data.group, data.theta)
     assert np.array_equal(bad.v_last_leg, data.v_last_leg)
     kron_sum = sum(np.kron(c, lr) for c, lr in zip(bad.v_last_leg, data.wop.left_regular))

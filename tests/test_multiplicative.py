@@ -781,7 +781,7 @@ def test_expansion_residual_is_the_distance_of_w_from_its_expansion(monkeypatch)
     # them, and the residual is the distance of that W from sum_j x_j (x) L_j
     wop = unitary_of("ks3")
     w = wop.w + 1e-3 * _noise(np.random.default_rng(8), wop.w.shape[0])
-    monkeypatch.setattr(multiplicative, "_two_leg", lambda c, mult: w)
+    monkeypatch.setattr(multiplicative, "kron_sum", lambda xs, ys: w)
     bad = build_multiplicative_unitary(wop.algebra)
     assert np.array_equal(bad.slice_basis, wop.slice_basis)
     kron_sum = sum(np.kron(x, lr) for x, lr in zip(bad.slice_basis, wop.left_regular))
@@ -889,13 +889,14 @@ def test_nan_in_the_last_coproduct_operator_fails_the_conjugation_check(monkeypa
     # a NaN in the Gram part of the last element must reach the bound, which
     # then gives way to the exact loop; there a NaN after the first element
     # must reach the maximum over the basis
-    original, built = multiplicative._coproduct_operator, []
+    wop = unitary_of("ks3")
+    original, built = multiplicative.kron_sum, []
     norms = multiplicative._kron_defect_norms
 
-    def planted(c_a, lr):
-        delta = original(c_a, lr)
+    def planted(xs, ys):  # after W is built, kron_sum forms only the coproduct(e_a)
+        delta = original(xs, ys)
         built.append(delta)
-        if len(built) == len(lr):
+        if len(built) == len(ys):
             delta[0, 0] = np.nan
         return delta
 
@@ -904,9 +905,9 @@ def test_nan_in_the_last_coproduct_operator_fails_the_conjugation_check(monkeypa
         out[-1] = np.nan
         return out
 
-    monkeypatch.setattr(multiplicative, "_coproduct_operator", planted)
+    monkeypatch.setattr(multiplicative, "kron_sum", planted)
     monkeypatch.setattr(multiplicative, "_kron_defect_norms", planted_norms)
-    check = verify_coproduct_implemented(unitary_of("ks3")).check("conjugation_over_basis")
+    check = verify_coproduct_implemented(wop).check("conjugation_over_basis")
     assert check.detail == "exact contraction; certified bound nan exceeds tol"
     assert len(built) == 6
     assert check.residual is None and not check.passed
@@ -1171,11 +1172,13 @@ def test_passing_full_suite_builds_nothing_n5(name, basis_changed, monkeypatch):
 
     a = basis_changed(preset(name) if name == "ks3" else group_algebra(cyclic_group(8)), seed=1)
     calls = {f: _counting(monkeypatch, multiplicative, f)
-             for f in ("_dual_coproducts", "_doubled_span_coords", "_coproduct_operator")}
+             for f in ("_dual_coproducts", "_doubled_span_coords", "coproduct_operators")}
+    sums = _counting(monkeypatch, multiplicative, "kron_sum")
     sizes = []
     original = multiplicative.numerical_rank
     monkeypatch.setattr(multiplicative, "numerical_rank",
                         lambda v, tol: sizes.append(np.size(v)) or original(v, tol))
     assert full_suite(a).overall_pass
     assert all(c == [] for c in calls.values())
+    assert len(sums) == 2  # W and its antipode inverse; no coproduct(e_a) one at a time
     assert all(size < a.dim ** 4 for size in sizes)  # no stack of n^2 slices of n x n

@@ -5,7 +5,7 @@ import pytest
 
 from fqg import StructuralError, embed_legs
 import fqg.tensors as tensors_mod
-from fqg.tensors import leg_distance, leg_distance_bytes, leg_product
+from fqg.tensors import kron_sum, kron_sum_distance, leg_distance, leg_distance_bytes
 
 from conftest import apply_star, multiply
 
@@ -142,6 +142,13 @@ def dense_product(factors, dims):
     return out
 
 
+def whole_product(factors, dims):
+    """The product of placed factors as the one tile of the tile engine that
+    covers all of leg 1, an (N, N) matrix."""
+    n = int(np.prod(dims))
+    return tensors_mod._leg1_tiles(factors, tuple(dims), dims[0])(0, 0).reshape(n, n)
+
+
 def random_factor(rng, dims, placement):
     k = int(np.prod([dims[p - 1] for p in placement]))
     return rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)), placement
@@ -171,7 +178,7 @@ def test_leg_product_and_distance_match_dense_embedding(monkeypatch, dims, lhs, 
     rhs = [random_factor(rng, dims, p) for p in rhs]
     for factors in (lhs, rhs):
         dense = dense_product(factors, dims)
-        assert np.max(np.abs(leg_product(factors, dims) - dense)) <= 1e-13 * np.max(np.abs(dense))
+        assert np.max(np.abs(whole_product(factors, dims) - dense)) <= 1e-13 * np.max(np.abs(dense))
     expected = np.linalg.norm(dense_product(lhs, dims) - dense_product(rhs, dims))
     assert expected > 1.0
     assert_tilings_match(monkeypatch, lhs, rhs, dims, expected)
@@ -252,7 +259,7 @@ def test_stacked_factors_match_dense_sum(monkeypatch, dims, stacked, plain):
         dense_product([(xs[j], p) for xs, p in stacks] + plains, dims) for j in range(3)
     )
     lhs = stacks + plains
-    assert np.max(np.abs(leg_product(lhs, dims) - dense)) <= 1e-13 * np.max(np.abs(dense))
+    assert np.max(np.abs(whole_product(lhs, dims) - dense)) <= 1e-13 * np.max(np.abs(dense))
     if not plain:  # two stacks on consecutive legs in order: a Kronecker sum
         (xs, _), (ys, _) = stacks
         kron_loop = sum(np.kron(x, y) for x, y in zip(xs, ys))
@@ -316,14 +323,29 @@ def test_leg_distance_bytes(monkeypatch):
     assert leg_distance_bytes((2, 3, 2), 3) == 5 * 16 * 6 ** 2
 
 
-def test_leg_product_errors():
+def test_leg_distance_placement_errors():
     x = np.eye(2)
     with pytest.raises(StructuralError):
-        leg_product([(x, [1, 1])], (2, 2))
+        leg_distance([(x, [1, 1])], [], (2, 2))
     with pytest.raises(StructuralError):
-        leg_product([(x, [3])], (2, 2))
+        leg_distance([(x, [3])], [], (2, 2))
     with pytest.raises(StructuralError):
-        leg_product([(x, [1])], (3, 2))
+        leg_distance([], [(x, [1])], (3, 2))
+
+
+@pytest.mark.parametrize("a,b", [(2, 3), (3, 2)])
+def test_kron_sum_matches_kron_loop(a, b):
+    # unequal leg sizes, either way round; the distance measures the same sum
+    rng = np.random.default_rng(a * 10 + b)
+    xs = rng.standard_normal((4, a, a)) + 1j * rng.standard_normal((4, a, a))
+    ys = rng.standard_normal((4, b, b)) + 1j * rng.standard_normal((4, b, b))
+    loop = sum(np.kron(x, y) for x, y in zip(xs, ys))
+    got = kron_sum(xs, ys)
+    assert got.shape == (a * b, a * b)
+    assert np.max(np.abs(got - loop)) <= 1e-13 * np.max(np.abs(loop))
+    target = rng.standard_normal((a * b, a * b)) + 1j * rng.standard_normal((a * b, a * b))
+    expected = np.linalg.norm(loop - target)
+    assert abs(kron_sum_distance(xs, ys, target) - expected) <= 1e-13 * expected
 
 
 def test_pentagon_residual_matches_dense_on_non_unitary_input():
