@@ -3,11 +3,11 @@ Hopf *-automorphisms, and the commutativity machinery they feed.
 
 A group K acts through a homomorphism k -> theta_k into the Hopf
 *-automorphisms of the algebra.  The induced coaction into A (x) C(K) is
-alpha(a) = sum_k theta_k(a) (x) delta_k, with C(K) represented by diagonal
-matrices on C^K and its antipode given by the inversion permutation
-delta_k -> delta_{k^-1}.  The stack theta comes from
-``builders.resolve_automorphisms``, and ``action_axioms_report`` checks that it
-is such a homomorphism and that alpha is a coaction.
+alpha(a) = sum_k theta_k(a) (x) delta_k.  C(K) acts on C^K by the diagonal
+matrix units delta_k -> E_kk, on which every stack below places its C(K) leg,
+and its antipode is the inversion delta_k -> delta_{k^-1}.  The stack theta
+comes from ``builders.resolve_automorphisms``; ``action_axioms_report`` checks,
+all theta_k at once, that it is such a homomorphism and alpha a coaction.
 
 From the coaction we assemble
 
@@ -79,15 +79,11 @@ def action_axioms_report(
     hom = _homomorphism_defects(theta, k_group)
     rb.add("theta_homomorphism", float(hom.max()), tol_eff)
 
-    worst_auto = 0.0
-    failing = ""
-    for k in range(m):
-        sub = is_hopf_star_automorphism(algebra, theta[k], tol)
-        worst_auto = max(worst_auto, sub.max_residual())
-        if not sub.overall_pass and not failing:
-            bad = next(c.name for c in sub.checks if not c.passed)
-            failing = f"element {k_group.labels[k]} fails {bad}"
-    rb.add("theta_automorphisms", worst_auto, tol * algebra.structure_scale(), detail=failing)
+    subs = is_hopf_star_automorphism(algebra, theta, tol)  # one report per element
+    failing = [f"element {k_group.labels[k]} fails {c.name}"
+               for k, sub in enumerate(subs) for c in sub.checks if not c.passed] + [""]
+    rb.add("theta_automorphisms", max(sub.max_residual() for sub in subs),
+           tol * algebra.structure_scale(), detail=failing[0])
 
     # coaction axiom: both sides live in A (x) C(K) (x) C(K)
     rb.add("coaction_axiom", frob(hom), tol_eff)
@@ -137,10 +133,10 @@ class IntertwinerData:
       (n, n) coordinate matrix, and theta_inv[k] = theta[k^-1].  Both are
       read-only.
     - pair[b, i] = haar(e_b e_i), the Haar pairing (``haar.fourier_matrix``).
-    - beta_ops[j] = beta(e_j) on C^K (x) H (k slowest): block k is left
-      multiplication by theta_{k^-1}(e_j).
+    - beta_ops[j] = beta(e_j) on C^K (x) H (k slowest): its diagonal block
+      (k, k), on E_kk, is left multiplication by theta_{k^-1}(e_j).
     - gamma_ops[j] = gamma(x_j) on H (x) C^K for the slice basis x_j of the
-      dual subspace, sum_k gamma_hat[k](x_j) (x) delta_k.
+      dual subspace, sum_k gamma_hat[k](x_j) (x) E_kk.
     - gamma_hat[k] is the conjugated automorphism acting on dual-subspace
       coordinates.
     - v = (id (x) beta) W, a read-only matrix on legs [n, |K|, n].
@@ -176,14 +172,16 @@ def build_intertwiner_data(wop: MultiplicativeUnitary, group: CayleyTable, theta
     pair = fourier_matrix(wop.algebra, wop.haar)
     gamma_hat = pair @ theta @ np.linalg.inv(pair)
 
-    eye, xs = np.eye(m), wop.slice_basis
-    beta_ops = np.einsum("kij,iab,kl->jkalb", theta_inv, left_regular, eye).reshape(n, m * n, m * n)
-    gamma_ops = np.einsum("kij,ipq,kl->jpkql", gamma_hat, xs, eye).reshape(n, n * m, n * m)
+    # delta_k acts on C^K as E_kk: each stack is written onto the diagonal of its C(K) leg
+    # (through a five-index view), V built before the other two stacks exist
+    ks, xs = np.arange(m), wop.slice_basis
+    beta_ops = np.zeros((n, m * n, m * n), dtype=complex)
+    beta_ops.reshape(n, m, n, m, n)[:, ks, :, ks] = np.einsum("kij,iab->kjab", theta_inv, left_regular)
     v = freeze(kron_sum(xs, beta_ops))
-    v_last = np.einsum("kij,jpq,kl->ipkql", theta_inv, xs, eye).reshape(n, n * m, n * m)
-    return IntertwinerData(
-        group, theta, theta_inv, wop, pair, beta_ops, gamma_ops, gamma_hat, v, v_last
-    )
+    gamma_ops, v_last = np.zeros((2, n, n * m, n * m), dtype=complex)
+    gamma_ops.reshape(n, n, m, n, m)[:, :, ks, :, ks] = np.einsum("kij,ipq->kjpq", gamma_hat, xs)
+    v_last.reshape(n, n, m, n, m)[:, :, ks, :, ks] = np.einsum("kij,jpq->kipq", theta_inv, xs)
+    return IntertwinerData(group, theta, theta_inv, wop, pair, beta_ops, gamma_ops, gamma_hat, v, v_last)
 
 
 # -- invariance -------------------------------------------------------------
@@ -362,10 +360,9 @@ def verify_slice_commutativity(
     # slice V in its outer legs with all matrix-unit vector functionals; the
     # middle-leg matrices obtained this way generate the image of beta's slices
     t = data.v.reshape(n, m, n, n, m, n)
-    generators = t.transpose(0, 3, 2, 5, 1, 4).reshape(n * n * n * n, m, m)
-    norms = np.linalg.norm(generators.reshape(len(generators), -1), axis=1)
-    keep = generators[norms > tol]
-    basis = _span_rows(keep.reshape(len(keep), m * m), tol).reshape(-1, m, m)
+    generators = t.transpose(0, 3, 2, 5, 1, 4).reshape(n * n * n * n, m * m)
+    keep = np.linalg.norm(generators, axis=1) > tol  # the stack itself when every row is kept
+    basis = _span_rows(generators if keep.all() else generators[keep], tol).reshape(-1, m, m)
     products = np.einsum("aij,bjk->abik", basis, basis)
 
     if mode == "sliced":
@@ -374,7 +371,7 @@ def verify_slice_commutativity(
             float(np.max(np.abs(products - products.transpose(1, 0, 2, 3)), initial=0.0)),
             tol,
             detail=(
-                f"{len(keep)} nonzero slice generators, an orthonormal basis of "
+                f"{keep.sum()} nonzero slice generators, an orthonormal basis of "
                 f"{len(basis)} for their span, {len(basis) ** 2} ordered pairs"
             ),
         )
@@ -457,10 +454,13 @@ def _five_leg_commutator_norm(v, n: int, m: int) -> float:
 
 
 def _span_rows(vectors, tol: float) -> np.ndarray:
-    """Orthonormal rows spanning the rows of ``vectors``, at the rank
-    threshold of ``numerical_rank``."""
+    """Orthonormal rows spanning the rows of ``vectors``, at the rank threshold
+    of ``numerical_rank``; a stack taller than wide is first reduced to its R
+    factor, with the same singular values and right factor (Chan's R-SVD)."""
     if len(vectors) == 0:
         return np.zeros((0, vectors.shape[1]), dtype=complex)
+    if len(vectors) > vectors.shape[1]:
+        vectors = np.linalg.qr(vectors, mode="r")
     _, sigma, vh = np.linalg.svd(vectors, full_matrices=False)
     return vh[:_rank_above(sigma, tol)]
 

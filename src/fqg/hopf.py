@@ -159,30 +159,36 @@ def verify_hopf_star_axioms(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL) 
 
 def is_hopf_star_automorphism(
     a: FiniteHopfStarAlgebra, t, tol: float = DEFAULT_TOL
-) -> VerificationReport:
-    """Check that the matrix ``t`` (acting on coordinates) is a Hopf *-automorphism."""
+) -> VerificationReport | list[VerificationReport]:
+    """Check that the matrix ``t`` (acting on coordinates) is a Hopf *-automorphism.
+
+    ``t`` may also be a (K, n, n) stack: every law is then formed for the whole
+    stack by stacked products, and the result is one report per matrix, each
+    equal to the report of that matrix alone.
+    """
     t = np.asarray(t, dtype=complex)
     n = a.dim
-    if t.shape != (n, n):
-        raise StructuralError(f"automorphism candidate must be {n}x{n}, got {t.shape}")
-    tol_eff = tol * max(a.structure_scale(), frob(t))
-    rb = ReportBuilder()
-
-    sigma_min = float(np.linalg.svd(t, compute_uv=False)[-1])
-    rb.add("invertible", max(0.0, tol_eff - sigma_min), 0.0, detail=f"sigma_min={sigma_min:.3e}")
-
-    mult_r = t.T @ (t.T @ a.mult).reshape(n, n * n)  # sum_pq t[p, i] t[q, j] mult[p, q, k]
-    rb.add("multiplicative", _defect(a.mult @ t.T, mult_r.reshape(n, n, n)), tol_eff)
-    com_r = t @ a.comult @ t.T  # sum_pq comult[i, p, q] t[a, p] t[b, q]
-    rb.add("comultiplicative", _defect(t.T @ a.comult.reshape(n, -1), com_r.reshape(n, -1)), tol_eff)
-
-    rb.add("unit_preserved", frob(t @ a.unit - a.unit), tol_eff)
-    rb.add("counit_preserved", frob(a.counit @ t - a.counit), tol_eff)
-
-    star_cols = a.star.T
-    rb.add("star_equivariant", frob(t @ star_cols - star_cols @ np.conj(t)), tol_eff)
-
-    s_op = a.antipode.T
-    rb.add("antipode_equivariant", frob(s_op @ t - t @ s_op), tol_eff)
-
-    return rb.build()
+    if t.ndim not in (2, 3) or t.shape[-2:] != (n, n):
+        raise StructuralError(f"automorphism candidate must be {n}x{n} or a stack of them, got {t.shape}")
+    ts = t.reshape(-1, n, n)
+    tt, star_cols, s_op = ts.transpose(0, 2, 1), a.star.T, a.antipode.T
+    # sum_pq t[p, i] t[q, j] mult[p, q, k], and sum_pq comult[i, p, q] t[a, p] t[b, q]
+    mult_r = tt @ (tt[:, None] @ a.mult).reshape(-1, n, n * n)
+    com_r = ts[:, None] @ a.comult @ tt[:, None]
+    laws = {
+        "multiplicative": a.mult @ tt[:, None] - mult_r.reshape(-1, n, n, n),
+        "comultiplicative": tt @ a.comult.reshape(n, -1) - com_r.reshape(-1, n, n * n),
+        "unit_preserved": ts @ a.unit - a.unit,
+        "counit_preserved": a.counit @ ts - a.counit,
+        "star_equivariant": ts @ star_cols - star_cols @ np.conj(ts),
+        "antipode_equivariant": s_op @ ts - ts @ s_op,
+    }
+    reports = []
+    for k, sigma_min in enumerate(np.linalg.svd(ts, compute_uv=False)[:, -1]):
+        tol_eff = tol * max(a.structure_scale(), frob(ts[k]))
+        rb = ReportBuilder()
+        rb.add("invertible", max(0.0, tol_eff - sigma_min), 0.0, detail=f"sigma_min={sigma_min:.3e}")
+        for name, defects in laws.items():
+            rb.add(name, frob(defects[k]), tol_eff)
+        reports.append(rb.build())
+    return reports if t.ndim == 3 else reports[0]

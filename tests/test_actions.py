@@ -38,7 +38,7 @@ from fqg.actions import (
     action_axioms_report,
 )
 from fqg.builders import parse_explicit_automorphisms, permutation_matrix
-from fqg.tensors import expand_in_leg, numerical_rank
+from fqg.tensors import _rank_above, expand_in_leg, numerical_rank
 
 from conftest import (
     basis_change_matrix,
@@ -155,6 +155,27 @@ def test_not_an_automorphism_fails_theta_automorphisms():
     signs = np.diag([1.0, -1.0, -1.0])  # involutive but not multiplicative
     theta = np.stack([np.eye(3), signs])
     assert first_failure_and_suite(a, k, theta) == "theta_automorphisms"
+
+
+@pytest.mark.parametrize("size", [1e-8, 1e-3])
+def test_theta_automorphisms_matches_a_per_element_loop(size):
+    # ks3 is not commutative, so a stacked multiplicative law that contracts
+    # the wrong index of theta_k would fail where the per-element check passes
+    a, k = preset("ks3"), group_preset("s3")
+    p = basis_change_matrix(a.dim, 1)
+    b = change_basis(a, 1)
+    theta = np.linalg.inv(p) @ resolve_automorphisms(a, k, "conjugation") @ p
+    assert action_axioms_report(b, k, theta).overall_pass
+    theta[4] += size * np.random.default_rng(12).standard_normal((6, 6))
+    worst, detail = 0.0, ""
+    for j in range(k.order):
+        sub = is_hopf_star_automorphism(b, theta[j])
+        worst = max(worst, sub.max_residual())
+        if not sub.overall_pass and not detail:
+            detail = f"element {k.labels[j]} fails {next(c.name for c in sub.checks if not c.passed)}"
+    check = action_axioms_report(b, k, theta).check("theta_automorphisms")
+    assert check.residual == worst and check.detail == detail
+    assert not check.passed and detail.startswith(f"element {k.labels[4]} fails ")
 
 
 def test_resolve_automorphisms_guards():
@@ -768,6 +789,25 @@ def test_operator_stacks_match_per_element_construction():
         assert np.max(np.abs(data.gamma_ops[j] - gamma)) <= 1e-13
 
 
+def eye_form_stacks(data):
+    """beta_ops, gamma_ops and v_last_leg with C(K) as the third factor np.eye(m) of one einsum."""
+    n, m = data.wop.algebra.dim, data.group.order
+    eye, xs = np.eye(m), data.wop.slice_basis
+    beta = np.einsum("kij,iab,kl->jkalb", data.theta_inv, data.wop.left_regular, eye)
+    gamma = np.einsum("kij,ipq,kl->jpkql", data.gamma_hat, xs, eye)
+    v_last = np.einsum("kij,jpq,kl->ipkql", data.theta_inv, xs, eye)
+    return [x.reshape(n, n * m, n * m) for x in (beta, gamma, v_last)]
+
+
+@pytest.mark.parametrize("basis_seed", [None, 1])
+@pytest.mark.parametrize("names", [("kz3", "z2", "inversion"), ("ks3", "s3", "conjugation")])
+def test_stacks_on_the_c_k_diagonal_equal_their_eye_forms(names, basis_seed):
+    # C(K) is placed on its diagonal E_kk; the einsums with np.eye(m) give the same bits
+    _, data = pipeline(*names) if basis_seed is None else basis_changed_pipeline(*names, basis_seed)
+    for got, expected in zip((data.beta_ops, data.gamma_ops, data.v_last_leg), eye_form_stacks(data)):
+        assert np.array_equal(got, expected)
+
+
 def reference_generated_dimension(vectors, tol):
     """The greedy closure: one rank test per candidate vector, then pointwise
     products of the chosen subset until the rank stops growing."""
@@ -823,6 +863,52 @@ def generated_dimension(mats, tol=1e-9):
     m = mats.shape[-1]
     basis = _span_rows(mats.reshape(len(mats), m * m), tol).reshape(-1, m, m)
     return _generated_dimension(basis, basis[:, None] @ basis[None], tol)
+
+
+def thin_svd_span_rows(vectors, tol):
+    """``_span_rows`` by the thin SVD of the stack itself."""
+    _, sigma, vh = np.linalg.svd(vectors, full_matrices=False)
+    return vh[:_rank_above(sigma, tol)]
+
+
+def slice_generators(data):
+    n, m = data.wop.algebra.dim, data.group.order
+    t = data.v.reshape(n, m, n, n, m, n)
+    return t.transpose(0, 3, 2, 5, 1, 4).reshape(n ** 4, m * m)
+
+
+def straddling_rows(seed):
+    """36 rows along 12 orthonormal directions, three a direction, with norms
+    from 1 down to 1e-14: rows and singular values lie on both sides of 1e-9."""
+    rng = np.random.default_rng(seed)
+    b, _ = np.linalg.qr(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
+    rows = np.geomspace(1.0, 1e-14, 36)[:, None] * b[np.arange(36) // 3]
+    return rows[rng.permutation(36)]
+
+
+def test_span_rows_of_the_r_factor_match_the_thin_svd():
+    _, data = basis_changed_pipeline("ks3", "s3", "conjugation", 1)
+    generators = slice_generators(data)
+    assert generators.shape == (1296, 36)
+    cases = ((generators, 1e-9, 6), (straddling_rows(2), 1e-9, 8), (straddling_rows(2), 1e-4, 4))
+    for vectors, tol, rank in cases:
+        got, expected = _span_rows(vectors, tol), thin_svd_span_rows(vectors, tol)
+        assert len(got) == len(expected) == rank
+        assert np.abs(got.conj().T @ got - expected.conj().T @ expected).max() <= 1e-12
+
+
+def test_sliced_commutation_takes_no_svd_of_a_tall_stack(monkeypatch):
+    # the (1296, 36) generator stack reaches the SVD only through its R factor
+    _, data = basis_changed_pipeline("ks3", "s3", "conjugation", 1)
+    shapes, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    assert verify_slice_commutativity(data, mode="sliced").overall_pass
+    assert shapes and all(shape[-2] <= shape[-1] for shape in shapes), shapes
 
 
 def test_generated_dimension_closes_over_several_rounds():

@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -37,6 +40,30 @@ def test_verify_is_deterministic(capsys):
     _, first, _ = run(capsys, ["verify", "ks3", "--format", "json"])
     _, second, _ = run(capsys, ["verify", "ks3", "--format", "json"])
     assert first == second
+
+
+def test_verify_agrees_across_blas_thread_counts(tmp_path):
+    # byte identity holds for one numpy/BLAS build and one BLAS thread count;
+    # across thread counts summation order moves residuals in their last digits
+    from conftest import change_basis
+    from fqg import cyclic_group, group_algebra
+
+    path = tmp_path / "z16b.json"
+    path.write_text(algebra_to_json(change_basis(group_algebra(cyclic_group(16)), 1)))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "fqg.cli", "verify", str(path), "--format", "json"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        reports.append(json.loads(done.stdout)["checks"])
+    one, two = reports
+    assert [(c["name"], c["passed"], c["tolerance"]) for c in one] == [
+        (c["name"], c["passed"], c["tolerance"]) for c in two]
+    for a, b in zip(one, two):
+        assert abs(a["residual"] - b["residual"]) <= 1e-6 * a["tolerance"], a["name"]
 
 
 def test_verify_corrupted_file_exits_one_and_names_check(tmp_path, capsys):

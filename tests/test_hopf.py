@@ -155,8 +155,9 @@ def test_structural_shape_errors_raise():
             antipode=np.eye(2),
             star=np.eye(2),
         )
-    with pytest.raises(StructuralError):
-        is_hopf_star_automorphism(preset("kz2"), np.eye(3))
+    for t in (np.eye(3), np.eye(2)[None, None], np.ones(2)):  # wrong size, a 4-d stack, a vector
+        with pytest.raises(StructuralError):
+            is_hopf_star_automorphism(preset("kz2"), t)
 
 
 def test_the_algebra_copies_the_caller_arrays():
@@ -248,6 +249,16 @@ def test_axiom_and_automorphism_kernels_match_their_einsum_forms(name, basis_cha
         _assert_matches(verify_hopf_star_axioms(a), _axiom_oracles(a), 1e-9)
         for t in (np.eye(a.dim), _near_identity(a.dim, 5)):
             _assert_matches(is_hopf_star_automorphism(a, t), _automorphism_oracles(a, t, 1e-9), 1e-9)
+        # a stack gives one report per matrix, equal to that matrix's own; the
+        # square of a near-identity matrix is not symmetric, so on ks3 and fs3 a
+        # stacked law that contracted the wrong index of t would not match
+        near = _near_identity(a.dim, 5)
+        stack = np.stack([np.eye(a.dim), near, near @ near])
+        reports = is_hopf_star_automorphism(a, stack)
+        assert len(reports) == 3
+        for t, report in zip(stack, reports):
+            assert report == is_hopf_star_automorphism(a, t)
+            _assert_matches(report, _automorphism_oracles(a, t, 1e-9), 1e-9)
 
 
 def test_kernels_match_their_einsum_forms_on_a_defect_in_each_structure_tensor(basis_changed):
