@@ -138,31 +138,8 @@ def algebra_to_json_dict(a: FiniteHopfStarAlgebra) -> dict:
     }
 
 
-def _indented_entries(entries: list) -> str:
-    """``json.dumps(entries, indent=2)`` as the value of a top-level key, for
-    a list of lists of numbers.  The C encoder writes the entries compactly
-    and the line breaks go in by replacement, which is exact because the text
-    of a number holds neither "," nor "[" nor "]"."""
-    if not entries:
-        return "[]"
-    rows = json.dumps(entries, separators=(",", ":"))[2:-2]
-    rows = rows.replace(",", ",\n      ").replace("],\n      [", "\n    ],\n    [\n      ")
-    return "[\n    [\n      " + rows + "\n    ]\n  ]"
-
-
 def algebra_to_json(a: FiniteHopfStarAlgebra) -> str:
-    """``json.dumps(algebra_to_json_dict(a), indent=2)``, byte for byte, without
-    the pure-Python encoder that ``indent`` selects."""
-    fields = []
-    for key, value in algebra_to_json_dict(a).items():
-        if key == "basis":  # never empty: dim >= 1
-            text = "[\n    " + ",\n    ".join(map(json.dumps, value)) + "\n  ]"
-        elif isinstance(value, list):
-            text = _indented_entries(value)
-        else:
-            text = json.dumps(value)
-        fields.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(fields) + "\n}"
+    return json.dumps(algebra_to_json_dict(a), indent=2)
 
 
 def read_json(path):
@@ -202,6 +179,8 @@ def _dense_from_sparse(entries, shape, field: str) -> np.ndarray:
     Up to ten entries, the walk alone is faster than numpy's fixed cost."""
     if not isinstance(entries, list):
         raise StructuralError(f"field {field!r} must be a list of entries")
+    if math.prod(shape) * 16 > np.iinfo(np.intp).max:  # numpy would raise ValueError
+        raise StructuralError(f"field {field!r} of shape {shape} is too large to index")
     array, n_index, seen = np.zeros(shape, dtype=complex), len(shape), set()
     if len(entries) > 10 and set(map(type, entries)) <= {list} and set(map(len, entries)) <= {n_index + 2}:
         columns = list(zip(*entries)) or [()] * (n_index + 2)

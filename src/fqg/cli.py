@@ -20,14 +20,14 @@ Exit codes: 0 all reported checks pass, 1 at least one check failed,
 2 structural error (bad file, non-finite number, unknown preset, bad flags,
 an ``--only`` that reports no check, a linear-algebra routine or
 floating-point overflow that fails on the input in a stage that runs, a
-``--mode full`` too large to run, or an input too large to allocate).
+``--mode full`` too large to run, or an input too large to allocate or index).
 
 Reports are deterministic: the same input and configuration produce
 byte-identical output (no timestamps).  The provenance sha256 hashes
 ``json.dumps([format_version, name, dim, basis_labels])``, the six structure arrays as
 C-order little-endian complex128 bytes with each zero entry as +0, and for an action the
-C-order bytes of the group table and theta.  It changed once, from a hash of the text of
-``algebra_to_json``, and tells two inputs apart exactly when that text does.
+C-order bytes of the group table and theta.  It tells two inputs apart exactly when the
+text of ``algebra_to_json`` does.
 """
 
 from __future__ import annotations

@@ -90,9 +90,9 @@ def embed_legs(x, placement, ambient) -> np.ndarray:
 # different axis orders, so their difference gathers through one of them,
 # which stays cheap only while a tile array (a third of this budget for two
 # factors a side) is within cache and TLB reach.
-# In a sweep of 8, 16 and 36 MiB on a 2-core x86 host (2 MiB L2 per core),
-# the five-leg commutator and the four-leg expansions ran fastest at 16 MiB,
-# and no three-leg identity ran slower there than at 36 MiB.
+# 16 MiB won a sweep of 8, 16 and 36 MiB on a 2-core x86 host (2 MiB L2 per
+# core) when passing runs still contracted the five-leg commutator and the
+# four-leg expansions; no passing run does now, so it serves the exact fallbacks.
 TILE_BYTES = 16 * 2 ** 20
 _LABELS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 

@@ -1,6 +1,9 @@
 """Group actions by automorphisms: invariance, exchange identity, commutation."""
 
+import json
+import os
 from dataclasses import fields, replace
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -38,6 +41,7 @@ from fqg.actions import (
     action_axioms_report,
 )
 from fqg.builders import parse_explicit_automorphisms, permutation_matrix
+from fqg.cli import main
 from fqg.tensors import _rank_above, expand_in_leg, numerical_rank
 
 from conftest import (
@@ -994,3 +998,35 @@ def test_v_expansion_residual_is_the_distance_of_v_from_its_expansion(monkeypatc
     kron_sum = sum(np.kron(c, lr) for c, lr in zip(bad.v_last_leg, data.wop.left_regular))
     expected = np.linalg.norm(v - kron_sum)
     assert expected > 1e-3 and abs(bad.v_expansion_residual - expected) <= 1e-13 * expected
+
+
+STRONG, SLICED = "invariance/strong_right_invariance", "intertwiner/intertwiner_sliced_family"
+
+
+@pytest.mark.parametrize("workload", ["action_auto", "action_full"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sliced_family_equals_strong_invariance_on_the_benchmark_actions(
+    tmp_path, monkeypatch, capsys, workload, seed
+):
+    # entry by entry, the sliced family at k is minus strong invariance at k^-1,
+    # so the two maxima are one float (action_full is kz6/Z2 in full mode)
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+    import workloads
+
+    cases = workloads.generate(workload, seed, str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    for case in cases:
+        assert main(list(case.argv)) == 0, case.case_id
+        residuals = {c["name"]: c["residual"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert residuals[SLICED] == residuals[STRONG], case.case_id
+
+
+def test_a_passing_action_suite_evaluates_the_strong_defect_once(monkeypatch):
+    original = IntertwinerData.__dict__["strong_invariance_defect"].func
+    calls = []
+    counted = cached_property(lambda data: calls.append(1) or original(data))
+    counted.__set_name__(IntertwinerData, "strong_invariance_defect")
+    monkeypatch.setattr(IntertwinerData, "strong_invariance_defect", counted)
+    report = action_suite(*action_on("ks3", "s3", "conjugation"), mode="full")
+    assert report.overall_pass and len(calls) == 1
+    assert report.residual(STRONG) == report.residual(SLICED)

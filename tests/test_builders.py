@@ -316,6 +316,14 @@ def test_bulk_parse_matches_the_entry_loop():
         assert np.signbit(parsed[0, 0].imag) and np.signbit(parsed[k - 1, k - 1].real)
 
 
+def test_a_field_too_large_to_index_is_a_structural_error():
+    # (2^21)^3 complex entries need 2^67 bytes, beyond numpy's index range
+    from fqg.builders import _dense_from_sparse
+
+    with pytest.raises(StructuralError, match=r"field 'mult' of shape \(2097152, 2097152, 2097152\)"):
+        _dense_from_sparse([], (2 ** 21,) * 3, "mult")
+
+
 def test_load_rejects_version_mismatch(tmp_path):
     path = tmp_path / "v2.json"
     data = json.loads(algebra_to_json(preset("kz2")))

@@ -426,6 +426,17 @@ def test_algebra_too_large_to_allocate_exits_two(tmp_path, capsys):
     assert err.startswith("error: input too large to allocate") and err.count("\n") == 1
 
 
+def test_algebra_too_large_to_index_exits_two(tmp_path, capsys):
+    # numpy refuses a (2^21)^3 complex tensor with a ValueError, not a MemoryError
+    data = json.loads(algebra_to_json(preset("kz2")))
+    data["dim"], data["basis"] = 2 ** 21, [""] * 2 ** 21
+    path = tmp_path / "vaster.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: field 'mult' of shape (2097152, 2097152, 2097152) is too large to index")
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_non_finite_tolerance_exits_two(capsys, tol):
     code, _, err = run(capsys, ["verify", "kz2", "--tol", tol])

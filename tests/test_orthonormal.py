@@ -86,6 +86,8 @@ def test_action_suite_passes_at_condition_number_100(names, mode):
         q = np.linalg.inv(p)
         report = action_suite(change_basis(a, None, p), k, q @ theta @ p, mode=mode)
         assert report.overall_pass, (seed, [c.name for c in report.checks if not c.passed])
+        sliced = report.residual("intertwiner/intertwiner_sliced_family")
+        assert sliced == report.residual("invariance/strong_right_invariance"), seed
 
 
 def test_kappa_basis_change_has_the_requested_condition_number():

@@ -86,3 +86,15 @@ def test_the_aborting_inputs_abort_at_the_two_guards_or_fail_without_one():
         failed += not report.overall_pass
     assert aborted == ["gns/gram_positive", "dual_algebra/haar"]
     assert failed == 3
+
+
+def test_written_cases_hold_the_file_text_and_compare_it(tmp_path, capsys):
+    from fqg.builders import algebra_to_json, preset
+    from fqg.cli import main
+
+    written = report_parity._written(main, ["preset", "kz2"], str(tmp_path / "kz2.json"))
+    assert written["exit"] == 0 and written["stdout"] == algebra_to_json(preset("kz2")) + "\n"
+    renamed = {**written, "stdout": written["stdout"].replace('"kz2"', '"kz3"')}
+    assert _compare(tmp_path, written, written) == 0
+    assert _compare(tmp_path, written, renamed) == 1
+    assert "case: written text differs" in capsys.readouterr().out

@@ -22,7 +22,11 @@ tolerance and at ``1e-20``, where the checks at rounding level fail; three
 changed copies of ``kz3`` (``ABORTING``), two of whose runs abort at
 ``gns/`` and ``dual_algebra/haar`` while the third fails checks without an
 abort, alone and with each pattern of ``ONLY_VERIFY``; and every preset and
-failing action with each pattern of ``ONLY_ACTION``.
+failing action with each pattern of ``ONLY_ACTION``.  The ``written/`` cases
+run ``fqg preset <name> -o`` for every preset and its dual, and ``fqg dual
+-o`` on the basis-changed Z10 file of ``verify_cyclic``; their stdout is the
+text of the written file.  To check a change against its parent, run the
+change's copy of this tool from the parent's checkout root.
 OUT.json maps each case to its exit code, stdout and stderr.  Run it once in
 each checkout, then ``compare``.  Where ``--only`` filters the finished
 report, the ``only/`` cases of one dump are the filtered full runs.  Where it
@@ -97,6 +101,13 @@ def _run(main, argv) -> dict:
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def _written(main, argv, path) -> dict:
+    """A run of ``argv -o path`` whose stdout is the text written to ``path``."""
+    run = _run(main, [*argv, "-o", path])
+    with open(path, encoding="utf-8") as fh:
+        return {**run, "stdout": fh.read()}
+
+
 def dump(path: str) -> int:
     root = os.getcwd()
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
@@ -106,6 +117,10 @@ def dump(path: str) -> int:
 
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
+        written = os.path.join(tmp, "written.json")
+        for name in fqg.preset_names():
+            for alg in (name, f"dual:{name}"):
+                results[f"written/preset/{alg}"] = _written(main, ["preset", alg], written)
         for name in workloads.WORKLOADS:
             for seed in SEEDS:
                 inputs = os.path.join(tmp, f"{name}-{seed}")
@@ -114,6 +129,9 @@ def dump(path: str) -> int:
                 try:
                     for case in cases:
                         results[f"{name}/seed{seed}/{case.case_id}"] = _run(main, case.argv)
+                        if name == "verify_cyclic":
+                            case_id = f"written/dual/{name}/seed{seed}/{case.case_id}"
+                            results[case_id] = _written(main, ["dual", case.argv[1]], written)
                 finally:
                     os.chdir(root)
         with open(os.path.join(tmp, THREE_CYCLE), "w", encoding="utf-8") as fh:
@@ -170,7 +188,9 @@ def _report_differences(case: str, a: dict, b: dict, allow, largest: dict) -> li
         ra, rb = json.loads(a["stdout"]), json.loads(b["stdout"])
     except json.JSONDecodeError:
         return problems + [f"{case}: stdout differs and is not a JSON report"]
-    checks_a, checks_b = ra.pop("checks", []), rb.pop("checks", [])
+    if "checks" not in ra or "checks" not in rb:  # a written algebra file
+        return problems + [f"{case}: written text differs"]
+    checks_a, checks_b = ra.pop("checks"), rb.pop("checks")
     if ra != rb:
         problems.append(f"{case}: provenance or verdict differs")
     if [c["name"] for c in checks_a] != [c["name"] for c in checks_b]:
