@@ -22,7 +22,6 @@ from .builders import (
     function_algebra,
     group_algebra,
     inversion_theta,
-    load_algebra,
     preset,
     preset_names,
     resolve_algebra,
@@ -58,7 +57,6 @@ from .multiplicative import (
     build_dual_subspace,
     build_multiplicative_unitary,
     dual_coproduct,
-    dual_coproduct_checked,
     inverse_via_antipode,
     pentagon_residual,
     verify_antipode_relation,
@@ -71,6 +69,5 @@ from .multiplicative import (
 )
 from .report import Check, VerificationReport
 from .suite import action_suite, full_suite
-from .tensors import embed_legs
 
 __version__ = "0.1.0"

@@ -264,8 +264,9 @@ def verify_action_intertwiner(data: IntertwinerData, tol: float = DEFAULT_TOL) -
     The sliced family compares, for every basis pair (a, b) and every group
     element, haar(b theta_k(a)) with haar(theta_{k^-1}(b) a); it is the
     scalar consequence obtained by slicing the exchange identity.  At k it is
-    minus strong right invariance at k^-1, entry by entry, so it reads
-    ``strong_invariance_defect``.
+    minus strong right invariance at k^-1, entry by entry, so it reads the
+    same cached ``strong_invariance_defect`` as ``verify_strong_right_invariance``
+    and cannot fail alone.
     """
     rb = ReportBuilder()
     rb.add("intertwiner_exchange", kron_sum_distance(data.gamma_ops, data.wop.left_regular, data.v), tol)

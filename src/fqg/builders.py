@@ -275,10 +275,6 @@ def algebra_from_json_dict(data: dict) -> FiniteHopfStarAlgebra:
     )
 
 
-def load_algebra(path) -> FiniteHopfStarAlgebra:
-    return algebra_from_json_dict(read_json(path))
-
-
 def name_or_file(value: str, role: str, base_dir: str = ""):
     """The one rule for an input that is a preset name or a JSON file.
 

@@ -12,8 +12,8 @@ of matrices; the stacks of one product share a summed index.
 ``leg_distance`` holds one tile of each side, cut over leg 1, at a time and
 subtracts the rhs tile into the lhs tile in the lhs tile's memory order; the
 tile size follows from the working set of a tile and ``TILE_BYTES``.
-``embed_legs`` builds the dense ambient matrix of one placed operator; it is
-the reference the contraction is tested against.
+The reference it is tested against, the dense ambient matrix of one placed
+operator built with numpy.kron, is a test oracle in ``tests/conftest.py``.
 ``star_homomorphism_defects`` checks, for a whole stack of operators at
 once, whether a linear map is a unital *-homomorphism.
 
@@ -51,37 +51,6 @@ def freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
-
-
-def embed_legs(x, placement, ambient) -> np.ndarray:
-    """Let the matrix ``x`` act on the named legs of the ambient space, identity elsewhere.
-
-    ``placement`` lists 1-based ambient leg numbers in the order of x's legs,
-    which have the sizes of those ambient legs; e.g. embedding W on legs
-    [1, 3] of a 3-leg space produces the operator usually written W13.
-    """
-    placement = [int(p) for p in placement]
-    ambient = tuple(int(d) for d in ambient)
-    m = len(ambient)
-    if len(set(placement)) != len(placement) or any(p < 1 or p > m for p in placement):
-        raise StructuralError(f"placement {placement} invalid for {m} legs")
-    x = np.asarray(x, dtype=complex)
-    k = prod(ambient[p - 1] for p in placement)
-    if x.shape != (k, k):
-        raise StructuralError(
-            f"operator of shape {x.shape} cannot act on legs {placement} of dims {ambient}"
-        )
-    rest = [l for l in range(1, m + 1) if l not in placement]
-    order = placement + rest
-    rest_dim = prod(ambient[l - 1] for l in rest)
-    big = np.kron(x, np.eye(rest_dim, dtype=complex))
-    dims_in_order = tuple(ambient[l - 1] for l in order)
-    tensor = big.reshape(dims_in_order + dims_in_order)
-    # Current axis j carries ambient leg order[j]; sort legs back to 1..m.
-    axes = sorted(range(m), key=lambda j: order[j])
-    tensor = tensor.transpose([*axes, *(m + j for j in axes)])
-    n = prod(ambient)
-    return tensor.reshape(n, n)
 
 
 # leg_distance evaluates its two sides tile by tile over the leg-1 row and
@@ -199,8 +168,9 @@ def _leg1_tiles(factors, dims, t):
 def leg_distance(lhs, rhs, dims) -> float:
     """Frobenius distance between two products of operators placed on legs.
 
-    ``lhs`` and ``rhs`` list ``(matrix, placement)`` pairs, leftmost first, as
-    for ``embed_legs``; e.g. ``[(w, [2, 3]), (w, [1, 2])]`` is W23 W12, and a
+    ``lhs`` and ``rhs`` list ``(matrix, placement)`` pairs, leftmost first;
+    ``placement`` names the 1-based legs the matrix acts on, in the order of
+    its own legs, e.g. ``[(w, [2, 3]), (w, [1, 2])]`` is W23 W12, and a
     factor may be a stack of matrices summed over a shared index (see
     ``_contraction``).  Each side is contracted tile by tile over ranges of
     the leg-1 row and column index, the rhs tile is subtracted into the lhs
@@ -314,23 +284,6 @@ def star_homomorphism_defects(images, mult, star, unit) -> tuple[float, np.ndarr
     mult_norms = np.stack([defects(mult[i], f[i] @ f) for i in range(n)])
     star_norms = defects(star, f.conj().transpose(0, 2, 1))
     return float(defects(unit[None], np.eye(d))[0]), mult_norms, star_norms
-
-
-def expand_in_leg(matrix, dims, basis_mats) -> tuple[np.ndarray, float]:
-    """Expand a 2-leg operator as X = sum_b C_b (x) basis_b in its second leg.
-
-    Returns the stack of C_b matrices on leg 1 and the residual, the
-    Frobenius norm of the unexplained part; it vanishes exactly when the
-    matrix lies in L(leg 1) (x) span(basis).
-    """
-    d1, d2 = (int(dims[0]), int(dims[1]))
-    x = np.asarray(matrix, dtype=complex)
-    if x.shape != (d1 * d2, d1 * d2):
-        raise StructuralError(f"matrix shape {x.shape} does not match dims {dims}")
-    a = np.stack([np.asarray(b, dtype=complex).reshape(-1) for b in basis_mats], axis=1)
-    rhs = x.reshape(d1, d2, d1, d2).transpose(1, 3, 0, 2).reshape(d2 * d2, d1 * d1)
-    coeffs, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    return coeffs.reshape(a.shape[1], d1, d1), frob(a @ coeffs - rhs)
 
 
 def _rank_above(sigma, tol: float) -> int:

@@ -1,6 +1,7 @@
 """Shared test helpers."""
 
 import dataclasses
+from math import prod
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fqg import (
     FiniteHopfStarAlgebra,
     Functional,
     MultiplicativeUnitary,
+    StructuralError,
     build_intertwiner_data,
     build_multiplicative_unitary,
     compute_haar,
@@ -75,6 +77,50 @@ def multiply(a: FiniteHopfStarAlgebra, x, y) -> np.ndarray:
 def apply_star(a: FiniteHopfStarAlgebra, x) -> np.ndarray:
     """The coordinates of the adjoint of the element with coordinates ``x``."""
     return a.star.T @ np.conj(np.asarray(x))
+
+
+def embed_legs(x, placement, ambient) -> np.ndarray:
+    """The dense ambient matrix of ``x`` acting on the named legs, identity
+    elsewhere: the numpy.kron reference for products placed on legs.
+
+    ``placement`` lists 1-based ambient leg numbers in the order of x's legs,
+    which have the sizes of those ambient legs; e.g. embedding W on legs
+    [1, 3] of a 3-leg space produces the operator usually written W13.  A
+    repeated or out-of-range leg, or a matrix of the wrong size, raises
+    StructuralError: a repeated leg would otherwise reshape to a wrong matrix.
+    """
+    placement = [int(p) for p in placement]
+    ambient = tuple(int(d) for d in ambient)
+    m = len(ambient)
+    if len(set(placement)) != len(placement) or any(p < 1 or p > m for p in placement):
+        raise StructuralError(f"placement {placement} invalid for {m} legs")
+    x = np.asarray(x, dtype=complex)
+    k = prod(ambient[p - 1] for p in placement)
+    if x.shape != (k, k):
+        raise StructuralError(
+            f"operator of shape {x.shape} cannot act on legs {placement} of dims {ambient}"
+        )
+    rest = [l for l in range(1, m + 1) if l not in placement]
+    order = placement + rest
+    big = np.kron(x, np.eye(prod(ambient[l - 1] for l in rest), dtype=complex))
+    dims_in_order = tuple(ambient[l - 1] for l in order)
+    tensor = big.reshape(dims_in_order + dims_in_order)
+    # axis j carries ambient leg order[j]; sort legs back to 1..m
+    axes = sorted(range(m), key=lambda j: order[j])
+    n = prod(ambient)
+    return tensor.transpose([*axes, *(m + j for j in axes)]).reshape(n, n)
+
+
+def expand_in_leg(matrix, dims, basis_mats) -> tuple[np.ndarray, float]:
+    """The least-squares fit X = sum_b C_b (x) basis_b of a 2-leg operator over
+    its second leg: the stack of C_b on leg 1, and the Frobenius norm of the
+    unexplained part, which vanishes exactly when X lies in L(leg 1) (x) span(basis)."""
+    d1, d2 = (int(dims[0]), int(dims[1]))
+    a = np.stack([np.asarray(b, dtype=complex).reshape(-1) for b in basis_mats], axis=1)
+    rhs = np.asarray(matrix, dtype=complex).reshape(d1, d2, d1, d2)
+    rhs = rhs.transpose(1, 3, 0, 2).reshape(d2 * d2, d1 * d1)
+    coeffs, *_ = np.linalg.lstsq(a, rhs, rcond=None)
+    return coeffs.reshape(a.shape[1], d1, d1), float(np.linalg.norm(a @ coeffs - rhs))
 
 
 def orthonormal_unitary(a: FiniteHopfStarAlgebra) -> MultiplicativeUnitary:

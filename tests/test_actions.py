@@ -19,7 +19,6 @@ from fqg import (
     compute_haar,
     conjugation_theta,
     cyclic_group,
-    embed_legs,
     group_algebra,
     group_preset,
     inversion_theta,
@@ -42,12 +41,14 @@ from fqg.actions import (
 )
 from fqg.builders import parse_explicit_automorphisms, permutation_matrix
 from fqg.cli import main
-from fqg.tensors import _rank_above, expand_in_leg, numerical_rank
+from fqg.tensors import _rank_above, numerical_rank
 
 from conftest import (
     basis_change_matrix,
     change_basis,
+    embed_legs,
     enumerate_group_automorphisms,
+    expand_in_leg,
     identity_antipode_control,
     multiply,
     orthonormal_context,

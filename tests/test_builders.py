@@ -10,7 +10,6 @@ from fqg import (
     build_dual,
     cayley_from_table,
     group_preset,
-    load_algebra,
     preset,
     preset_names,
     save_algebra,
@@ -23,6 +22,7 @@ from fqg.builders import (
     algebra_to_json_dict,
     function_algebra,
     group_algebra,
+    read_json,
     resolve_algebra,
     resolve_group,
 )
@@ -104,16 +104,18 @@ def test_unknown_preset():
         resolve_algebra("not-a-preset")
 
 
-def test_save_load_round_trip_is_exact(tmp_path):
-    path = tmp_path / "ks3.json"
-    a = preset("ks3")
+@pytest.mark.parametrize("changed", [False, True], ids=["given", "basis-changed"])
+@pytest.mark.parametrize("name", [*preset_names(), *(f"dual:{p}" for p in preset_names())])
+def test_save_load_round_trip_is_exact(name, changed, tmp_path, basis_changed):
+    path = tmp_path / "a.json"
+    a = basis_changed(preset(name), 5) if changed else preset(name)
     save_algebra(a, path)
-    b = load_algebra(path)
+    b = algebra_from_json_dict(read_json(path))
     assert tensors_equal(a, b)
     assert b.basis_labels == a.basis_labels
     assert b.name == a.name
     # serialization itself is deterministic
-    assert algebra_to_json(a) == algebra_to_json(load_algebra(path))
+    assert algebra_to_json(a) == algebra_to_json(b)
 
 
 def _group_tensors_by_loop(cayley):
@@ -218,7 +220,7 @@ def test_round_trip_preserves_complex_entries_exactly(tmp_path):
     )
     path = tmp_path / "noise.json"
     save_algebra(raw, path)
-    again = load_algebra(path)
+    again = algebra_from_json_dict(read_json(path))
     assert tensors_equal(raw, again)
 
 
@@ -228,13 +230,13 @@ def test_load_rejects_unknown_and_missing_fields(tmp_path):
     data["extra"] = 1
     path.write_text(json.dumps(data))
     with pytest.raises(StructuralError, match="unknown field.*extra"):
-        load_algebra(path)
+        algebra_from_json_dict(read_json(path))
 
     del data["extra"]
     del data["star"]
     path.write_text(json.dumps(data))
     with pytest.raises(StructuralError, match="missing field.*star"):
-        load_algebra(path)
+        algebra_from_json_dict(read_json(path))
 
 
 def test_load_rejects_bad_entries(tmp_path):
@@ -243,22 +245,22 @@ def test_load_rejects_bad_entries(tmp_path):
     data["mult"] = [[0, 0, 0.5, 1.0, 0.0]]  # non-integer index
     path.write_text(json.dumps(data))
     with pytest.raises(StructuralError, match="mult"):
-        load_algebra(path)
+        algebra_from_json_dict(read_json(path))
 
     data["mult"] = [[0, 0, 5, 1.0, 0.0]]  # out of range
     path.write_text(json.dumps(data))
     with pytest.raises(StructuralError, match="mult"):
-        load_algebra(path)
+        algebra_from_json_dict(read_json(path))
 
     data["mult"] = [[0, 0, 1.0, 0.0]]  # wrong arity for a 3-index tensor
     path.write_text(json.dumps(data))
     with pytest.raises(StructuralError, match="mult"):
-        load_algebra(path)
+        algebra_from_json_dict(read_json(path))
 
     data["mult"] = [[0, 0, 0, 1.0, 0.0], [0, 0, 0, 2.0, 0.0]]  # duplicate
     path.write_text(json.dumps(data))
     with pytest.raises(StructuralError, match="duplicate"):
-        load_algebra(path)
+        algebra_from_json_dict(read_json(path))
 
 
 def _dense_z10_data():
@@ -330,14 +332,14 @@ def test_load_rejects_version_mismatch(tmp_path):
     data["format_version"] = 2
     path.write_text(json.dumps(data))
     with pytest.raises(StructuralError, match="format_version 2, expected 1"):
-        load_algebra(path)
+        algebra_from_json_dict(read_json(path))
 
 
 def test_load_rejects_non_json(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("not json {")
     with pytest.raises(StructuralError, match="is not valid JSON"):
-        load_algebra(path)
+        algebra_from_json_dict(read_json(path))
     with pytest.raises(StructuralError, match="cannot read"):
         resolve_algebra(str(tmp_path / "missing.json"))
 
@@ -393,7 +395,7 @@ def test_cayley_from_table_copies_the_caller_table():
 def _write_and_load(tmp_path, text):
     path = tmp_path / "input.json"
     path.write_text(text)
-    return load_algebra(path)
+    return algebra_from_json_dict(read_json(path))
 
 
 def _version_2_file(tmp_path):

@@ -15,12 +15,10 @@ from fqg import (
     build_multiplicative_unitary,
     compute_haar,
     dual_coproduct,
-    dual_coproduct_checked,
     full_suite,
     gns_construct,
     group_preset,
     inverse_via_antipode,
-    load_algebra,
     pentagon_residual,
     preset,
     preset_names,
@@ -35,16 +33,18 @@ from fqg import (
     verify_unitarity,
 )
 from fqg import multiplicative
+from fqg.builders import algebra_from_json_dict, read_json
 from fqg.cli import main
 from fqg.duality import fourier_matrix, verify_G_isomorphism, verify_fourier_slice_identity
 from fqg.tensors import (
-    SpanBasis, expand_in_leg, frob, leg_distance, numerical_rank, project_onto_span, span_basis,
+    SpanBasis, frob, leg_distance, numerical_rank, project_onto_span, span_basis,
 )
 
 from conftest import (
     apply_star,
     deficient_dual_span,
     dual_subspace_commutativity_defect,
+    expand_in_leg,
     multiply,
     orthonormal_unitary,
 )
@@ -245,21 +245,23 @@ def test_dual_subspace_dimensions_and_commutativity_classification():
 
 def test_dual_coproduct_on_projections():
     wop = unitary_of("kz2")
-    p_g = np.diag([0.0, 1.0])
-    image, report = dual_coproduct_checked(wop, p_g)
-    assert report.overall_pass
-    p_e = np.diag([1.0, 0.0])
+    p_e, p_g = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    image = dual_coproduct(wop, p_g)
     expected = np.kron(p_e, p_g) + np.kron(p_g, p_e)
     assert np.max(np.abs(image - expected)) <= 1e-13
+    assert multiplicative._doubled_span_coords(wop, image[None])[1][0] <= 1e-13
     # unit goes to unit (x) unit
     assert np.allclose(dual_coproduct(wop, np.eye(2)), np.eye(4))
 
 
 def test_dual_coproduct_membership_error():
+    # a span of n matrices that holds one projection and an off-diagonal
+    # matrix misses the other projection, a right slice of W
     wop = unitary_of("kz2")
     off_diagonal = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(VerificationError, match="not in the dual subspace") as raised:
-        dual_coproduct_checked(wop, off_diagonal)
+    misses = span_basis(np.stack([np.diag([1.0, 0.0]), off_diagonal]))
+    with pytest.raises(VerificationError, match="escapes the dual subspace") as raised:
+        build_dual_subspace(dataclasses.replace(wop, dual_span=misses))
     assert raised.value.check == "dual_subspace_membership"
 
 
@@ -279,7 +281,7 @@ def _lstsq_residual(basis_mats, target):
 
 
 @pytest.mark.parametrize("name", ["ks3", "fs3"])
-def test_shared_projector_matches_pair_basis_lstsq_oracle(name, basis_changed, monkeypatch):
+def test_shared_projector_matches_pair_basis_lstsq_oracle(name, basis_changed):
     a = basis_changed(preset(name), seed=11)
     wop = orthonormal_unitary(a)
     n = a.dim
@@ -305,16 +307,12 @@ def test_shared_projector_matches_pair_basis_lstsq_oracle(name, basis_changed, m
 
     # doubled span: true dual coproducts (residual ~0) and random images (residual O(1))
     pair_basis = [np.kron(x, y) for x in basis for y in basis]
-    for x in basis[:2]:
-        _, report = dual_coproduct_checked(wop, x)
-        oracle = _lstsq_residual(pair_basis, dual_coproduct(wop, x))
-        assert abs(report.residual("dual_coproduct_in_doubled_span") - oracle) <= 1e-13
     noise = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
-    monkeypatch.setattr(multiplicative, "dual_coproduct", lambda wop, x: noise)
-    _, report = dual_coproduct_checked(wop, basis[0])
-    oracle = _lstsq_residual(pair_basis, noise)
-    assert oracle > 1.0
-    assert abs(report.residual("dual_coproduct_in_doubled_span") - oracle) <= 1e-13
+    for image in [dual_coproduct(wop, x) for x in basis[:2]] + [noise]:
+        oracle = _lstsq_residual(pair_basis, image)
+        residual = multiplicative._doubled_span_coords(wop, image[None])[1][0]
+        assert abs(residual - oracle) <= 1e-13
+    assert oracle > 1.0  # that of the noise
 
 
 # -- certified bounds for coassociativity and multiplicativity of the dual coproduct
@@ -455,7 +453,7 @@ def test_cli_reports_exact_contraction_below_the_rounding_allowance(tmp_path, ba
     save_algebra(basis_changed(preset("kz3"), seed=2), str(path))
     code = main(["verify", str(path), "--tol", "1e-15", "--format", "json"])
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-    wop = _unitary(load_algebra(str(path)))
+    wop = _unitary(algebra_from_json_dict(read_json(path)))
     assert code == 1
     for name, first, exact in zip(BOUNDED, _first_above(wop, 1e-15), _oracles(wop)):
         check = checks["dual_coproduct/" + name]
@@ -562,7 +560,7 @@ def test_cli_reports_exact_pentagon_below_the_rounding_allowance(tmp_path, basis
     save_algebra(basis_changed(preset("kz3"), seed=3), str(path))
     code = main(["verify", str(path), "--tol", "1e-15", "--format", "json"])
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-    oracles = _leg_oracles(_unitary(load_algebra(str(path))))
+    oracles = _leg_oracles(_unitary(algebra_from_json_dict(read_json(path))))
     assert code == 1
     names = ("pentagon/pentagon", "dual_coproduct/dual_coproduct_on_first_leg_of_w")
     for name, exact in zip(names, oracles):
@@ -833,10 +831,6 @@ def test_tolerance_below_rounding_fails_checks_without_aborting(name, capsys):
     assert len(expected) == 78 and [c["name"] for c in checks] == expected
     assert all(c["residual"] is not None for c in checks)
     assert {c["tolerance"] for c in checks if c["name"] == "pentagon/pentagon"} == {1e-20}
-    # the membership guard of a single dual coproduct has the same floor
-    wop = unitary_of(name)
-    _, report = dual_coproduct_checked(wop, wop.slice_basis[0], tol=1e-20)
-    assert [c.name for c in report.checks] == ["dual_coproduct_in_doubled_span"]
 
 
 # -- quantities computed once per context, on first read

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from fqg import StructuralError, embed_legs
+from fqg import StructuralError
 import fqg.tensors as tensors_mod
 from fqg.tensors import kron_sum, kron_sum_distance, leg_distance, leg_distance_bytes
 
-from conftest import apply_star, multiply
+from conftest import apply_star, embed_legs, multiply
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
