@@ -57,12 +57,10 @@ from .multiplicative import (
     build_dual_subspace,
     build_multiplicative_unitary,
     dual_coproduct,
-    inverse_via_antipode,
     pentagon_residual,
     verify_antipode_relation,
     verify_coproduct_implemented,
     verify_dual_coproduct_identities,
-    verify_inverse_via_antipode,
     verify_left_slices_span,
     verify_pentagon,
     verify_unitarity,

@@ -213,13 +213,12 @@ def verify_strong_right_invariance(
     compose to the identity on A (x) C(K); this is the device that proves the
     invariance identity.
     """
-    theta, theta_inv = data.theta, data.theta_inv
     rb = ReportBuilder()
     rb.add("strong_right_invariance", data.strong_invariance_defect, tol)
     # both maps act on e_i (x) delta_k as theta_k, resp. theta_{k^-1}, times
-    # delta_k: their compositions are the blocks theta_k theta_{k^-1} over k
-    eye = np.eye(data.wop.algebra.dim)
-    shear = max(frob(theta @ theta_inv - eye), frob(theta_inv @ theta - eye))
+    # delta_k: their compositions are the blocks theta_k theta_{k^-1} over k, in
+    # either order, since theta_{k^-1} theta_k is the block at k^-1
+    shear = frob(data.theta @ data.theta_inv - np.eye(data.wop.algebra.dim))
     rb.add("shear_maps_mutually_inverse", shear, tol)
     return rb.build()
 

@@ -24,6 +24,7 @@ the Haar functional is a trace.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,10 @@ class FiniteHopfStarAlgebra:
     source_group: CayleyTable | None = None
 
     def __post_init__(self):
-        n = int(self.dim)
+        try:
+            n = operator.index(self.dim)
+        except TypeError:
+            raise StructuralError(f"dim must be an integer, got {self.dim!r}") from None
         if n < 1:
             raise StructuralError(f"dim must be >= 1, got {n}")
         labels = tuple(str(s) for s in self.basis_labels)

@@ -6,6 +6,9 @@ basis the suite has made orthonormal for the Haar scalar product
 and no stage changes basis.  It is unitary, satisfies the pentagon equation
 W23 W12 W23* = W12 W13, implements the coproduct by conjugation, carries the
 antipode as (id (x) S) W = W*, and its right slices span the dual algebra.
+Each identity is computed once: WW* - I = U (W*W - I) U* for the polar form
+W = U|W|, so one product W*W gives both unitarity checks, and V = (id (x) S) W
+= sum_k (sum_j S_jk x_j) (x) L_k is built once for VW - I and V - W*.
 
 Functionals on the *algebra* are applied to a leg of W through the expansion
 W = sum_j x_j (x) L_j, where L_j is left multiplication by the j-th basis
@@ -14,8 +17,8 @@ entrywise would not be meaningful since they act on the algebra, not on
 Hilbert-space coordinates.  Vector functionals on Hilbert-space coordinates
 are applied entrywise: the slices of W by the matrix units are one
 transpose of W's leg tensor.  A two-leg sum over the expansion, W itself,
-(id (x) antipode) W or coproduct(e_a), is built by ``kron_sum`` and measured
-by ``kron_sum_distance``.
+V or coproduct(e_a), is built by ``kron_sum``, and W's distance from its
+expansion is measured by ``kron_sum_distance``.
 
 ``build_multiplicative_unitary`` reads this expansion off the structure
 constants, x_j = comult[:, :, j]^T and L_j = mult[j]^T, and factors the
@@ -106,6 +109,14 @@ class MultiplicativeUnitary:
     def unitarity_defect(self) -> float:  # one ||W*W - I||_F per context
         w = self.w
         return frob(w.conj().T @ w - np.eye(w.shape[0]))
+
+    @cached_property
+    def inverse_defects(self) -> tuple[float, float]:
+        """(||VW - I||_F, ||V - W*||_F) for V = (id (x) antipode) W = sum_j x_j (x) L(S e_j)
+        = sum_k (sum_j S_jk x_j) (x) L_k, built once over this context's slice basis."""
+        w, xs = self.w, self.slice_basis
+        v = kron_sum((xs.transpose(2, 1, 0) @ self.algebra.antipode).transpose(2, 1, 0), self.left_regular)
+        return frob(v @ w - np.eye(w.shape[0])), frob(v - w.conj().T)
 
     @cached_property
     def spectral_norms(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -217,33 +228,14 @@ def build_multiplicative_unitary(b: FiniteHopfStarAlgebra) -> MultiplicativeUnit
     return MultiplicativeUnitary(freeze(kron_sum(xs, b.mult.transpose(0, 2, 1))), b, xs, span_basis(xs))
 
 
-def inverse_via_antipode(b: FiniteHopfStarAlgebra) -> np.ndarray:
-    """Matrix of a (x) c -> ((id (x) antipode) coproduct(a)) (1 (x) c) for ``b``
-    in an orthonormal basis, as ``build_multiplicative_unitary`` reads it:
-    sum_j x_j (x) L_j with comult @ antipode in place of comult."""
-    return kron_sum((b.comult @ b.antipode).transpose(2, 1, 0), b.mult.transpose(0, 2, 1))
-
-
 def verify_unitarity(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> VerificationReport:
-    w = wop.w
-    rb = ReportBuilder()
-    rb.add("w_unitary_wstar_w", wop.unitarity_defect, tol)
-    rb.add("w_unitary_w_wstar", frob(w @ w.conj().T - np.eye(w.shape[0])), tol)
-    return rb.build()
-
-
-def verify_inverse_via_antipode(
-    wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL
-) -> VerificationReport:
-    """V = inverse_via_antipode composes with W to 1 and equals W*.  This check
-    and ``verify_antipode_relation`` both compute V - W*, V = sum_r x_r (x) L(S e_r),
-    by two routes; both stay until ROADMAP item 20's exact oracle decides the
-    four verdicts at tol 1e-15 that one value for both would flip."""
-    v, w = inverse_via_antipode(wop.algebra), wop.w
-    rb = ReportBuilder()
-    rb.add("w_inverse_composes", frob(v @ w - np.eye(w.shape[0])), tol)
-    rb.add("w_inverse_is_adjoint", frob(v - w.conj().T), tol)
-    return rb.build()
+    """W is unitary, and V = (id (x) antipode) W is its inverse and its adjoint
+    (Baaj and Skandalis 1993).  For a square W with polar form W = U|W|, WW* - I =
+    U (W*W - I) U*, so both unitarity checks read the one ``unitarity_defect``;
+    both V checks read ``inverse_defects``, the second also the antipode relation."""
+    u, (composes, adjoint) = wop.unitarity_defect, wop.inverse_defects
+    rb = ReportBuilder().add("w_unitary_wstar_w", u, tol).add("w_unitary_w_wstar", u, tol)
+    return rb.add("w_inverse_composes", composes, tol).add("w_inverse_is_adjoint", adjoint, tol).build()
 
 
 def pentagon_residual(w: np.ndarray) -> float:
@@ -466,15 +458,11 @@ def verify_coproduct_implemented(
 def verify_antipode_relation(
     wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
-    """(id (x) antipode) W = W*, the antipode transported to the second leg:
-    sum_j x_j (x) L(S(e_j)) against W*, with L(S(e_j)) = sum_k S[j, k] L_k: the
-    V - W* that ``verify_inverse_via_antipode`` computes from the dense V, kept
-    with it until item 20's exact oracle decides their four 1e-15 verdicts."""
-    antipodes = np.einsum("jk,kab->jab", wop.algebra.antipode, wop.left_regular)
-    residual = kron_sum_distance(wop.slice_basis, antipodes, wop.w.conj().T)
-    rb = ReportBuilder()
-    rb.add("antipode_on_second_leg_of_w", residual, tol)
-    return rb.build()
+    """(id (x) antipode) W = W*, the antipode on the second leg: V = sum_j x_j (x)
+    L(S e_j), L(S e_j) = sum_k S_jk L_k, is sum_k (sum_j S_jk x_j) (x) L_k, and its
+    ||V - W*||_F (``inverse_defects``) is ``w_inverse_is_adjoint`` too; run alone
+    (``--only 'antipode_relation/*'``) this check also forms VW."""
+    return ReportBuilder().add("antipode_on_second_leg_of_w", wop.inverse_defects[1], tol).build()
 
 
 def build_dual_subspace(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> VerificationReport:

@@ -61,7 +61,6 @@ def full_suite(a: FiniteHopfStarAlgebra, tol: float = DEFAULT_TOL, only=None) ->
         ("gns/", lambda: haar.verify_gns(a, gns(), tol), ""),
         ("trace/", lambda: haar.verify_trace(a, h, tol), None),
         ("unitary/", lambda: multiplicative.verify_unitarity(wop(), tol), None),
-        ("unitary/", lambda: multiplicative.verify_inverse_via_antipode(wop(), tol), None),
         ("pentagon/", lambda: multiplicative.verify_pentagon(wop(), tol), None),
         ("slices/", lambda: multiplicative.verify_left_slices_span(wop(), tol), None),
         ("coproduct_via_w/", lambda: multiplicative.verify_coproduct_implemented(wop(), tol), None),

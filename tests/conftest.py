@@ -15,9 +15,12 @@ from fqg import (
     StructuralError,
     build_intertwiner_data,
     build_multiplicative_unitary,
+    cayley_from_table,
     compute_haar,
     gns_construct,
+    group_algebra,
     orthonormal_algebra,
+    symmetric_group_3,
 )
 from fqg.haar import _invariance_system
 from fqg.tensors import _rank_above, rounding_allowance, span_basis
@@ -67,6 +70,40 @@ def change_basis(a: FiniteHopfStarAlgebra, seed, p=None) -> FiniteHopfStarAlgebr
         star=np.conj(p).T @ a.star @ q.T,
         name=a.name,
     )
+
+
+def twisted_s3xz2() -> FiniteHopfStarAlgebra:
+    """The Drinfeld twist of C[S3 x Z2], a finite quantum group neither commutative
+    nor cocommutative (Drinfeld 1989; Movshev 1993; Nikshych 1998).
+
+    On the Klein subgroup V = <s, z>, s a transposition of S3 and z the generator
+    of Z2, e_chi = 1/4 sum_v chi(v) u_v for chi in Z2^2 are orthogonal projections
+    summing to 1, and J = sum (-1)^(chi_1 psi_2) e_chi (x) e_psi is self-adjoint
+    with J^2 = 1.  The twist keeps the algebra, conjugates the coproduct, Delta_J =
+    J Delta J, and the antipode, S_J = U S(.) U, U = sum_chi (-1)^(chi_1 chi_2) e_chi
+    = m(id (x) S) J, with U^2 = 1.  V is not normal, so Delta_J is not cocommutative.
+    """
+    s3 = symmetric_group_3()
+    z2 = np.add.outer(np.arange(2), np.arange(2)) % 2
+    table = 2 * s3.table[:, None, :, None] + z2[None, :, None, :]  # (g, a) at 2 g + a
+    a = group_algebra(cayley_from_table(table.reshape(12, 12), name="s3xz2"))
+    s, z = 2 * s3.labels.index("102"), 1  # (s, 0) and (e, 1): S3's identity "012" is index 0
+    klein = [0, s, z, s + z]  # s^a z^b at a + 2 b
+    e = np.eye(12)
+    proj = [sum((-1) ** (c1 * (v % 2) + c2 * (v // 2)) * e[g] for v, g in enumerate(klein)) / 4
+            for c1 in (0, 1) for c2 in (0, 1)]  # e_chi at chi = (c1, c2), index 2 c1 + c2
+    sign = [[(-1) ** ((i // 2) * (k % 2)) for k in range(4)] for i in range(4)]
+    twist = sum(sign[i][k] * np.outer(proj[i], proj[k]) for i in range(4) for k in range(4))
+    u = sum(sign[i][i] * proj[i] for i in range(4))
+    m = a.mult
+
+    def pair_product(x, y):  # product in A (x) A of coefficient matrices over u_a (x) u_b
+        return np.einsum("ab,cd,acj,bdk->jk", x, y, m, m, optimize=True)
+
+    comult = np.array([pair_product(pair_product(twist, c), twist) for c in a.comult])
+    antipode = np.array([multiply(a, multiply(a, u, row), u) for row in a.antipode])
+    return dataclasses.replace(a, comult=comult, antipode=antipode, name="twist(s3xz2)",
+                               source_group=None)
 
 
 def multiply(a: FiniteHopfStarAlgebra, x, y) -> np.ndarray:

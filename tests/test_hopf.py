@@ -160,6 +160,19 @@ def test_structural_shape_errors_raise():
             is_hopf_star_automorphism(preset("kz2"), t)
 
 
+@pytest.mark.parametrize("dim", [2.7, 2.0, "2", None])
+def test_a_dim_that_is_not_an_integer_is_refused(dim):
+    # truncating 2.7 would build a valid 2-dimensional algebra from a wrong dim
+    from fqg import StructuralError
+
+    a = preset("kz2")
+    fields = ("mult", "comult", "unit", "counit", "antipode", "star")
+    with pytest.raises(StructuralError, match="dim"):
+        FiniteHopfStarAlgebra(dim=dim, basis_labels=a.basis_labels, **{f: getattr(a, f) for f in fields})
+    assert FiniteHopfStarAlgebra(dim=np.int64(2), basis_labels=a.basis_labels,
+                                 **{f: getattr(a, f) for f in fields}).dim == 2
+
+
 def test_the_algebra_copies_the_caller_arrays():
     # the algebra freezes its own copy; the caller's complex C-contiguous
     # arrays, which np.asarray would hand through unchanged, stay writable

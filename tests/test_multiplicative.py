@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from fqg import (
     full_suite,
     gns_construct,
     group_preset,
-    inverse_via_antipode,
     pentagon_residual,
     preset,
     preset_names,
@@ -27,7 +27,6 @@ from fqg import (
     verify_antipode_relation,
     verify_coproduct_implemented,
     verify_dual_coproduct_identities,
-    verify_inverse_via_antipode,
     verify_left_slices_span,
     verify_pentagon,
     verify_unitarity,
@@ -114,18 +113,24 @@ def test_w_unitary_on_presets():
         assert report.max_residual() <= 1e-12
 
 
-def test_inverse_via_antipode():
-    wop = unitary_of("kz2")
-    v = inverse_via_antipode(wop.algebra)
-    assert np.max(np.abs(v - wop.w)) <= 1e-14  # self-inverse case
-
-    wop3 = unitary_of("fz3")
-    v3 = inverse_via_antipode(wop3.algebra)
-    assert np.linalg.norm(v3 @ wop3.w - np.eye(9)) <= 1e-12
-
-    assert verify_inverse_via_antipode(unitary_of("trivial")).max_residual() == 0.0
+def test_inverse_via_antipode(basis_changed):
+    # V = (id (x) S) W against the dense oracle sum_j x_j (x) L(S e_j), kron by kron
+    for name, seed in (("kz2", None), ("fz3", None), ("fs3", 2)):
+        wop = unitary_of(name) if seed is None else orthonormal_unitary(basis_changed(preset(name), seed))
+        a, w = wop.algebra, wop.w
+        l_s = np.einsum("jk,kab->jab", a.antipode, wop.left_regular)
+        v = sum(np.kron(x, ls) for x, ls in zip(wop.slice_basis, l_s))
+        composes, adjoint = wop.inverse_defects
+        assert abs(composes - np.linalg.norm(v @ w - np.eye(len(w)))) <= 1e-14
+        assert abs(adjoint - np.linalg.norm(v - w.conj().T)) <= 1e-14
+    assert np.max(np.abs(v - w.conj().T)) <= 1e-14
+    assert unitary_of("kz2").inverse_defects[1] <= 1e-15  # W is self-inverse
+    assert verify_unitarity(unitary_of("trivial")).max_residual() == 0.0
     for name in ("kz5", "ks3", "fs3"):
-        assert verify_inverse_via_antipode(unitary_of(name)).overall_pass
+        report = verify_unitarity(unitary_of(name))
+        assert report.overall_pass
+        assert [c.name for c in report.checks] == [
+            "w_unitary_wstar_w", "w_unitary_w_wstar", "w_inverse_composes", "w_inverse_is_adjoint"]
 
 
 def test_pentagon_on_presets():
@@ -202,6 +207,50 @@ def test_antipode_relation():
     rep = verify_antipode_relation(unitary_of("fs3"))
     assert rep.overall_pass
     assert rep.max_residual() <= 1e-12
+
+
+_exact = np.vectorize(Fraction, otypes=[object])  # each float as the dyadic rational it is
+
+
+def _exact_parts(z):
+    z = np.asarray(z)
+    return _exact(z.real), _exact(z.imag)
+
+
+def _exact_adjoint_defect_square(wop):
+    """||sum_j x_j (x) L(S e_j) - W*||_F^2 of the float operands x_j, S, L_k and W,
+    in exact arithmetic: V = sum_k C_k (x) L_k, C_k = sum_j S_jk x_j, over real and
+    imaginary parts."""
+    (sr, si), (xr, xi) = _exact_parts(wop.algebra.antipode), _exact_parts(wop.slice_basis)
+    (lr, li), (wr, wi) = _exact_parts(wop.left_regular), _exact_parts(wop.w.conj().T)
+    cr = np.tensordot(sr, xr, (0, 0)) - np.tensordot(si, xi, (0, 0))
+    ci = np.tensordot(sr, xi, (0, 0)) + np.tensordot(si, xr, (0, 0))
+    vr = sum(np.kron(a, c) - np.kron(b, d) for a, b, c, d in zip(cr, ci, lr, li))
+    vi = sum(np.kron(a, d) + np.kron(b, c) for a, b, c, d in zip(cr, ci, lr, li))
+    return np.sum((vr - wr) ** 2 + (vi - wi) ** 2)
+
+
+@pytest.mark.parametrize("name", ["dual:ks3", "dual:kz6", "fs3", "fz6"])
+def test_antipode_relation_verdict_at_1e15_is_the_exact_one(name):
+    # the float residual reads 6.66e-16 here, and a float sum in another order
+    # 1.33e-15, which fails: the exact defect, 6.68e-16, decides for the pass
+    a = preset(name)
+    square = _exact_adjoint_defect_square(orthonormal_unitary(a))  # the W full_suite builds
+    assert square < Fraction(1, 10**30)
+    report = full_suite(a, tol=1e-15)
+    check = report.check("antipode_relation/antipode_on_second_leg_of_w")
+    assert check.passed and check.residual == report.residual("unitary/w_inverse_is_adjoint")
+    assert check.residual == pytest.approx(float(square) ** 0.5, rel=0.01)
+
+
+def test_both_unitarity_defects_are_equal_in_exact_arithmetic():
+    # ||W*W - I||^2 = tr((W*W)^2) - 2 tr(W*W) + n = ||WW* - I||^2 by cyclicity of
+    # the trace, for any square W; here a complex dyadic W as the real [[A, -B], [B, A]]
+    rng = np.random.default_rng(7)
+    re, im = (_exact(rng.integers(-64, 64, (4, 4)) / 32.0) for _ in range(2))
+    w = np.block([[re, -im], [im, re]])
+    eye = _exact(np.eye(8))
+    assert np.sum((w.T @ w - eye) ** 2) == np.sum((w @ w.T - eye) ** 2) != 0
 
 
 def test_dual_subspace_of_group_algebra_z2_is_diagonal_projections():
@@ -1174,5 +1223,5 @@ def test_passing_full_suite_builds_nothing_n5(name, basis_changed, monkeypatch):
                         lambda v, tol: sizes.append(np.size(v)) or original(v, tol))
     assert full_suite(a).overall_pass
     assert all(c == [] for c in calls.values())
-    assert len(sums) == 2  # W and its antipode inverse; no coproduct(e_a) one at a time
+    assert len(sums) == 2  # W and V = (id (x) S) W, once; no coproduct(e_a) one at a time
     assert all(size < a.dim ** 4 for size in sizes)  # no stack of n^2 slices of n x n

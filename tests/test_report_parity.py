@@ -23,14 +23,18 @@ def _check(name, residual, passed=True):
     return {"name": name, "residual": residual, "tolerance": 1e-9, "passed": passed, "detail": ""}
 
 
-def _compare(tmp_path, a, b, allow=()):
+def _compare(tmp_path, a, b, allow=(), one_flag=False):
+    """``compare`` of two one-case dumps, with ``--allow`` once per glob, or
+    once before all of them if ``one_flag``."""
     paths = []
     for label, runs in (("a", a), ("b", b)):
         path = tmp_path / f"{label}.json"
         path.write_text(json.dumps({"case": runs}))
         paths.append(str(path))
     argv = ["compare", *paths]
-    for name in allow:
+    if one_flag and allow:
+        argv += ["--allow", *allow]
+    for name in () if one_flag else allow:
         argv += ["--allow", name]
     return report_parity.main(argv)
 
@@ -48,6 +52,18 @@ def test_residual_change_passes_only_on_an_allowed_check(tmp_path, capsys):
     assert _compare(tmp_path, _run(BASE), _run(moved), allow=[ALLOWED]) == 0
     assert f"largest residual change of {ALLOWED}: 3.000e-15" in capsys.readouterr().out
     assert _compare(tmp_path, _run(BASE), _run(moved)) == 1
+
+
+@pytest.mark.parametrize("one_flag", [False, True])
+def test_allow_takes_several_globs_after_one_flag_or_one_per_flag(tmp_path, capsys, one_flag):
+    # the usage line reads [--allow CHECK ...]: both forms allow the same checks
+    moved = [_check("pentagon/pentagon", 2e-15), _check(ALLOWED, 5e-15)]
+    allow = ["pentagon/pentagon", ALLOWED]
+    assert _compare(tmp_path, _run(BASE), _run(moved), allow=allow, one_flag=one_flag) == 0
+    out = capsys.readouterr().out
+    assert "largest residual change of pentagon/pentagon: 1.000e-15" in out
+    assert f"largest residual change of {ALLOWED}: 3.000e-15" in out
+    assert _compare(tmp_path, _run(BASE), _run(moved), allow=allow[1:], one_flag=one_flag) == 1
 
 
 def test_allow_takes_globs_and_reports_the_change_against_the_tolerance(tmp_path, capsys):

@@ -12,9 +12,10 @@ from fqg import (
     preset,
     verify_hopf_star_axioms,
 )
+from fqg.duality import build_dual
 from fqg.report import VerificationReport
 
-from conftest import deficient_dual_span, orthonormal_unitary
+from conftest import deficient_dual_span, orthonormal_unitary, twisted_s3xz2
 
 
 def test_full_suite_passes_and_orders_stages():
@@ -159,11 +160,32 @@ def test_a_stage_report_never_passes_a_tolerance_that_overflows():
     assert not report.check("associativity").passed
 
 
-@pytest.mark.parametrize("name", ["ks3", "fs3", "kz4", "fz5", "dual:ks3"])
+def _input(name):
+    """A preset, or the twist of C[S3 x Z2] (``twist``) or its dual (``dual:twist``)."""
+    if name.endswith("twist"):
+        twist = twisted_s3xz2()
+        return build_dual(twist) if name.startswith("dual:") else twist
+    return preset(name)
+
+
+def test_the_twist_of_s3xz2_is_genuinely_quantum():
+    # neither commutative nor cocommutative: 72 ordered non-commuting pairs of
+    # S3 x Z2 give 144 entries of +-1 in mult - mult^T
+    twist = twisted_s3xz2()
+    assert twist.commutativity_defect() == 12.0
+    assert twist.cocommutativity_defect() == pytest.approx(np.sqrt(12), abs=0.005)  # 3.46
+    for name in ("twist", "dual:twist"):
+        report = full_suite(_input(name))
+        assert len(report.checks) == 78 and report.overall_pass
+
+
+@pytest.mark.parametrize("name", ["ks3", "fs3", "kz4", "fz5", "dual:ks3", "twist", "dual:twist"])
 def test_full_suite_passes_in_a_random_basis(name, basis_changed):
     # a valid Kac algebra passes every check in any basis, not only in the
-    # permutation-sparse preset basis
-    report = full_suite(basis_changed(preset(name), seed=len(name) * 101))
+    # permutation-sparse preset basis; the twist is neither commutative nor
+    # cocommutative, and so is its dual
+    report = full_suite(basis_changed(_input(name), seed=len(name) * 101))
+    assert len(report.checks) == 78
     assert [c.name for c in report.checks if not c.passed] == []
 
 

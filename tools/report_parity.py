@@ -243,7 +243,7 @@ def main(argv=None) -> int:
     p_compare = sub.add_parser("compare", help="compare two dumps")
     p_compare.add_argument("a")
     p_compare.add_argument("b")
-    p_compare.add_argument("--allow", action="append", default=[], metavar="GLOB")
+    p_compare.add_argument("--allow", action="extend", nargs="+", default=[], metavar="GLOB")
     args = parser.parse_args(argv)
     if args.command == "dump":
         return dump(args.output)
