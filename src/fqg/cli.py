@@ -14,7 +14,9 @@ globs can match a check name under its prefix, and the guards before it run
 too, so an abort there is reported as in the full run.  A stage that is not
 selected is not run, so an overflow or LinAlgError inside it does not end
 the run.  The report holds the checks the globs match and those that ended
-the run (an abort, or failed action axioms).
+the run (an abort, or failed action axioms).  Stages that share a certificate
+compute all of it: ``pentagon/*`` and ``coproduct_via_w/*`` also bound the dual
+coproducts, which ``dual_coproduct/*`` and ``slice_isomorphism/*`` report.
 
 Exit codes: 0 all reported checks pass, 1 at least one check failed,
 2 structural error (bad file, non-finite number, unknown preset, bad flags,

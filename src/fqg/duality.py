@@ -74,7 +74,7 @@ def verify_G_isomorphism(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -
     algebra without building the dual.
 
     ``intertwines_coproducts`` reports the certified bound r_i of
-    ``dual_coproduct_bounds``; above ``tol``, or NaN, the exact distance:
+    ``sandwich_certificate``; above ``tol``, or NaN, the exact distance:
     dual-coproduct(x_i) is C_i over the orthonormal Q_a (x) Q_b plus a part of
     norm r_i orthogonal to them (``dual_coproduct_coords``).  With R = Q* X,
     sum_pq m_pqi x_p (x) x_q = sum_ab (R m_i R^T)_ab Q_a (x) Q_b (m_pqi: e_i in
@@ -96,7 +96,7 @@ def verify_G_isomorphism(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -
         worst = np.sqrt(np.linalg.norm(coeffs - pairs, axis=(1, 2)) ** 2 + remainders ** 2).max()
         return float(worst), False
 
-    bound = float(wop.dual_coproduct_bounds[1].max())
+    bound = float(wop.sandwich_certificate[4].max())
     _add_bounded(rb, "intertwines_coproducts", bound, tol, exact, wop)
     return rb.build()
 

@@ -34,7 +34,10 @@ alone is computed on first read (see ``MultiplicativeUnitary``).
 The pentagon, W (L_a (x) 1) W* = coproduct(e_a), (id (x) coproduct) W =
 W12 W13 and the dual-coproduct family are reported as certified upper bounds:
 Gram forms over the leg factors (x_s, L_s) (Van Loan and Pitsianis 1993), read
-from certificates the context caches.  A bound above the tolerance gives way
+from certificates the context caches.  The two conjugation families, W (.) W* on
+the L_a and W* (.) W on the x_l, share one (``sandwich_certificate``), so the
+pentagon/ and coproduct_via_w/ stages compute the dual family too, even run
+alone (``--only``).  A bound above the tolerance gives way
 to the exact computation, so a passing run contracts no three-leg product,
 builds no n^5 stack and loops over no basis.  The guards that end a stage
 have the floor 4 n^2 eps, so a tolerance below rounding is reported as
@@ -133,22 +136,38 @@ class MultiplicativeUnitary:
         return g, _gram(self.slice_basis), float(np.sqrt(abs(delta)))
 
     @cached_property
-    def coproduct_defects(self) -> tuple[float, float, float]:
-        """Bounds on (sum_a ||F_a||_F^2)^1/2 and on the conjugation defect, both
-        derived in ``verify_coproduct_implemented``, and on the second-leg defect."""
+    def sandwich_certificate(self) -> tuple[float, float, float, np.ndarray, np.ndarray]:
+        """(f, conjugation, second_leg, pi, r): the bounds of ``verify_coproduct_implemented``
+        and pi_l, r_l of ``verify_dual_coproduct_identities``.  Both families read one stack
+        of the L_p x_j and one Gram matrix of it, formed after the spill operands and dropped
+        before the Gram parts: about five (n^2, n^2) arrays are live at once."""
         n, a, xs, lr = self.dim, self.algebra, self.slice_basis, self.left_regular
-        gram = self.grams[0]
-        delta_norms = _pair_norms(a.comult, gram)  # ||coproduct(e_a)||_F
-        # T[a, p, j, s] = sum_q comult[a, p, q] mult[q, j, s] at [a, s, p, j]
-        gram_part = _kron_defect_norms(self, xs[None] @ lr[:, None],
-                                       a.comult[:, None] @ a.mult.transpose(2, 0, 1)[None], gram)
-        spill = _lx_gram_form(self, np.tensordot(a.comult.conj(), a.comult, (0, 0)),
-                              _gram(lr[:, None] @ lr[None] - np.tensordot(a.mult, lr, (2, 0))))
-        x_norm, _, l2, _ = self.spectral_norms
-        f, conjugation = _sandwich_bounds(self, gram_part, spill, lr, l2, delta_norms)
-        e, w2 = self.expansion_residual, 1.0 + self.unitarity_defect
+        (gram, gx, _), c, m = self.grams, self.slice_closure[0], a.mult.transpose(2, 0, 1)
+        # spill^2 = sum_k ||sum_pqj C_k[p, q] L_p x_j (x) B_qj||_F^2 = sum H[p, q, p', q'] G[q, j, q', j']
+        # <L_p x_j, L_p' x_j'>, H = sum_k conj(C_k) (x) C_k, G the Gram tensor of the B_qj (the dual
+        # family's operands are swapped): the product of the regrouped H and G, then one Gram matrix
+        operands = [_pairs(np.tensordot(a.comult.conj(), a.comult, (0, 0)))
+                    @ _pairs(_gram(lr[:, None] @ lr[None] - np.tensordot(a.mult, lr, (2, 0)))),
+                    _pairs(_gram(xs[:, None] @ xs[None] - np.tensordot(c, xs, (2, 0))))
+                    @ _pairs(np.tensordot(a.mult.conj(), a.mult, (2, 2)))]
+        lx = (lr[:, None] @ xs[None]).reshape(n * n, n * n)  # L_p x_j at row (p, j)
+        lx_gram = _pairs((lx @ lx.conj().T).reshape((n,) * 4))
+        spill, dual_spill = (float(np.sqrt(abs(np.vdot(lx_gram, op).real))) for op in operands)
+        del operands, lx_gram
+        # T[a, p, j, s] = sum_q comult[a, p, q] mult[q, j, s] at [a, s, p, j], and
+        # U[l, p, s, k] = sum_j c[s, j, p] mult[j, k, l]
+        part = _kron_defect_norms(lx, xs[None] @ lr[:, None], a.comult[:, None] @ m[None], gram)
+        dual = _kron_defect_norms(lx, xs[:, None] @ lr[None], c.transpose(2, 0, 1)[None] @ m[:, None], gx)
+        (x_norm, x2, l2, m2), w2 = self.spectral_norms, 1.0 + self.unitarity_defect
+        delta_norms, y_norms = _pair_norms(a.comult, gram), _pair_norms(m, gx)  # ||Delta(e_a)||, ||Y_l||
+        f, conjugation = _sandwich_bounds(self, part, spill, lr, l2, delta_norms)
         conjugation = conjugation.max() + _allowance(n, self.w, w2, x_norm * delta_norms.max())
-        return f, float(conjugation), coproduct_expansion_bound(xs, self.w, e, w2, self)
+        pi = _sandwich_bounds(self, dual, dual_spill, xs, x2, y_norms)[1]
+        x_frob = np.sqrt(n) * np.linalg.norm(xs, axis=(1, 2))  # ||1 (x) x_l||_F
+        pi += 4 * n * np.finfo(float).eps * w2 * (x_norm * y_norms + w2 * x_frob)
+        drift = frob(project_onto_span(self.dual_span.q, xs)[1])  # the x_j outside the span of Q
+        second_leg = coproduct_expansion_bound(xs, self.w, self.expansion_residual, w2, self)
+        return f, float(conjugation), second_leg, pi, pi + 2 * x_norm * m2 * drift
 
     @cached_property
     def conjugation_exact(self) -> float:  # the loop behind the conjugation bound
@@ -169,7 +188,7 @@ class MultiplicativeUnitary:
         """The certified upper bound on the pentagon defect derived in ``verify_pentagon``."""
         n, u, e = self.dim, self.unitarity_defect, self.expansion_residual
         w2, s = 1.0 + u, np.sqrt(max(1.0 - u, 0.0))
-        f, _, second_leg = self.coproduct_defects
+        f, _, second_leg = self.sandwich_certificate[:3]
         top = self.spectral_norms[0] * f + np.sqrt(w2) * (second_leg + np.sqrt(n) * e)
         top += w2 * np.sqrt(n) * u
         bound = np.minimum(top / s if s > 0 else np.inf, (w2 + np.sqrt(w2)) * np.sqrt(n) * frob(self.w))
@@ -187,25 +206,6 @@ class MultiplicativeUnitary:
         star_coords, star_res = self.dual_span.coords(basis.conj().transpose(0, 2, 1))
         closure = float(max(product_res.max(), star_res.max()))
         return product_coords.reshape(n, n, n), star_coords, closure
-
-    @cached_property
-    def dual_coproduct_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """pi_l >= ||dual-coproduct(x_l) - Y_l||_F and r_l >= the distance of
-        dual-coproduct(x_l) from the Q_a (x) Q_b (``verify_dual_coproduct_identities``)."""
-        n, a, xs, lr = self.dim, self.algebra, self.slice_basis, self.left_regular
-        c, gx, m = self.slice_closure[0], self.grams[1], a.mult.transpose(2, 0, 1)  # m[l] = mult[:, :, l]
-        # U[l, p, s, k] = sum_j c[s, j, p] mult[j, k, l]
-        gram_part = _kron_defect_norms(self, xs[:, None] @ lr[None],
-                                       c.transpose(2, 0, 1)[None] @ m[:, None], gx)
-        spill = _lx_gram_form(self, _gram(xs[:, None] @ xs[None] - np.tensordot(c, xs, (2, 0))),
-                              np.tensordot(a.mult.conj(), a.mult, (2, 2)))
-        (x_norm, x2, _, m2), y_norms = self.spectral_norms, _pair_norms(m, gx)
-        pi = _sandwich_bounds(self, gram_part, spill, xs, x2, y_norms)[1]
-        x_frob = np.sqrt(n) * np.linalg.norm(xs, axis=(1, 2))  # ||1 (x) x_l||_F
-        w2 = 1.0 + self.unitarity_defect
-        pi += 4 * n * np.finfo(float).eps * w2 * (x_norm * y_norms + w2 * x_frob)
-        drift = frob(project_onto_span(self.dual_span.q, xs)[1])  # the x_j outside the span of Q
-        return pi, pi + 2 * x_norm * m2 * drift
 
     @cached_property
     def dual_coproducts(self) -> np.ndarray:
@@ -263,7 +263,7 @@ def verify_pentagon(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> Ver
     With W = sum_j x_j (x) L_j + E, e = ||E||_F, F_j = W (L_j (x) 1) -
     coproduct(e_j) W and M = sum_j x_j (x) coproduct(e_j) - W12 W13, the defect
     P has P W23 = sum_j x_j (x) F_j + M W23 + W23 E12 + W23 W12 (W23* W23 - I).
-    The first term regroups to X^T F, at most ||X||_2 f (``coproduct_defects``);
+    The first term regroups to X^T F, at most ||X||_2 f (``sandwich_certificate``);
     ||M|| is the bound ``coproduct_on_second_leg_of_w`` reports; ||W||_2^2 <= w2
     = 1 + u, u = ||W*W - I||_F; s = sqrt(1 - u) bounds W's smallest singular
     value.  So ||P||_F <= (||X||_2 f + sqrt(w2) (||M|| + sqrt(n) e) + w2 sqrt(n) u)
@@ -271,7 +271,8 @@ def verify_pentagon(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> Ver
     their inputs' rounding; added is that of W on legs: a sum of length k <= n^2
     rounds at about 4 sqrt(k) eps relative to its operands (Higham and Mary
     2019), w2 sqrt(n) ||W||_F times w2 for the conjugation (``_allowance``).
-    Above ``tol``, or NaN, the exact n^8 ``wop.pentagon_exact`` is reported.
+    Above ``tol``, or NaN, the exact n^8 ``wop.pentagon_exact`` is reported.  Reading
+    f computes the dual-coproduct bounds of ``sandwich_certificate`` too.
     """
     rb = ReportBuilder()
     _add_bounded(rb, "pentagon", wop.pentagon_bound, tol, lambda w, _: (w.pentagon_exact, False), wop)
@@ -356,31 +357,18 @@ def _pair_norms(m, g) -> np.ndarray:
     return np.sqrt(np.abs(np.sum(m.conj() * (g @ m @ g.T), axis=(1, 2)).real))
 
 
-def _lx_stack(wop: MultiplicativeUnitary) -> np.ndarray:  # L_p x_j at row (p, j)
-    n = wop.dim
-    return (wop.left_regular[:, None] @ wop.slice_basis[None]).reshape(n * n, n * n)
-
-
-def _kron_defect_norms(wop: MultiplicativeUnitary, first, coeffs, gram) -> np.ndarray:
+def _kron_defect_norms(lx, first, coeffs, gram) -> np.ndarray:
     """||sum_s D_ks (x) B_s||_F for each k, D_ks = first[k, s] - sum_pj coeffs[k, s, p, j]
-    L_p x_j, as sum_ss' G_ss' <D_ks, D_ks'> over ``gram`` G of the B_s: one product."""
-    n = wop.dim
-    d = coeffs.reshape(-1, n * n) @ _lx_stack(wop)
+    L_p x_j over the stack ``lx`` of the L_p x_j, as sum_ss' G_ss' <D_ks, D_ks'> over
+    ``gram`` G of the B_s: one product."""
+    d = coeffs.reshape(-1, len(lx)) @ lx
     np.subtract(first.reshape(d.shape), d, out=d)
-    return np.sqrt(np.abs([np.vdot(dk, gram @ dk).real for dk in d.reshape(len(first), n, -1)]))
+    return np.sqrt(np.abs([np.vdot(dk, gram @ dk).real for dk in d.reshape(len(first), len(gram), -1)]))
 
 
 def _pairs(t) -> np.ndarray:  # t[i, j, i', j'] regrouped to rows (i, i'), columns (j, j')
     n = len(t)
     return t.transpose(0, 2, 1, 3).reshape(n * n, n * n)
-
-
-def _lx_gram_form(wop: MultiplicativeUnitary, a, b) -> float:
-    """(sum a[p, q, p', q'] b[q, j, q', j'] <L_p x_j, L_p' x_j'>)^1/2, by three (n^2, n^2)
-    products: for a = sum_k conj(C_k) (x) C_k and b the Gram tensor of B_qj (or a, b
-    swapped), (sum_k ||sum_pqj C_k[p, q] L_p x_j (x) B_qj||_F^2)^1/2."""
-    a, lx = _pairs(a) @ _pairs(b), _lx_stack(wop)
-    return float(np.sqrt(abs(np.vdot(_pairs((lx @ lx.conj().T).reshape((wop.dim,) * 4)), a).real)))
 
 
 def _sandwich_bounds(wop: MultiplicativeUnitary, a, spill: float, stack, l2, b_frob):
@@ -441,12 +429,12 @@ def verify_coproduct_implemented(
     With W = X + E and L_q L_j = sum_s mult[q, j, s] L_s + rho_qj, F_a = W A - B W
     (A = L_a (x) 1, B = coproduct(e_a)) is sum_s D_as (x) L_s (``_kron_defect_norms``,
     D_as = x_s L_a - sum_pjq comult[a, p, q] mult[q, j, s] L_p x_j), minus
-    sum_pqj comult[a, p, q] L_p x_j (x) rho_qj (``_lx_gram_form``), plus E A - B E;
+    sum_pqj comult[a, p, q] L_p x_j (x) rho_qj (the spill), plus E A - B E;
     ``_sandwich_bounds`` turns that into the bound, plus the allowance of
-    ``verify_pentagon`` with Kronecker side ||X||_2 ||B||_F.  One (n^2, n^2) x
-    (n^2, n^2) product: n^6 time and n^4 memory, not n^7.
+    ``verify_pentagon`` with Kronecker side ||X||_2 ||B||_F: n^6 time and n^4 memory,
+    not n^7, in ``sandwich_certificate``, which computes the dual-coproduct bounds too.
     """
-    _, conjugation, second_leg = wop.coproduct_defects
+    conjugation, second_leg = wop.sandwich_certificate[1:3]
     rb = ReportBuilder()
     _add_bounded(rb, "conjugation_over_basis", conjugation, tol,
                  lambda w, _: (w.conjugation_exact, False), wop)
@@ -596,11 +584,12 @@ def verify_dual_coproduct_identities(
     ``tol``, in (tol, exact maximum]; a walk that would pass never stops.
 
     pi_l >= ||P_l||, P_l = dual-coproduct(x_l) - Y_l, Y_l = sum_jk m_l[j, k] x_j
-    (x) x_k, m_l = mult[:, :, l] (``dual_coproduct_bounds``): with x_s x_j = sum_p
-    c[s, j, p] x_p + r_sj (``slice_closure``), (1 (x) x_l) W - W Y_l = sum_p x_p
-    (x) D_lp - sum_sjk m_l[j, k] r_sj (x) L_s x_k + (1 (x) x_l) E - E Y_l, D_lp =
-    x_l L_p - sum_sjk c[s, j, p] m_l[j, k] L_s x_k; ``_sandwich_bounds`` with A =
-    1 (x) x_l, B = Y_l, plus 4 n eps w2 (||X||_2 ||Y_l||_F + w2 sqrt(n) ||x_l||_F).
+    (x) x_k, m_l = mult[:, :, l] (``sandwich_certificate``, with the conjugation
+    bounds): with x_s x_j = sum_p c[s, j, p] x_p + r_sj (``slice_closure``), (1 (x)
+    x_l) W - W Y_l = sum_p x_p (x) D_lp - sum_sjk m_l[j, k] r_sj (x) L_s x_k + (1 (x)
+    x_l) E - E Y_l, D_lp = x_l L_p - sum_sjk c[s, j, p] m_l[j, k] L_s x_k;
+    ``_sandwich_bounds`` with A = 1 (x) x_l, B = Y_l, plus 4 n eps w2 (||X||_2
+    ||Y_l||_F + w2 sqrt(n) ||x_l||_F).
     With R = Q* X and d_j = x_j - Q R_j, Y_l = sum_ab (R m_l R^T)_ab Q_a (x) Q_b +
     sum_jk m_l[j, k] (d_j (x) x_k + Q R_j (x) d_k), so r_l = pi_l + 2 ||m_l||_2
     ||X||_2 ||d||_F bounds the distance from the Q_a (x) Q_b, which
@@ -634,7 +623,7 @@ def verify_dual_coproduct_identities(
     _add_bounded(rb, "dual_coproduct_on_first_leg_of_w", first_leg, tol,
                  lambda w, _: (_exact_first_leg(w), False), wop)
     rounding = rounding_allowance(n)
-    pi, remainders = wop.dual_coproduct_bounds
+    pi, remainders = wop.sandwich_certificate[3:]
     m, gx, x_frob = wop.algebra.mult, wop.grams[1], np.linalg.norm(xs, axis=(1, 2))
     # (e_a e_b) e_c - e_a (e_b e_c) at e_l, at [l, a, b, c]; its Gram form over a, c, then b
     assoc = np.tensordot(m, m, (2, 0)).transpose(3, 0, 1, 2)

@@ -9,7 +9,10 @@ before any later row that runs; all costly context is in cached closures.
 Right after ``gns/`` the algebra is rewritten once in its GNS-orthonormal basis
 (``haar.orthonormal_algebra``), and every stage on W reads that algebra; the
 stages that measure the input (``axioms/`` to ``trace/``, ``dual_algebra/`` and
-``verify_fourier``) read the input.
+``verify_fourier``) read the input.  A passing ``full_suite`` forms 11 products of
+(n^2, n^2) by (n^2, n^2) matrices, n^6 work each: ``comult_multiplicative`` of the
+input and of the dual, W*W, VW, and seven in ``sandwich_certificate`` (two spill
+operands and the two Gram tensors they read, one Gram matrix, two Gram parts).
 """
 
 from __future__ import annotations

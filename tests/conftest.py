@@ -20,8 +20,10 @@ from fqg import (
     gns_construct,
     group_algebra,
     orthonormal_algebra,
+    preset,
     symmetric_group_3,
 )
+from fqg.duality import build_dual
 from fqg.haar import _invariance_system
 from fqg.tensors import _rank_above, rounding_allowance, span_basis
 
@@ -104,6 +106,14 @@ def twisted_s3xz2() -> FiniteHopfStarAlgebra:
     antipode = np.array([multiply(a, multiply(a, u, row), u) for row in a.antipode])
     return dataclasses.replace(a, comult=comult, antipode=antipode, name="twist(s3xz2)",
                                source_group=None)
+
+
+def preset_or_twist(name: str) -> FiniteHopfStarAlgebra:
+    """A preset, or the twist of C[S3 x Z2] (``twist``) or its dual (``dual:twist``)."""
+    if name.endswith("twist"):
+        twist = twisted_s3xz2()
+        return build_dual(twist) if name.startswith("dual:") else twist
+    return preset(name)
 
 
 def multiply(a: FiniteHopfStarAlgebra, x, y) -> np.ndarray:

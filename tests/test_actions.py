@@ -162,6 +162,18 @@ def test_not_an_automorphism_fails_theta_automorphisms():
     assert first_failure_and_suite(a, k, theta) == "theta_automorphisms"
 
 
+def test_a_theta_that_is_not_invertible_fails_theta_automorphisms():
+    # theta_1(x) = counit(x) 1 keeps every law but invertibility, whose tolerance is 0:
+    # its residual tol * max(scale, ||theta_1||_F) must not pass against tol * scale
+    a, k = preset("kz3"), group_preset("z2")
+    theta = np.stack([np.eye(3), np.outer(a.unit, a.counit)])
+    sub = is_hopf_star_automorphism(a, theta[1])
+    assert [c.name for c in sub.checks if not c.passed] == ["invertible"]
+    check = action_axioms_report(a, k, theta).check("theta_automorphisms")
+    assert check.detail == "element 1 fails invertible"
+    assert not check.passed and check.residual == sub.max_residual() > check.tolerance == 0.0
+
+
 @pytest.mark.parametrize("size", [1e-8, 1e-3])
 def test_theta_automorphisms_matches_a_per_element_loop(size):
     # ks3 is not commutative, so a stacked multiplicative law that contracts

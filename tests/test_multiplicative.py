@@ -46,6 +46,7 @@ from conftest import (
     expand_in_leg,
     multiply,
     orthonormal_unitary,
+    preset_or_twist,
 )
 
 CNOT = np.array(
@@ -275,6 +276,11 @@ def test_dual_subspace_guards_raise_with_their_check():
         build_dual_subspace(dataclasses.replace(wop, dual_span=elsewhere))
     assert raised.value.check == "dual_subspace_membership"
     assert float(str(raised.value).split()[-1].rstrip(")")) > 0.1  # "... (residual 1.2e+00)"
+    # W = x_0 (x) I: every right slice is a multiple of x_0, inside the span but of rank 1
+    wop = unitary_of("kz3")
+    with pytest.raises(VerificationError, match="right slices of W do not span") as raised:
+        build_dual_subspace(dataclasses.replace(wop, w=np.kron(wop.slice_basis[0], np.eye(3))))
+    assert raised.value.check == "dual_subspace_dimension"
 
 
 def test_dual_subspace_dimensions_and_commutativity_classification():
@@ -519,6 +525,7 @@ def test_cli_reports_exact_contraction_below_the_rounding_allowance(tmp_path, ba
 
 CERTIFIED = "certified upper bound on the residual"
 ALL_PRESETS = [*preset_names(), *(f"dual:{p}" for p in preset_names())]
+QUANTUM = ["twist", "dual:twist"]  # neither commutative nor cocommutative, n = 12
 
 
 def _oracle_first_leg(wop):
@@ -594,8 +601,8 @@ def test_leg_bounds_above_tol_report_exact_contraction(basis_changed):
 
 def test_pentagon_bound_that_is_nan_reports_exact_contraction():
     wop = unitary_of("ks3")
-    # the cached (f, conjugation_over_basis, coproduct_on_second_leg_of_w)
-    vars(wop)["coproduct_defects"] = (float("nan"), 0.0, 0.0)
+    # the cached (f, conjugation_over_basis, coproduct_on_second_leg_of_w, pi, r)
+    vars(wop)["sandwich_certificate"] = (float("nan"), 0.0, 0.0, *wop.sandwich_certificate[3:])
     check = verify_pentagon(wop).check("pentagon")
     assert check.detail == "exact contraction; certified bound nan exceeds tol"
     assert check.passed and check.residual == pentagon_residual(wop.w)
@@ -650,9 +657,9 @@ def _second_leg(wop, tol=np.finfo(float).max):
     return verify_coproduct_implemented(wop, tol).check(SECOND_LEG)
 
 
-@pytest.mark.parametrize("name", ALL_PRESETS)
+@pytest.mark.parametrize("name", [*ALL_PRESETS, *QUANTUM])
 def test_second_leg_bound_dominates_exact_contraction(name, basis_changed):
-    for a in (preset(name), basis_changed(preset(name), seed=5)):
+    for a in (preset_or_twist(name), basis_changed(preset_or_twist(name), seed=5)):
         wop = _unitary(a)
         check = _second_leg(wop)
         assert check.detail == CERTIFIED
@@ -886,12 +893,12 @@ def test_tolerance_below_rounding_fails_checks_without_aborting(name, capsys):
 
 
 def _counting(monkeypatch, owner, name):
-    """Count the calls of ``owner.name`` for the rest of the test."""
+    """Record the positional arguments of each call of ``owner.name`` for the rest of the test."""
     calls = []
     original = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -977,9 +984,20 @@ def test_coproduct_and_dual_coproduct_stages_hold_no_extra_n5_stack(monkeypatch,
     monkeypatch.setattr(multiplicative, "leg_distance", lambda lhs, rhs, dims: 0.0)
     wop = _unitary(basis_changed(group_algebra(cyclic_group(12)), seed=1))
     stack = 16 * wop.dim ** 5
-    assert _traced_peak(lambda: wop.coproduct_defects) <= 2.2 * stack
+    assert _traced_peak(lambda: wop.sandwich_certificate) <= 2.2 * stack
     _ = wop.dual_coproducts
     assert _traced_peak(lambda: wop.dual_coproduct_coords) <= 0.5 * stack
+
+
+def test_sandwich_certificate_holds_about_five_n4_arrays(basis_changed):
+    # in units of one (n^2, n^2) complex array: the two spill operands, the L_p x_j
+    # stack and its Gram matrix with a regrouped copy, then the stack beside the two
+    # Gram parts' operands and product; W and the certificates it reads are not counted
+    from fqg import cyclic_group, group_algebra
+
+    wop = _unitary(basis_changed(group_algebra(cyclic_group(12)), seed=1))
+    _ = wop.grams, wop.slice_closure, wop.spectral_norms, wop.expansion_residual, wop.unitarity_defect
+    assert _traced_peak(lambda: wop.sandwich_certificate) <= 5.5 * 16 * wop.dim ** 4
 
 
 def test_dual_coproduct_stage_holds_one_n5_stack(basis_changed):
@@ -1081,9 +1099,9 @@ def _injected(wop, seed=13):
     yield dataclasses.replace(wop, slice_basis=xs, dual_span=span_basis(xs))
 
 
-@pytest.mark.parametrize("name", ALL_PRESETS)
+@pytest.mark.parametrize("name", [*ALL_PRESETS, *QUANTUM])
 def test_gram_bounds_dominate_the_exact_computations(name, basis_changed):
-    for a in (preset(name), basis_changed(preset(name), seed=5)):
+    for a in (preset_or_twist(name), basis_changed(preset_or_twist(name), seed=5)):
         wop = _unitary(a)
         checks = _gram_bounded_checks(wop)
         for check_name, exact in GRAM_BOUNDED.items():
@@ -1217,6 +1235,7 @@ def test_passing_full_suite_builds_nothing_n5(name, basis_changed, monkeypatch):
     calls = {f: _counting(monkeypatch, multiplicative, f)
              for f in ("_dual_coproducts", "_doubled_span_coords", "coproduct_operators")}
     sums = _counting(monkeypatch, multiplicative, "kron_sum")
+    gram_parts = _counting(monkeypatch, multiplicative, "_kron_defect_norms")
     sizes = []
     original = multiplicative.numerical_rank
     monkeypatch.setattr(multiplicative, "numerical_rank",
@@ -1224,4 +1243,6 @@ def test_passing_full_suite_builds_nothing_n5(name, basis_changed, monkeypatch):
     assert full_suite(a).overall_pass
     assert all(c == [] for c in calls.values())
     assert len(sums) == 2  # W and V = (id (x) S) W, once; no coproduct(e_a) one at a time
+    # one stack of the L_p x_j, whose Gram matrix both spills read, for both Gram parts
+    assert len(gram_parts) == 2 and gram_parts[0][0] is gram_parts[1][0]
     assert all(size < a.dim ** 4 for size in sizes)  # no stack of n^2 slices of n x n

@@ -12,10 +12,9 @@ from fqg import (
     preset,
     verify_hopf_star_axioms,
 )
-from fqg.duality import build_dual
 from fqg.report import VerificationReport
 
-from conftest import deficient_dual_span, orthonormal_unitary, twisted_s3xz2
+from conftest import deficient_dual_span, orthonormal_unitary, preset_or_twist, twisted_s3xz2
 
 
 def test_full_suite_passes_and_orders_stages():
@@ -160,14 +159,6 @@ def test_a_stage_report_never_passes_a_tolerance_that_overflows():
     assert not report.check("associativity").passed
 
 
-def _input(name):
-    """A preset, or the twist of C[S3 x Z2] (``twist``) or its dual (``dual:twist``)."""
-    if name.endswith("twist"):
-        twist = twisted_s3xz2()
-        return build_dual(twist) if name.startswith("dual:") else twist
-    return preset(name)
-
-
 def test_the_twist_of_s3xz2_is_genuinely_quantum():
     # neither commutative nor cocommutative: 72 ordered non-commuting pairs of
     # S3 x Z2 give 144 entries of +-1 in mult - mult^T
@@ -175,7 +166,7 @@ def test_the_twist_of_s3xz2_is_genuinely_quantum():
     assert twist.commutativity_defect() == 12.0
     assert twist.cocommutativity_defect() == pytest.approx(np.sqrt(12), abs=0.005)  # 3.46
     for name in ("twist", "dual:twist"):
-        report = full_suite(_input(name))
+        report = full_suite(preset_or_twist(name))
         assert len(report.checks) == 78 and report.overall_pass
 
 
@@ -184,7 +175,7 @@ def test_full_suite_passes_in_a_random_basis(name, basis_changed):
     # a valid Kac algebra passes every check in any basis, not only in the
     # permutation-sparse preset basis; the twist is neither commutative nor
     # cocommutative, and so is its dual
-    report = full_suite(basis_changed(_input(name), seed=len(name) * 101))
+    report = full_suite(basis_changed(preset_or_twist(name), seed=len(name) * 101))
     assert len(report.checks) == 78
     assert [c.name for c in report.checks if not c.passed] == []
 
@@ -318,6 +309,28 @@ def test_an_abort_at_the_dual_subspace_is_reported_as_its_check(monkeypatch):
     assert last.name == "dual_subspace/dual_subspace_dimension"
     assert last.residual is None and last.detail.startswith("aborted: dual subspace has dimension 2")
     assert [c.name for c in report.checks if not c.passed] == [last.name]
+
+
+def test_an_abort_at_the_span_of_the_right_slices_is_reported_as_its_check(monkeypatch):
+    # W = x_0 (x) I passes the first two dual-subspace guards and ends the run at the third;
+    # the pentagon/ stage, which computes both conjugation families, must not raise first
+    import dataclasses
+
+    import fqg.multiplicative as multiplicative_mod
+
+    build = multiplicative_mod.build_multiplicative_unitary
+
+    def rank_one_slices(b):
+        wop = build(b)
+        return dataclasses.replace(wop, w=np.kron(wop.slice_basis[0], np.eye(b.dim)))
+
+    monkeypatch.setattr(multiplicative_mod, "build_multiplicative_unitary", rank_one_slices)
+    report = full_suite(preset("kz3"))
+    last = report.checks[-1]
+    assert last.name == "dual_subspace/dual_subspace_dimension"
+    assert last.residual is None
+    assert last.detail == "aborted: right slices of W do not span an n-dimensional space"
+    assert len(report.checks) == 41 and sum(not c.passed for c in report.checks) == 11
 
 
 def test_too_large_full_mode_is_refused_under_only(monkeypatch, capsys):
