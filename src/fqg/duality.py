@@ -73,12 +73,12 @@ def verify_G_isomorphism(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -
     unit of functionals are those of ``build_dual(wop.algebra)``, read off the
     algebra without building the dual.
 
-    ``intertwines_coproducts`` reports the certified bound r_i of
-    ``sandwich_certificate``; above ``tol``, or NaN, the exact distance:
-    dual-coproduct(x_i) is C_i over the orthonormal Q_a (x) Q_b plus a part of
-    norm r_i orthogonal to them (``dual_coproduct_coords``).  With R = Q* X,
-    sum_pq m_pqi x_p (x) x_q = sum_ab (R m_i R^T)_ab Q_a (x) Q_b (m_pqi: e_i in
-    e_p e_q), so their distance is exactly sqrt(||C_i - R m_i R^T||_F^2 + r_i^2).
+    ``intertwines_coproducts`` reports max_i r_i of ``sandwich_certificate``, the
+    float ``dual_coproduct/image_in_doubled_span`` reports; above ``tol``, or NaN,
+    the exact distance: dual-coproduct(x_i) is C_i over the orthonormal Q_a (x) Q_b
+    plus a part of norm r_i orthogonal to them (``dual_coproduct_coords``).  With
+    R = Q* X, sum_pq m_pqi x_p (x) x_q = sum_ab (R m_i R^T)_ab Q_a (x) Q_b (m_pqi:
+    e_i in e_p e_q), so it is sqrt(||C_i - R m_i R^T||_F^2 + r_i^2) >= that check's r_i.
     """
     a = wop.algebra
     n = a.dim

@@ -12,13 +12,14 @@ W = U|W|, so one product W*W gives both unitarity checks, and V = (id (x) S) W
 
 Functionals on the *algebra* are applied to a leg of W through the expansion
 W = sum_j x_j (x) L_j, where L_j is left multiplication by the j-th basis
-element and the x_j span the dual subspace; applying such functionals
-entrywise would not be meaningful since they act on the algebra, not on
-Hilbert-space coordinates.  Vector functionals on Hilbert-space coordinates
-are applied entrywise: the slices of W by the matrix units are one
-transpose of W's leg tensor.  A two-leg sum over the expansion, W itself,
-V or coproduct(e_a), is built by ``kron_sum``, and W's distance from its
-expansion is measured by ``kron_sum_distance``.
+element and the x_j span the dual subspace; applying such functionals entrywise
+would not be meaningful since they act on the algebra, not on Hilbert-space
+coordinates.  Vector functionals on Hilbert-space coordinates are applied
+entrywise: the slices of W by the matrix units are W's blocks, and their
+defects from left multiplication are the blocks of W's distance from its
+expansion.  A two-leg sum over the expansion, W itself, V or coproduct(e_a), is
+built by ``kron_sum``, and that distance is measured once by
+``kron_sum_distance``.
 
 ``build_multiplicative_unitary`` reads this expansion off the structure
 constants, x_j = comult[:, :, j]^T and L_j = mult[j]^T, and factors the
@@ -279,30 +280,27 @@ def verify_pentagon(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> Ver
     return rb.build()
 
 
-def verify_left_slices_span(
-    wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL
-) -> VerificationReport:
+def verify_left_slices_span(wop: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Left slices of W act by left multiplication and span the represented algebra.
 
-    The slice of W by the vector functional T -> <e_i, T e_j> on its first
-    leg (GNS vectors of the basis, antilinear in the bra) is left
-    multiplication by (haar (x) id)((e_i* (x) 1) coproduct(e_j)) = sum_q
-    comult[j, i, q] L_q, the basis being orthonormal; all n^2 slices are a
-    transpose of W, and all their targets one product.  The ranks are
-    certified from the slices' coefficients over the L_k (``_slice_rows``); a
-    count that their shift may change falls back to ``numerical_rank``.
+    The slice of W by T -> <e_i, T e_j> on its first leg (GNS vectors of the
+    orthonormal basis, antilinear in the bra) is W's (i, j) block and should be
+    left multiplication by (haar (x) id)((e_i* (x) 1) coproduct(e_j)) = sum_k
+    comult[j, i, k] L_k, the (i, j) block of sum_k x_k (x) L_k: the n^2 defects are
+    the blocks of E, and their root-sum-square is ``expansion_residual`` = ||E||_F.
+    The ranks are certified from the slices' coefficients over the L_k (``_slice_rows``);
+    a count that their shift may change falls back to ``numerical_rank``.
     """
     n = wop.dim
-    slices = wop.w.reshape((n,) * 4).transpose(0, 2, 1, 3).reshape(n * n, n, n)
-    targets = wop.algebra.comult.transpose(1, 0, 2).reshape(n * n, n) @ wop.left_regular.reshape(n, -1)
-    worst = np.linalg.norm(slices - targets.reshape(n * n, n, n), axis=(1, 2)).max()
+    slices = wop.w.reshape((n,) * 4).transpose(0, 2, 1, 3)  # slice (i, j) at [i, j], a view
     rows, union, shift = _slice_rows(wop)
     rank, union_rank = _certified_rank(rows, shift, tol), _certified_rank(union, shift, tol)
-    rb = ReportBuilder()
-    rb.add("left_slice_acts_by_left_multiplication", float(worst), tol)
-    rb.add_count("left_slice_span_dimension", numerical_rank(slices, tol) if rank is None else rank, n)
+    rb = ReportBuilder().add("left_slice_acts_by_left_multiplication", wop.expansion_residual, tol)
+    if rank is None:
+        rank = numerical_rank(slices.reshape(n * n, n, n), tol)
     if union_rank is None:
-        union_rank = numerical_rank(np.concatenate([slices, wop.left_regular]), tol)
+        union_rank = numerical_rank(np.concatenate([slices.reshape(n * n, n, n), wop.left_regular]), tol)
+    rb.add_count("left_slice_span_dimension", rank, n)
     rb.add_count("left_slices_span_represented_algebra", union_rank, n)
     return rb.build()
 

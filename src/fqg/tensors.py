@@ -54,14 +54,14 @@ def freeze(a: np.ndarray) -> np.ndarray:
 
 
 # leg_distance evaluates its two sides tile by tile over the leg-1 row and
-# column index; tiles are as large as their working set (see _working_set)
-# allows within this many bytes.  The two sides of a tile are laid out in
-# different axis orders, so their difference gathers through one of them,
-# which stays cheap only while a tile array (a third of this budget for two
-# factors a side) is within cache and TLB reach.
-# 16 MiB won a sweep of 8, 16 and 36 MiB on a 2-core x86 host (2 MiB L2 per
-# core) when passing runs still contracted the five-leg commutator and the
-# four-leg expansions; no passing run does now, so it serves the exact fallbacks.
+# column index, only in exact fallbacks and pentagon_residual; tiles are as large
+# as their working set (see _working_set) allows within this many bytes.  The
+# two sides of a tile are laid out in different axis orders, so their difference
+# gathers through one of them, which stays cheap only while a tile array (a
+# third of this budget for two factors a side) is within cache and TLB reach.
+# On a 2-core x86 host (2 MiB L2 per core), full_suite at tol 1e-15 took
+# 0.40-0.51 s on basis-changed Z12 subtracting in the lhs tile's memory order,
+# 0.45-0.56 s otherwise; Z16 overlapped.  16 MiB is kept from a sweep of 8, 16 and 36 MiB.
 TILE_BYTES = 16 * 2 ** 20
 _LABELS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 

@@ -74,16 +74,25 @@ def change_basis(a: FiniteHopfStarAlgebra, seed, p=None) -> FiniteHopfStarAlgebr
     )
 
 
-def twisted_s3xz2() -> FiniteHopfStarAlgebra:
-    """The Drinfeld twist of C[S3 x Z2], a finite quantum group neither commutative
-    nor cocommutative (Drinfeld 1989; Movshev 1993; Nikshych 1998).
+def cocycle_phase(chi, psi):
+    """(-1)^(chi_1 psi_2): a bicharacter of Z2^2, so a 2-cocycle, and J^-1 = J."""
+    return (-1) ** (chi[0] * psi[1])
+
+
+def twisted_s3xz2(phase=cocycle_phase) -> FiniteHopfStarAlgebra:
+    """The Drinfeld twist of C[S3 x Z2] by J = sum_(chi, psi) phase(chi, psi) e_chi
+    (x) e_psi: for the default 2-cocycle, a finite quantum group neither
+    commutative nor cocommutative (Drinfeld 1989; Movshev 1993; Nikshych 1998).
 
     On the Klein subgroup V = <s, z>, s a transposition of S3 and z the generator
     of Z2, e_chi = 1/4 sum_v chi(v) u_v for chi in Z2^2 are orthogonal projections
-    summing to 1, and J = sum (-1)^(chi_1 psi_2) e_chi (x) e_psi is self-adjoint
-    with J^2 = 1.  The twist keeps the algebra, conjugates the coproduct, Delta_J =
-    J Delta J, and the antipode, S_J = U S(.) U, U = sum_chi (-1)^(chi_1 chi_2) e_chi
-    = m(id (x) S) J, with U^2 = 1.  V is not normal, so Delta_J is not cocommutative.
+    summing to 1, so J^-1 = sum 1/phase(chi, psi) e_chi (x) e_psi, and J is unitary
+    for a phase of modulus 1.  The twist keeps the algebra, conjugates the
+    coproduct, Delta_J = J Delta J^-1, and the antipode, S_J = U S(.) U^-1, U =
+    m(id (x) S) J = sum_chi phase(chi, chi) e_chi, as S(e_psi) = e_psi.  V is not
+    normal, so Delta_J is not cocommutative.  A phase that is not a 2-cocycle,
+    such as i^(chi_1 psi_2 + chi_2), leaves Delta_J a *-homomorphism that is not
+    coassociative.
     """
     s3 = symmetric_group_3()
     z2 = np.add.outer(np.arange(2), np.arange(2)) % 2
@@ -92,18 +101,20 @@ def twisted_s3xz2() -> FiniteHopfStarAlgebra:
     s, z = 2 * s3.labels.index("102"), 1  # (s, 0) and (e, 1): S3's identity "012" is index 0
     klein = [0, s, z, s + z]  # s^a z^b at a + 2 b
     e = np.eye(12)
+    chars = [(c1, c2) for c1 in (0, 1) for c2 in (0, 1)]  # chi = (c1, c2) at 2 c1 + c2
     proj = [sum((-1) ** (c1 * (v % 2) + c2 * (v // 2)) * e[g] for v, g in enumerate(klein)) / 4
-            for c1 in (0, 1) for c2 in (0, 1)]  # e_chi at chi = (c1, c2), index 2 c1 + c2
-    sign = [[(-1) ** ((i // 2) * (k % 2)) for k in range(4)] for i in range(4)]
-    twist = sum(sign[i][k] * np.outer(proj[i], proj[k]) for i in range(4) for k in range(4))
-    u = sum(sign[i][i] * proj[i] for i in range(4))
+            for c1, c2 in chars]
+    phases = np.array([[phase(chi, psi) for psi in chars] for chi in chars])
+    twist, twist_inv = (sum(f[i, k] * np.outer(proj[i], proj[k]) for i in range(4) for k in range(4))
+                        for f in (phases, 1 / phases))
+    u, u_inv = (sum(f[i, i] * proj[i] for i in range(4)) for f in (phases, 1 / phases))
     m = a.mult
 
     def pair_product(x, y):  # product in A (x) A of coefficient matrices over u_a (x) u_b
         return np.einsum("ab,cd,acj,bdk->jk", x, y, m, m, optimize=True)
 
-    comult = np.array([pair_product(pair_product(twist, c), twist) for c in a.comult])
-    antipode = np.array([multiply(a, multiply(a, u, row), u) for row in a.antipode])
+    comult = np.array([pair_product(pair_product(twist, c), twist_inv) for c in a.comult])
+    antipode = np.array([multiply(a, multiply(a, u, row), u_inv) for row in a.antipode])
     return dataclasses.replace(a, comult=comult, antipode=antipode, name="twist(s3xz2)",
                                source_group=None)
 

@@ -500,6 +500,24 @@ def test_trivial_action_in_a_random_basis_counts_one_automorphism(tmp_path, caps
     )
 
 
+@pytest.mark.parametrize("mode", ["full", "sliced"])
+def test_action_through_a_quotient_reports_it_is_not_faithful(tmp_path, capsys, mode):
+    # Z4 acts on kz3 through Z4 -> Z2, the odd elements by inversion: theta is
+    # [I, P, I, P], two distinct automorphisms for four group elements
+    e, p = np.eye(3), np.eye(3)[[0, 2, 1]]
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps([[[[x, 0] for x in row] for row in t.tolist()] for t in (e, p, e, p)]))
+    argv = ["action", "kz3", "--group", "z4", "--automorphisms", str(path), "--mode", mode]
+    code, out, err = run(capsys, [*argv, "--format", "json"])
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 0 and err == ""
+    assert len(checks) == {"full": 24, "sliced": 22}[mode]
+    assert checks["action/theta_image_size"]["detail"] == (
+        "not faithful: 2 distinct automorphisms for group order 4"
+    )
+    assert checks["commutation/beta_slices_generate"]["detail"].endswith("; action is not faithful")
+
+
 def _bad_file(tmp_path, kind):
     """A file that cannot be read as JSON: a directory, invalid JSON, bytes
     that are not UTF-8, or a missing path (named like a file or in a directory)."""
@@ -645,6 +663,35 @@ def test_inline_group_labels_must_be_a_list(tmp_path, capsys, route):
         argv = ["action", "kz2", "--group", str(path), "--automorphisms", "inversion"]
     code, _, err = run(capsys, argv)
     assert code == 2 and err.startswith("error: ") and "'labels'" in err
+
+
+_IDENTITY_3 = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]
+
+
+@pytest.mark.parametrize(
+    "role, contents, message",
+    [
+        ("algebra", [], "algebra file must contain a JSON object"),
+        ("automorphisms", [_IDENTITY_3, [*_IDENTITY_3[:1], _IDENTITY_3[1][:2], *_IDENTITY_3[2:]]],
+         "automorphism 1 row 1 must have 3 entries"),
+        ("automorphisms", [_IDENTITY_3, [_IDENTITY_3[0], [[0, 0], [1, 0], 0], _IDENTITY_3[2]]],
+         "automorphism 1 entry (1, 2) must be an [re, im] pair"),
+        ("group", {"table": [[0, 1], [1, 2]]}, "table entries must be element indices"),
+        ("group", {"table": [[0, 1], [1, 0]], "labels": ["a"]}, "1 labels for 2 elements"),
+    ],
+    ids=["algebra-list", "short-row", "not-a-pair", "entry-out-of-range", "label-count"],
+)
+def test_malformed_input_files_exit_two_with_their_message(tmp_path, capsys, role, contents, message):
+    path = tmp_path / f"{role}.json"
+    path.write_text(json.dumps(contents))
+    argv = {
+        "algebra": ["verify", str(path)],
+        "automorphisms": ["action", "kz3", "--group", "z2", "--automorphisms", str(path)],
+        "group": ["action", "kz3", "--group", str(path), "--automorphisms", "inversion"],
+    }[role]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n" and "Traceback" not in err
 
 
 def test_flag_and_spec_grammars_give_the_same_report(tmp_path, capsys):

@@ -749,19 +749,20 @@ def _vector_slice(w, bra, ket, side):
 def _slice_oracles(wop):
     """The left-slice and Fourier-slice residuals, one vector functional at a time,
     with the Gram matrix and the left multiplications of the (orthonormal) basis
-    evaluated element by element."""
+    evaluated element by element.  The left-slice residual is the root-sum-square
+    of the n^2 slice defects, the blocks of W's distance from its expansion."""
     a, h, w = wop.algebra, wop.haar, wop.w
     n, e = a.dim, np.eye(a.dim)
     gram = np.array([[h(multiply(a, apply_star(a, e[i]), e[j])) for j in range(n)] for i in range(n)])
     lrs = [np.array([multiply(a, e[i], e[j]) for j in range(n)]).T for i in range(n)]
-    left = max(
+    left = np.sqrt(sum(
         np.linalg.norm(
             _vector_slice(w, e[i], e[j], "left")
             - sum(c * lr for c, lr in zip(gram[i] @ a.comult[j], lrs))
-        )
+        ) ** 2
         for i in range(n)
         for j in range(n)
-    )
+    ))
     f = fourier_matrix(a, h)
     fourier = max(
         np.linalg.norm(
@@ -791,6 +792,27 @@ def test_batched_slices_match_vector_functional_formula(name, basis_changed):
     for got, expected in zip(_slice_residuals(bad), _slice_oracles(bad)):
         assert expected > 0.1
         assert abs(got - expected) <= 1e-13 * expected
+
+
+def test_a_passing_left_slice_stage_forms_no_n4_array(basis_changed):
+    # the slices are a view of W and their defect is the cached expansion
+    # residual, which the pentagon stage reads first in full_suite: at Z16 the
+    # stage stays below one (n^2, n^2) complex array, 1 MiB
+    import tracemalloc
+
+    from fqg import cyclic_group, group_algebra
+
+    wop = _unitary(basis_changed(group_algebra(cyclic_group(16)), seed=5))
+    wop.expansion_residual, wop.grams
+    tracemalloc.start()
+    try:
+        report = verify_left_slices_span(wop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.overall_pass
+    assert report.residual("left_slice_acts_by_left_multiplication") == wop.expansion_residual
+    assert peak < wop.w.nbytes == 2 ** 20
 
 
 def _noise(rng, d):
@@ -1109,6 +1131,20 @@ def test_gram_bounds_dominate_the_exact_computations(name, basis_changed):
             assert exact(wop) <= checks[check_name].residual <= 1e-11, check_name
         fresh = _gram_bounded_checks(_unitary(a), tol=DEFAULT_TOL)
         assert {k: c.residual for k, c in fresh.items()} == {k: c.residual for k, c in checks.items()}
+
+
+@pytest.mark.parametrize("name", [*ALL_PRESETS, *QUANTUM])
+def test_the_doubled_span_pair_reads_one_bound(name, basis_changed):
+    # image_in_doubled_span and intertwines_coproducts report the one float
+    # max_i r_i of sandwich_certificate; exactly, intertwines_coproducts adds
+    # ||C_i - R m_i R^T|| to the distance r_i that image_in_doubled_span falls back to
+    for a in (preset_or_twist(name), basis_changed(preset_or_twist(name), seed=5)):
+        wop = _unitary(a)
+        image = verify_dual_coproduct_identities(wop).check("image_in_doubled_span")
+        assert image.detail == CERTIFIED
+        assert verify_G_isomorphism(wop).residual("intertwines_coproducts") == image.residual
+        exact = verify_G_isomorphism(wop, 1e-15).residual("intertwines_coproducts")
+        assert exact >= float(wop.dual_coproduct_coords[1].max())
 
 
 @pytest.mark.parametrize("name", ["kz3", "kz5", "ks3"])

@@ -10,11 +10,15 @@ from fqg import (
     group_preset,
     pentagon_residual,
     preset,
+    save_algebra,
     verify_hopf_star_axioms,
 )
+from fqg.cli import main
 from fqg.report import VerificationReport
 
-from conftest import deficient_dual_span, orthonormal_unitary, preset_or_twist, twisted_s3xz2
+from conftest import (
+    cocycle_phase, deficient_dual_span, orthonormal_unitary, preset_or_twist, twisted_s3xz2,
+)
 
 
 def test_full_suite_passes_and_orders_stages():
@@ -168,6 +172,33 @@ def test_the_twist_of_s3xz2_is_genuinely_quantum():
     for name in ("twist", "dual:twist"):
         report = full_suite(preset_or_twist(name))
         assert len(report.checks) == 78 and report.overall_pass
+
+
+def non_cocycle_phase(chi, psi):
+    """i^(chi_1 psi_2 + chi_2): its coboundary is not 1, so Delta_J is not coassociative."""
+    return 1j ** (chi[0] * psi[1] + chi[1])
+
+
+@pytest.mark.parametrize("phase", [cocycle_phase, non_cocycle_phase])
+def test_a_twist_is_a_quantum_group_exactly_when_its_phase_is_a_cocycle(tmp_path, capsys, phase):
+    # a quantum negative control: the twist by a phase that is not a 2-cocycle
+    # fails coassociativity (sqrt 6) and the pentagon (12 sqrt 6) by name, and
+    # the command line reports it as failed checks, not as a traceback
+    twist = twisted_s3xz2(phase)
+    report = full_suite(twist)
+    failed = {c.name for c in report.checks if not c.passed}
+    assert len(report.checks) == 78
+    if phase is cocycle_phase:
+        assert failed == set()
+    else:
+        assert {"axioms/coassociativity", "pentagon/pentagon"} <= failed
+        assert report.residual("axioms/coassociativity") > 1 and report.residual("pentagon/pentagon") > 1
+    path = tmp_path / "twist.json"
+    save_algebra(twist, path)
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == (0 if phase is cocycle_phase else 1)
+    assert captured.err == "" and "Traceback" not in captured.out
 
 
 @pytest.mark.parametrize("name", ["ks3", "fs3", "kz4", "fz5", "dual:ks3", "twist", "dual:twist"])
