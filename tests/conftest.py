@@ -23,6 +23,7 @@ from fqg import (
     preset,
     symmetric_group_3,
 )
+from fqg.builders import permutation_matrix
 from fqg.duality import build_dual
 from fqg.haar import _invariance_system
 from fqg.tensors import _rank_above, rounding_allowance, span_basis
@@ -79,6 +80,27 @@ def cocycle_phase(chi, psi):
     return (-1) ** (chi[0] * psi[1])
 
 
+def s3xz2() -> CayleyTable:
+    """S3 x Z2 with (g, a) at index 2 g + a, g indexed as in ``symmetric_group_3``."""
+    s3 = symmetric_group_3()
+    z2 = np.add.outer(np.arange(2), np.arange(2)) % 2
+    table = 2 * s3.table[:, None, :, None] + z2[None, :, None, :]
+    return cayley_from_table(table.reshape(12, 12), name="s3xz2")
+
+
+def twist_conjugation(label: str, order: int) -> np.ndarray:
+    """theta_k = Ad(u_x^k) for k < ``order`` on C[S3 x Z2], x = (``label``, 0) for a label of
+    ``symmetric_group_3``: the permutations y -> x^k y x^-k of the group basis, a stack that
+    Z_order acts by when x^order = e.  The twist keeps the algebra, so Ad(u_x) stays an algebra
+    automorphism of it; it keeps the twisted coproduct exactly when u_x (x) u_x commutes with J,
+    as for x = s, which commutes with the Klein subgroup <s, z>, and not for a 3-cycle."""
+    g, x = s3xz2(), 2 * symmetric_group_3().labels.index(label)
+    powers = [g.identity_index]
+    for _ in range(order - 1):
+        powers.append(g.table[powers[-1], x])
+    return permutation_matrix(g.table[g.table[powers], g.inverses()[powers][:, None]])
+
+
 def twisted_s3xz2(phase=cocycle_phase) -> FiniteHopfStarAlgebra:
     """The Drinfeld twist of C[S3 x Z2] by J = sum_(chi, psi) phase(chi, psi) e_chi
     (x) e_psi: for the default 2-cocycle, a finite quantum group neither
@@ -94,11 +116,9 @@ def twisted_s3xz2(phase=cocycle_phase) -> FiniteHopfStarAlgebra:
     such as i^(chi_1 psi_2 + chi_2), leaves Delta_J a *-homomorphism that is not
     coassociative.
     """
-    s3 = symmetric_group_3()
-    z2 = np.add.outer(np.arange(2), np.arange(2)) % 2
-    table = 2 * s3.table[:, None, :, None] + z2[None, :, None, :]  # (g, a) at 2 g + a
-    a = group_algebra(cayley_from_table(table.reshape(12, 12), name="s3xz2"))
-    s, z = 2 * s3.labels.index("102"), 1  # (s, 0) and (e, 1): S3's identity "012" is index 0
+    a = group_algebra(s3xz2())
+    # (s, 0) and (e, 1): S3's identity "012" is index 0
+    s, z = 2 * symmetric_group_3().labels.index("102"), 1
     klein = [0, s, z, s + z]  # s^a z^b at a + 2 b
     e = np.eye(12)
     chars = [(c1, c2) for c1 in (0, 1) for c2 in (0, 1)]  # chi = (c1, c2) at 2 c1 + c2

@@ -53,6 +53,8 @@ from conftest import (
     multiply,
     orthonormal_context,
     orthonormal_unitary,
+    twist_conjugation,
+    twisted_s3xz2,
 )
 
 
@@ -193,6 +195,38 @@ def test_theta_automorphisms_matches_a_per_element_loop(size):
     check = action_axioms_report(b, k, theta).check("theta_automorphisms")
     assert check.residual == worst and check.detail == detail
     assert not check.passed and detail.startswith(f"element {k.labels[4]} fails ")
+
+
+@pytest.mark.parametrize("mode, count", [("full", 24), ("sliced", 22)])
+def test_ad_of_a_transposition_acts_on_the_twist_of_s3xz2(mode, count):
+    # a genuinely quantum action: Z2 by Ad(u_s) on the twist, which J keeps, as
+    # given and in a random basis with theta moved to P^-1 theta P
+    a, k, theta = twisted_s3xz2(), group_preset("z2"), twist_conjugation("102", 2)
+    p = basis_change_matrix(a.dim, 5)
+    for b, t in ((a, theta), (change_basis(a, 5), np.linalg.inv(p) @ theta @ p)):
+        report = action_suite(b, k, t, mode=mode)
+        assert len(report.checks) == count
+        assert [c.name for c in report.checks if not c.passed] == []
+
+
+def test_ad_of_a_three_cycle_fails_on_the_twist_of_s3xz2_by_name(tmp_path, capsys):
+    # a quantum negative control: Ad(u_r) keeps the algebra but not the twisted
+    # coproduct, so Z3 acting by it fails theta_automorphisms, and the command
+    # line reports that as a failed check, not as a traceback
+    a, k, theta = twisted_s3xz2(), group_preset("z3"), twist_conjugation("120", 3)
+    check = action_axioms_report(a, k, theta).check("theta_automorphisms")
+    assert not check.passed and check.detail == "element 1 fails comultiplicative"
+    assert check.residual == pytest.approx(np.sqrt(6), abs=1e-12)
+    assert first_failure_and_suite(a, k, theta) == "theta_automorphisms"
+    fqg.save_algebra(a, tmp_path / "twist.json")
+    spec = {"format_version": 1, "algebra": "twist.json", "group": "z3",
+            "automorphisms": [[[[z.real, z.imag] for z in row] for row in t] for t in theta]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    code = main(["action", str(tmp_path / "spec.json"), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == "" and "Traceback" not in captured.out
+    failed = [c["name"] for c in json.loads(captured.out)["checks"] if not c["passed"]]
+    assert failed == ["action/theta_automorphisms"]
 
 
 def test_resolve_automorphisms_guards():

@@ -66,6 +66,25 @@ def test_verify_agrees_across_blas_thread_counts(tmp_path):
         assert abs(a["residual"] - b["residual"]) <= 1e-6 * a["tolerance"], a["name"]
 
 
+def test_verify_and_action_runs_import_no_random_module():
+    # no check draws random numbers, so a fresh process neither imports numpy.random
+    # nor pays its import time and memory
+    script = (
+        "import contextlib, io, sys\n"
+        "from fqg.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['verify', 'kz3', '--format', 'json']),\n"
+        "             main(['action', 'kz3', '--group', 'z2', '--automorphisms', 'inversion'])]\n"
+        "print(codes, 'numpy.random' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0] False\n"
+
+
 def test_verify_corrupted_file_exits_one_and_names_check(tmp_path, capsys):
     data = json.loads(algebra_to_json(preset("kz2")))
     for entry in data["mult"]:

@@ -23,7 +23,7 @@ from fqg import (
 )
 from fqg.haar import haar_nullspace_dimension
 
-from conftest import apply_star, haar_by_invariance_solve, multiply
+from conftest import apply_star, haar_by_invariance_solve, multiply, preset_or_twist
 
 
 def test_haar_group_algebra_is_identity_indicator():
@@ -149,26 +149,38 @@ def test_verify_gns_report_passes_on_presets():
         assert report.overall_pass, [c.name for c in report.checks if not c.passed]
 
 
-def _positive_on_squares_loop(a, h):
-    """haar_positive_on_squares one seeded element at a time: the reference."""
-    rng, worst = np.random.default_rng(7), 0.0
-    for _ in range(16):
-        v = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
+def _positive_on_squares_loop(a, gram, h):
+    """haar_positive_on_squares one Gram eigenvector at a time: the reference."""
+    worst = 0.0
+    for v in np.linalg.eigh(gram)[1].T:
         value = h(multiply(a, apply_star(a, v), v))
         worst = max(worst, -value.real, abs(value.imag))
     return worst
 
 
-@pytest.mark.parametrize("name", [*preset_names(), *(f"dual:{p}" for p in preset_names())])
+@pytest.mark.parametrize(
+    "name", [*preset_names(), *(f"dual:{p}" for p in preset_names()), "twist", "dual:twist"]
+)
 def test_positive_on_squares_equals_the_loop_over_its_draws(name, basis_changed):
     # the batched products are the loop's with a leading row index: equal
     # values, also for a functional that is far from positive
-    for a in (preset(name), basis_changed(preset(name), seed=1)):
+    for a in (preset_or_twist(name), basis_changed(preset_or_twist(name), seed=1)):
         gns = gns_construct(a, compute_haar(a))
         skewed = Functional([1, 1j] @ np.random.default_rng(2).standard_normal((2, a.dim)))
         for h in (gns.haar, skewed):
             report = verify_gns(a, dataclasses.replace(gns, haar=h))
-            assert report.residual("haar_positive_on_squares") == _positive_on_squares_loop(a, h)
+            assert report.residual("haar_positive_on_squares") == _positive_on_squares_loop(a, gns.gram, h)
+            assert report.check("haar_positive_on_squares").detail == f"{a.dim} Gram eigenvectors"
+
+
+@pytest.mark.parametrize("name", ["ks3", "dual:fs3", "twist"])
+def test_haar_on_the_square_of_a_gram_eigenvector_is_its_eigenvalue(name, basis_changed):
+    # haar(v* v) = c^H G c for v = sum_j c_j e_j, so a unit eigenvector gives its eigenvalue
+    a = basis_changed(preset_or_twist(name), seed=1)
+    gns = gns_construct(a, compute_haar(a))
+    eigenvalues, eigenvectors = np.linalg.eigh(gns.gram)
+    values = [gns.haar(multiply(a, apply_star(a, v), v)) for v in eigenvectors.T]
+    assert np.max(np.abs(np.array(values) - eigenvalues)) <= 1e-13 * eigenvalues[-1]
 
 
 def test_trace_property():

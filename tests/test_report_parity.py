@@ -114,3 +114,20 @@ def test_written_cases_hold_the_file_text_and_compare_it(tmp_path, capsys):
     assert _compare(tmp_path, written, written) == 0
     assert _compare(tmp_path, written, renamed) == 1
     assert "case: written text differs" in capsys.readouterr().out
+
+
+def test_the_quantum_inputs_pass_verify_and_the_ad_s_action(tmp_path, monkeypatch):
+    # the dump's twist of C[S3 x Z2] and its dual, as given and in seed 1, and
+    # Z2 by Ad(u_s) on the twist: every run passes at the default tolerance
+    import fqg
+    from fqg.cli import main
+
+    algebras, specs = report_parity._quantum_inputs(fqg, str(tmp_path))
+    assert algebras == ["twist.json", "twist-seed1.json", "dual-twist.json", "dual-twist-seed1.json"]
+    assert specs == ["ad-s-twist.json", "ad-s-twist-seed1.json"]
+    monkeypatch.chdir(tmp_path)
+    runs = [["verify", name] for name in algebras]
+    runs += [["action", name, "--mode", mode] for name in specs for mode in ("full", "sliced")]
+    for argv in runs:
+        run = report_parity._run(main, argv)
+        assert (run["exit"], run["stderr"]) == (0, ""), argv

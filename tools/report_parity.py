@@ -4,8 +4,9 @@
     python tools/report_parity.py compare A.json B.json [--allow CHECK ...]
 
 ``dump`` runs from a checkout root: it imports ``fqg`` from ``src/`` and the
-workload generator from ``perfbench/workloads.py`` of the current directory,
-writes the seed-1 and seed-2 inputs of every benchmark workload into a
+workload generator from ``perfbench/workloads.py`` of the current directory (the
+builders of the ``quantum/`` inputs come from the ``tests/conftest.py`` beside this
+tool), writes the seed-1 and seed-2 inputs of every benchmark workload into a
 temporary directory, and runs each case, plus a fixed list of preset actions,
 five actions that fail their axioms or are refused (``FAILING_ACTIONS``, one
 with a list of matrices written beside the inputs) and ``verify <preset>
@@ -25,7 +26,11 @@ abort, alone and with each pattern of ``ONLY_VERIFY``; and every preset and
 failing action with each pattern of ``ONLY_ACTION``.  The ``written/`` cases
 run ``fqg preset <name> -o`` for every preset and its dual, and ``fqg dual
 -o`` on the basis-changed Z10 file of ``verify_cyclic``; their stdout is the
-text of the written file.  To check a change against its parent, run the
+text of the written file.  The ``quantum/`` cases run ``verify`` on the Drinfeld
+twist of C[S3 x Z2] and its dual, neither commutative nor cocommutative, as given
+and in ``change_basis`` seed 1, at the default tolerance and at ``1e-15``, and
+``action --mode full`` and ``sliced`` of Z2 by Ad(u_s), s a transposition, on the
+twist as given and in seed 1.  To check a change against its parent, run the
 change's copy of this tool from the parent's checkout root.
 OUT.json maps each case to its exit code, stdout and stderr.  Run it once in
 each checkout, then ``compare``.  Where ``--only`` filters the finished
@@ -51,6 +56,7 @@ import argparse
 import contextlib
 import dataclasses
 import fnmatch
+import importlib.util
 import io
 import json
 import os
@@ -92,6 +98,35 @@ ABORTING = {
     "kz3-negated-star.json": lambda a: dataclasses.replace(a, star=-a.star),
     "kz3-identity-antipode.json": lambda a: dataclasses.replace(a, antipode=np.eye(3)),
 }
+
+
+def _quantum_inputs(fqg, tmp) -> tuple[list[str], list[str]]:
+    """Write the twist of C[S3 x Z2] and its dual, as given and in ``change_basis`` seed 1,
+    and action specs of Z2 by Ad(u_s) on the first two, into ``tmp``; return the algebra
+    and the spec file names.  The builders come from the ``tests/conftest.py`` beside
+    this tool, so that the dumps of two checkouts run the same inputs."""
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location("conftest", os.path.join(here, "tests", "conftest.py"))
+    conftest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(conftest)
+    twist, theta = conftest.twisted_s3xz2(), conftest.twist_conjugation("102", 2)
+    p = conftest.basis_change_matrix(twist.dim, 1)
+    inputs = {
+        "twist.json": (twist, theta),
+        "twist-seed1.json": (conftest.change_basis(twist, 1), np.linalg.inv(p) @ theta @ p),
+        "dual-twist.json": (fqg.build_dual(twist), None),
+        "dual-twist-seed1.json": (conftest.change_basis(fqg.build_dual(twist), 1), None),
+    }
+    specs = []
+    for name, (algebra, t) in inputs.items():
+        fqg.save_algebra(algebra, os.path.join(tmp, name))
+        if t is not None:
+            action = {"format_version": 1, "algebra": name, "group": "z2",
+                      "automorphisms": [[[[z.real, z.imag] for z in row] for row in k] for k in t]}
+            specs.append(f"ad-s-{name}")
+            with open(os.path.join(tmp, specs[-1]), "w", encoding="utf-8") as fh:
+                json.dump(action, fh)
+    return list(inputs), specs
 
 
 def _run(main, argv) -> dict:
@@ -147,6 +182,16 @@ def dump(path: str) -> int:
                 results[case] = _run(main, [*argv, "--only", pattern])
         os.chdir(tmp)  # the provenance names each file as given, so relative to tmp
         try:
+            algebras, specs = _quantum_inputs(fqg, tmp)
+            for file_name in algebras:
+                for tol in ("default", EXACT_TOL):
+                    argv = ["verify", file_name, "--format", "json"]
+                    argv += ["--tol", tol] if tol != "default" else []
+                    results[f"quantum/{file_name}/{tol}"] = _run(main, argv)
+            for file_name in specs:
+                for mode in ("full", "sliced"):
+                    argv = ["action", file_name, "--mode", mode, "--format", "json"]
+                    results[f"quantum/{file_name}/{mode}"] = _run(main, argv)
             for file_name, change in ABORTING.items():
                 fqg.save_algebra(change(fqg.preset("kz3")), file_name)
                 argv = ["verify", file_name, "--format", "json"]
