@@ -110,12 +110,12 @@ def _quantum_inputs(fqg, tmp) -> tuple[list[str], list[str]]:
     conftest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(conftest)
     twist, theta = conftest.twisted_s3xz2(), conftest.twist_conjugation("102", 2)
-    p = conftest.basis_change_matrix(twist.dim, 1)
+    dual, p = fqg.build_dual(twist), conftest.basis_change_matrix(twist.dim, 1)
     inputs = {
         "twist.json": (twist, theta),
         "twist-seed1.json": (conftest.change_basis(twist, 1), np.linalg.inv(p) @ theta @ p),
-        "dual-twist.json": (fqg.build_dual(twist), None),
-        "dual-twist-seed1.json": (conftest.change_basis(fqg.build_dual(twist), 1), None),
+        "dual-twist.json": (dual, None),
+        "dual-twist-seed1.json": (conftest.change_basis(dual, 1), None),
     }
     specs = []
     for name, (algebra, t) in inputs.items():
